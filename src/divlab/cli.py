@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -51,8 +52,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0 (rejects nan, inf, 0 and negatives)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"need a finite positive number, got {text!r}")
+    return value
+
+
 def _emit_json(data, path: str | None) -> None:
-    text = json.dumps(data, indent=2) + "\n"
+    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
     if path:
         Path(path).write_text(text)
     else:
@@ -323,6 +335,9 @@ def _cmd_classify(args) -> int:
         for row in args.rows.split(";")
         if row.strip()
     ]
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"ragged rows: every row needs the same length, got lengths {lengths}")
     _emit_json(classify(rows).to_json(), args.out)
     return 0
 
@@ -423,7 +438,7 @@ def _build_parser() -> _Parser:
 
     p = add("blowup", _cmd_blowup, "blow-up series for a scenario")
     p.add_argument("--kind", choices=("thm1", "cubes", "h3"), required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_positive_float, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--m", type=int, help="cube dimension (kind=cubes)")
     p.add_argument("--weighted", action="store_true",
@@ -443,11 +458,11 @@ def _build_parser() -> _Parser:
     p = add("degenerate", _cmd_degenerate,
             "truncated quasi-norm ratios for dependent forms")
     p.add_argument("--M", dest="big_m", type=int, default=100)
-    p.add_argument("--p4prime", type=float, help="squares family exponent")
+    p.add_argument("--p4prime", type=_positive_float, help="squares family exponent")
     p.add_argument("--r", type=int, help="number of monomials (general family)")
     p.add_argument("--b", help="comma-separated integer coefficients summing to 1")
-    p.add_argument("--p", type=float, help="Lebesgue exponent (general family)")
-    p.add_argument("--L", type=float, default=100.0, help="truncation radius")
+    p.add_argument("--p", type=_positive_float, help="Lebesgue exponent (general family)")
+    p.add_argument("--L", type=_positive_float, default=100.0, help="truncation radius")
 
     p = add("classify", _cmd_classify,
             "divergence scenario of an integer linear-forms matrix")

@@ -6,6 +6,8 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from divlab.averages import (
@@ -121,14 +123,80 @@ def test_sweep_on_random_small_instances():
                 assert x not in res.superlevel
 
 
+def check_frozen_claim(k, measure, breakpoints):
+    s = furstenberg_family(k)
+    res = sweep_superlevel(s.factors, s.coefficients, s.level, window=(-1, 0))
+    assert res.superlevel_measure == measure
+    assert len(res.function.xs) == breakpoints  # 3 * 12^k + 1
+    assert res.superlevel_measure >= F(1, 8) - s.level
+    assert s.witness.clip(-1, 0).issubset(res.superlevel)
+
+
 def test_sweep_frozen_measures():
-    expected = {1: F(37, 64), 2: F(159, 256)}
-    for k, want in expected.items():
-        s = furstenberg_family(k)
-        res = sweep_superlevel(s.factors, s.coefficients, s.level, window=(-1, 0))
-        assert res.superlevel_measure == want
-        assert res.superlevel_measure >= F(1, 8) - s.level
-        assert s.witness.clip(-1, 0).issubset(res.superlevel)
+    expected = {1: (F(37, 64), 37), 2: (F(159, 256), 433), 3: (F(1919, 3072), 5185)}
+    for k, (measure, breakpoints) in expected.items():
+        check_frozen_claim(k, measure, breakpoints)
+
+
+def test_sweep_frozen_k4_certificate():
+    check_frozen_claim(4, F(23039, 36864), 62209)
+
+
+# a coarse grid makes three or more endpoints meet at one point often
+small_rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3]))
+lengths = small_rationals.map(lambda q: abs(q) + F(1, 3))
+coefficients = st.integers(1, 4).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+@st.composite
+def sweep_instances(draw):
+    nsets = draw(st.integers(1, 3))
+    sets = []
+    for _ in range(nsets):
+        lows = draw(st.lists(small_rationals, min_size=1, max_size=3))
+        sets.append(normalize((a, a + draw(lengths)) for a in lows))
+    coeffs = draw(st.lists(coefficients, min_size=nsets, max_size=nsets))
+    if nsets > 1 and draw(st.booleans()):
+        coeffs[1] = coeffs[0]  # lockstep families never meet
+    t0, w0 = draw(small_rationals), draw(small_rationals)
+    t_domain = (t0, t0 + draw(lengths))
+    window = (w0, w0 + draw(lengths))
+    return sets, coeffs, t_domain, window
+
+
+def check_against_pointwise(sets, coeffs, t_domain, window, level, rnd):
+    res = sweep_superlevel(sets, coeffs, level, window=window, t_domain=t_domain)
+    xs = res.function.xs
+    assert xs[0] == window[0] and xs[-1] == window[1]
+    picks = rnd.sample(range(len(xs) - 1), min(8, len(xs) - 1))
+    for i in picks:
+        for x in (xs[i], (xs[i] + xs[i + 1]) / 2, xs[i + 1]):
+            assert res.function(x) == multilinear_integral(sets, coeffs, x, t_domain)
+    return res
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sweep_instances(), st.integers(0, 2**32 - 1))
+def test_sweep_matches_pointwise_property(instance, seed):
+    sets, coeffs, t_domain, window = instance
+    level = (t_domain[1] - t_domain[0]) / 4
+    res = check_against_pointwise(sets, coeffs, t_domain, window, level, random.Random(seed))
+    assert res.superlevel_measure == res.superlevel.measure()
+
+
+def test_sweep_huge_denominators():
+    # the shared integer scale exceeds int64 here, so the sweep must run on
+    # Python-int (dtype object) arrays and still agree with the pointwise integral
+    big = 10**19 + 7
+    sets = [
+        normalize([(F(-3, big), F(5, 7)), (F(1), F(2) + F(1, big - 2))]),
+        normalize([(F(-2), F(1, 3))]),
+        normalize([(F(-5, 2), F(-1, big))]),
+    ]
+    coeffs = [1, -3, 2]
+    t_domain = (F(-1, 2), F(3, 2) + F(1, big))
+    res = check_against_pointwise(sets, coeffs, t_domain, (-2, 2), F(1, 10), random.Random(3))
+    assert len(res.function.xs) > 10
 
 
 def test_sweep_validation():

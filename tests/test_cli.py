@@ -19,9 +19,18 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON token {name}")
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN/Infinity tokens Python would accept."""
+    return json.loads(text, parse_constant=reject_constant)
+
+
 def run_json(capsys, *argv):
     rc, out, _ = run(capsys, *argv)
-    return rc, json.loads(out)
+    return rc, strict_json(out)
 
 
 def test_thresholds(capsys):
@@ -181,7 +190,7 @@ def test_mc_average_deterministic(capsys):
     rc, out1, _ = run(capsys, "mc-average", "--k", "1", "--x", "-2/3",
                       "--seed", "7")
     assert rc == 0
-    data = json.loads(out1)
+    data = strict_json(out1)
     assert data["within_4_sigma"] is True
     assert data["exact"]["exact"] == "1/72"
     rc, out2, _ = run(capsys, "mc-average", "--k", "1", "--x", "-2/3",
@@ -206,3 +215,69 @@ def test_usage_errors_exit_1(capsys):
     rc, out, err = run(capsys, "blowup", "--kind", "cubes",
                        "--p", "1.2", "--kmax", "3")
     assert rc == 1 and err.startswith("divlab: error:")
+
+
+def test_successful_runs_emit_strict_json(capsys):
+    for argv in (
+        ["thresholds"],
+        ["construct-thm1", "--k", "1"],
+        ["construct-cubes", "--m", "3", "--k", "1"],
+        ["verify-claim", "--k", "1"],
+        ["find-nk", "--k", "1", "--level", "1/192", "--target", "1/9"],
+        ["verify-cubes", "--m", "3", "--k", "1"],
+        ["blowup", "--kind", "thm1", "--p", "1.25", "--kmax", "4"],
+        ["blowup", "--kind", "cubes", "--m", "3", "--p", "1.25", "--kmax", "4",
+         "--mode", "bound"],
+        ["blowup", "--kind", "h3", "--p", "1.25", "--kmax", "4"],
+        ["h3-eval", "--k", "1", "--x", "-2/3"],
+        ["degenerate", "--p4prime", "0.5", "--L", "1e6"],
+        ["degenerate", "--r", "4", "--b", "1,1,-1", "--p", "1.1"],
+        ["classify", "--rows", "2,0;0,2;1,1"],
+        ["mc-average", "--k", "1", "--x", "-2/3", "--seed", "3", "--samples", "500"],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0, (argv, err)
+        assert isinstance(strict_json(out), dict)
+
+
+def test_nonfinite_or_nonpositive_floats_exit_1(capsys):
+    for argv in (
+        ["blowup", "--kind", "thm1", "--p", "nan", "--kmax", "4"],
+        ["blowup", "--kind", "h3", "--p", "inf", "--kmax", "4"],
+        ["blowup", "--kind", "thm1", "--p", "0", "--kmax", "4"],
+        ["degenerate", "--p4prime", "nan"],
+        ["degenerate", "--p4prime", "-0.4"],
+        ["degenerate", "--p4prime", "0.4", "--L", "nan"],
+        ["degenerate", "--p4prime", "0.4", "--L", "inf"],
+        ["degenerate", "--r", "3", "--b", "2,-1", "--p", "nan"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "finite positive" in out.err
+
+
+def test_json_overflow_exits_1_without_output(capsys):
+    # a tiny but valid p overflows the series; strict JSON refuses Infinity
+    rc, out, err = run(capsys, "blowup", "--kind", "thm1", "--p", "1e-320",
+                       "--kmax", "4")
+    assert rc == 1 and out == ""
+    assert err.startswith("divlab: error:") and "JSON" in err
+
+
+def test_classify_ragged_rows_exit_1(capsys):
+    rc, out, err = run(capsys, "classify", "--rows", "1,2;3")
+    assert rc == 1 and out == ""
+    assert err.startswith("divlab: error: ragged rows")
+    assert err.count("\n") == 1
+
+
+def test_find_nk_max_n_below_first_grid_exit_1(capsys):
+    for k, smallest in ((1, 96), (2, 1152)):
+        rc, out, err = run(capsys, "find-nk", "--k", str(k), "--level", "1/192",
+                           "--target", "1/9", "--max-n", "0")
+        assert rc == 1 and out == ""
+        assert err.startswith("divlab: error:") and f"= {smallest}" in err
+        assert "None" not in err
