@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -18,11 +19,12 @@ import numpy as np
 
 from .digitsets import base_points
 from .intervals import (
-    EMPTY,
     IntervalUnion,
+    InvariantError,
     PiecewiseLinear,
     RationalLike,
     StepFunction,
+    _merge_sorted,
     common_denominator,
     normalize,
     rat,
@@ -276,14 +278,14 @@ def sweep_superlevel(
     f0 = multilinear_integral(sets, coeffs, xs[0], (t0, t1))
     slope0 = (multilinear_integral(sets, coeffs, xs[1], (t0, t1)) - f0) / (xs[1] - xs[0])
     if (slope0 * c_lcm).denominator != 1:
-        raise RuntimeError("sweep events missed a breakpoint of F")
+        raise InvariantError("sweep events missed a breakpoint of F")
     # slopes in 1/C units; F * S * C accumulates slope * dx exactly
     slopes = int(slope0 * c_lcm) + np.cumsum(np.concatenate(([0], slope_jumps[1:-1])))
     unit = scale * c_lcm
     ys_s = np.cumsum(np.concatenate(([int(f0 * unit)], slopes * np.diff(xs_s))))
     ys = [Fraction(int(v), unit) for v in ys_s]
     if ys[-1] != multilinear_integral(sets, coeffs, xs[-1], (t0, t1)):
-        raise RuntimeError("kinetic sweep disagrees with the pointwise integral")
+        raise InvariantError("kinetic sweep disagrees with the pointwise integral")
     f = PiecewiseLinear(tuple(xs), tuple(ys))
     sup = f.superlevel(level)
     return SweepResult(function=f, superlevel=sup, superlevel_measure=sup.measure())
@@ -294,83 +296,76 @@ def sweep_superlevel(
 # ---------------------------------------------------------------------------
 
 
+def _fold_pairs(pairs, shift, lo, hi):
+    """Translate (lo, hi) pairs by shift and fold into [lo, hi) (a circle).
+
+    Pieces crossing the seam split in two; a piece at least as long as the
+    circumference covers the whole circle.  Returns the sorted pieces with
+    overlapping and touching ones fused (ints or Fractions, like _pair_isect).
+    """
+    circ = hi - lo
+    base = shift - lo
+    out = []
+    for a, b in pairs:
+        if b - a >= circ:
+            return [(lo, hi)]
+        a2 = (a + base) % circ + lo
+        b2 = b - a + a2
+        if b2 <= hi:
+            out.append((a2, b2))
+        else:
+            out += (a2, hi), (lo, b2 - circ)
+    out.sort()
+    return _merge_sorted(out)
+
+
 def wrap_translate(u: IntervalUnion, shift: RationalLike, lo=-1, hi=1) -> IntervalUnion:
     """Translate u by shift and fold into [lo, hi) (circle of circumference hi-lo)."""
     lo, hi, shift = rat(lo), rat(hi), rat(shift)
-    circ = hi - lo
-    pieces = []
-    for iv in u.intervals:
-        if iv.hi - iv.lo >= circ:
-            return normalize([(lo, hi)])
-        a = lo + ((iv.lo + shift - lo) % circ)
-        b = a + (iv.hi - iv.lo)
-        if b <= hi:
-            pieces.append((a, b))
-        else:
-            pieces.append((a, hi))
-            pieces.append((lo, b - circ))
-    return normalize(pieces)
+    return normalize(_fold_pairs(u.pairs(), shift, lo, hi))
 
 
-def _count_threshold(level: Fraction, n_steps: int) -> int:
-    return math.ceil(level * n_steps)
+def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
+    """(cells [(coord, grid count on [coord, next coord))], scale L) of the grid sum.
 
-
-def _line_piece_events(sets, coeffs, n_steps, w0, w1):
-    """(event list [(coord_int, delta)], scale L) for the grid sum on the line."""
-    fam_eps = [u.endpoints() for u in sets]
-    L = lcm(common_denominator(itertools.chain((w0, w1), *fam_eps)), n_steps)
+    Every coordinate is an integer over one scale L that clears the window,
+    the set endpoints, the circle bounds and the grid step 1/N.  Step n
+    shifts family i's pairs by -c_i n L/N.  On a circle (lo, hi) the shifted
+    pieces fold into [lo L, hi L); the count is computed on the folded
+    window and read periodically over the window.
+    """
+    bounds = (w0, w1, *circle) if circle else (w0, w1)
+    L = lcm(common_denominator(itertools.chain(bounds, *(u.endpoints() for u in sets))), n_steps)
     step = L // n_steps
-    fam_ints = [
-        [(int(e * L), c * step) for e in eps] for eps, c in zip(fam_eps, coeffs)
-    ]
-    w_pair = (int(w0 * L), int(w1 * L))
-    events = []
+    fams = [[(int(a * L), int(b * L)) for a, b in u.pairs()] for u in sets]
+    win = (int(w0 * L), int(w1 * L))
+    if circle:
+        lo, hi = int(circle[0] * L), int(circle[1] * L)
+        circ = hi - lo
+        arcs = _fold_pairs([win], 0, lo, hi)
+        periods = range((win[0] - lo) // circ, -((lo - win[1]) // circ))
+    else:
+        circ, arcs, periods = 0, [win], (0,)
+    jumps = defaultdict(int)  # coordinate -> change of the grid count there
     for n in range(1, n_steps + 1):
-        cur = [w_pair]
-        for fam in fam_ints:
-            pairs = [
-                (fam[2 * t][0] - fam[2 * t][1] * n, fam[2 * t + 1][0] - fam[2 * t + 1][1] * n)
-                for t in range(len(fam) // 2)
-            ]
-            cur = _pair_isect(cur, pairs)
+        cur = arcs
+        for pairs, c in zip(fams, coeffs):
+            shift = c * step * n
+            if circle:
+                pieces = _fold_pairs(pairs, -shift, lo, hi)
+            else:
+                pieces = [(a - shift, b - shift) for a, b in pairs]
+            cur = _pair_isect(cur, pieces)
             if not cur:
                 break
-        for lo, hi in cur:
-            events.append((lo, 1))
-            events.append((hi, -1))
-    return events, L
-
-
-def _circle_piece_events(sets, coeffs, n_steps, w0, w1, lo, hi):
-    events = []
-    win = normalize([(w0, w1)])
-    for n in range(1, n_steps + 1):
-        cur = win
-        for u, c in zip(sets, coeffs):
-            cur = cur.intersect(wrap_translate(u, Fraction(-c * n, n_steps), lo, hi))
-            if cur.is_empty():
-                break
-        for iv in cur.intervals:
-            events.append((iv.lo, 1))
-            events.append((iv.hi, -1))
-    return events
-
-
-def _sweep_counts(events):
-    """Collapse (coord, delta) events into consecutive (coord, running_count) cells."""
-    events.sort(key=lambda e: e[0])
-    cells = []  # (start_coord, count on [start, next_start))
-    count = 0
-    i = 0
-    n = len(events)
-    while i < n:
-        coord = events[i][0]
-        while i < n and events[i][0] == coord:
-            count += events[i][1]
-            i += 1
-        cells.append((coord, count))
-    return cells
+        for m in periods:
+            for a, b in cur:
+                a, b = max(a + m * circ, win[0]), min(b + m * circ, win[1])
+                if a < b:
+                    jumps[a] += 1
+                    jumps[b] -= 1
+    coords = sorted(jumps)
+    return list(zip(coords, itertools.accumulate(jumps[x] for x in coords))), L
 
 
 def discrete_superlevel(
@@ -388,8 +383,10 @@ def discrete_superlevel(
         G(x) = (1/N) * #{1 <= n <= N : x + c_i n/N in U_i for all i}
 
     over the window.  Topology 'line' evaluates indicators on the real line;
-    'circle' folds x + c_i n/N into [circle_lo, circle_hi) first.  G is a step
-    function of x; the sweep is exact in both modes.
+    'circle' folds x + c_i n/N into [circle_lo, circle_hi) first and reads
+    each U_i as its image on that circle (an interval at least as long as
+    the circumference covers it), so G is periodic in x.  G is a step
+    function of x; both modes run one exact integer sweep (_grid_cells).
     """
     coeffs = [int(c) for c in coefficients]
     n_steps = int(n_steps)
@@ -400,35 +397,24 @@ def discrete_superlevel(
     w0, w1 = rat(window[0]), rat(window[1])
     if w0 >= w1:
         raise ValueError("window must be nondegenerate")
-    level = rat(level)
-    m0 = _count_threshold(level, n_steps)
-
-    if topology == "line":
-        events, scale = _line_piece_events(sets, coeffs, n_steps, w0, w1)
-        cells = [(Fraction(c, scale), cnt) for c, cnt in _sweep_counts(events)]
-    elif topology == "circle":
-        events = _circle_piece_events(
-            sets, coeffs, n_steps, w0, w1, rat(circle_lo), rat(circle_hi)
-        )
-        cells = _sweep_counts(events)
-    else:
+    m0 = math.ceil(rat(level) * n_steps)
+    if topology not in ("line", "circle"):
         raise ValueError("topology must be 'line' or 'circle'")
+    circle = (rat(circle_lo), rat(circle_hi)) if topology == "circle" else None
+    if circle and circle[0] >= circle[1]:
+        raise ValueError("circle must be nondegenerate")
+    cells, scale = _grid_cells(sets, coeffs, n_steps, w0, w1, circle)
 
-    # cells give the grid count from each coordinate onward; fold into a step
-    # function spanning exactly [w0, w1] (pieces were clipped to the window)
-    xs = [w0]
-    vals = []
-    running = Fraction(0)
-    for coord, cnt in cells:
-        if coord >= w1:
-            break
-        if coord > xs[-1]:
-            vals.append(running)
-            xs.append(coord)
-        running = Fraction(cnt, n_steps)
-    vals.append(running)
-    xs.append(w1)
-    g = StepFunction(tuple(xs), tuple(vals))
+    # cells give the grid count from each coordinate onward; they lie in the
+    # window, so the step function spans exactly [w0, w1)
+    x0, x1 = int(w0 * scale), int(w1 * scale)
+    cells = [cell for cell in cells if cell[0] < x1]
+    if not cells or cells[0][0] > x0:
+        cells.insert(0, (x0, 0))
+    g = StepFunction(
+        tuple(Fraction(x, scale) for x, _ in cells) + (w1,),
+        tuple(Fraction(cnt, n_steps) for _, cnt in cells),
+    )
 
     if m0 <= 0:
         sup = normalize([(w0, w1)])
@@ -439,15 +425,11 @@ def discrete_superlevel(
 
 def _discrete_line_measure(sets, coeffs, n_steps, level, w0, w1) -> Fraction:
     """Measure of the line-topology grid superlevel, without the step function."""
-    m0 = _count_threshold(level, n_steps)
+    m0 = math.ceil(level * n_steps)
     if m0 <= 0:
         return w1 - w0
-    events, scale = _line_piece_events(sets, coeffs, n_steps, w0, w1)
-    cells = _sweep_counts(events)
-    total = 0
-    for (coord, cnt), nxt in zip(cells, cells[1:]):
-        if cnt >= m0:
-            total += nxt[0] - coord
+    cells, scale = _grid_cells(sets, coeffs, n_steps, w0, w1)
+    total = sum(nxt[0] - coord for (coord, cnt), nxt in zip(cells, cells[1:]) if cnt >= m0)
     return Fraction(total, scale)
 
 
@@ -555,7 +537,7 @@ def cube_certificate_check(
         bs, b = combo[:-1], combo[-1]
         x = sum(bs) - (m - 1) * b
         if x not in lattice:
-            raise AssertionError("witness decomposition left the base lattice")
+            raise InvariantError("witness decomposition left the base lattice")
         for eps in eps_list:
             l = sum(eps)
             target = x + sum(b - bs[j] for j in range(m) if eps[j])

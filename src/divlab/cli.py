@@ -30,7 +30,7 @@ from .averages import (
     dependent_forms_lower_ratio,
 )
 from .hilbert import h3_evaluate, h3_ratio_series, h3_series_columns, h3_witness_evaluations
-from .intervals import rat, rat_str, real
+from .intervals import InvariantError, rat, rat_str, real
 from .linforms import classify
 from .scenarios import (
     blowup_series,
@@ -437,6 +437,7 @@ def _build_parser() -> _Parser:
                    help="double the t-box side; the certificate must fail")
 
     p = add("blowup", _cmd_blowup, "blow-up series for a scenario")
+    p.set_defaults(range_flags=(("--p", "p"), ("--kmax", "kmax")))
     p.add_argument("--kind", choices=("thm1", "cubes", "h3"), required=True)
     p.add_argument("--p", type=_positive_float, required=True)
     p.add_argument("--kmax", type=int, required=True)
@@ -457,6 +458,8 @@ def _build_parser() -> _Parser:
 
     p = add("degenerate", _cmd_degenerate,
             "truncated quasi-norm ratios for dependent forms")
+    p.set_defaults(range_flags=(("--p4prime", "p4prime"), ("--p", "p"), ("--M", "big_m"),
+                                ("--L", "L")))
     p.add_argument("--M", dest="big_m", type=int, default=100)
     p.add_argument("--p4prime", type=_positive_float, help="squares family exponent")
     p.add_argument("--r", type=int, help="number of monomials (general family)")
@@ -508,9 +511,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(_merge_negative_values(argv))
     try:
         return args.func(args)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+    except OverflowError:
+        # name the flags whose values pushed a closed form past the float range
+        given = [f"{flag} {getattr(args, dest)}" for flag, dest in getattr(args, "range_flags", ())
+                 if getattr(args, dest) is not None]
+        print(f"divlab: error: {args.command}: result out of float range at "
+              f"{' '.join(given) or 'these inputs'}", file=sys.stderr)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"divlab: error: {exc}", file=sys.stderr)
-        return 1
+    except InvariantError as exc:
+        print(f"divlab: error: internal invariant failed: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -18,8 +18,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence, Tuple, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant of an exact engine failed (a bug, not bad input)."""
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -75,12 +78,13 @@ class Interval:
 def _merge_sorted(pairs):
     """Merge a lo-sorted list of (lo, hi) pairs; overlapping or touching pairs fuse."""
     merged = []
-    for lo, hi in pairs:
+    for pair in pairs:
+        lo, hi = pair
         if merged and lo <= merged[-1][1]:
             if hi > merged[-1][1]:
-                merged[-1][1] = hi
+                merged[-1] = (merged[-1][0], hi)
         else:
-            merged.append([lo, hi])
+            merged.append(pair)
     return merged
 
 
@@ -132,7 +136,7 @@ class IntervalUnion:
             lo = a[i].lo if a[i].lo > b[j].lo else b[j].lo
             hi = a[i].hi if a[i].hi < b[j].hi else b[j].hi
             if lo < hi:
-                out.append([lo, hi])
+                out.append((lo, hi))
             if a[i].hi <= b[j].hi:
                 i += 1
             else:

@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
+from .intervals import InvariantError, rat_str
+
 MAX_ROWS = 20  # brute-force circuit search cap
 
 
@@ -162,7 +164,8 @@ def minimal_dependent_rows(
             sub = [rows[i] for i in combo]
             if exact_rank(sub) < size:
                 lam = dependence_vector(sub)
-                assert lam is not None
+                if lam is None:
+                    raise InvariantError(f"rank-deficient rows {combo} have no dependence vector")
                 return DependentRows(size=size, indices=combo, dependence=lam)
     return None
 
@@ -180,8 +183,6 @@ class Classification:
     expansions: Optional[dict]  # circuit index -> coefficients over the basis
 
     def to_json(self):
-        from .intervals import rat_str
-
         out = {
             "matrix": [list(r) for r in self.matrix],
             "rank_matrix": self.rank_matrix,
@@ -238,7 +239,7 @@ def classify(matrix: Sequence[Sequence[int]]) -> Classification:
         scenario = "degenerate"
         bound = Fraction(r, r - 1)
     else:
-        raise AssertionError("circuit t-part rank must be r-2 or r-1")
+        raise InvariantError(f"circuit t-part rank must be r-2 or r-1, got {t_rank} for r={r}")
     basis: List[int] = []
     for i in circuit.indices:
         trial = [rows[j] for j in basis] + [rows[i]]
@@ -252,7 +253,8 @@ def classify(matrix: Sequence[Sequence[int]]) -> Classification:
         if i in basis:
             continue
         alpha = solve_in_span(basis_vecs, rows[i])
-        assert alpha is not None
+        if alpha is None:
+            raise InvariantError(f"circuit row {i} is outside the span of its t-part basis")
         expansions[i] = alpha
     return Classification(
         matrix=tuple(rows),

@@ -1,12 +1,13 @@
 """Average engines: pointwise integrals, sweeps, certificates, estimators."""
 
+import hashlib
 import math
 import random
 import warnings
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
@@ -256,6 +257,80 @@ def test_discrete_circle_topology_matches_brute():
         assert res.function(x) == F(cnt, n_steps)
 
 
+def on_circle(u, y, lo, hi):
+    """Whether y, folded into [lo, hi), lies in the image of u on that circle."""
+    circ = hi - lo
+    y = lo + (y - lo) % circ
+    first, last = u.bounds()
+    periods = range(math.floor((first - y) / circ), math.ceil((last - y) / circ) + 1)
+    return any(y + m * circ in u for m in periods)
+
+
+def brute_circle_count(sets, coeffs, n_steps, x, lo, hi):
+    return sum(
+        1
+        for n in range(1, n_steps + 1)
+        if all(on_circle(u, x + c * F(n, n_steps), lo, hi) for u, c in zip(sets, coeffs))
+    )
+
+
+@st.composite
+def circle_instances(draw):
+    lo = draw(small_rationals)
+    circ = draw(lengths)
+    # lengths below, equal to and above the circumference
+    spans = st.one_of(lengths, st.just(circ), lengths.map(lambda q: q + circ))
+    sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        lows = draw(st.lists(small_rationals, min_size=1, max_size=3))
+        sets.append(normalize((a, a + draw(spans)) for a in lows))
+    coeffs = draw(st.lists(coefficients, min_size=len(sets), max_size=len(sets)))
+    w0 = draw(st.one_of(st.just(lo), small_rationals))
+    return sets, coeffs, draw(st.integers(1, 12)), (w0, w0 + draw(spans)), (lo, lo + circ)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(circle_instances(), st.integers(0, 2**32 - 1))
+@example(  # a piece longer than the circle, a window past it, negative coefficients
+    ([normalize([(F(-3), F(1, 2))]), normalize([(F(1, 3), F(3, 2)), (F(2), F(9, 4))])],
+     [-2, 3], 7, (F(-5, 2), F(3, 2)), (F(-1), F(1, 2))), 5)
+@example(  # the window is the whole circle; a set reaching past the seam
+    ([normalize([(F(1, 2), F(4, 3))]), normalize([(F(-1), F(-1, 3))])],
+     [1, -1], 12, (F(-1), F(1)), (F(-1), F(1))), 6)
+def test_discrete_circle_matches_brute_property(instance, seed):
+    sets, coeffs, n_steps, window, (lo, hi) = instance
+    level = F(1, 3)
+    res = discrete_superlevel(
+        sets, coeffs, n_steps, level, window, topology="circle", circle_lo=lo, circle_hi=hi
+    )
+    g = res.function
+    assert g.xs[0] == window[0] and g.xs[-1] == window[1]
+    rnd = random.Random(seed)
+    for i in rnd.sample(range(len(g.values)), min(8, len(g.values))):
+        for x in (g.xs[i], (g.xs[i] + g.xs[i + 1]) / 2):
+            cnt = brute_circle_count(sets, coeffs, n_steps, x, lo, hi)
+            assert g(x) == F(cnt, n_steps)
+            assert (x in res.superlevel) == (cnt >= math.ceil(level * n_steps))
+
+
+def test_discrete_circle_frozen_k2():
+    # cell count and digest of the k=2, N=1152 step function, frozen from the
+    # Fraction wrap_translate path that preceded the integer fold
+    s = furstenberg_family(2)
+    line, circle = (
+        discrete_superlevel(s.factors, s.coefficients, 1152, s.level, (-1, 0), topology=t)
+        for t in ("line", "circle")
+    )
+    g = circle.function
+    assert len(g.values) == 860
+    text = ",".join(map(str, g.xs)) + "|" + ",".join(map(str, g.values))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "062693c2f4a5a926b6c1fa5f327c98ed0a3738751b223e5816297bbe324688f4"
+    )
+    assert circle.superlevel_measure == line.superlevel_measure == F(859, 1152)
+    assert line.function == g
+
+
 def test_wrap_translate_preserves_measure_and_membership():
     rnd = random.Random(111)
     for _ in range(100):
@@ -279,6 +354,8 @@ def test_discrete_validation():
         discrete_superlevel([u], [1], 0, F(1, 2), (0, 1))
     with pytest.raises(ValueError):
         discrete_superlevel([u], [1], 4, F(1, 2), (0, 1), topology="torus")
+    with pytest.raises(ValueError):
+        discrete_superlevel([u], [1], 4, F(1, 2), (0, 1), topology="circle", circle_lo=1)
 
 
 # --- Riemann certificate search ----------------------------------------------

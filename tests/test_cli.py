@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from divlab import linforms
 from divlab.cli import main
 from divlab.scenarios import (
     CubeScenario,
@@ -281,3 +282,25 @@ def test_find_nk_max_n_below_first_grid_exit_1(capsys):
         assert rc == 1 and out == ""
         assert err.startswith("divlab: error:") and f"= {smallest}" in err
         assert "None" not in err
+
+
+def test_float_overflow_names_subcommand_and_flags(capsys):
+    for argv, flags in (
+        (["blowup", "--kind", "thm1", "--p", "0.01", "--kmax", "5"],
+         ["--p 0.01", "--kmax 5"]),
+        (["degenerate", "--p4prime", "0.001", "--M", "1000", "--L", "1e300"],
+         ["--p4prime 0.001", "--M 1000", "--L 1e+300"]),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"divlab: error: {argv[0]}: result out of float range at ")
+        assert all(flag in err for flag in flags), err
+        assert err.count("\n") == 1
+
+
+def test_invariant_failure_exits_1_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(linforms, "dependence_vector", lambda rows: None)
+    rc, out, err = run(capsys, "classify", "--rows", "2,0;0,2;1,1")
+    assert rc == 1 and out == ""
+    assert err.startswith("divlab: error: internal invariant failed:")
+    assert err.count("\n") == 1

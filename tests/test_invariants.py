@@ -1,0 +1,58 @@
+"""Internal invariants raise InvariantError, which, unlike assert, survives python -O."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import divlab
+from divlab import averages, linforms
+from divlab.intervals import InvariantError
+from divlab.scenarios import cube_family
+
+
+def test_package_has_no_assert_statements():
+    files = sorted(Path(divlab.__file__).parent.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_invariant_error_is_a_runtime_error():
+    assert issubclass(InvariantError, RuntimeError)
+
+
+def test_missing_dependence_vector_raises(monkeypatch):
+    monkeypatch.setattr(linforms, "dependence_vector", lambda rows: None)
+    with pytest.raises(InvariantError, match="no dependence vector"):
+        linforms.minimal_dependent_rows([[2, 0], [0, 2], [1, 1]])
+
+
+def test_missing_span_solution_raises(monkeypatch):
+    monkeypatch.setattr(linforms, "solve_in_span", lambda basis, v: None)
+    with pytest.raises(InvariantError, match="outside the span"):
+        linforms.classify([[2, 0], [0, 2], [1, 1]])
+
+
+def test_circuit_with_full_t_rank_raises(monkeypatch):
+    # an independent pair passed off as a circuit has t-part rank r, not r-1 or r-2
+    fake = linforms.DependentRows(size=2, indices=(0, 1), dependence=(1, -1))
+    monkeypatch.setattr(linforms, "minimal_dependent_rows", lambda rows: fake)
+    with pytest.raises(InvariantError, match="t-part rank"):
+        linforms.classify([[1, 0], [0, 1]])
+
+
+def test_cube_decomposition_outside_lattice_raises(monkeypatch):
+    scen = cube_family(3, 1)
+    base_points = averages.base_points
+    monkeypatch.setattr(
+        averages, "base_points",
+        lambda spec: [] if spec == scen.base_spec else base_points(spec),
+    )
+    with pytest.raises(InvariantError, match="base lattice"):
+        averages.cube_certificate_check(scen)
