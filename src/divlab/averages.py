@@ -25,6 +25,7 @@ from .intervals import (
     RationalLike,
     StepFunction,
     _merge_sorted,
+    _pair_isect,
     common_denominator,
     normalize,
     rat,
@@ -85,25 +86,6 @@ class SweepResult:
     function: Union[PiecewiseLinear, StepFunction]
     superlevel: IntervalUnion
     superlevel_measure: Fraction
-
-
-def _pair_isect(a, b):
-    """Intersection of two sorted disjoint (lo, hi) pair lists (ints or Fractions)."""
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        alo, ahi = a[i]
-        blo, bhi = b[j]
-        lo = alo if alo > blo else blo
-        hi = ahi if ahi < bhi else bhi
-        if lo < hi:
-            out.append((lo, hi))
-        if ahi <= bhi:
-            i += 1
-        else:
-            j += 1
-    return out
 
 
 # candidates handled per numpy block; bounds the sweep's working memory
@@ -617,21 +599,42 @@ def monte_carlo_average(
 # ---------------------------------------------------------------------------
 
 
+def _centered_box_ratio(
+    cb: float, q: float, r: int, big_m: int, big_l: float
+) -> Tuple[float, float]:
+    """(ratio, integral) of the truncated L^q quasi-norm ratio of the bound
+    min(2^(r-1), cb/(M|x|+1)^(r-1)) on [-L, L].
+
+    integral = int_{-L}^{L} bound(x)^q dx = 2*cb^q*((ML+1)^(1-a) - 1)/(M(1-a))
+    with a = (r-1)q (logarithmic at a = 1); ratio = (integral*M/2)^(1/q).
+    The ratio grows without bound in L exactly when a < 1.
+    """
+    a = (r - 1) * q
+    u = big_m * big_l + 1.0
+    if abs(1.0 - a) < 1e-9:
+        integral = 2.0 * (cb**q) * math.log(u) / big_m
+    else:
+        integral = 2.0 * (cb**q) * (u ** (1.0 - a) - 1.0) / (big_m * (1.0 - a))
+    ratio = (integral * big_m / 2.0) ** (1.0 / q)
+    return ratio, integral
+
+
 def degenerate_pointwise_bound(big_m: int, x: float) -> float:
     """Certified pointwise lower bound min(4, 4/(M|x|+1)^2) for the squares average.
 
     Centered-box argument: both s and t range over an interval of length 1/M
     centered at -x/2, and the third constraint x+s+t in [-1/M, 1/M] is then
-    automatic; normalizing at scale (M|x|+1)/(2M) gives the bound.
+    automatic; normalizing at scale (M|x|+1)/(2M) gives the bound.  This is
+    the r = 3, b = (1, 0) case of dependent_forms_pointwise_bound.
     """
-    return min(4.0, 4.0 / (big_m * abs(x) + 1.0) ** 2)
+    return dependent_forms_pointwise_bound(3, (1, 0), big_m, x)
 
 
 def degenerate_lower_ratio(big_m: int, p4prime: float, big_l) -> Tuple[float, float]:
     """(ratio, integral) for the truncated degenerate-squares quasi-norm ratio.
 
-    integral = int_{-L}^{L} bound(x)^{p4'} dx in closed form
-             = 2*4^{p4'} * ((ML+1)^{1-2p4'} - 1) / (M(1-2p4'))
+    The centered-box closed form at c_b = 4, r = 3 and exponent q = p4':
+    integral = 2*4^{p4'} * ((ML+1)^{1-2p4'} - 1) / (M(1-2p4'))
     (logarithmic at p4' = 1/2); ratio = (integral)^{1/p4'} / (2/M)^{1/p4'}.
     Grows without bound in L exactly when p4' < 1/2.
     """
@@ -640,13 +643,7 @@ def degenerate_lower_ratio(big_m: int, p4prime: float, big_l) -> Tuple[float, fl
     big_l = float(big_l)
     if big_m < 1 or p <= 0 or big_l <= 0:
         raise ValueError("need M >= 1, p4' > 0, L > 0")
-    u = big_m * big_l + 1.0
-    if abs(1.0 - 2.0 * p) < 1e-9:
-        integral = 2.0 * (4.0**p) * math.log(u) / big_m
-    else:
-        integral = 2.0 * (4.0**p) * (u ** (1.0 - 2.0 * p) - 1.0) / (big_m * (1.0 - 2.0 * p))
-    ratio = (integral * big_m / 2.0) ** (1.0 / p)
-    return ratio, integral
+    return _centered_box_ratio(4.0, p, 3, big_m, big_l)
 
 
 @dataclass(frozen=True)
@@ -670,9 +667,9 @@ def dependent_forms_lower_ratio(
     """Truncated L^(p/r) quasi-norm ratio for r monomials x+t_1,...,x+t_{r-1},
     x + sum b_i t_i with integer b_i summing to 1.
 
-    The centered-box bound integrates in closed form like the squares case
-    with exponent (r-1) * p/r; the ratio grows without bound in L exactly when
-    that exponent is < 1, i.e. p < r/(r-1) (the predicted divergence range).
+    The centered-box closed form with c_b = (2/sum|b_i|)^(r-1) and exponent
+    q = p/r; the ratio grows without bound in L exactly when (r-1)q < 1,
+    i.e. p < r/(r-1) (the predicted divergence range).
     """
     r = int(r)
     b = [int(v) for v in b]
@@ -687,16 +684,8 @@ def dependent_forms_lower_ratio(
     big_l = float(big_l)
     if big_m < 1 or p <= 0 or big_l <= 0:
         raise ValueError("need M >= 1, p > 0, L > 0")
-    sigma = sum(abs(v) for v in b)
-    q = p / r
-    cb = (2.0 / sigma) ** (r - 1)
-    a = (r - 1) * q
-    u = big_m * big_l + 1.0
-    if abs(1.0 - a) < 1e-9:
-        integral = 2.0 * (cb**q) * math.log(u) / big_m
-    else:
-        integral = 2.0 * (cb**q) * (u ** (1.0 - a) - 1.0) / (big_m * (1.0 - a))
-    ratio = (integral * big_m / 2.0) ** (1.0 / q)
+    cb = (2.0 / sum(abs(v) for v in b)) ** (r - 1)
+    ratio, integral = _centered_box_ratio(cb, p / r, r, big_m, big_l)
     thr = Fraction(r, r - 1)
     return DependentFormsBound(
         ratio=ratio, integral=integral, threshold=thr, grows=p < float(thr)

@@ -37,10 +37,10 @@ from .scenarios import (
     cube_family,
     cube_threshold,
     degenerate_threshold,
+    eps_key,
     furstenberg_family,
     furstenberg_threshold,
     furstenberg_threshold_log_form,
-    _eps_key,
 )
 
 
@@ -183,7 +183,7 @@ def _cmd_verify_cubes(args) -> int:
         bound = scen.cardinality_bound(eps)
         ok = cards[eps] <= bound
         cards_ok &= ok
-        card_rows[_eps_key(eps)] = {"count": cards[eps], "bound": bound, "ok": ok}
+        card_rows[eps_key(eps)] = {"count": cards[eps], "bound": bound, "ok": ok}
     verified = report.all_pass and meas_ok and cards_ok
     _emit_json(
         {
@@ -196,7 +196,7 @@ def _cmd_verify_cubes(args) -> int:
             "first_failures": [
                 {
                     "x": rat_str(c.x),
-                    "eps": _eps_key(c.eps),
+                    "eps": eps_key(c.eps),
                     "base_in_form": c.base_in_form,
                     "slack": rat_str(c.slack),
                 }
@@ -216,35 +216,33 @@ def _cmd_verify_cubes(args) -> int:
 
 
 def _series_csv(series, h3_columns=None):
+    """CSV header and rows; refuses the non-finite floats strict JSON refuses."""
+    if not all(map(math.isfinite, series.values + series.step_ratios)):
+        raise OverflowError("series leaves the float range")
+    steps = [""] + [repr(real(r)) for r in series.step_ratios]
     if h3_columns is not None:
         header = ["index", "lower_norm_bound", "product_of_norms", "value",
                   "step_ratio", "verdict"]
-        rows = []
-        for i, (k, bound, norms, _ratio) in enumerate(h3_columns):
-            step = "" if i == 0 else repr(real(series.step_ratios[i - 1]))
-            rows.append(
-                [k, repr(real(bound)), repr(real(norms)),
-                 repr(real(series.values[i])), step, series.verdict]
-            )
+        rows = [[k, repr(real(bound)), repr(real(norms)), repr(real(v)), step, series.verdict]
+                for (k, bound, norms), v, step in zip(h3_columns, series.values, steps)]
         return header, rows
     header = ["index", "value", "step_ratio", "verdict"]
-    rows = []
-    for i, k in enumerate(series.indices):
-        step = "" if i == 0 else repr(real(series.step_ratios[i - 1]))
-        rows.append([k, repr(real(series.values[i])), step, series.verdict])
+    rows = [[k, repr(real(v)), step, series.verdict]
+            for k, v, step in zip(series.indices, series.values, steps)]
     return header, rows
 
 
 def _cmd_blowup(args) -> int:
+    columns = None
     if args.kind == "h3":
         series = h3_ratio_series(args.p, args.kmax, normalization=args.normalization)
-        columns = h3_series_columns(args.p, args.kmax, normalization=args.normalization)
+        if args.csv is not None:
+            columns = h3_series_columns(args.p, args.kmax, normalization=args.normalization)
     else:
         series = blowup_series(
             args.kind, args.p, args.kmax,
             m=args.m, weighted=args.weighted, mode=args.mode,
         )
-        columns = None
     if args.csv is not None:
         header, rows = _series_csv(series, columns)
         _emit_csv(header, rows, args.csv or None)

@@ -129,38 +129,35 @@ def materialize(spec: DigitSetSpec) -> IntervalUnion:
     )
 
 
-def is_collision_free(spec: DigitSetSpec) -> bool:
-    """True when distinct digit strings give distinct base points.
+def _gap_certified(spec: DigitSetSpec) -> bool:
+    """Sufficient certificate that distinct digit strings give distinct base
+    points at every finite depth: min_gap * (radix - 1) >= spread.
 
-    Sufficient certificate for every finite depth: the smallest alphabet gap
-    beats the largest possible lower-order correction, i.e.
-    min_gap * (radix - 1) >= spread.  (At the first position where two strings
-    differ, the difference is at least min_gap * rho^(-j); the remaining
-    positions can contribute at most spread * (rho^(-j) - rho^(-k))/(rho - 1),
-    which is strictly smaller.)  When the certificate is inconclusive, decide
-    by exact enumeration at this spec's depth.
+    At the first position j where two strings differ, the difference is at
+    least min_gap * rho^(-j); the remaining positions can contribute at most
+    spread * (rho^(-j) - rho^(-k))/(rho - 1), which is strictly smaller.
     """
-    if len(spec.alphabet) <= 1:
-        return True
     a = spec.alphabet
-    spread = a[-1] - a[0]
-    min_gap = min(y - x for x, y in zip(a, a[1:]))
-    if min_gap * (spec.radix - 1) >= spread:
+    if len(a) <= 1:
         return True
-    nums, _ = _base_nums(spec)
-    return len(nums) == len(spec.alphabet) ** spec.depth
+    min_gap = min(y - x for x, y in zip(a, a[1:]))
+    return min_gap * (spec.radix - 1) >= a[-1] - a[0]
+
+
+def is_collision_free(spec: DigitSetSpec) -> bool:
+    """True when distinct digit strings give distinct base points: by the gap
+    certificate, or when it is inconclusive by exact enumeration at this
+    spec's depth."""
+    if _gap_certified(spec):
+        return True
+    return len(_base_nums(spec)[0]) == len(spec.alphabet) ** spec.depth
 
 
 def cardinality(spec: DigitSetSpec) -> int:
     """Number of distinct base points."""
-    a = spec.alphabet
-    if len(a) > 1:
-        spread = a[-1] - a[0]
-        min_gap = min(y - x for x, y in zip(a, a[1:]))
-        if min_gap * (spec.radix - 1) >= spread:
-            return len(a) ** spec.depth
-    nums, _ = _base_nums(spec)
-    return len(nums)
+    if _gap_certified(spec):
+        return len(spec.alphabet) ** spec.depth
+    return len(_base_nums(spec)[0])
 
 
 def combine(

@@ -17,7 +17,7 @@ from typing import Sequence, Tuple
 
 from .averages import form_time_set
 from .intervals import Interval, IntervalUnion, RationalLike, rat
-from .scenarios import BlowupSeries, FurstenbergScenario, _verdict, furstenberg_threshold
+from .scenarios import BlowupSeries, FurstenbergScenario, furstenberg_threshold, ratio_verdict
 
 
 class PositivityError(ValueError):
@@ -136,12 +136,16 @@ def h3_ratio_series(
         step_ratios=ratios,
         closed_form_ratio=closed,
         threshold=furstenberg_threshold(),
-        verdict=_verdict(closed),
+        verdict=ratio_verdict(closed),
     )
 
 
 def h3_series_columns(p: float, kmax: int, normalization: str = "lebesgue"):
-    """Per-k (k, lower_norm_bound, product_of_norms, ratio) rows for CSV export."""
+    """Per-k (k, lower_norm_bound, product_of_norms) rows for CSV export.
+
+    The two factors of h3_ratio_series' value_k = bound / norms, in linear
+    space; either may underflow to 0.0 at small p.
+    """
     if normalization not in ("lebesgue", "normalized"):
         raise ValueError("normalization must be 'lebesgue' or 'normalized'")
     half = 2 if normalization == "lebesgue" else 4
@@ -151,5 +155,5 @@ def h3_series_columns(p: float, kmax: int, normalization: str = "lebesgue"):
         norms = (
             1 / (half * 4**k) * 1 / (half * 3**k) * 1 / (half * 2**k)
         ) ** (1 / p)
-        rows.append((k, bound, norms, bound / norms))
+        rows.append((k, bound, norms))
     return rows

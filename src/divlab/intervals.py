@@ -75,6 +75,25 @@ class Interval:
         return self.hi - self.lo
 
 
+def _pair_isect(a, b):
+    """Intersection of two sorted disjoint (lo, hi) pair lists (ints or Fractions)."""
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        alo, ahi = a[i]
+        blo, bhi = b[j]
+        lo = alo if alo > blo else blo
+        hi = ahi if ahi < bhi else bhi
+        if lo < hi:
+            out.append((lo, hi))
+        if ahi <= bhi:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
 def _merge_sorted(pairs):
     """Merge a lo-sorted list of (lo, hi) pairs; overlapping or touching pairs fuse."""
     merged = []
@@ -129,20 +148,9 @@ class IntervalUnion:
         return i >= 0 and x < self.intervals[i].hi
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        a, b = self.intervals, other.intervals
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = a[i].lo if a[i].lo > b[j].lo else b[j].lo
-            hi = a[i].hi if a[i].hi < b[j].hi else b[j].hi
-            if lo < hi:
-                out.append((lo, hi))
-            if a[i].hi <= b[j].hi:
-                i += 1
-            else:
-                j += 1
         # pieces of an intersection can touch (e.g. [0,2) cut by [0,1),[1,2))
-        return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in _merge_sorted(out)))
+        pairs = _merge_sorted(_pair_isect(self.pairs(), other.pairs()))
+        return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in pairs))
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return normalize(self.pairs() + other.pairs())

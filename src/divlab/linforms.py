@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import index
 from typing import List, Optional, Sequence, Tuple
 
 from .intervals import InvariantError, rat_str
@@ -35,109 +36,87 @@ def extended_matrix(matrix: Sequence[Sequence[int]]) -> List[List[int]]:
     return out
 
 
-def exact_rank(matrix: Sequence[Sequence]) -> int:
-    """Exact rank over the rationals by fraction-free integer elimination.
+def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
+    """Fraction-free forward elimination over the integers (Bareiss 1968).
 
-    Rows are cross-multiplied rather than divided, so all arithmetic stays in
-    the integers (entries are scaled copies, which leaves the rank unchanged).
+    Each step cross-multiplies the rows below the pivot by the new pivot and
+    divides exactly by the previous one, so every entry stays a minor of the
+    input instead of doubling in size per step.  Returns (pivot columns,
+    echelon rows): pivot columns are taken greedily from the left, so their
+    number is the rank; row k has its pivot at column pivots[k], and the last
+    pivot d is the determinant of the pivot rows and columns.
     """
-    a = [[int(v) for v in row] for row in matrix]
-    if not a:
-        return 0
-    nrows, ncols = len(a), len(a[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+    a = [[index(v) for v in row] for row in rows]  # TypeError on non-integers
+    pivots: List[int] = []
+    prev = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            if a[i][c] != 0:
-                pc, ic = a[r][c], a[i][c]
-                a[i] = [x * pc - y * ic for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
+        pr, p = a[r], a[r][c]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            if f or p != prev:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pr)]
+        pivots.append(c)
+        prev = p
+        if r + 1 == len(a):
             break
-    return r
+    return pivots, a
 
 
-def _primitive(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Scale a rational vector to coprime integers with the first nonzero positive."""
-    den = 1
-    for v in vec:
-        den = lcm(den, Fraction(v).denominator)
-    ints = [int(Fraction(v) * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+def _kernel(pivots: List[int], a: List[List[int]], col: int, n: int) -> List[int]:
+    """The integer kernel vector of the echelon rows that is d (the last pivot)
+    at the free column col and 0 at the other free columns.
+
+    Back substitution divides exactly: by Cramer's rule every entry is, up to
+    sign, a minor of the input.
+    """
+    lam = [0] * n
+    lam[col] = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for k in range(len(pivots) - 1, -1, -1):
+        row, c = a[k], pivots[k]
+        lam[c] = -sum(row[j] * lam[j] for j in range(c + 1, n)) // row[c]
+    return lam
+
+
+def exact_rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact rank over the rationals."""
+    return len(_bareiss(matrix)[0])
 
 
 def dependence_vector(vectors: Sequence[Sequence[int]]) -> Optional[Tuple[int, ...]]:
-    """A primitive integer lambda with sum lambda_i * v_i = 0, or None if independent."""
+    """A primitive integer lambda with sum lambda_i * v_i = 0, or None if independent.
+
+    Kernel vector of the matrix whose columns are the vectors, taken at the
+    first free column (the other free columns 0) and scaled to coprime
+    integers with the first nonzero entry positive.
+    """
     s = len(vectors)
-    dim = len(vectors[0])
-    # kernel of the matrix whose columns are the vectors
-    a = [[Fraction(vectors[i][d]) for i in range(s)] for d in range(dim)]
-    pivots = {}
-    r = 0
-    for c in range(s):
-        piv = next((i for i in range(r, dim) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(dim):
-            if i != r and a[i][c] != 0:
-                f = a[i][c] / a[r][c]
-                for j in range(c, s):
-                    a[i][j] -= f * a[r][j]
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(s) if c not in pivots]
-    if not free:
+    pivots, a = _bareiss([[v[d] for v in vectors] for d in range(len(vectors[0]))])
+    fc = next((c for c in range(s) if c not in pivots), None)
+    if fc is None:
         return None
-    fc = free[0]
-    lam = [Fraction(0)] * s
-    lam[fc] = Fraction(1)
-    for c, row in pivots.items():
-        lam[c] = -a[row][fc] / a[row][c]
-    return _primitive(lam)
+    lam = _kernel(pivots, a, fc, s)
+    g = gcd(*lam) * (1 if next(v for v in lam if v) > 0 else -1)
+    return tuple(v // g for v in lam)
 
 
 def solve_in_span(
-    basis: Sequence[Sequence[int]], target: Sequence
+    basis: Sequence[Sequence[int]], target: Sequence[int]
 ) -> Optional[List[Fraction]]:
-    """Coefficients alpha with sum alpha_j basis_j = target, or None if unsolvable."""
+    """Coefficients alpha with sum alpha_j basis_j = target, or None if unsolvable.
+
+    Basis vectors outside the greedy pivot columns get coefficient 0.
+    """
     s = len(basis)
-    dim = len(target)
-    a = [[Fraction(basis[j][d]) for j in range(s)] + [Fraction(target[d])] for d in range(dim)]
-    pivots = {}
-    r = 0
-    for c in range(s):
-        piv = next((i for i in range(r, dim) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(dim):
-            if i != r and a[i][c] != 0:
-                f = a[i][c] / a[r][c]
-                for j in range(c, s + 1):
-                    a[i][j] -= f * a[r][j]
-        pivots[c] = r
-        r += 1
-    used = set(pivots.values())
-    for i in range(dim):
-        if i not in used and a[i][s] != 0:
-            return None  # inconsistent: target outside the span
-    alpha = [Fraction(0)] * s
-    for c, row in pivots.items():
-        alpha[c] = a[row][s] / a[row][c]
-    return alpha
+    pivots, a = _bareiss([[b[d] for b in basis] + [t] for d, t in enumerate(target)])
+    if s in pivots:
+        return None  # inconsistent: target outside the span
+    lam = _kernel(pivots, a, s, s + 1)  # sum lam_j basis_j + lam_s target = 0
+    return [Fraction(-v, lam[s]) for v in lam[:s]]
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def _eps_vectors(m: int):
     return sorted(out)
 
 
-def _eps_key(eps) -> str:
+def eps_key(eps) -> str:
     return "".join(str(int(e)) for e in eps)
 
 
@@ -183,7 +183,7 @@ class CubeScenario:
         return 2**k
 
     def to_json(self):
-        sets = {f"form_{_eps_key(e)}": s.to_json() for e, s in sorted(self.form_specs.items())}
+        sets = {f"form_{eps_key(e)}": s.to_json() for e, s in sorted(self.form_specs.items())}
         sets["base_lattice"] = self.base_spec.to_json()
         sets["witness"] = self.witness_spec.to_json()
         return {
@@ -193,7 +193,7 @@ class CubeScenario:
             "sets": sets,
             "measures": {"witness": rat_str(self.witness.measure())},
             "cardinalities": {
-                _eps_key(e): c for e, c in sorted(self.cardinalities().items())
+                eps_key(e): c for e, c in sorted(self.cardinalities().items())
             },
         }
 
@@ -203,7 +203,7 @@ class CubeScenario:
         sets = data["sets"]
         form_specs = {}
         for eps in _eps_vectors(m):
-            form_specs[eps] = DigitSetSpec.from_json(sets[f"form_{_eps_key(eps)}"])
+            form_specs[eps] = DigitSetSpec.from_json(sets[f"form_{eps_key(eps)}"])
         gens = tuple(
             form_specs[tuple(0 if i == j else 1 for i in range(m))].with_tail(0)
             for j in range(m)
@@ -321,7 +321,7 @@ class BlowupSeries:
         }
 
 
-def _verdict(ratio: float) -> str:
+def ratio_verdict(ratio: float) -> str:
     if ratio > 1 + RATIO_TOL:
         return "diverges"
     if ratio < 1 - RATIO_TOL:
@@ -341,7 +341,6 @@ def blowup_series(
 
     kind 'thm1':  value_k = ((4*4^k)(4*3^k)(4*2^k))^(1/p) / (32*12^k),
                   optionally weighted by k^-6; step ratio 24^(1/p)/12.
-    kind 'h3':    value_k = 8^(-1/p) * 24^(k/p) / (8*12^k); same step ratio.
     kind 'cubes': value_k = [(m+1)*2^(k(m+1))]^(-m)
                   * prod_eps (2^(k(m+1)) / #A_eps)^(1/p), with exact per-eps
                   cardinalities in mode 'exact' and the 2^((m-l+1)k) bounds
@@ -357,23 +356,17 @@ def blowup_series(
     ks = tuple(range(1, kmax + 1))
     ln2 = math.log(2)
 
-    if kind == "thm1" or kind == "h3":
+    if kind == "thm1":
         mode = ""
-        base = math.log(24) / p - math.log(12)
-        if kind == "thm1":
-            logs = [
-                (math.log(4 * 4**k) + math.log(4 * 3**k) + math.log(4 * 2**k)) / p
-                - math.log(32) - k * math.log(12)
-                for k in ks
-            ]
-            if weighted:
-                logs = [lv - 6 * math.log(k) for lv, k in zip(logs, ks)]
-        else:
-            if weighted:
-                raise ValueError("weighted variant applies to kind 'thm1' only")
-            logs = [-math.log(8) / p - math.log(8) + k * base for k in ks]
+        logs = [
+            (math.log(4 * 4**k) + math.log(4 * 3**k) + math.log(4 * 2**k)) / p
+            - math.log(32) - k * math.log(12)
+            for k in ks
+        ]
+        if weighted:
+            logs = [lv - 6 * math.log(k) for lv, k in zip(logs, ks)]
         threshold = furstenberg_threshold()
-        closed = math.exp(base)
+        closed = math.exp(math.log(24) / p - math.log(12))
     elif kind == "cubes":
         if m is None:
             raise ValueError("kind 'cubes' requires m")
@@ -403,6 +396,8 @@ def blowup_series(
         else:
             # the p solving closed-form ratio == 1 with exact cardinalities
             threshold = log_prod1 / (m * (m + 1) * ln2)
+    elif kind == "h3":
+        raise ValueError("the h3 series is hilbert.h3_ratio_series")
     else:
         raise ValueError(f"unknown series kind {kind!r}")
 
@@ -418,5 +413,5 @@ def blowup_series(
         step_ratios=ratios,
         closed_form_ratio=closed,
         threshold=threshold,
-        verdict=_verdict(closed),
+        verdict=ratio_verdict(closed),
     )

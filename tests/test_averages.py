@@ -478,6 +478,25 @@ def test_degenerate_pointwise_bound_shape():
     assert degenerate_pointwise_bound(100, -1.0) == 4.0 / 101**2
 
 
+def test_degenerate_matches_former_squares_formulas_bitwise():
+    # the squares family's own closed form, before it became the (c_b, r) =
+    # (4, 3) case of the dependent-forms closed form
+    def old_ratio(big_m, p, big_l):
+        u = big_m * big_l + 1.0
+        if abs(1.0 - 2.0 * p) < 1e-9:
+            integral = 2.0 * (4.0**p) * math.log(u) / big_m
+        else:
+            integral = 2.0 * (4.0**p) * (u ** (1.0 - 2.0 * p) - 1.0) / (big_m * (1.0 - 2.0 * p))
+        return (integral * big_m / 2.0) ** (1.0 / p), integral
+
+    for p in (0.1, 0.2, 0.4, 0.45, 0.5, 0.7, 1.1):
+        for big_m, big_l in ((100, 100.0), (37, 123.0), (1, 0.5), (1000, 1e4)):
+            assert degenerate_lower_ratio(big_m, p, big_l) == old_ratio(big_m, p, big_l)
+        for x in (0.0, 0.013, -0.7, 3.0, -250.5):
+            assert degenerate_pointwise_bound(37, x) == min(4.0, 4.0 / (37 * abs(x) + 1.0) ** 2)
+    assert degenerate_lower_ratio(37, 0.45, 123)[0] == 1240.2851576270982
+
+
 def test_degenerate_growth_below_half():
     ratios = [degenerate_lower_ratio(100, 0.4, L)[0] for L in (1e2, 1e3, 1e4)]
     assert ratios[0] < ratios[1] < ratios[2]

@@ -268,6 +268,26 @@ def test_json_overflow_exits_1_without_output(capsys):
     assert err.startswith("divlab: error:") and "JSON" in err
 
 
+def test_h3_blowup_small_p_factor_underflow_exits_0(capsys):
+    # the factor norms underflow to 0.0; the series itself stays finite
+    rc, data = run_json(capsys, "blowup", "--kind", "h3", "--p", "0.01", "--kmax", "3")
+    assert rc == 0 and data["indices"] == [1, 2, 3] and data["verdict"] == "diverges"
+    rc, out, err = run(capsys, "blowup", "--kind", "h3", "--p", "0.01", "--kmax", "3", "--csv")
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "index,lower_norm_bound,product_of_norms,value,step_ratio,verdict"
+    assert [line.split(",")[2] for line in lines[2:]] == ["0.0", "0.0"]
+    assert [float(line.split(",")[3]) for line in lines[1:]] == data["values"]
+
+
+def test_csv_overflow_exits_1_without_output(capsys):
+    # CSV accepts exactly the floats strict JSON accepts: no inf, no nan
+    rc, out, err = run(capsys, "blowup", "--kind", "thm1", "--p", "1e-320",
+                       "--kmax", "4", "--csv")
+    assert rc == 1 and out == ""
+    assert err == "divlab: error: blowup: result out of float range at --p 1e-320 --kmax 4\n"
+
+
 def test_classify_ragged_rows_exit_1(capsys):
     rc, out, err = run(capsys, "classify", "--rows", "1,2;3")
     assert rc == 1 and out == ""

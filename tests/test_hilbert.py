@@ -113,14 +113,22 @@ def test_ratio_series_normalization_shift():
     assert leb.verdict == nor.verdict
 
 
+def test_normalized_ratio_series_closed_form():
+    # value_k = 8^(-1/p) * 24^(k/p) / (8*12^k) with mass-1 factor measures
+    for p in (1.05, 1.2789, 1.5, 1.9, 2.5):
+        ser = h3_ratio_series(p, 8, normalization="normalized")
+        for k, v in zip(ser.indices, ser.values):
+            want = 8 ** (-1 / p) * 24 ** (k / p) / (8 * 12**k)
+            assert abs(v - want) <= 1e-12 * want
+
+
 def test_series_columns_consistency():
     p = 1.25
     ser = h3_ratio_series(p, 4)
     cols = h3_series_columns(p, 4)
     assert [k for k, *_ in cols] == list(ser.indices)
-    for (k, bound, norms, ratio), v in zip(cols, ser.values):
-        assert ratio == pytest.approx(bound / norms, rel=1e-14)
-        assert v == pytest.approx(ratio, rel=1e-12)
+    for (k, bound, norms), v in zip(cols, ser.values):
+        assert bound / norms == pytest.approx(v, rel=1e-12)
 
 
 def test_series_validation():

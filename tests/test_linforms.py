@@ -1,8 +1,11 @@
 """Linear-forms dependence structure against a rational elimination oracle."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
@@ -38,6 +41,57 @@ def oracle_rank(matrix):
     return r
 
 
+def oracle_rref(matrix, ncols):
+    """(pivot columns among the first ncols, reduced rows) by Fraction Gauss-Jordan."""
+    a = [[F(v) for v in row] for row in matrix]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots, a
+
+
+def oracle_dependence(vectors):
+    """Kernel vector at the first free column (other free columns 0), primitive."""
+    s = len(vectors)
+    pivots, a = oracle_rref([[v[d] for v in vectors] for d in range(len(vectors[0]))], s)
+    free = [c for c in range(s) if c not in pivots]
+    if not free:
+        return None
+    lam = [F(0)] * s
+    lam[free[0]] = F(1)
+    for row, c in zip(a, pivots):
+        lam[c] = -row[free[0]]
+    den = lcm(*(v.denominator for v in lam))
+    ints = [int(v * den) for v in lam]
+    g = gcd(*ints)
+    ints = [v // g for v in ints]
+    if next(v for v in ints if v) < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def oracle_solve(basis, target):
+    """Span coefficients with the free ones 0, or None outside the span."""
+    s = len(basis)
+    pivots, a = oracle_rref([[b[d] for b in basis] + [t] for d, t in enumerate(target)], s)
+    if any(row[s] != 0 for row in a[len(pivots):]):
+        return None
+    alpha = [F(0)] * s
+    for row, c in zip(a, pivots):
+        alpha[c] = row[s]
+    return alpha
+
+
 def rnd_matrix(rnd, max_rows=6, max_cols=5, span=5):
     n = rnd.randint(1, max_rows)
     m = rnd.randint(1, max_cols)
@@ -52,6 +106,53 @@ def test_exact_rank_matches_oracle():
     for _ in range(150):
         mat = rnd_matrix(rnd)
         assert exact_rank(mat) == oracle_rank(mat)
+
+
+def rnd_degenerate_matrix(rnd):
+    """Wide or tall, with planted dependent rows and zeroed columns."""
+    n, m = rnd.randint(1, 8), rnd.randint(1, 8)
+    span = rnd.choice((1, 3, 50))
+    mat = [[rnd.randint(-span, span) for _ in range(m)] for _ in range(n)]
+    for _ in range(rnd.randint(0, 3)):
+        i, j = rnd.randrange(len(mat)), rnd.randrange(len(mat))
+        combo = [rnd.randint(-2, 2) * x + rnd.randint(-2, 2) * y for x, y in zip(mat[i], mat[j])]
+        mat.insert(rnd.randrange(len(mat) + 1), combo)
+    for z in rnd.sample(range(m), rnd.randint(0, m)):
+        for row in mat:
+            row[z] = 0
+    return mat
+
+
+def test_elimination_matches_fraction_oracle():
+    rnd = random.Random(1968)
+    shapes = set()
+    for _ in range(600):
+        mat = rnd_degenerate_matrix(rnd)
+        n, m = len(mat), len(mat[0])
+        shapes.add((n < m, n > m))
+        rank = len(oracle_rref(mat, m)[0])
+        assert exact_rank(mat) == rank
+        assert dependence_vector(mat) == oracle_dependence(mat)
+        if n >= 2:
+            basis, target = mat[:-1], mat[-1]
+            assert solve_in_span(basis, target) == oracle_solve(basis, target)
+            other = [rnd.randint(-3, 3) for _ in range(m)]
+            assert solve_in_span(basis, other) == oracle_solve(basis, other)
+        assert solve_in_span([], [0] * m) == []
+    assert shapes == {(True, False), (False, True), (False, False)}  # wide, tall, square
+    with pytest.raises(TypeError):
+        exact_rank([[F(1, 2), 1]])
+
+
+def test_exact_rank_frozen_24x24():
+    # 23 random rows plus one planted combination: rank 23, a one-dimensional kernel
+    rnd = random.Random(2324)
+    rows = [[rnd.randint(-3, 3) for _ in range(24)] for _ in range(23)]
+    rows.insert(17, [a + b - c for a, b, c in zip(rows[0], rows[5], rows[11])])
+    assert exact_rank(rows) == 23
+    lam = [0] * 24
+    lam[0], lam[5], lam[11], lam[17] = 1, 1, -1, -1
+    assert dependence_vector(rows) == tuple(lam)
 
 
 def test_extended_matrix_shape():
@@ -197,3 +298,19 @@ def test_classify_json():
     assert data["rank_extended"] == 3
     indep = classify([[1], [2]]).to_json()
     assert "r" not in indep and "exponent_bound" not in indep
+
+
+def test_classify_json_frozen_digest():
+    # sha256 of the JSON of 150 seeded classifications, as the Fraction
+    # Gauss-Jordan elimination produced them
+    rnd = random.Random(4104)
+    h = hashlib.sha256()
+    scenarios = set()
+    for _ in range(150):
+        n, m = rnd.randint(2, 10), rnd.randint(1, 5)
+        mat = [[rnd.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        data = classify(mat).to_json()
+        scenarios.add(data["scenario"])
+        h.update(json.dumps(data, sort_keys=True).encode())
+    assert scenarios == {"independent", "nondegenerate", "degenerate"}
+    assert h.hexdigest() == "1aa15299ccc35f54a27ea021674b3bd21f40562708a6d2f0edc143c6b32b8a12"

@@ -221,6 +221,8 @@ def test_series_validation():
         blowup_series("cubes", 1.2, 4, m=3, mode="nope")
     with pytest.raises(ValueError):
         blowup_series("h3", 1.2, 4, weighted=True)
+    with pytest.raises(ValueError, match="h3_ratio_series"):
+        blowup_series("h3", 1.2, 4)
     with pytest.raises(ValueError):
         blowup_series("nope", 1.2, 4)
 
