@@ -24,13 +24,13 @@ from .intervals import (
     PiecewiseLinear,
     RationalLike,
     StepFunction,
+    _canonical,
     _merge_sorted,
     _pair_isect,
     common_denominator,
-    normalize,
     rat,
 )
-from .scenarios import CubeScenario, FurstenbergScenario, furstenberg_family
+from .scenarios import CubeScenario, furstenberg_family
 
 
 class SearchExhaustedError(RuntimeError):
@@ -304,7 +304,9 @@ def _fold_pairs(pairs, shift, lo, hi):
 def wrap_translate(u: IntervalUnion, shift: RationalLike, lo=-1, hi=1) -> IntervalUnion:
     """Translate u by shift and fold into [lo, hi) (circle of circumference hi-lo)."""
     lo, hi, shift = rat(lo), rat(hi), rat(shift)
-    return normalize(_fold_pairs(u.pairs(), shift, lo, hi))
+    if lo >= hi:
+        raise ValueError("circle must be nondegenerate")
+    return _canonical(_fold_pairs(u.pairs(), shift, lo, hi))
 
 
 def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
@@ -379,7 +381,7 @@ def discrete_superlevel(
     w0, w1 = rat(window[0]), rat(window[1])
     if w0 >= w1:
         raise ValueError("window must be nondegenerate")
-    m0 = math.ceil(rat(level) * n_steps)
+    level = rat(level)
     if topology not in ("line", "circle"):
         raise ValueError("topology must be 'line' or 'circle'")
     circle = (rat(circle_lo), rat(circle_hi)) if topology == "circle" else None
@@ -397,22 +399,8 @@ def discrete_superlevel(
         tuple(Fraction(x, scale) for x, _ in cells) + (w1,),
         tuple(Fraction(cnt, n_steps) for _, cnt in cells),
     )
-
-    if m0 <= 0:
-        sup = normalize([(w0, w1)])
-    else:
-        sup = g.superlevel(Fraction(m0, n_steps))
+    sup = g.superlevel(level)
     return SweepResult(function=g, superlevel=sup, superlevel_measure=sup.measure())
-
-
-def _discrete_line_measure(sets, coeffs, n_steps, level, w0, w1) -> Fraction:
-    """Measure of the line-topology grid superlevel, without the step function."""
-    m0 = math.ceil(level * n_steps)
-    if m0 <= 0:
-        return w1 - w0
-    cells, scale = _grid_cells(sets, coeffs, n_steps, w0, w1)
-    total = sum(nxt[0] - coord for (coord, cnt), nxt in zip(cells, cells[1:]) if cnt >= m0)
-    return Fraction(total, scale)
 
 
 @dataclass(frozen=True)
@@ -449,9 +437,9 @@ def find_riemann_n(
     last = None
     for n_steps in progression:
         last = int(n_steps)
-        meas = _discrete_line_measure(
-            scen.factors, list(scen.coefficients), last, level, w0, w1
-        )
+        meas = discrete_superlevel(
+            scen.factors, scen.coefficients, last, level, (w0, w1), topology="line"
+        ).superlevel_measure
         if meas >= target:
             return RiemannCertificate(
                 n_steps=last, measure=meas, level=level, target=target
@@ -511,7 +499,7 @@ def cube_certificate_check(
     form_base: Dict[Tuple[int, ...], set] = {
         eps: set(base_points(spec)) for eps, spec in scenario.form_specs.items()
     }
-    eps_list = sorted(scenario.form_specs)
+    slacks = {eps: form_tail - (tau + sum(eps) * t_tail) for eps in sorted(scenario.form_specs)}
 
     checks = []
     all_pass = True
@@ -520,11 +508,9 @@ def cube_certificate_check(
         x = sum(bs) - (m - 1) * b
         if x not in lattice:
             raise InvariantError("witness decomposition left the base lattice")
-        for eps in eps_list:
-            l = sum(eps)
+        for eps, slack in slacks.items():
             target = x + sum(b - bs[j] for j in range(m) if eps[j])
             member = target in form_base[eps]
-            slack = form_tail - (tau + l * t_tail)
             ok = member and slack >= 0
             if not ok:
                 all_pass = False

@@ -17,9 +17,10 @@ from typing import Sequence, Tuple
 
 from .intervals import (
     EMPTY,
-    Interval,
     IntervalUnion,
     RationalLike,
+    _canonical,
+    _merge_sorted,
     common_denominator,
     rat,
     rat_str,
@@ -110,23 +111,10 @@ def materialize(spec: DigitSetSpec) -> IntervalUnion:
         return EMPTY
     nums, den = _base_nums(spec)
     tn, td = spec.tail.numerator, spec.tail.denominator
-    # merge in the integer domain: [v, v + tail*den) pieces touch or overlap
-    # iff (v' - v) * td <= tn * den
-    gap = tn * den
-    pieces = []
-    start = prev = nums[0]
-    for v in nums[1:]:
-        if (v - prev) * td <= gap:
-            prev = v
-        else:
-            pieces.append((start, prev))
-            start = prev = v
-    pieces.append((start, prev))
-    return IntervalUnion(
-        tuple(
-            Interval(Fraction(a, den), Fraction(b, den) + spec.tail) for a, b in pieces
-        )
-    )
+    # [v, v + tail*den) over den is [v*td, v*td + tn*den) over den*td
+    width, scale = tn * den, den * td
+    pairs = _merge_sorted((v * td, v * td + width) for v in nums)
+    return _canonical((Fraction(a, scale), Fraction(b, scale)) for a, b in pairs)
 
 
 def _gap_certified(spec: DigitSetSpec) -> bool:

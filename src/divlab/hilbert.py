@@ -13,11 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .averages import form_time_set
 from .intervals import Interval, IntervalUnion, RationalLike, rat
-from .scenarios import BlowupSeries, FurstenbergScenario, furstenberg_threshold, ratio_verdict
+from .scenarios import (
+    BlowupSeries,
+    FurstenbergScenario,
+    furstenberg_threshold,
+    ratio_verdict,
+    series_from_logs,
+)
 
 
 class PositivityError(ValueError):
@@ -123,8 +129,7 @@ def h3_ratio_series(
         ) / p
         log_bound = -3 * math.log(8) / p - math.log(8 * 12**k)
         logs.append(log_bound - log_norm_prod)
-    values = tuple(math.exp(v) for v in logs)
-    ratios = tuple(v1 / v0 for v0, v1 in zip(values, values[1:]))
+    values, ratios = series_from_logs(logs)
     closed = math.exp(math.log(24) / p - math.log(12))
     return BlowupSeries(
         kind="h3",

@@ -16,7 +16,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -107,6 +107,33 @@ def _merge_sorted(pairs):
     return merged
 
 
+def _canonical(pairs) -> "IntervalUnion":
+    """IntervalUnion of (lo, hi) pairs that are already canonical."""
+    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in pairs))
+
+
+def _superlevel(xs, left, right, level):
+    """Fused pairs of {x : f(x) >= level}, f running linearly from left[i] to
+    right[i] on [xs[i], xs[i+1]] (ints or Fractions, like _pair_isect; a
+    crossing divides, so pass a Fraction level).
+
+    Each cell gives at most one nonempty piece, in order; a crossing that
+    lands on a breakpoint gives none.
+    """
+
+    def pieces():
+        for x0, x1, y0, y1 in zip(xs, xs[1:], left, right):
+            if y0 >= level:
+                if y1 >= level:
+                    yield x0, x1
+                elif y0 > level:
+                    yield x0, x0 + (level - y0) * (x1 - x0) / (y1 - y0)
+            elif y1 > level:
+                yield x0 + (level - y0) * (x1 - x0) / (y1 - y0), x1
+
+    return _merge_sorted(pieces())
+
+
 @dataclass(frozen=True)
 class IntervalUnion:
     """Canonical finite union of half-open intervals.
@@ -149,8 +176,7 @@ class IntervalUnion:
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         # pieces of an intersection can touch (e.g. [0,2) cut by [0,1),[1,2))
-        pairs = _merge_sorted(_pair_isect(self.pairs(), other.pairs()))
-        return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in pairs))
+        return _canonical(_merge_sorted(_pair_isect(self.pairs(), other.pairs())))
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return normalize(self.pairs() + other.pairs())
@@ -205,7 +231,7 @@ def normalize(pairs: Iterable[Tuple[RationalLike, RationalLike]]) -> IntervalUni
         if lo < hi:
             items.append((lo, hi))
     items.sort()
-    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in _merge_sorted(items)))
+    return _canonical(_merge_sorted(items))
 
 
 @dataclass(frozen=True)
@@ -243,22 +269,7 @@ class PiecewiseLinear:
         sides) are measure zero and omitted, consistent with the half-open
         set convention.
         """
-        level = rat(level)
-        pieces = []
-        if len(self.xs) == 1:
-            return EMPTY  # degenerate span carries no measure
-        for i in range(len(self.xs) - 1):
-            x0, x1 = self.xs[i], self.xs[i + 1]
-            y0, y1 = self.ys[i], self.ys[i + 1]
-            if y0 >= level and y1 >= level:
-                pieces.append((x0, x1))
-            elif y0 >= level > y1:
-                xc = x0 + (level - y0) * (x1 - x0) / (y1 - y0)
-                pieces.append((x0, xc))
-            elif y1 >= level > y0:
-                xc = x0 + (level - y0) * (x1 - x0) / (y1 - y0)
-                pieces.append((xc, x1))
-        return normalize(pieces)
+        return _canonical(_superlevel(self.xs, self.ys[:-1], self.ys[1:], rat(level)))
 
 
 @dataclass(frozen=True)
@@ -283,10 +294,4 @@ class StepFunction:
         return self.values[i]
 
     def superlevel(self, level: RationalLike) -> IntervalUnion:
-        level = rat(level)
-        pieces = [
-            (self.xs[i], self.xs[i + 1])
-            for i, v in enumerate(self.values)
-            if v >= level
-        ]
-        return normalize(pieces)
+        return _canonical(_superlevel(self.xs, self.values, self.values, rat(level)))

@@ -321,6 +321,20 @@ class BlowupSeries:
         }
 
 
+def series_from_logs(logs):
+    """(values, step_ratios) of a series given by its natural logs.
+
+    A step ratio is value_{k+1}/value_k of the reported values, except where
+    value_k has underflowed to 0.0: there it is exp(log_{k+1} - log_k).
+    """
+    values = tuple(math.exp(lv) for lv in logs)
+    ratios = tuple(
+        v1 / v0 if v0 > 0 else math.exp(l1 - l0)
+        for v0, v1, l0, l1 in zip(values, values[1:], logs, logs[1:])
+    )
+    return values, ratios
+
+
 def ratio_verdict(ratio: float) -> str:
     if ratio > 1 + RATIO_TOL:
         return "diverges"
@@ -346,8 +360,8 @@ def blowup_series(
                   cardinalities in mode 'exact' and the 2^((m-l+1)k) bounds
                   (exact 2^k at weights m-1, m) in mode 'bound'.
 
-    Values are computed in log space to avoid overflow; per-step ratios are
-    value_{k+1}/value_k of the reported values.
+    Values are computed in log space to avoid overflow; per-step ratios come
+    from series_from_logs.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -401,8 +415,7 @@ def blowup_series(
     else:
         raise ValueError(f"unknown series kind {kind!r}")
 
-    values = tuple(math.exp(lv) for lv in logs)
-    ratios = tuple(v1 / v0 for v0, v1 in zip(values, values[1:]))
+    values, ratios = series_from_logs(logs)
     return BlowupSeries(
         kind=kind,
         p=float(p),

@@ -346,6 +346,10 @@ def test_wrap_translate_preserves_measure_and_membership():
             if any(y == e for iv in w.intervals for e in (iv.lo, iv.hi)):
                 continue
             assert (y in w) == (x in u)
+    for u in (normalize([(0, 1)]), normalize([])):
+        for lo, hi in ((1, 1), (1, -1)):
+            with pytest.raises(ValueError, match="circle"):
+                wrap_translate(u, 0, lo, hi)
 
 
 def test_discrete_validation():
@@ -365,10 +369,14 @@ def test_find_riemann_n_frozen():
     cert = find_riemann_n(1, F(1, 192), F(1, 9))
     assert cert.n_steps == 96
     assert cert.measure == F(67, 96)
-    # the fast path must agree with the full step-function sweep
     s = furstenberg_family(1)
     res = discrete_superlevel(s.factors, s.coefficients, 96, F(1, 192), (-1, 0))
     assert res.superlevel_measure == cert.measure
+
+
+def test_find_riemann_n_rejects_degenerate_window():
+    with pytest.raises(ValueError, match="window"):
+        find_riemann_n(1, F(1, 192), F(1, 9), window=(0, -1))
 
 
 def test_find_riemann_n_exhaustion():

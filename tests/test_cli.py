@@ -288,6 +288,25 @@ def test_csv_overflow_exits_1_without_output(capsys):
     assert err == "divlab: error: blowup: result out of float range at --p 1e-320 --kmax 4\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--kind", "thm1", "--p", "2", "--kmax", "1000"),
+    ("--kind", "h3", "--p", "2", "--kmax", "1000"),
+    ("--kind", "cubes", "--m", "3", "--p", "2", "--kmax", "2000"),
+])
+def test_blowup_values_underflow_exits_0(capsys, argv):
+    # the values underflow to 0.0; the step ratios stay at the closed form
+    rc, data = run_json(capsys, "blowup", *argv)
+    assert rc == 0
+    assert data["values"][-1] == 0.0
+    assert abs(data["step_ratios"][-1] - data["closed_form_ratio"]) < 1e-12
+    if argv[1] == "thm1":
+        rc, out, err = run(capsys, "blowup", *argv, "--csv")
+        assert rc == 0 and err == ""
+        last = out.splitlines()[-1].split(",")
+        assert last[1] == "0.0"
+        assert abs(float(last[2]) - data["closed_form_ratio"]) < 1e-12
+
+
 def test_classify_ragged_rows_exit_1(capsys):
     rc, out, err = run(capsys, "classify", "--rows", "1,2;3")
     assert rc == 1 and out == ""

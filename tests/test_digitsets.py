@@ -1,5 +1,6 @@
 """Digit-expansion sets against direct Fraction enumeration oracles."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -16,7 +17,8 @@ from divlab.digitsets import (
     is_collision_free,
     materialize,
 )
-from divlab.intervals import EMPTY, normalize
+from divlab.intervals import EMPTY, normalize, rat_str
+from divlab.scenarios import cube_family, furstenberg_family
 
 
 # --- oracles -----------------------------------------------------------------
@@ -95,6 +97,25 @@ def test_materialize_merges_touching_tails():
     # tail equal to the point gap glues everything into one interval
     s = digit_spec(10, 1, [0, 1, 2], F(1, 10))
     assert materialize(s).pairs() == [(F(0), F(3, 10))]
+
+
+def test_materialize_frozen_scenario_digest():
+    # sha256 of every factor, witness and form set of the shipped scenarios:
+    # a faster materialize must build exactly the same unions
+    specs = []
+    for k in range(1, 5):
+        scen = furstenberg_family(k)
+        specs += [*scen.factor_specs, scen.witness_spec]
+    for m, k in ((3, 1), (3, 2), (4, 1), (4, 2)):
+        scen = cube_family(m, k)
+        specs += [*(scen.form_specs[e] for e in sorted(scen.form_specs)), scen.witness_spec]
+    h = hashlib.sha256()
+    for spec in specs:
+        for lo, hi in materialize(spec).pairs():
+            h.update(f"{rat_str(lo)},{rat_str(hi)};".encode())
+        h.update(b"|")
+    assert len(specs) == 64
+    assert h.hexdigest() == "e788e68a3b88d4dc4f69beae1ba797d9615ac92f58664a5381aebcff8425f504"
 
 
 def test_cardinality_and_collision_freeness():

@@ -222,3 +222,54 @@ def test_step_function_superlevel():
                 assert g(t) == vals[i]
             else:
                 assert g(t) == 0
+
+
+def pointwise_superlevel(f, level):
+    """{f >= level} from f's value at the middle of each cell between its
+    breakpoints and level crossings; f - level keeps its sign on every cell."""
+    pts = set(f.xs)
+    if isinstance(f, PiecewiseLinear):
+        for x0, x1, y0, y1 in zip(f.xs, f.xs[1:], f.ys, f.ys[1:]):
+            if (y0 - level) * (y1 - level) < 0:
+                pts.add((x0 * (y1 - level) - x1 * (y0 - level)) / (y1 - y0))
+    pts = sorted(pts)
+    return normalize((a, b) for a, b in zip(pts, pts[1:]) if f((a + b) / 2) >= level)
+
+
+def superlevel_tie_cases():
+    """Explicit ties, then seeded functions whose values and levels share a
+    small grid, so plateaus at the level and crossings on breakpoints abound."""
+    xs = (F(0), F(1), F(2), F(3))
+    yield PiecewiseLinear(xs, (F(0), F(1), F(1), F(0))), F(1)  # plateau at the level
+    yield PiecewiseLinear(xs[:3], (F(0), F(1), F(0))), F(1)  # touch at a breakpoint
+    yield PiecewiseLinear(xs[:3], (F(2), F(1), F(0))), F(1)  # crossing on a breakpoint
+    yield PiecewiseLinear(xs[:2], (F(1), F(0))), F(1)  # zero-length piece only
+    yield PiecewiseLinear((F(5),), (F(1),)), F(0)  # single breakpoint
+    yield StepFunction(xs, (F(1), F(1, 2), F(1))), F(1)
+    for level in (F(0), F(-1)):
+        yield StepFunction(xs, (F(0), F(1, 3), F(0))), level  # level <= 0
+    rnd = random.Random(1618)
+    grid = [F(n, 2) for n in range(-2, 3)]
+    for _ in range(400):
+        xs = sorted({F(rnd.randint(-8, 8), rnd.randint(1, 3)) for _ in range(rnd.randint(1, 7))})
+        ys = [rnd.choice(grid) for _ in xs]
+        level = rnd.choice(grid)
+        yield PiecewiseLinear(tuple(xs), tuple(ys)), level
+        if len(xs) > 1:
+            yield StepFunction(tuple(xs), tuple(ys[:-1])), level
+
+
+def test_superlevel_with_ties_matches_pointwise_oracle():
+    cases = 0
+    for f, level in superlevel_tie_cases():
+        sup = f.superlevel(level)
+        assert sup == pointwise_superlevel(f, level), (f, level)
+        assert sup == normalize(sup.pairs())
+        cases += 1
+    assert cases > 500
+    xs = (F(0), F(1), F(2), F(3))
+    assert PiecewiseLinear(xs, (F(0), F(1), F(1), F(0))).superlevel(1).pairs() == [(F(1), F(2))]
+    assert PiecewiseLinear(xs[:3], (F(2), F(1), F(0))).superlevel(1).pairs() == [(F(0), F(1))]
+    assert PiecewiseLinear(xs[:2], (F(1), F(0))).superlevel(1) == EMPTY
+    assert PiecewiseLinear((F(5),), (F(1),)).superlevel(0) == EMPTY
+    assert StepFunction(xs, (F(0), F(1, 3), F(0))).superlevel(-1).pairs() == [(F(0), F(3))]

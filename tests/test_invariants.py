@@ -23,6 +23,28 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_has_no_unused_imports():
+    # no linter runs here; every module-level import must be read somewhere
+    files = sorted(Path(divlab.__file__).parent.glob("*.py"))
+    found = []
+    for path in files:
+        if path.name == "__init__.py":  # re-exports are its purpose
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.name}:{node.lineno}:{name}"
+                    for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                    if name not in used
+                ]
+    assert len(files) > 1
+    assert found == []
+
+
 def test_invariant_error_is_a_runtime_error():
     assert issubclass(InvariantError, RuntimeError)
 
