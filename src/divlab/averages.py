@@ -24,7 +24,6 @@ from .intervals import (
     PiecewiseLinear,
     RationalLike,
     StepFunction,
-    _canonical,
     _merge_sorted,
     _pair_isect,
     common_denominator,
@@ -290,7 +289,7 @@ def _fold_pairs(pairs, shift, lo, hi):
     out = []
     for a, b in pairs:
         if b - a >= circ:
-            return [(lo, hi)]
+            return ((lo, hi),)
         a2 = (a + base) % circ + lo
         b2 = b - a + a2
         if b2 <= hi:
@@ -306,7 +305,7 @@ def wrap_translate(u: IntervalUnion, shift: RationalLike, lo=-1, hi=1) -> Interv
     lo, hi, shift = rat(lo), rat(hi), rat(shift)
     if lo >= hi:
         raise ValueError("circle must be nondegenerate")
-    return _canonical(_fold_pairs(u.pairs(), shift, lo, hi))
+    return IntervalUnion(_fold_pairs(u.pairs, shift, lo, hi))
 
 
 def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
@@ -321,7 +320,7 @@ def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
     bounds = (w0, w1, *circle) if circle else (w0, w1)
     L = lcm(common_denominator(itertools.chain(bounds, *(u.endpoints() for u in sets))), n_steps)
     step = L // n_steps
-    fams = [[(int(a * L), int(b * L)) for a, b in u.pairs()] for u in sets]
+    fams = [[(int(a * L), int(b * L)) for a, b in u.pairs] for u in sets]
     win = (int(w0 * L), int(w1 * L))
     if circle:
         lo, hi = int(circle[0] * L), int(circle[1] * L)
@@ -487,11 +486,14 @@ def cube_certificate_check(
     set, and fractional part z + sum of at most |eps| tails, which must fit
     inside the form tail: slack = form_tail - (witness_tail + |eps| * t_tail)
     must be >= 0.  Both checks run per (x, eps); all-pass implies the average
-    lower bound [(m+1) * 2^(k(m+1))]^(-m) at every witness point.
+    lower bound t_tail^m, the volume of the checked t-box, at every witness
+    point.  The default t_tail is the witness tail [(m+1) * 2^(k(m+1))]^(-1).
     """
     m = scenario.dimension
     tau = scenario.witness_tail
     t_tail = tau if t_tail is None else rat(t_tail)
+    if t_tail <= 0:
+        raise ValueError("t_tail must be positive")
     form_tail = scenario.form_tail
     gen_pts = [base_points(g) for g in scenario.generator_specs]
     shared_pts = base_points(scenario.shared_spec)
@@ -517,15 +519,13 @@ def cube_certificate_check(
             checks.append(
                 CubeCheck(x=x, eps=eps, base_in_form=member, slack=slack, passed=ok)
             )
-    rho_k = (2 ** (m + 1)) ** scenario.depth
-    bound = Fraction(1, ((m + 1) * rho_k) ** m)
     return CubeCertificateReport(
         dimension=m,
         depth=scenario.depth,
         t_tail=t_tail,
         checks=tuple(checks),
         all_pass=all_pass,
-        integral_lower_bound=bound,
+        integral_lower_bound=t_tail**m,
     )
 
 
@@ -564,8 +564,11 @@ def monte_carlo_average(
     samples = int(samples)
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    eps = rat(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     rng = np.random.default_rng(seed)
-    t = rng.random((samples, mdim)) * float(rat(eps))
+    t = rng.random((samples, mdim)) * float(eps)
     ok = np.ones(samples, dtype=bool)
     x0 = float(rat(x))
     for row, u in zip(matrix, sets):

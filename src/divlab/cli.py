@@ -519,6 +519,9 @@ def main(argv=None) -> int:
         print(f"divlab: error: {exc}", file=sys.stderr)
     except InvariantError as exc:
         print(f"divlab: error: internal invariant failed: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"divlab: error: cannot write {exc.filename or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
     return 1
 
 

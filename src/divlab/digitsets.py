@@ -19,7 +19,6 @@ from .intervals import (
     EMPTY,
     IntervalUnion,
     RationalLike,
-    _canonical,
     _merge_sorted,
     common_denominator,
     rat,
@@ -114,7 +113,7 @@ def materialize(spec: DigitSetSpec) -> IntervalUnion:
     # [v, v + tail*den) over den is [v*td, v*td + tn*den) over den*td
     width, scale = tn * den, den * td
     pairs = _merge_sorted((v * td, v * td + width) for v in nums)
-    return _canonical((Fraction(a, scale), Fraction(b, scale)) for a, b in pairs)
+    return IntervalUnion(tuple((Fraction(a, scale), Fraction(b, scale)) for a, b in pairs))
 
 
 def _gap_certified(spec: DigitSetSpec) -> bool:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .averages import form_time_set
-from .intervals import Interval, IntervalUnion, RationalLike, rat
+from .intervals import IntervalUnion, RationalLike, rat
 from .scenarios import (
     BlowupSeries,
     FurstenbergScenario,
@@ -44,17 +44,12 @@ def h3_support(
     x = rat(x)
     if x > 0:
         raise PositivityError("base point must satisfy x <= 0")
-    if not second.is_empty() and second.intervals[0].lo < 0:
+    if not second.is_empty() and second.pairs[0][0] < 0:
         raise PositivityError("second set must lie in [0, inf)")
     t_set = form_time_set([first, second, third], [1, 2, 3], x)
     # clip to (0, inf); a piece straddling 0 keeps its positive part, and a
     # resulting lo == 0 marks a support reaching down to 0
-    pieces = []
-    for iv in t_set.intervals:
-        if iv.hi <= 0:
-            continue
-        pieces.append(Interval(max(iv.lo, Fraction(0)), iv.hi))
-    return IntervalUnion(tuple(pieces))
+    return IntervalUnion(tuple((max(lo, Fraction(0)), hi) for lo, hi in t_set.pairs if hi > 0))
 
 
 @dataclass(frozen=True)
@@ -80,11 +75,11 @@ def h3_evaluate(
     """
     x = rat(x)
     sup = h3_support(x, first, second, third)
-    diverges = (not sup.is_empty()) and sup.intervals[0].lo == 0
+    diverges = (not sup.is_empty()) and sup.pairs[0][0] == 0
     if diverges:
         value = math.inf
     else:
-        value = sum(math.log(iv.hi / iv.lo) for iv in sup.intervals)
+        value = sum(math.log(hi / lo) for lo, hi in sup.pairs)
     lower = sup.clip(0, 1).measure()
     return H3Evaluation(
         x=x, support=sup, value=value, lower_bound=lower, diverges=diverges
@@ -103,6 +98,26 @@ def h3_witness_evaluations(scenario: FurstenbergScenario) -> Tuple[H3Evaluation,
     return tuple(out)
 
 
+def _h3_log_terms(p: float, kmax: int, normalization: str):
+    """Per-k (k, log lower_norm_bound, log product_of_norms) of the h3 series.
+
+    lower_norm_bound = (1/8)^(3/p) / (8*12^k) and product_of_norms =
+    (m(U1) m(U2) m(U3))^(1/p); both logs stay finite at every k, where the
+    linear-space values would overflow or underflow.
+    """
+    if normalization not in ("lebesgue", "normalized"):
+        raise ValueError("normalization must be 'lebesgue' or 'normalized'")
+    half = 2 if normalization == "lebesgue" else 4
+    return [
+        (
+            k,
+            -3 * math.log(8) / p - math.log(8 * 12**k),
+            -(math.log(half * 4**k) + math.log(half * 3**k) + math.log(half * 2**k)) / p,
+        )
+        for k in range(1, int(kmax) + 1)
+    ]
+
+
 def h3_ratio_series(
     p: float, kmax: int, normalization: str = "lebesgue"
 ) -> BlowupSeries:
@@ -118,25 +133,15 @@ def h3_ratio_series(
         raise ValueError("p must be positive")
     if kmax < 2:
         raise ValueError("need kmax >= 2 for at least one step ratio")
-    if normalization not in ("lebesgue", "normalized"):
-        raise ValueError("normalization must be 'lebesgue' or 'normalized'")
-    half = 2 if normalization == "lebesgue" else 4
-    ks = tuple(range(1, kmax + 1))
-    logs = []
-    for k in ks:
-        log_norm_prod = -(
-            math.log(half * 4**k) + math.log(half * 3**k) + math.log(half * 2**k)
-        ) / p
-        log_bound = -3 * math.log(8) / p - math.log(8 * 12**k)
-        logs.append(log_bound - log_norm_prod)
-    values, ratios = series_from_logs(logs)
+    terms = _h3_log_terms(p, kmax, normalization)
+    values, ratios = series_from_logs([bound - norms for _, bound, norms in terms])
     closed = math.exp(math.log(24) / p - math.log(12))
     return BlowupSeries(
         kind="h3",
         p=float(p),
         weighted=False,
         mode=normalization,
-        indices=ks,
+        indices=tuple(range(1, kmax + 1)),
         values=values,
         step_ratios=ratios,
         closed_form_ratio=closed,
@@ -148,17 +153,10 @@ def h3_ratio_series(
 def h3_series_columns(p: float, kmax: int, normalization: str = "lebesgue"):
     """Per-k (k, lower_norm_bound, product_of_norms) rows for CSV export.
 
-    The two factors of h3_ratio_series' value_k = bound / norms, in linear
-    space; either may underflow to 0.0 at small p.
+    The two factors of h3_ratio_series' value_k = bound / norms, as exp of
+    the logs the series sums; either may underflow to 0.0.
     """
-    if normalization not in ("lebesgue", "normalized"):
-        raise ValueError("normalization must be 'lebesgue' or 'normalized'")
-    half = 2 if normalization == "lebesgue" else 4
-    rows = []
-    for k in range(1, int(kmax) + 1):
-        bound = (1 / 8) ** (3 / p) / (8 * 12**k)
-        norms = (
-            1 / (half * 4**k) * 1 / (half * 3**k) * 1 / (half * 2**k)
-        ) ** (1 / p)
-        rows.append((k, bound, norms))
-    return rows
+    return [
+        (k, math.exp(log_bound), math.exp(log_norms))
+        for k, log_bound, log_norms in _h3_log_terms(p, kmax, normalization)
+    ]

@@ -16,6 +16,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -95,7 +96,7 @@ def _pair_isect(a, b):
 
 
 def _merge_sorted(pairs):
-    """Merge a lo-sorted list of (lo, hi) pairs; overlapping or touching pairs fuse."""
+    """Merge lo-sorted (lo, hi) pairs into a tuple; overlapping or touching pairs fuse."""
     merged = []
     for pair in pairs:
         lo, hi = pair
@@ -104,12 +105,7 @@ def _merge_sorted(pairs):
                 merged[-1] = (merged[-1][0], hi)
         else:
             merged.append(pair)
-    return merged
-
-
-def _canonical(pairs) -> "IntervalUnion":
-    """IntervalUnion of (lo, hi) pairs that are already canonical."""
-    return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in pairs))
+    return tuple(merged)
 
 
 def _superlevel(xs, left, right, level):
@@ -136,50 +132,45 @@ def _superlevel(xs, left, right, level):
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Canonical finite union of half-open intervals.
+    """Canonical finite union of half-open intervals, held as its pieces'
+    (lo, hi) Fraction pairs.
 
-    Instances must be canonical (sorted, disjoint, non-touching); build them
-    with `normalize` unless the input is already known canonical.
+    The pairs must be canonical (a tuple, sorted, disjoint, non-touching,
+    lo < hi); build unions with `normalize` unless the input is already known
+    canonical.
     """
 
-    intervals: Tuple[Interval, ...] = ()
+    pairs: Tuple[Tuple[Fraction, Fraction], ...] = ()
+
+    @property
+    def intervals(self) -> Tuple[Interval, ...]:
+        return tuple(Interval(lo, hi) for lo, hi in self.pairs)
 
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not self.pairs
 
     def measure(self) -> Fraction:
-        total = Fraction(0)
-        for iv in self.intervals:
-            total += iv.hi - iv.lo
-        return total
-
-    def pairs(self):
-        return [(iv.lo, iv.hi) for iv in self.intervals]
+        return sum((hi - lo for lo, hi in self.pairs), Fraction(0))
 
     def endpoints(self):
-        out = []
-        for iv in self.intervals:
-            out.append(iv.lo)
-            out.append(iv.hi)
-        return out
+        return [e for pair in self.pairs for e in pair]
 
     def bounds(self):
-        if not self.intervals:
+        if not self.pairs:
             return None
-        return (self.intervals[0].lo, self.intervals[-1].hi)
+        return (self.pairs[0][0], self.pairs[-1][1])
 
     def __contains__(self, x) -> bool:
         x = rat(x)
-        los = [iv.lo for iv in self.intervals]
-        i = bisect.bisect_right(los, x) - 1
-        return i >= 0 and x < self.intervals[i].hi
+        i = bisect.bisect_right(self.pairs, x, key=itemgetter(0)) - 1
+        return i >= 0 and x < self.pairs[i][1]
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         # pieces of an intersection can touch (e.g. [0,2) cut by [0,1),[1,2))
-        return _canonical(_merge_sorted(_pair_isect(self.pairs(), other.pairs())))
+        return IntervalUnion(_merge_sorted(_pair_isect(self.pairs, other.pairs)))
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return normalize(self.pairs() + other.pairs())
+        return normalize(self.pairs + other.pairs)
 
     def issubset(self, other: "IntervalUnion") -> bool:
         # exact containment up to the canonical form: A subset B iff A&B == A
@@ -191,12 +182,8 @@ class IntervalUnion:
         if a == 0:
             raise ValueError("affine image requires a != 0")
         if a > 0:
-            ivs = tuple(Interval(a * iv.lo + b, a * iv.hi + b) for iv in self.intervals)
-        else:
-            ivs = tuple(
-                Interval(a * iv.hi + b, a * iv.lo + b) for iv in reversed(self.intervals)
-            )
-        return IntervalUnion(ivs)
+            return IntervalUnion(tuple((a * lo + b, a * hi + b) for lo, hi in self.pairs))
+        return IntervalUnion(tuple((a * hi + b, a * lo + b) for lo, hi in reversed(self.pairs)))
 
     def translate(self, shift: RationalLike) -> "IntervalUnion":
         return self.affine(1, shift)
@@ -205,10 +192,10 @@ class IntervalUnion:
         lo, hi = rat(lo), rat(hi)
         if lo >= hi:
             return IntervalUnion()
-        return self.intersect(IntervalUnion((Interval(lo, hi),)))
+        return self.intersect(IntervalUnion(((lo, hi),)))
 
     def to_json(self):
-        return [[rat_str(iv.lo), rat_str(iv.hi)] for iv in self.intervals]
+        return [[rat_str(lo), rat_str(hi)] for lo, hi in self.pairs]
 
     @staticmethod
     def from_json(data) -> "IntervalUnion":
@@ -231,7 +218,7 @@ def normalize(pairs: Iterable[Tuple[RationalLike, RationalLike]]) -> IntervalUni
         if lo < hi:
             items.append((lo, hi))
     items.sort()
-    return _canonical(_merge_sorted(items))
+    return IntervalUnion(_merge_sorted(items))
 
 
 @dataclass(frozen=True)
@@ -269,7 +256,7 @@ class PiecewiseLinear:
         sides) are measure zero and omitted, consistent with the half-open
         set convention.
         """
-        return _canonical(_superlevel(self.xs, self.ys[:-1], self.ys[1:], rat(level)))
+        return IntervalUnion(_superlevel(self.xs, self.ys[:-1], self.ys[1:], rat(level)))
 
 
 @dataclass(frozen=True)
@@ -294,4 +281,4 @@ class StepFunction:
         return self.values[i]
 
     def superlevel(self, level: RationalLike) -> IntervalUnion:
-        return _canonical(_superlevel(self.xs, self.values, self.values, rat(level)))
+        return IntervalUnion(_superlevel(self.xs, self.values, self.values, rat(level)))

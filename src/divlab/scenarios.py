@@ -16,6 +16,7 @@ Two families:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -324,12 +325,14 @@ class BlowupSeries:
 def series_from_logs(logs):
     """(values, step_ratios) of a series given by its natural logs.
 
-    A step ratio is value_{k+1}/value_k of the reported values, except where
-    value_k has underflowed to 0.0: there it is exp(log_{k+1} - log_k).
+    A step ratio is value_{k+1}/value_k of the reported values while both are
+    normal floats; once either is subnormal or 0.0 the quotient has lost its
+    precision, and the ratio is exp(log_{k+1} - log_k).
     """
     values = tuple(math.exp(lv) for lv in logs)
+    tiny = sys.float_info.min
     ratios = tuple(
-        v1 / v0 if v0 > 0 else math.exp(l1 - l0)
+        v1 / v0 if v0 >= tiny and v1 >= tiny else math.exp(l1 - l0)
         for v0, v1, l0, l1 in zip(values, values[1:], logs, logs[1:])
     )
     return values, ratios

@@ -414,6 +414,21 @@ def test_cube_certificate_tamper_fails():
     assert all(c.base_in_form for c in bad)  # only the tail budget fails
 
 
+def test_cube_certificate_bound_is_checked_box_volume():
+    # the bound is t_tail^m, the volume of the checked t-box; at the default
+    # t_tail it is [(m+1) * 2^(k(m+1))]^(-m)
+    for m, k in ((3, 1), (3, 2), (4, 1)):
+        rep = cube_certificate_check(cube_family(m, k))
+        assert rep.integral_lower_bound == F(1, ((m + 1) * 2 ** (k * (m + 1))) ** m)
+    s = cube_family(3, 1)
+    rep = cube_certificate_check(s, F(1, 1000))
+    assert rep.all_pass
+    assert rep.integral_lower_bound == F(1, 10**9)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="t_tail must be positive"):
+            cube_certificate_check(s, bad)
+
+
 def test_cube_certificate_custom_t_tail():
     s = cube_family(3, 2)
     rep = cube_certificate_check(s, F(1, 10**6))
@@ -449,6 +464,13 @@ def test_monte_carlo_multidim():
     v = normalize([(0, F(1, 4))])
     est = monte_carlo_average([[1, 0], [0, 1]], [u, v], 0, 1, 40_000, seed=5)
     assert abs(est.estimate - 0.125) <= 4 * est.stderr
+
+
+def test_monte_carlo_eps_must_be_positive():
+    u = normalize([(0, 1)])
+    for eps in (0, -1, "-1/2"):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            monte_carlo_average([[1]], [u], 0, eps, 100, seed=1)
 
 
 def test_monte_carlo_validation():

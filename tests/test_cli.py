@@ -100,6 +100,40 @@ def test_verify_cubes_and_tamper(capsys):
     assert len(data["first_failures"]) == 5
 
 
+def test_verify_cubes_bound_is_checked_box_volume(capsys):
+    rc, data = run_json(capsys, "verify-cubes", "--m", "3", "--k", "1", "--t-tail", "1/1000")
+    assert rc == 0 and data["verified"] is True
+    assert data["integral_lower_bound"]["exact"] == "1/1000000000"
+    # --tamper checks the doubled box (2 * 1/64)^3
+    rc, data = run_json(capsys, "verify-cubes", "--m", "3", "--k", "1", "--tamper")
+    assert rc == 2
+    assert data["integral_lower_bound"]["exact"] == "1/32768"
+    for value in ("0", "-1"):
+        rc, out, err = run(capsys, "verify-cubes", "--m", "3", "--k", "1", "--t-tail", value)
+        assert rc == 1 and out == ""
+        assert err == "divlab: error: t_tail must be positive\n"
+
+
+def test_mc_average_nonpositive_eps_exit_1(capsys):
+    for value in ("0", "-1"):
+        rc, out, err = run(capsys, "mc-average", "--k", "1", "--x", "-1/3",
+                           "--eps", value, "--seed", "1")
+        assert rc == 1 and out == ""
+        assert err == "divlab: error: eps must be positive\n"
+
+
+def test_unwritable_output_path_exits_1(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    for argv in (
+        ("verify-claim", "--k", "1", "--out", str(path)),
+        ("blowup", "--kind", "thm1", "--p", "2", "--kmax", "4", "--csv", str(path)),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err == f"divlab: error: cannot write {path}: No such file or directory\n"
+    assert not path.parent.exists()
+
+
 def test_blowup_csv_and_determinism(capsys):
     rc, out1, _ = run(capsys, "blowup", "--kind", "thm1",
                       "--p", "1.25", "--kmax", "5", "--csv")
@@ -305,6 +339,18 @@ def test_blowup_values_underflow_exits_0(capsys, argv):
         last = out.splitlines()[-1].split(",")
         assert last[1] == "0.0"
         assert abs(float(last[2]) - data["closed_form_ratio"]) < 1e-12
+    # subnormal values give no step ratio: every one stays at the closed form
+    closed = data["closed_form_ratio"]
+    assert all(abs(r - closed) <= 1e-9 * closed for r in data["step_ratios"])
+
+
+def test_h3_csv_past_float_range_of_12_to_the_k_exits_0(capsys):
+    # 8 * 12**k has no float for k >= 286; the columns come from its log
+    rc, out, err = run(capsys, "blowup", "--kind", "h3", "--p", "2", "--kmax", "1000", "--csv")
+    assert rc == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 1000
+    assert rows[-1][1:4] == ["0.0", "0.0", "0.0"]
 
 
 def test_classify_ragged_rows_exit_1(capsys):

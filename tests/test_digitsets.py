@@ -96,7 +96,7 @@ def test_materialize_zero_tail():
 def test_materialize_merges_touching_tails():
     # tail equal to the point gap glues everything into one interval
     s = digit_spec(10, 1, [0, 1, 2], F(1, 10))
-    assert materialize(s).pairs() == [(F(0), F(3, 10))]
+    assert materialize(s).pairs == ((F(0), F(3, 10)),)
 
 
 def test_materialize_frozen_scenario_digest():
@@ -111,7 +111,7 @@ def test_materialize_frozen_scenario_digest():
         specs += [*(scen.form_specs[e] for e in sorted(scen.form_specs)), scen.witness_spec]
     h = hashlib.sha256()
     for spec in specs:
-        for lo, hi in materialize(spec).pairs():
+        for lo, hi in materialize(spec).pairs:
             h.update(f"{rat_str(lo)},{rat_str(hi)};".encode())
         h.update(b"|")
     assert len(specs) == 64

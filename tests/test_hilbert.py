@@ -51,14 +51,14 @@ def test_value_closed_form_and_divergence():
     u = normalize([(0, 1)])
     ev = h3_evaluate(0, u, u, u)
     # support (0, 1/3): the 1/t integral diverges at the origin
-    assert ev.support.pairs() == [(F(0), F(1, 3))]
+    assert ev.support.pairs == ((F(0), F(1, 3)),)
     assert ev.diverges and ev.value == math.inf
     assert ev.lower_bound == F(1, 3)
 
     shifted = normalize([(F(1, 4), 1)])
     ev2 = h3_evaluate(0, shifted, u, u)
     # support [1/4, 1/3): finite integral log(4/3)
-    assert ev2.support.pairs() == [(F(1, 4), F(1, 3))]
+    assert ev2.support.pairs == ((F(1, 4), F(1, 3)),)
     assert not ev2.diverges
     assert ev2.value == pytest.approx(math.log(F(4, 3)), rel=1e-14)
     assert ev2.lower_bound == F(1, 12)

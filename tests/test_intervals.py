@@ -70,9 +70,30 @@ def test_normalize_matches_cell_oracle():
             assert (x in u) == oracle_member(pairs, x)
 
 
+def test_membership_matches_linear_scan():
+    # probes: every endpoint, every piece and gap midpoint, and both sides of
+    # the span
+    rnd = random.Random(5150)
+    for _ in range(300):
+        u = normalize(rnd_pairs(rnd))
+        ends = u.endpoints()
+        probes = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        probes += [ends[0] - 1, ends[-1] + 1] if ends else [F(0)]
+        for x in probes:
+            assert (x in u) == oracle_member(u.pairs, x)
+
+
+def test_intervals_view_matches_pairs():
+    rnd = random.Random(6160)
+    for _ in range(100):
+        u = normalize(rnd_pairs(rnd))
+        assert u.intervals == tuple(Interval(lo, hi) for lo, hi in u.pairs)
+    assert EMPTY.intervals == EMPTY.pairs == ()
+
+
 def test_normalize_merges_touching():
     u = normalize([(0, F(1, 2)), (F(1, 2), 1)])
-    assert u.pairs() == [(F(0), F(1))]
+    assert u.pairs == ((F(0), F(1)),)
     assert normalize([(0, 0), (1, 1)]) == EMPTY
 
 
@@ -195,11 +216,11 @@ def test_piecewise_superlevel_against_sampling():
 
 def test_piecewise_superlevel_exact_crossings():
     f = PiecewiseLinear((F(0), F(1), F(2)), (F(0), F(1), F(0)))
-    assert f.superlevel(F(1, 2)).pairs() == [(F(1, 2), F(3, 2))]
+    assert f.superlevel(F(1, 2)).pairs == ((F(1, 2), F(3, 2)),)
     # isolated touch point carries no measure and is omitted
     assert f.superlevel(F(1)) == EMPTY
     assert f.superlevel(F(2)) == EMPTY
-    assert f.superlevel(F(0)).pairs() == [(F(0), F(2))]
+    assert f.superlevel(F(0)).pairs == ((F(0), F(2)),)
 
 
 def test_step_function_superlevel():
@@ -264,12 +285,12 @@ def test_superlevel_with_ties_matches_pointwise_oracle():
     for f, level in superlevel_tie_cases():
         sup = f.superlevel(level)
         assert sup == pointwise_superlevel(f, level), (f, level)
-        assert sup == normalize(sup.pairs())
+        assert sup == normalize(sup.pairs)
         cases += 1
     assert cases > 500
     xs = (F(0), F(1), F(2), F(3))
-    assert PiecewiseLinear(xs, (F(0), F(1), F(1), F(0))).superlevel(1).pairs() == [(F(1), F(2))]
-    assert PiecewiseLinear(xs[:3], (F(2), F(1), F(0))).superlevel(1).pairs() == [(F(0), F(1))]
+    assert PiecewiseLinear(xs, (F(0), F(1), F(1), F(0))).superlevel(1).pairs == ((F(1), F(2)),)
+    assert PiecewiseLinear(xs[:3], (F(2), F(1), F(0))).superlevel(1).pairs == ((F(0), F(1)),)
     assert PiecewiseLinear(xs[:2], (F(1), F(0))).superlevel(1) == EMPTY
     assert PiecewiseLinear((F(5),), (F(1),)).superlevel(0) == EMPTY
-    assert StepFunction(xs, (F(0), F(1, 3), F(0))).superlevel(-1).pairs() == [(F(0), F(3))]
+    assert StepFunction(xs, (F(0), F(1, 3), F(0))).superlevel(-1).pairs == ((F(0), F(3)),)

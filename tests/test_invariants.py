@@ -45,6 +45,22 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def test_interval_objects_are_built_only_in_intervals_module():
+    # a union is its canonical pairs; Interval objects are only the
+    # IntervalUnion.intervals view
+    files = sorted(Path(divlab.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        if path.name != "intervals.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "Interval" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(files) > 1
+    assert found == []
+
+
 def test_invariant_error_is_a_runtime_error():
     assert issubclass(InvariantError, RuntimeError)
 
