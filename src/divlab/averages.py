@@ -24,8 +24,10 @@ from .intervals import (
     PiecewiseLinear,
     RationalLike,
     StepFunction,
+    _grid_union,
     _merge_sorted,
     _pair_isect,
+    _superlevel,
     common_denominator,
     rat,
 )
@@ -255,7 +257,7 @@ def sweep_superlevel(
         np.add.at(slope_jumps, np.searchsorted(xs_s, np.concatenate(jump_x)),
                   np.concatenate(jump_v))
 
-    xs = [Fraction(int(v), scale) for v in xs_s]
+    xs = [Fraction(v, scale) for v in xs_s.tolist()]
     f0 = multilinear_integral(sets, coeffs, xs[0], (t0, t1))
     slope0 = (multilinear_integral(sets, coeffs, xs[1], (t0, t1)) - f0) / (xs[1] - xs[0])
     if (slope0 * c_lcm).denominator != 1:
@@ -263,12 +265,14 @@ def sweep_superlevel(
     # slopes in 1/C units; F * S * C accumulates slope * dx exactly
     slopes = int(slope0 * c_lcm) + np.cumsum(np.concatenate(([0], slope_jumps[1:-1])))
     unit = scale * c_lcm
-    ys_s = np.cumsum(np.concatenate(([int(f0 * unit)], slopes * np.diff(xs_s))))
-    ys = [Fraction(int(v), unit) for v in ys_s]
+    ys_s = np.cumsum(np.concatenate(([int(f0 * unit)], slopes * np.diff(xs_s)))).tolist()
+    ys = [Fraction(v, unit) for v in ys_s]
     if ys[-1] != multilinear_integral(sets, coeffs, xs[-1], (t0, t1)):
         raise InvariantError("kinetic sweep disagrees with the pointwise integral")
+    # F >= level on the grid: ys_s * den(level) >= num(level) * unit
+    ys_l = [v * level.denominator for v in ys_s]
+    sup = _grid_union(_superlevel(xs_s.tolist(), ys_l, ys_l[1:], level.numerator * unit), scale)
     f = PiecewiseLinear(tuple(xs), tuple(ys))
-    sup = f.superlevel(level)
     return SweepResult(function=f, superlevel=sup, superlevel_measure=sup.measure())
 
 
@@ -309,13 +313,13 @@ def wrap_translate(u: IntervalUnion, shift: RationalLike, lo=-1, hi=1) -> Interv
 
 
 def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
-    """(cells [(coord, grid count on [coord, next coord))], scale L) of the grid sum.
+    """(coords, counts, scale L) of the grid sum: counts[i] on [coords[i], coords[i+1]).
 
     Every coordinate is an integer over one scale L that clears the window,
-    the set endpoints, the circle bounds and the grid step 1/N.  Step n
-    shifts family i's pairs by -c_i n L/N.  On a circle (lo, hi) the shifted
-    pieces fold into [lo L, hi L); the count is computed on the folded
-    window and read periodically over the window.
+    the set endpoints, the circle bounds and the grid step 1/N; they run from
+    w0 L to w1 L.  Step n shifts family i's pairs by -c_i n L/N.  On a circle
+    (lo, hi) the shifted pieces fold into [lo L, hi L); the count is computed
+    on the folded window and read periodically over the window.
     """
     bounds = (w0, w1, *circle) if circle else (w0, w1)
     L = lcm(common_denominator(itertools.chain(bounds, *(u.endpoints() for u in sets))), n_steps)
@@ -329,7 +333,8 @@ def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
         periods = range((win[0] - lo) // circ, -((lo - win[1]) // circ))
     else:
         circ, arcs, periods = 0, [win], (0,)
-    jumps = defaultdict(int)  # coordinate -> change of the grid count there
+    # coordinate -> change of the grid count there; the window ends are seeded
+    jumps = defaultdict(int, {win[0]: 0, win[1]: 0})
     for n in range(1, n_steps + 1):
         cur = arcs
         for pairs, c in zip(fams, coeffs):
@@ -348,7 +353,7 @@ def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
                     jumps[a] += 1
                     jumps[b] -= 1
     coords = sorted(jumps)
-    return list(zip(coords, itertools.accumulate(jumps[x] for x in coords))), L
+    return coords, list(itertools.accumulate(jumps[x] for x in coords[:-1])), L
 
 
 def discrete_superlevel(
@@ -386,19 +391,12 @@ def discrete_superlevel(
     circle = (rat(circle_lo), rat(circle_hi)) if topology == "circle" else None
     if circle and circle[0] >= circle[1]:
         raise ValueError("circle must be nondegenerate")
-    cells, scale = _grid_cells(sets, coeffs, n_steps, w0, w1, circle)
-
-    # cells give the grid count from each coordinate onward; they lie in the
-    # window, so the step function spans exactly [w0, w1)
-    x0, x1 = int(w0 * scale), int(w1 * scale)
-    cells = [cell for cell in cells if cell[0] < x1]
-    if not cells or cells[0][0] > x0:
-        cells.insert(0, (x0, 0))
-    g = StepFunction(
-        tuple(Fraction(x, scale) for x, _ in cells) + (w1,),
-        tuple(Fraction(cnt, n_steps) for _, cnt in cells),
-    )
-    sup = g.superlevel(level)
+    xs, counts, scale = _grid_cells(sets, coeffs, n_steps, w0, w1, circle)
+    # G >= level on the grid: count * den(level) >= num(level) * N
+    ys = [cnt * level.denominator for cnt in counts]
+    sup = _grid_union(_superlevel(xs, ys, ys, level.numerator * n_steps), scale)
+    g = StepFunction(tuple(Fraction(x, scale) for x in xs),
+                     tuple(Fraction(cnt, n_steps) for cnt in counts))
     return SweepResult(function=g, superlevel=sup, superlevel_measure=sup.measure())
 
 
@@ -427,7 +425,6 @@ def find_riemann_n(
     """
     scen = furstenberg_family(k)
     level, target = rat(level), rat(target)
-    w0, w1 = rat(window[0]), rat(window[1])
     if progression is None:
         base = 8 * 12**k
         if max_n < base:
@@ -437,7 +434,7 @@ def find_riemann_n(
     for n_steps in progression:
         last = int(n_steps)
         meas = discrete_superlevel(
-            scen.factors, scen.coefficients, last, level, (w0, w1), topology="line"
+            scen.factors, scen.coefficients, last, level, window, topology="line"
         ).superlevel_measure
         if meas >= target:
             return RiemannCertificate(

@@ -30,7 +30,7 @@ from .averages import (
     dependent_forms_lower_ratio,
 )
 from .hilbert import h3_evaluate, h3_ratio_series, h3_series_columns, h3_witness_evaluations
-from .intervals import InvariantError, rat, rat_str, real
+from .intervals import InvariantError, rat_str, real
 from .linforms import classify
 from .scenarios import (
     blowup_series,
@@ -61,6 +61,14 @@ def _positive_float(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"need a finite positive number, got {text!r}")
     return value
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type: an exact rational such as '1/192', '-2/3' or '0.25'."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"need a rational p/q with q != 0, got {text!r}") from None
 
 
 def _emit_json(data, path: str | None) -> None:
@@ -136,15 +144,14 @@ def _cmd_verify_claim(args) -> int:
 
 
 def _cmd_find_nk(args) -> int:
-    level, target = rat(args.level), rat(args.target)
     try:
-        cert = find_riemann_n(args.k, level, target, max_n=args.max_n)
+        cert = find_riemann_n(args.k, args.level, args.target, max_n=args.max_n)
     except SearchExhaustedError as exc:
         _emit_json(
             {
                 "k": args.k,
-                "level": rat_str(level),
-                "target": rat_str(target),
+                "level": rat_str(args.level),
+                "target": rat_str(args.target),
                 "max_n": args.max_n,
                 "verified": False,
                 "error": str(exc),
@@ -169,7 +176,7 @@ def _cmd_find_nk(args) -> int:
 
 def _cmd_verify_cubes(args) -> int:
     scen = cube_family(args.m, args.k)
-    t_tail = rat(args.t_tail) if args.t_tail is not None else scen.witness_tail
+    t_tail = scen.witness_tail if args.t_tail is None else args.t_tail
     if args.tamper:
         t_tail *= 2
     report = cube_certificate_check(scen, t_tail)
@@ -265,7 +272,7 @@ def _cmd_h3_eval(args) -> int:
 
     if args.x is not None:
         first, second, third = scen.factors
-        ev = h3_evaluate(rat(args.x), first, second, third)
+        ev = h3_evaluate(args.x, first, second, third)
         _emit_json({"k": args.k, "lambda": rat_str(scen.level),
                     "evaluations": [enc(ev)]}, args.out)
         return 0
@@ -359,22 +366,20 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_mc_average(args) -> int:
     scen = furstenberg_family(args.k)
-    x = rat(args.x)
-    eps = rat(args.eps)
     est = monte_carlo_average(
-        [[c] for c in scen.coefficients], scen.factors, x, eps,
+        [[c] for c in scen.coefficients], scen.factors, args.x, args.eps,
         samples=args.samples, seed=args.seed,
     )
     exact = form_time_set(
-        scen.factors, scen.coefficients, x, t_domain=(0, eps)
-    ).measure() / eps
+        scen.factors, scen.coefficients, args.x, t_domain=(0, args.eps)
+    ).measure() / args.eps
     z = 0.0 if est.stderr == 0 else (est.estimate - float(exact)) / est.stderr
     agrees = abs(est.estimate - float(exact)) <= 4 * est.stderr or est.stderr == 0
     _emit_json(
         {
             "k": args.k,
-            "x": rat_str(x),
-            "eps": rat_str(eps),
+            "x": rat_str(args.x),
+            "eps": rat_str(args.eps),
             "samples": est.samples,
             "seed": est.seed,
             "estimate": real(est.estimate),
@@ -422,15 +427,15 @@ def _build_parser() -> _Parser:
     p = add("find-nk", _cmd_find_nk,
             "smallest grid size whose discrete superlevel reaches the target")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--level", required=True, help="rational, e.g. 1/192")
-    p.add_argument("--target", required=True, help="rational, e.g. 1/9")
+    p.add_argument("--level", type=_rational, required=True, help="rational, e.g. 1/192")
+    p.add_argument("--target", type=_rational, required=True, help="rational, e.g. 1/9")
     p.add_argument("--max-n", type=int, default=10_000)
 
     p = add("verify-cubes", _cmd_verify_cubes,
             "symbolic cube certificate (base points and tail slacks)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t-tail", help="override the t-box side (rational)")
+    p.add_argument("--t-tail", type=_rational, help="override the t-box side (rational)")
     p.add_argument("--tamper", action="store_true",
                    help="double the t-box side; the certificate must fail")
 
@@ -452,7 +457,7 @@ def _build_parser() -> _Parser:
     p = add("h3-eval", _cmd_h3_eval,
             "singular-integral values at witness base points")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", help="evaluate at one rational point only")
+    p.add_argument("--x", type=_rational, help="evaluate at one rational point only")
 
     p = add("degenerate", _cmd_degenerate,
             "truncated quasi-norm ratios for dependent forms")
@@ -477,8 +482,8 @@ def _build_parser() -> _Parser:
     p = add("mc-average", _cmd_mc_average,
             "seeded Monte Carlo vs exact integral at one point")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", required=True, help="rational base point")
-    p.add_argument("--eps", default="1", help="cube side (rational)")
+    p.add_argument("--x", type=_rational, required=True, help="rational base point")
+    p.add_argument("--eps", type=_rational, default="1", help="cube side (rational)")
     p.add_argument("--samples", type=int, default=20_000)
     p.add_argument("--seed", type=int, required=True)
 

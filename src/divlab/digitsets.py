@@ -19,6 +19,7 @@ from .intervals import (
     EMPTY,
     IntervalUnion,
     RationalLike,
+    _grid_union,
     _merge_sorted,
     common_denominator,
     rat,
@@ -112,8 +113,7 @@ def materialize(spec: DigitSetSpec) -> IntervalUnion:
     tn, td = spec.tail.numerator, spec.tail.denominator
     # [v, v + tail*den) over den is [v*td, v*td + tn*den) over den*td
     width, scale = tn * den, den * td
-    pairs = _merge_sorted((v * td, v * td + width) for v in nums)
-    return IntervalUnion(tuple((Fraction(a, scale), Fraction(b, scale)) for a, b in pairs))
+    return _grid_union(_merge_sorted((v * td, v * td + width) for v in nums), scale)
 
 
 def _gap_certified(spec: DigitSetSpec) -> bool:

@@ -50,10 +50,7 @@ def real(x) -> float:
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
-    d = 1
-    for v in values:
-        d = lcm(d, v.denominator)
-    return d
+    return lcm(*(v.denominator for v in values))
 
 
 @dataclass(frozen=True)
@@ -64,10 +61,8 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.lo, Fraction):
-            object.__setattr__(self, "lo", rat(self.lo))
-        if not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "hi", rat(self.hi))
+        object.__setattr__(self, "lo", rat(self.lo))
+        object.__setattr__(self, "hi", rat(self.hi))
         if self.lo >= self.hi:
             raise ValueError(f"empty or inverted interval [{self.lo}, {self.hi})")
 
@@ -110,8 +105,8 @@ def _merge_sorted(pairs):
 
 def _superlevel(xs, left, right, level):
     """Fused pairs of {x : f(x) >= level}, f running linearly from left[i] to
-    right[i] on [xs[i], xs[i+1]] (ints or Fractions, like _pair_isect; a
-    crossing divides, so pass a Fraction level).
+    right[i] on [xs[i], xs[i+1]] (ints or Fractions, like _pair_isect; each
+    crossing is an exact Fraction, also on ints).
 
     Each cell gives at most one nonempty piece, in order; a crossing that
     lands on a breakpoint gives none.
@@ -123,11 +118,17 @@ def _superlevel(xs, left, right, level):
                 if y1 >= level:
                     yield x0, x1
                 elif y0 > level:
-                    yield x0, x0 + (level - y0) * (x1 - x0) / (y1 - y0)
+                    yield x0, x0 + Fraction((level - y0) * (x1 - x0), y1 - y0)
             elif y1 > level:
-                yield x0 + (level - y0) * (x1 - x0) / (y1 - y0), x1
+                yield x0 + Fraction((level - y0) * (x1 - x0), y1 - y0), x1
 
     return _merge_sorted(pieces())
+
+
+def _grid_union(pairs, scale) -> "IntervalUnion":
+    """The union of canonical (lo, hi) pairs given on the grid 1/scale (ints,
+    or Fractions where a crossing falls off the grid)."""
+    return IntervalUnion(tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in pairs))
 
 
 @dataclass(frozen=True)

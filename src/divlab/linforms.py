@@ -208,8 +208,11 @@ def classify(matrix: Sequence[Sequence[int]]) -> Classification:
             basis_indices=None,
             expansions=None,
         )
-    sub_t = [rows[i] for i in circuit.indices]
-    t_rank = exact_rank(sub_t)
+    # pivot columns of the circuit's t-parts, taken as columns, are the
+    # lexicographically first maximal independent subset
+    pivots, _ = _bareiss([[rows[i][d] for i in circuit.indices] for d in range(len(rows[0]))])
+    basis = [circuit.indices[c] for c in pivots]
+    t_rank = len(basis)
     r = circuit.size
     if t_rank == r - 2:
         scenario = "nondegenerate"
@@ -219,13 +222,6 @@ def classify(matrix: Sequence[Sequence[int]]) -> Classification:
         bound = Fraction(r, r - 1)
     else:
         raise InvariantError(f"circuit t-part rank must be r-2 or r-1, got {t_rank} for r={r}")
-    basis: List[int] = []
-    for i in circuit.indices:
-        trial = [rows[j] for j in basis] + [rows[i]]
-        if exact_rank(trial) == len(trial):
-            basis.append(i)
-        if len(basis) == t_rank:
-            break
     basis_vecs = [rows[j] for j in basis]
     expansions = {}
     for i in circuit.indices:

@@ -183,6 +183,8 @@ def test_sweep_matches_pointwise_property(instance, seed):
     level = (t_domain[1] - t_domain[0]) / 4
     res = check_against_pointwise(sets, coeffs, t_domain, window, level, random.Random(seed))
     assert res.superlevel_measure == res.superlevel.measure()
+    # the integer-grid cut agrees with the Fraction cut of the same function
+    assert res.superlevel == res.function.superlevel(level)
 
 
 def test_sweep_huge_denominators():
@@ -305,6 +307,8 @@ def test_discrete_circle_matches_brute_property(instance, seed):
     )
     g = res.function
     assert g.xs[0] == window[0] and g.xs[-1] == window[1]
+    # the integer-grid cut agrees with the Fraction cut of the same function
+    assert res.superlevel == g.superlevel(level)
     rnd = random.Random(seed)
     for i in rnd.sample(range(len(g.values)), min(8, len(g.values))):
         for x in (g.xs[i], (g.xs[i] + g.xs[i + 1]) / 2):

@@ -275,6 +275,23 @@ def test_successful_runs_emit_strict_json(capsys):
         assert isinstance(strict_json(out), dict)
 
 
+def test_zero_denominator_rationals_name_their_flag(capsys):
+    for flag, argv in (
+        ("--eps", ["mc-average", "--k", "1", "--x", "-1/3", "--eps", "1/0", "--seed", "1"]),
+        ("--x", ["mc-average", "--k", "1", "--x", "-1/0", "--seed", "1"]),
+        ("--t-tail", ["verify-cubes", "--m", "3", "--k", "1", "--t-tail", "1/0"]),
+        ("--level", ["find-nk", "--k", "1", "--level", "1/0", "--target", "1/9"]),
+        ("--target", ["find-nk", "--k", "1", "--level", "1/192", "--target", "2/0"]),
+        ("--x", ["h3-eval", "--k", "1", "--x", "1/0"]),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"error: argument {flag}: " in out.err and "/0'" in out.err, argv
+
+
 def test_nonfinite_or_nonpositive_floats_exit_1(capsys):
     for argv in (
         ["blowup", "--kind", "thm1", "--p", "nan", "--kmax", "4"],

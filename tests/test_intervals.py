@@ -11,6 +11,9 @@ from divlab.intervals import (
     IntervalUnion,
     PiecewiseLinear,
     StepFunction,
+    _grid_union,
+    _superlevel,
+    common_denominator,
     normalize,
     rat,
     rat_str,
@@ -280,14 +283,32 @@ def superlevel_tie_cases():
             yield StepFunction(tuple(xs), tuple(ys[:-1])), level
 
 
+def integer_superlevel(f, level):
+    """The superlevel pairs of f cut on integers: breakpoints over one scale,
+    values and level over another, as the sweeps cut theirs."""
+    ys = f.ys if isinstance(f, PiecewiseLinear) else f.values
+    dx = 3 * common_denominator(f.xs)
+    dy = 5 * common_denominator([*ys, level])
+    xs, ys = [int(x * dx) for x in f.xs], [int(y * dy) for y in ys]
+    left, right = (ys[:-1], ys[1:]) if isinstance(f, PiecewiseLinear) else (ys, ys)
+    return _superlevel(xs, left, right, int(level * dy)), dx
+
+
 def test_superlevel_with_ties_matches_pointwise_oracle():
-    cases = 0
+    cases = crossings = 0
     for f, level in superlevel_tie_cases():
         sup = f.superlevel(level)
         assert sup == pointwise_superlevel(f, level), (f, level)
         assert sup == normalize(sup.pairs)
+        # the same cut on the integer-scaled copy: grid points stay ints and
+        # every crossing is an exact Fraction, never a float
+        pairs, dx = integer_superlevel(f, level)
+        ends = [e for pair in pairs for e in pair]
+        assert all(type(e) is int or type(e) is F for e in ends), (f, level, pairs)
+        assert _grid_union(pairs, dx) == sup, (f, level)
+        crossings += sum(type(e) is F for e in ends)
         cases += 1
-    assert cases > 500
+    assert cases > 500 and crossings > 50
     xs = (F(0), F(1), F(2), F(3))
     assert PiecewiseLinear(xs, (F(0), F(1), F(1), F(0))).superlevel(1).pairs == ((F(1), F(2)),)
     assert PiecewiseLinear(xs[:3], (F(2), F(1), F(0))).superlevel(1).pairs == ((F(0), F(1)),)

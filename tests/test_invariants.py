@@ -1,14 +1,16 @@
 """Internal invariants raise InvariantError, which, unlike assert, survives python -O."""
 
 import ast
+import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import divlab
-from divlab import averages, linforms
+from divlab import averages, cli, linforms
 from divlab.intervals import InvariantError
-from divlab.scenarios import cube_family
+from divlab.scenarios import cube_family, furstenberg_family
 
 
 def test_package_has_no_assert_statements():
@@ -94,3 +96,36 @@ def test_cube_decomposition_outside_lattice_raises(monkeypatch):
     )
     with pytest.raises(InvariantError, match="base lattice"):
         averages.cube_certificate_check(scen)
+
+
+def load_bench_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_binds_every_traced_name(capsys):
+    # building the tracer looks up every traced function and method, so a
+    # refactor that drops or renames one fails here
+    tracing = load_bench_tracing()
+    tracer = tracing.Tracer()
+    originals = [(owner, key, fn) for owner, key, fn, _ in tracer._bindings]
+    tracer.install()
+    try:
+        assert cli.main(["verify-claim", "--k", "1"]) == 0
+        averages.discrete_superlevel(
+            [furstenberg_family(1).factors[0]], [1], 12, Fraction(1, 3), (-1, 0)
+        )
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert all(getattr(owner, key) is fn for owner, key, fn in originals)
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.main", "averages.sweep_superlevel", "averages.discrete_superlevel.line",
+            "intervals.IntervalUnion.issubset"} <= names
+    # both sweeps cut their superlevel on the integer grid, not through the
+    # Fraction methods
+    assert not {"intervals.PiecewiseLinear.superlevel", "intervals.StepFunction.superlevel"} & names
+    assert set(tracer.metrics()) <= tracing.metric_names()
