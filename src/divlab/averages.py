@@ -49,7 +49,8 @@ def form_time_set(
     x: RationalLike,
     t_domain=None,
 ) -> IntervalUnion:
-    """Exact {t : x + c_i t in U_i for all i} (intersected with t_domain if given)."""
+    """Exact {t : x + c_i t in U_i for all i} (intersected with t_domain if given);
+    the running t-set meets each U_i after the first unmoved, in its frame x + c_i t."""
     if len(sets) != len(coefficients) or not sets:
         raise ValueError("need matching nonempty sets and coefficients")
     x = rat(x)
@@ -58,8 +59,8 @@ def form_time_set(
         c = int(c)
         if c == 0:
             raise ValueError("coefficients must be nonzero")
-        pre = u.affine(Fraction(1, c), Fraction(-x, c))  # (U - x)/c
-        out = pre if out is None else out.intersect(pre)
+        back = (Fraction(1, c), Fraction(-x, c))  # y -> (y - x)/c
+        out = u.affine(*back) if out is None else out.affine(c, x).intersect(u).affine(*back)
         if out.is_empty():
             return out
     if t_domain is not None:
@@ -317,9 +318,9 @@ def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
 
     Every coordinate is an integer over one scale L that clears the window,
     the set endpoints, the circle bounds and the grid step 1/N; they run from
-    w0 L to w1 L.  Step n shifts family i's pairs by -c_i n L/N.  On a circle
-    (lo, hi) the shifted pieces fold into [lo L, hi L); the count is computed
-    on the folded window and read periodically over the window.
+    w0 L to w1 L.  Step n meets the window with each family in its frame
+    x + c_i n L/N.  On a circle (lo, hi) each family is folded into [lo L, hi L)
+    once and repeated over the periods its frames reach: a periodic line set.
     """
     bounds = (w0, w1, *circle) if circle else (w0, w1)
     L = lcm(common_denominator(itertools.chain(bounds, *(u.endpoints() for u in sets))), n_steps)
@@ -329,29 +330,24 @@ def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
     if circle:
         lo, hi = int(circle[0] * L), int(circle[1] * L)
         circ = hi - lo
-        arcs = _fold_pairs([win], 0, lo, hi)
-        periods = range((win[0] - lo) // circ, -((lo - win[1]) // circ))
-    else:
-        circ, arcs, periods = 0, [win], (0,)
+        for i, c in enumerate(coeffs):
+            folded = _fold_pairs(fams[i], 0, lo, hi)
+            s0, s1 = sorted((c * step, c * L))  # the frame shifts of steps 1 and N
+            fams[i] = _merge_sorted((a + m * circ, b + m * circ) for m in range(
+                (win[0] + s0 - lo) // circ, (win[1] + s1 - lo) // circ + 1) for a, b in folded)
     # coordinate -> change of the grid count there; the window ends are seeded
     jumps = defaultdict(int, {win[0]: 0, win[1]: 0})
     for n in range(1, n_steps + 1):
-        cur = arcs
+        cur, shift = [win], 0
         for pairs, c in zip(fams, coeffs):
-            shift = c * step * n
-            if circle:
-                pieces = _fold_pairs(pairs, -shift, lo, hi)
-            else:
-                pieces = [(a - shift, b - shift) for a, b in pairs]
-            cur = _pair_isect(cur, pieces)
+            # from the previous family's frame (x itself at first) into this one's
+            move, shift = c * step * n - shift, c * step * n
+            cur = _pair_isect([(a + move, b + move) for a, b in cur], pairs)
             if not cur:
                 break
-        for m in periods:
-            for a, b in cur:
-                a, b = max(a + m * circ, win[0]), min(b + m * circ, win[1])
-                if a < b:
-                    jumps[a] += 1
-                    jumps[b] -= 1
+        for a, b in cur:
+            jumps[a - shift] += 1
+            jumps[b - shift] -= 1
     coords = sorted(jumps)
     return coords, list(itertools.accumulate(jumps[x] for x in coords[:-1])), L
 

@@ -33,6 +33,7 @@ from .hilbert import h3_evaluate, h3_ratio_series, h3_series_columns, h3_witness
 from .intervals import InvariantError, rat_str, real
 from .linforms import classify
 from .scenarios import (
+    MAX_KMAX,
     blowup_series,
     cube_family,
     cube_threshold,
@@ -60,6 +61,17 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"need a finite positive number, got {text!r}")
+    return value
+
+
+def _kmax(text: str) -> int:
+    """argparse type: a series length of at most MAX_KMAX terms."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
+    if value > MAX_KMAX:
+        raise argparse.ArgumentTypeError(f"at most {MAX_KMAX} terms, got {value}")
     return value
 
 
@@ -443,7 +455,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(range_flags=(("--p", "p"), ("--kmax", "kmax")))
     p.add_argument("--kind", choices=("thm1", "cubes", "h3"), required=True)
     p.add_argument("--p", type=_positive_float, required=True)
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_kmax, required=True)
     p.add_argument("--m", type=int, help="cube dimension (kind=cubes)")
     p.add_argument("--weighted", action="store_true",
                    help="k^-6 weighted variant (kind=thm1)")

@@ -20,6 +20,7 @@ from .intervals import IntervalUnion, RationalLike, rat
 from .scenarios import (
     BlowupSeries,
     FurstenbergScenario,
+    check_series,
     furstenberg_threshold,
     ratio_verdict,
     series_from_logs,
@@ -129,10 +130,7 @@ def h3_ratio_series(
     every value by the constant 8^(1/p) and leaving all step ratios, the
     threshold ln24/ln12 and the verdict unchanged.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if kmax < 2:
-        raise ValueError("need kmax >= 2 for at least one step ratio")
+    check_series(p, kmax)
     terms = _h3_log_terms(p, kmax, normalization)
     values, ratios = series_from_logs([bound - norms for _, bound, norms in terms])
     closed = math.exp(math.log(24) / p - math.log(12))

@@ -23,10 +23,11 @@ from functools import cached_property
 from math import comb
 from typing import Dict, Mapping, Tuple
 
-from .digitsets import DigitSetSpec, cardinality, combine, digit_spec, materialize
+from .digitsets import MAX_ENUM, DigitSetSpec, cardinality, combine, digit_spec, materialize
 from .intervals import IntervalUnion, rat, rat_str, real
 
 RATIO_TOL = 1e-12  # band around 1 separating diverges / boundary / decays
+MAX_KMAX = 10_000  # series terms; the thm1 and h3 terms build 4**k and 12**k exactly
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,12 @@ def cube_family(m: int, k: int) -> CubeScenario:
         raise ValueError("dimension must be >= 3 (m = 2 has no dependent forms)")
     if k < 1:
         raise ValueError("depth must be >= 1")
+    # combine enumerates 2^(|Z(eps)|+1) digit combinations per form, 2*3^m in all;
+    # 3^64 is past any cap, and 3^m itself would not finish for huge m
+    if 2 * 3 ** min(m, 64) > MAX_ENUM:
+        raise ValueError(
+            f"dimension m = {m} needs about 2*3^{m} digit combinations, above the cap {MAX_ENUM}"
+        )
     rho = 2 ** (m + 1)
     form_tail = Fraction(1, rho**k)
     witness_tail = Fraction(1, (m + 1) * rho**k)
@@ -338,6 +345,16 @@ def series_from_logs(logs):
     return values, ratios
 
 
+def check_series(p: float, kmax: int) -> None:
+    """Refuse a series with p <= 0, no step ratio, or more than MAX_KMAX terms."""
+    if p <= 0:
+        raise ValueError("p must be positive")
+    if kmax < 2:
+        raise ValueError("need kmax >= 2 for at least one step ratio")
+    if kmax > MAX_KMAX:
+        raise ValueError(f"kmax {kmax} is above the cap of {MAX_KMAX} terms")
+
+
 def ratio_verdict(ratio: float) -> str:
     if ratio > 1 + RATIO_TOL:
         return "diverges"
@@ -366,10 +383,7 @@ def blowup_series(
     Values are computed in log space to avoid overflow; per-step ratios come
     from series_from_logs.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if kmax < 2:
-        raise ValueError("need kmax >= 2 for at least one step ratio")
+    check_series(p, kmax)
     ks = tuple(range(1, kmax + 1))
     ln2 = math.log(2)
 
@@ -402,8 +416,7 @@ def blowup_series(
         else:
             log_prod1 = 0.0
             for eps in cards1:
-                l = sum(eps)
-                bexp = (m - l + 1) if l <= m - 2 else 1
+                bexp = scen1.cardinality_bound(eps).bit_length() - 1
                 log_prod1 += ((m + 1) - bexp) * ln2
         for k in ks:
             logs.append(-m * (math.log(m + 1) + k * (m + 1) * ln2) + k * log_prod1 / p)

@@ -1,5 +1,6 @@
 """Average engines: pointwise integrals, sweeps, certificates, estimators."""
 
+import functools
 import hashlib
 import math
 import random
@@ -26,7 +27,7 @@ from divlab.averages import (
     sweep_superlevel,
     wrap_translate,
 )
-from divlab.intervals import normalize
+from divlab.intervals import IntervalUnion, normalize
 from divlab.scenarios import cube_family, furstenberg_family
 
 
@@ -73,6 +74,14 @@ def test_form_time_set_matches_membership():
             if any(x + c * t in ends for c in coeffs):
                 continue
             assert (t in out) == brute_in_forms(sets, coeffs, x, t)
+        # canonical pairs, boundary points included: the intersection of
+        # every family's image (U_i - x)/c_i, then clipped to the t-domain
+        images = [u.affine(F(1, c), F(-x, c)) for u, c in zip(sets, coeffs)]
+        expected = functools.reduce(IntervalUnion.intersect, images)
+        assert out == expected
+        t0 = F(rnd.randint(-40, 40), 8)
+        t_domain = (t0, t0 + F(rnd.randint(0, 40), 8))
+        assert form_time_set(sets, coeffs, x, t_domain) == expected.clip(*t_domain)
 
 
 def test_form_time_set_validation():
@@ -315,6 +324,35 @@ def test_discrete_circle_matches_brute_property(instance, seed):
             cnt = brute_circle_count(sets, coeffs, n_steps, x, lo, hi)
             assert g(x) == F(cnt, n_steps)
             assert (x in res.superlevel) == (cnt >= math.ceil(level * n_steps))
+
+
+def periodic_extension(u, lo, hi, first, last):
+    """u's image on the circle [lo, hi), repeated over periods first..last of the line."""
+    circ = hi - lo
+    arcs = wrap_translate(u, 0, lo, hi).pairs
+    return normalize((a + m * circ, b + m * circ) for m in range(first, last + 1) for a, b in arcs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(circle_instances())
+@example(  # a window over three periods; the second set reaches past the seam
+    ([normalize([(F(1, 2), F(4, 3))]), normalize([(F(-2, 3), F(1, 3))])],
+     [1, -2], 6, (F(-3), F(3)), (F(-1), F(1))))
+def test_discrete_circle_is_line_over_periodic_sets(instance):
+    sets, coeffs, n_steps, window, (lo, hi) = instance
+    circ = hi - lo
+    reach = max(map(abs, coeffs))  # x + c n/N stays within reach of the window
+    first = math.floor((window[0] - reach - lo) / circ)
+    last = math.ceil((window[1] + reach - lo) / circ)
+    periodic = [periodic_extension(u, lo, hi, first, last) for u in sets]
+    level = F(1, 3)
+    circle = discrete_superlevel(
+        sets, coeffs, n_steps, level, window, topology="circle", circle_lo=lo, circle_hi=hi
+    )
+    line = discrete_superlevel(periodic, coeffs, n_steps, level, window)
+    assert circle.function.xs == line.function.xs
+    assert circle.function.values == line.function.values
+    assert circle.superlevel == line.superlevel
 
 
 def test_discrete_circle_frozen_k2():

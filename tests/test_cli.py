@@ -370,6 +370,28 @@ def test_h3_csv_past_float_range_of_12_to_the_k_exits_0(capsys):
     assert rows[-1][1:4] == ["0.0", "0.0", "0.0"]
 
 
+def test_oversized_cube_dimension_exits_1(capsys):
+    for argv in (
+        ["construct-cubes", "--m", "30", "--k", "1"],
+        ["verify-cubes", "--m", "30", "--k", "1"],
+        ["blowup", "--kind", "cubes", "--m", "30", "--p", "1.2", "--kmax", "3"],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("divlab: error: dimension m = 30 needs about 2*3^30 ")
+        assert err.count("\n") == 1, argv
+
+
+def test_kmax_above_cap_exits_1_naming_the_flag(capsys):
+    for kind in (["thm1"], ["h3"], ["cubes", "--m", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["blowup", "--kind", *kind, "--p", "2", "--kmax", "10001"])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: argument --kmax: at most 10000 terms, got 10001" in out.err, kind
+
+
 def test_classify_ragged_rows_exit_1(capsys):
     rc, out, err = run(capsys, "classify", "--rows", "1,2;3")
     assert rc == 1 and out == ""

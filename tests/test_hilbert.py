@@ -16,7 +16,7 @@ from divlab.hilbert import (
     h3_witness_evaluations,
 )
 from divlab.intervals import normalize
-from divlab.scenarios import blowup_series, furstenberg_family
+from divlab.scenarios import MAX_KMAX, blowup_series, furstenberg_family
 
 
 def test_support_matches_membership():
@@ -136,6 +136,8 @@ def test_series_validation():
         h3_ratio_series(0, 4)
     with pytest.raises(ValueError):
         h3_ratio_series(1.2, 1)
+    with pytest.raises(ValueError, match=f"kmax {MAX_KMAX + 1} .* cap of {MAX_KMAX}"):
+        h3_ratio_series(1.2, MAX_KMAX + 1)
     with pytest.raises(ValueError):
         h3_ratio_series(1.2, 4, normalization="plain")
     with pytest.raises(ValueError):

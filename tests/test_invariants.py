@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import divlab
-from divlab import averages, cli, linforms
+from divlab import averages, cli, hilbert, linforms
 from divlab.intervals import InvariantError
 from divlab.scenarios import cube_family, furstenberg_family
 
@@ -118,13 +118,20 @@ def test_bench_tracer_binds_every_traced_name(capsys):
         averages.discrete_superlevel(
             [furstenberg_family(1).factors[0]], [1], 12, Fraction(1, 3), (-1, 0)
         )
+        averages.discrete_superlevel(
+            furstenberg_family(1).factors[:2], [1, 2], 12, Fraction(1, 3), (-1, 0),
+            topology="circle",
+        )
+        hilbert.h3_evaluate(Fraction(-2, 3), *furstenberg_family(1).factors)
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert all(getattr(owner, key) is fn for owner, key, fn in originals)
     names = {span[0] for span in tracer.spans}
     assert {"cli.main", "averages.sweep_superlevel", "averages.discrete_superlevel.line",
-            "intervals.IntervalUnion.issubset"} <= names
+            "averages.discrete_superlevel.circle", "intervals.IntervalUnion.issubset",
+            "hilbert.h3_evaluate", "averages.form_time_set",
+            "intervals.IntervalUnion.affine"} <= names
     # both sweeps cut their superlevel on the integer grid, not through the
     # Fraction methods
     assert not {"intervals.PiecewiseLinear.superlevel", "intervals.StepFunction.superlevel"} & names

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from divlab.digitsets import base_points, cardinality
+from divlab import scenarios
+from divlab.digitsets import MAX_ENUM, base_points, cardinality
 from divlab.scenarios import (
+    MAX_KMAX,
     RATIO_TOL,
     BlowupSeries,
     CubeScenario,
@@ -121,6 +123,18 @@ def test_cube_validation():
         cube_family(3, 0)
 
 
+def test_cube_family_refuses_oversized_dimension_before_building(monkeypatch):
+    def unreachable(m):
+        raise AssertionError("the eps vectors were built")
+
+    monkeypatch.setattr(scenarios, "_eps_vectors", unreachable)
+    # combine would enumerate about 2*3^m digit combinations: m = 13 fits the cap
+    assert 2 * 3**13 <= MAX_ENUM < 2 * 3**14
+    for m in (14, 30, 10**9):
+        with pytest.raises(ValueError, match=f"m = {m} needs about 2\\*3\\^{m} digit"):
+            cube_family(m, 1)
+
+
 def test_cube_json_round_trip():
     for m, k in ((3, 2), (4, 1)):
         s = cube_family(m, k)
@@ -215,6 +229,9 @@ def test_series_validation():
         blowup_series("thm1", 0, 4)
     with pytest.raises(ValueError):
         blowup_series("thm1", 1.2, 1)
+    for kind, m in (("thm1", None), ("cubes", 3)):
+        with pytest.raises(ValueError, match=f"kmax {MAX_KMAX + 1} .* cap of {MAX_KMAX}"):
+            blowup_series(kind, 1.2, MAX_KMAX + 1, m=m)
     with pytest.raises(ValueError):
         blowup_series("cubes", 1.2, 4)  # missing m
     with pytest.raises(ValueError):
