@@ -13,11 +13,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .digitsets import base_points
+from .digitsets import _base_nums
 from .intervals import (
     IntervalUnion,
     InvariantError,
@@ -481,6 +481,11 @@ def cube_certificate_check(
     must be >= 0.  Both checks run per (x, eps); all-pass implies the average
     lower bound t_tail^m, the volume of the checked t-box, at every witness
     point.  The default t_tail is the witness tail [(m+1) * 2^(k(m+1))]^(-1).
+
+    Every base point is an integer over one scale L, the lcm of the specs'
+    denominators, so the decomposition, the lattice test and each form
+    target are int sums and set lookups; x becomes a Fraction once per
+    combination, for its checks.
     """
     m = scenario.dimension
     tau = scenario.witness_tail
@@ -488,30 +493,40 @@ def cube_certificate_check(
     if t_tail <= 0:
         raise ValueError("t_tail must be positive")
     form_tail = scenario.form_tail
-    gen_pts = [base_points(g) for g in scenario.generator_specs]
-    shared_pts = base_points(scenario.shared_spec)
-    lattice = set(base_points(scenario.base_spec))
-    form_base: Dict[Tuple[int, ...], set] = {
-        eps: set(base_points(spec)) for eps, spec in scenario.form_specs.items()
-    }
-    slacks = {eps: form_tail - (tau + sum(eps) * t_tail) for eps in sorted(scenario.form_specs)}
+    eps_order = sorted(scenario.form_specs)
+    specs = [*scenario.generator_specs, scenario.shared_spec, scenario.base_spec,
+             *(scenario.form_specs[eps] for eps in eps_order)]
+    nums = [_base_nums(spec) for spec in specs]
+    scale = lcm(*(den for _, den in nums))
+    pts = [[v * (scale // den) for v in vs] for vs, den in nums]
+    lattice = set(pts[m + 1])
+    # per eps: its form's base points, its slack, whether the slack holds, and
+    # the subset of j (eps_j = 1) as a bit mask, bit j for b - b_j
+    forms = []
+    for eps, p in zip(eps_order, pts[m + 2 :]):
+        slack = form_tail - (tau + sum(eps) * t_tail)
+        forms.append((eps, set(p), slack, slack >= 0, sum(1 << j for j in range(m) if eps[j])))
+    # each mask as (the mask without its lowest bit, that bit's j)
+    lowest = [(mask & (mask - 1), (mask & -mask).bit_length() - 1) for mask in range(1 << m)]
 
     checks = []
     all_pass = True
-    for combo in itertools.product(*gen_pts, shared_pts):
-        bs, b = combo[:-1], combo[-1]
-        x = sum(bs) - (m - 1) * b
+    for combo in itertools.product(*pts[: m + 1]):
+        b = combo[-1]
+        x = sum(combo) - m * b  # b_1 + ... + b_m - (m - 1) b
         if x not in lattice:
             raise InvariantError("witness decomposition left the base lattice")
-        for eps, slack in slacks.items():
-            target = x + sum(b - bs[j] for j in range(m) if eps[j])
-            member = target in form_base[eps]
-            ok = member and slack >= 0
+        xq = Fraction(x, scale)
+        # targets[mask] = x + sum of b - b_j over the bits j of mask
+        targets = [x]
+        for rest, j in lowest[1:]:
+            targets.append(targets[rest] + b - combo[j])
+        for eps, form, slack, slack_ok, mask in forms:
+            member = targets[mask] in form
+            ok = member and slack_ok
             if not ok:
                 all_pass = False
-            checks.append(
-                CubeCheck(x=x, eps=eps, base_in_form=member, slack=slack, passed=ok)
-            )
+            checks.append(CubeCheck(xq, eps, member, slack, ok))
     return CubeCertificateReport(
         dimension=m,
         depth=scenario.depth,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -410,7 +411,9 @@ def _cmd_mc_average(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use; parse_args keeps no state in it."""
     parser = _Parser(
         prog="divlab",
         description="exact divergence-counterexample laboratory",

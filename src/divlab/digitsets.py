@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Tuple
 
 from .intervals import (
@@ -172,13 +173,17 @@ def combine(
         if size > MAX_ENUM:
             raise ValueError("alphabet product exceeds enumeration cap")
     coeffs = [c for c, _ in terms]
+    # every digit as an integer over the alphabets' common denominator
+    den = common_denominator(a for _, s in terms for a in s.alphabet)
+    digits = [[a.numerator * (den // a.denominator) for a in s.alphabet] for _, s in terms]
+    bound = radix * den
     values = set()
-    for digits in itertools.product(*(s.alphabet for _, s in terms)):
-        v = sum(c * d for c, d in zip(coeffs, digits))
-        if abs(v) >= radix:
+    for ds in itertools.product(*digits):
+        v = sum(map(mul, coeffs, ds))
+        if abs(v) >= bound:
             raise NoCarryError(
-                f"combination {coeffs} x {tuple(map(str, digits))} gives {v}, "
-                f"magnitude >= radix {radix}"
+                f"combination {coeffs} x {tuple(str(Fraction(d, den)) for d in ds)} gives "
+                f"{Fraction(v, den)}, magnitude >= radix {radix}"
             )
         values.add(v)
-    return DigitSetSpec(radix, depth, tuple(sorted(values)), rat(tail))
+    return DigitSetSpec(radix, depth, tuple(Fraction(v, den) for v in sorted(values)), rat(tail))

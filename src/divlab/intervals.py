@@ -13,6 +13,7 @@ Fractions throughout.
 from __future__ import annotations
 
 import bisect
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -71,10 +72,10 @@ class Interval:
         return self.hi - self.lo
 
 
-def _pair_isect(a, b):
-    """Intersection of two sorted disjoint (lo, hi) pair lists (ints or Fractions)."""
+def _pair_isect(a, b, i=0, j=0):
+    """Intersection of two sorted disjoint (lo, hi) pair lists (ints or
+    Fractions), walking a from index i and b from index j."""
     out = []
-    i = j = 0
     la, lb = len(a), len(b)
     while i < la and j < lb:
         alo, ahi = a[i]
@@ -151,7 +152,12 @@ class IntervalUnion:
         return not self.pairs
 
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.pairs), Fraction(0))
+        # endpoint numerators summed per denominator: one Fraction per denominator
+        sums = defaultdict(int)
+        for lo, hi in self.pairs:
+            sums[hi.denominator] += hi.numerator
+            sums[lo.denominator] -= lo.numerator
+        return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
 
     def endpoints(self):
         return [e for pair in self.pairs for e in pair]
@@ -167,8 +173,14 @@ class IntervalUnion:
         return i >= 0 and x < self.pairs[i][1]
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
+        a, b = self.pairs, other.pairs
+        if not a or not b:
+            return EMPTY
+        # each walk starts at the first piece ending after the other union starts
+        i = bisect.bisect_right(a, b[0][0], key=itemgetter(1))
+        j = bisect.bisect_right(b, a[0][0], key=itemgetter(1))
         # pieces of an intersection can touch (e.g. [0,2) cut by [0,1),[1,2))
-        return IntervalUnion(_merge_sorted(_pair_isect(self.pairs, other.pairs)))
+        return IntervalUnion(_merge_sorted(_pair_isect(a, b, i, j)))
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return normalize(self.pairs + other.pairs)

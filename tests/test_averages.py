@@ -1,7 +1,9 @@
 """Average engines: pointwise integrals, sweeps, certificates, estimators."""
 
+import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import random
 import warnings
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from divlab.averages import (
+    CubeCertificateReport,
+    CubeCheck,
     SearchExhaustedError,
     cube_certificate_check,
     degenerate_lower_ratio,
@@ -27,6 +31,7 @@ from divlab.averages import (
     sweep_superlevel,
     wrap_translate,
 )
+from divlab.digitsets import base_points, digit_spec
 from divlab.intervals import IntervalUnion, normalize
 from divlab.scenarios import cube_family, furstenberg_family
 
@@ -476,6 +481,74 @@ def test_cube_certificate_custom_t_tail():
     rep = cube_certificate_check(s, F(1, 10**6))
     assert rep.all_pass
     assert min(c.slack for c in rep.checks) > 0
+
+
+def reference_cube_certificate_check(scenario, t_tail=None):
+    """The certificate as a Fraction loop over Fraction base points: every
+    decomposition, lattice test and form target is Fraction arithmetic."""
+    m = scenario.dimension
+    tau = scenario.witness_tail
+    t_tail = tau if t_tail is None else F(t_tail)
+    form_tail = scenario.form_tail
+    gen_pts = [base_points(g) for g in scenario.generator_specs]
+    shared_pts = base_points(scenario.shared_spec)
+    lattice = set(base_points(scenario.base_spec))
+    form_base = {eps: set(base_points(spec)) for eps, spec in scenario.form_specs.items()}
+    slacks = {eps: form_tail - (tau + sum(eps) * t_tail) for eps in sorted(scenario.form_specs)}
+    checks = []
+    all_pass = True
+    for combo in itertools.product(*gen_pts, shared_pts):
+        bs, b = combo[:-1], combo[-1]
+        x = sum(bs) - (m - 1) * b
+        assert x in lattice
+        for eps, slack in slacks.items():
+            target = x + sum(b - bs[j] for j in range(m) if eps[j])
+            member = target in form_base[eps]
+            ok = member and slack >= 0
+            all_pass &= ok
+            checks.append(CubeCheck(x=x, eps=eps, base_in_form=member, slack=slack, passed=ok))
+    return CubeCertificateReport(
+        dimension=m,
+        depth=scenario.depth,
+        t_tail=t_tail,
+        checks=tuple(checks),
+        all_pass=all_pass,
+        integral_lower_bound=t_tail**m,
+    )
+
+
+@pytest.mark.parametrize("m,k", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_cube_certificate_matches_fraction_reference(m, k):
+    # default tail, --tamper's doubled tail and seeded random tails, some
+    # passing and some failing
+    s = cube_family(m, k)
+    rnd = random.Random(1000 * m + k)
+    tails = [None, s.witness_tail * 2]
+    tails += [F(rnd.randint(1, 9), rnd.randint(1, 4) * (m + 1) * 2 ** ((m + 1) * k))
+              for _ in range(1 if (m, k) == (4, 2) else 4)]
+    verdicts = set()
+    for t_tail in tails:
+        rep = cube_certificate_check(s, t_tail)
+        assert rep == reference_cube_certificate_check(s, t_tail), t_tail
+        verdicts.add(rep.all_pass)
+    assert verdicts == {True, False}
+
+
+def test_cube_certificate_mutated_form_alphabet_fails():
+    # drop the largest digit of one form alphabet: every target that uses it
+    # leaves that form's base points, and both kernels see it
+    s = cube_family(3, 2)
+    eps = (0, 1, 1)
+    spec = s.form_specs[eps]
+    mutated = digit_spec(spec.radix, spec.depth, spec.alphabet[:-1], spec.tail)
+    bad = dataclasses.replace(s, form_specs={**s.form_specs, eps: mutated})
+    rep = cube_certificate_check(bad)
+    assert rep == reference_cube_certificate_check(bad)
+    assert not rep.all_pass
+    missed = [c for c in rep.checks if not c.base_in_form]
+    assert missed and {c.eps for c in missed} == {eps}
+    assert all(not c.passed for c in missed)
+    assert cube_certificate_check(s).all_pass
 
 
 # --- Monte Carlo -------------------------------------------------------------

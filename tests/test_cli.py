@@ -1,6 +1,8 @@
 """End-to-end CLI contract: JSON shapes, exit codes, byte determinism."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -428,3 +430,91 @@ def test_invariant_failure_exits_1_without_traceback(capsys, monkeypatch):
     assert rc == 1 and out == ""
     assert err.startswith("divlab: error: internal invariant failed:")
     assert err.count("\n") == 1
+
+
+# --- seeded argument fuzz ----------------------------------------------------
+
+# cheap requests of every subcommand; find-nk carries a small --max-n so that
+# no single mangling turns it into a long exhaustive search
+FUZZ_BASE = [
+    ["thresholds"],
+    ["thresholds", "--m", "5", "--r", "4"],
+    ["construct-thm1", "--k", "1"],
+    ["construct-cubes", "--m", "3", "--k", "1"],
+    ["verify-claim", "--k", "1"],
+    ["find-nk", "--k", "1", "--level", "1/192", "--target", "1/9", "--max-n", "192"],
+    ["find-nk", "--k", "1", "--level", "1/192", "--target", "3/2", "--max-n", "192"],
+    ["verify-cubes", "--m", "3", "--k", "1"],
+    ["verify-cubes", "--m", "3", "--k", "1", "--t-tail", "1/1000", "--tamper"],
+    ["verify-cubes", "--m", "3", "--k", "1", "--tamper"],
+    ["blowup", "--kind", "thm1", "--p", "1.25", "--kmax", "4"],
+    ["blowup", "--kind", "thm1", "--p", "1.25", "--kmax", "4", "--weighted", "--csv"],
+    ["blowup", "--kind", "cubes", "--m", "3", "--p", "1.25", "--kmax", "4", "--mode", "bound"],
+    ["blowup", "--kind", "h3", "--p", "1.25", "--kmax", "4", "--normalization", "normalized"],
+    ["blowup", "--kind", "h3", "--p", "1.25", "--kmax", "4", "--csv"],
+    ["h3-eval", "--k", "1", "--x", "-2/3"],
+    ["degenerate", "--p4prime", "0.5", "--L", "1e6"],
+    ["degenerate", "--r", "4", "--b", "1,1,-1", "--p", "1.1", "--M", "10"],
+    ["classify", "--rows", "2,0;0,2;1,1"],
+    ["mc-average", "--k", "1", "--x", "-2/3", "--eps", "1/2", "--seed", "3", "--samples", "200"],
+]
+FUZZ_JUNK = ["0", "-1", "2", "3/2", "-2/3", "nan", "inf", "-inf", "1/0", "1e-320", "1e400",
+             "abc", "", "1,,2", ";", "--k", "--csv", "--help", "--bogus", "-"]
+
+
+def mangle(rnd, argv):
+    """One seeded mangling of argv: replace, drop, duplicate, insert or swap."""
+    argv = list(argv)
+    i = rnd.randrange(len(argv))
+    how = rnd.choice(("replace", "drop", "duplicate", "insert", "swap"))
+    if how == "replace":
+        argv[i] = rnd.choice(FUZZ_JUNK)
+    elif how == "drop":
+        del argv[i]
+    elif how == "duplicate":
+        argv[i:i] = argv[i:i + 2]
+    elif how == "insert":
+        argv.insert(i + 1, rnd.choice(FUZZ_JUNK))
+    else:
+        j = rnd.randrange(len(argv))
+        argv[i], argv[j] = argv[j], argv[i]
+    return argv
+
+
+def fuzz_call(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process request; any other
+    exception escaping main fails the test with its argv."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = 0 if exc.code is None else exc.code
+    except Exception as exc:  # would be a traceback at the command line
+        pytest.fail(f"{argv} raised {exc!r}")
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_seeded_argument_fuzz(capsys, monkeypatch, tmp_path):
+    # --csv may take a mangled token as its PATH; such files land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    rnd = random.Random(20071216)
+    argvs = FUZZ_BASE + [mangle(rnd, rnd.choice(FUZZ_BASE)) for _ in range(250)]
+    seen = {}
+    codes = Counter()
+    for seed in (1, 2):
+        order = list(argvs)
+        random.Random(seed).shuffle(order)
+        for argv in order:
+            rc, out, err = fuzz_call(capsys, argv)
+            assert rc in (0, 1, 2), (argv, rc, err)
+            assert "Traceback" not in err, argv
+            if out and "--csv" not in argv and not out.startswith("usage:"):
+                strict_json(out)
+            # the parser is shared by every call: no request may leak into the next
+            assert seen.setdefault(tuple(argv), (rc, out, err)) == (rc, out, err), argv
+            codes[rc] += 1
+    assert set(codes) == {0, 1, 2}, codes
+    # a CSV request leaves no CSV behind for the next request
+    run(capsys, "blowup", "--kind", "thm1", "--p", "1.25", "--kmax", "4", "--csv")
+    rc, data = run_json(capsys, "blowup", "--kind", "thm1", "--p", "1.25", "--kmax", "4")
+    assert rc == 0 and data["indices"] == [1, 2, 3, 4]

@@ -170,11 +170,60 @@ def test_combine_is_pointwise_combination():
         assert base_points(out) == expected
 
 
+def reference_combine(terms, tail=0):
+    """combine as a Fraction loop over the Fraction alphabets."""
+    radix, depth = terms[0][1].radix, terms[0][1].depth
+    coeffs = [c for c, _ in terms]
+    values = set()
+    for digits in itertools.product(*(s.alphabet for _, s in terms)):
+        v = sum(c * d for c, d in zip(coeffs, digits))
+        if abs(v) >= radix:
+            raise NoCarryError(
+                f"combination {coeffs} x {tuple(map(str, digits))} gives {v}, "
+                f"magnitude >= radix {radix}"
+            )
+        values.add(v)
+    return DigitSetSpec(radix, depth, tuple(sorted(values)), F(tail))
+
+
+def test_combine_matches_fraction_reference():
+    # rational digits with mixed denominators; about half the draws carry,
+    # and the NoCarryError text must be the reference's, byte for byte
+    rnd = random.Random(4242)
+    outcomes = {"ok": 0, "carry": 0}
+    for _ in range(300):
+        radix = rnd.randint(3, 12)
+        depth = rnd.randint(1, 3)
+        terms = []
+        for _ in range(rnd.randint(1, 4)):
+            alphabet = {F(rnd.randint(-radix, radix), rnd.randint(1, 6))
+                        for _ in range(rnd.randint(1, 3))}
+            terms.append((rnd.choice([-3, -2, -1, 1, 2, 3]),
+                          digit_spec(radix, depth, sorted(alphabet), 0)))
+        tail = F(1, radix**depth)
+        try:
+            want = reference_combine(terms, tail)
+        except NoCarryError as exc:
+            with pytest.raises(NoCarryError) as got:
+                combine(terms, tail)
+            assert str(got.value) == str(exc)
+            outcomes["carry"] += 1
+            continue
+        assert combine(terms, tail) == want
+        outcomes["ok"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_combine_no_carry_violation():
     a = digit_spec(4, 1, [0, 3], 0)
     with pytest.raises(NoCarryError) as exc:
         combine([(1, a), (1, a)])
     assert "magnitude >= radix" in str(exc.value)
+    # the text names the first carrying digits and their value as Fractions
+    with pytest.raises(NoCarryError) as exc:
+        combine([(1, digit_spec(4, 1, ["0", "3/2", "7/3"], 0)),
+                 (2, digit_spec(4, 1, ["-1/6", "5/4"], 0))])
+    assert str(exc.value) == "combination [1, 2] x ('3/2', '5/4') gives 4, magnitude >= radix 4"
     # scalar blow-up alone can violate it too
     with pytest.raises(NoCarryError):
         combine([(2, digit_spec(4, 1, [0, 2], 0))])

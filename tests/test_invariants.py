@@ -88,11 +88,13 @@ def test_circuit_with_full_t_rank_raises(monkeypatch):
 
 
 def test_cube_decomposition_outside_lattice_raises(monkeypatch):
+    # the certificate reads every base point through the integer seam
+    # _base_nums; an empty lattice forces every decomposition off it
     scen = cube_family(3, 1)
-    base_points = averages.base_points
+    base_nums = averages._base_nums
     monkeypatch.setattr(
-        averages, "base_points",
-        lambda spec: [] if spec == scen.base_spec else base_points(spec),
+        averages, "_base_nums",
+        lambda spec: ([], 1) if spec == scen.base_spec else base_nums(spec),
     )
     with pytest.raises(InvariantError, match="base lattice"):
         averages.cube_certificate_check(scen)
