@@ -27,6 +27,7 @@ from .intervals import (
     _grid_union,
     _merge_sorted,
     _pair_isect,
+    _scaled,
     _superlevel,
     common_denominator,
     rat,
@@ -219,27 +220,27 @@ def sweep_superlevel(
         raise ValueError("t-domain must be nondegenerate")
     level = rat(level)
 
-    fam_eps = [u.endpoints() for u in sets]
-    values = list(itertools.chain((w0, w1, t0, t1), *fam_eps))
     c_lcm = lcm(*(abs(c) for c in coeffs))
     scale = (
-        common_denominator(values)
+        lcm(common_denominator((w0, w1, t0, t1)), *(u.den for u in sets))
         * lcm(*(abs(cj - ci) for ci in coeffs for cj in coeffs if ci != cj))
         * c_lcm
     )
-    # every intermediate is at most |S * value| times a few coefficients,
-    # velocities and pieces; past int64 the same arrays hold Python ints
-    bound = (
-        8 * c_lcm * max(abs(c) for c in coeffs) * (len(values) + 2)
-        * (math.ceil(max(abs(v) for v in values)) + 1) * scale
-    )
-    dtype = np.int64 if bound < 2**62 else object
 
     def grid(q):
         return q.numerator * (scale // q.denominator)
 
-    fam_s = [np.array([grid(e) for e in eps], dtype=dtype) for eps in fam_eps]
+    fam = [[e * (scale // u.den) for pair in u.nums for e in pair] for u in sets]
     dom, win = (grid(t0), grid(t1)), (grid(w0), grid(w1))
+    # every intermediate is at most |S * value| times a few coefficients,
+    # velocities and pieces; past int64 the same arrays hold Python ints
+    values = [*dom, *win, *itertools.chain(*fam)]
+    bound = (
+        8 * c_lcm * max(abs(c) for c in coeffs) * (len(values) + 2)
+        * (-(-max(map(abs, values)) // scale) + 1) * scale
+    )
+    dtype = np.int64 if bound < 2**62 else object
+    fam_s = [np.array(es, dtype=dtype) for es in fam]
     vel = np.array([0] + [-c_lcm // c for c in coeffs], dtype=dtype)
 
     xs_s, pending = np.array(win, dtype=dtype), []
@@ -310,7 +311,8 @@ def wrap_translate(u: IntervalUnion, shift: RationalLike, lo=-1, hi=1) -> Interv
     lo, hi, shift = rat(lo), rat(hi), rat(shift)
     if lo >= hi:
         raise ValueError("circle must be nondegenerate")
-    return IntervalUnion(_fold_pairs(u.pairs, shift, lo, hi))
+    L = lcm(u.den, common_denominator((shift, lo, hi)))
+    return _grid_union(_fold_pairs(_scaled(u, L), int(shift * L), int(lo * L), int(hi * L)), L)
 
 
 def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
@@ -323,9 +325,9 @@ def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
     once and repeated over the periods its frames reach: a periodic line set.
     """
     bounds = (w0, w1, *circle) if circle else (w0, w1)
-    L = lcm(common_denominator(itertools.chain(bounds, *(u.endpoints() for u in sets))), n_steps)
+    L = lcm(common_denominator(bounds), n_steps, *(u.den for u in sets))
     step = L // n_steps
-    fams = [[(int(a * L), int(b * L)) for a, b in u.pairs] for u in sets]
+    fams = [_scaled(u, L) for u in sets]
     win = (int(w0 * L), int(w1 * L))
     if circle:
         lo, hi = int(circle[0] * L), int(circle[1] * L)
@@ -581,7 +583,7 @@ def monte_carlo_average(
     x0 = float(rat(x))
     for row, u in zip(matrix, sets):
         y = x0 + t @ np.asarray(row, dtype=float)
-        ep = np.asarray([float(e) for e in u.endpoints()], dtype=float)
+        ep = np.asarray([e / u.den for pair in u.nums for e in pair], dtype=float)
         if ep.size == 0:
             ok[:] = False
             break

@@ -133,12 +133,8 @@ def _gap_certified(spec: DigitSetSpec) -> bool:
 
 
 def is_collision_free(spec: DigitSetSpec) -> bool:
-    """True when distinct digit strings give distinct base points: by the gap
-    certificate, or when it is inconclusive by exact enumeration at this
-    spec's depth."""
-    if _gap_certified(spec):
-        return True
-    return len(_base_nums(spec)[0]) == len(spec.alphabet) ** spec.depth
+    """True when distinct digit strings give distinct base points (cardinality |alphabet|^depth)."""
+    return cardinality(spec) == len(spec.alphabet) ** spec.depth
 
 
 def cardinality(spec: DigitSetSpec) -> int:

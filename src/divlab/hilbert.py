@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .averages import form_time_set
-from .intervals import IntervalUnion, RationalLike, rat
+from .intervals import IntervalUnion, RationalLike, _grid_union, rat
 from .scenarios import (
     BlowupSeries,
     FurstenbergScenario,
@@ -45,12 +45,12 @@ def h3_support(
     x = rat(x)
     if x > 0:
         raise PositivityError("base point must satisfy x <= 0")
-    if not second.is_empty() and second.pairs[0][0] < 0:
+    if not second.is_empty() and second.nums[0][0] < 0:
         raise PositivityError("second set must lie in [0, inf)")
     t_set = form_time_set([first, second, third], [1, 2, 3], x)
     # clip to (0, inf); a piece straddling 0 keeps its positive part, and a
     # resulting lo == 0 marks a support reaching down to 0
-    return IntervalUnion(tuple((max(lo, Fraction(0)), hi) for lo, hi in t_set.pairs if hi > 0))
+    return _grid_union([(max(lo, 0), hi) for lo, hi in t_set.nums if hi > 0], t_set.den)
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,11 @@ def h3_evaluate(
     """
     x = rat(x)
     sup = h3_support(x, first, second, third)
-    diverges = (not sup.is_empty()) and sup.pairs[0][0] == 0
+    diverges = (not sup.is_empty()) and sup.nums[0][0] == 0
     if diverges:
         value = math.inf
     else:
-        value = sum(math.log(hi / lo) for lo, hi in sup.pairs)
+        value = sum(math.log(hi / lo) for lo, hi in sup.nums)
     lower = sup.clip(0, 1).measure()
     return H3Evaluation(
         x=x, support=sup, value=value, lower_bound=lower, diverges=diverges

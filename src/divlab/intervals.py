@@ -1,22 +1,22 @@
 """Exact interval-set arithmetic over the rationals.
 
-Sets are finite unions of half-open intervals [lo, hi) with Fraction
-endpoints, kept sorted, disjoint and non-touching.  The half-open convention
-gives every union a unique canonical form; closed versus half-open changes
-results only on finite point sets, which carry no measure, so every measure,
-integral and inequality computed downstream is unaffected.
+Sets are finite unions of half-open intervals [lo, hi), kept sorted, disjoint
+and non-touching, with integer endpoints over one denominator in lowest terms.
+The half-open convention gives every union a unique canonical form; closed
+versus half-open changes results only on finite point sets, which carry no
+measure, so every measure, integral and inequality computed downstream is
+unaffected.
 
-No floating point enters here: endpoints, measures and function values are
-Fractions throughout.
+No floating point enters here: endpoints are integers over one denominator;
+measures, function values and the `.pairs` view are Fractions.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Tuple, Union
 
@@ -66,10 +66,6 @@ class Interval:
         object.__setattr__(self, "hi", rat(self.hi))
         if self.lo >= self.hi:
             raise ValueError(f"empty or inverted interval [{self.lo}, {self.hi})")
-
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
 
 
 def _pair_isect(a, b, i=0, j=0):
@@ -128,59 +124,66 @@ def _superlevel(xs, left, right, level):
 
 def _grid_union(pairs, scale) -> "IntervalUnion":
     """The union of canonical (lo, hi) pairs given on the grid 1/scale (ints,
-    or Fractions where a crossing falls off the grid)."""
-    return IntervalUnion(tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in pairs))
+    or Fractions where a crossing falls off the grid), in lowest terms."""
+    if any(type(e) is not int for pair in pairs for e in pair):
+        m = lcm(*(e.denominator for pair in pairs for e in pair))
+        pairs, scale = [(int(lo * m), int(hi * m)) for lo, hi in pairs], scale * m
+    g = gcd(scale, *(e for pair in pairs for e in pair))
+    if g > 1:
+        pairs = [(lo // g, hi // g) for lo, hi in pairs]
+    return IntervalUnion(tuple(pairs), scale // g)
+
+
+def _scaled(u, scale):
+    """u's (lo, hi) int pairs on the grid 1/scale, a multiple of u.den."""
+    f = scale // u.den
+    return u.nums if f == 1 else tuple((lo * f, hi * f) for lo, hi in u.nums)
 
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Canonical finite union of half-open intervals, held as its pieces'
-    (lo, hi) Fraction pairs.
+    """Canonical finite union of half-open intervals [lo/den, hi/den), held as
+    its pieces' (lo, hi) int pairs over one positive denominator.
 
     The pairs must be canonical (a tuple, sorted, disjoint, non-touching,
-    lo < hi); build unions with `normalize` unless the input is already known
-    canonical.
+    lo < hi) and den in lowest terms with them (den 1 when empty); build
+    unions with `normalize` unless the input is already known canonical.
     """
 
-    pairs: Tuple[Tuple[Fraction, Fraction], ...] = ()
+    nums: Tuple[Tuple[int, int], ...] = ()
+    den: int = 1
+
+    @property
+    def pairs(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(lo, self.den), Fraction(hi, self.den)) for lo, hi in self.nums)
 
     @property
     def intervals(self) -> Tuple[Interval, ...]:
         return tuple(Interval(lo, hi) for lo, hi in self.pairs)
 
     def is_empty(self) -> bool:
-        return not self.pairs
+        return not self.nums
 
     def measure(self) -> Fraction:
-        # endpoint numerators summed per denominator: one Fraction per denominator
-        sums = defaultdict(int)
-        for lo, hi in self.pairs:
-            sums[hi.denominator] += hi.numerator
-            sums[lo.denominator] -= lo.numerator
-        return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
-
-    def endpoints(self):
-        return [e for pair in self.pairs for e in pair]
-
-    def bounds(self):
-        if not self.pairs:
-            return None
-        return (self.pairs[0][0], self.pairs[-1][1])
+        return Fraction(sum(hi - lo for lo, hi in self.nums), self.den)
 
     def __contains__(self, x) -> bool:
+        # integer endpoints: x*den lies in [lo, hi) iff its floor does
         x = rat(x)
-        i = bisect.bisect_right(self.pairs, x, key=itemgetter(0)) - 1
-        return i >= 0 and x < self.pairs[i][1]
+        y = x.numerator * self.den // x.denominator
+        i = bisect.bisect_right(self.nums, y, key=itemgetter(0)) - 1
+        return i >= 0 and y < self.nums[i][1]
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        a, b = self.pairs, other.pairs
-        if not a or not b:
+        if not self.nums or not other.nums:
             return EMPTY
-        # each walk starts at the first piece ending after the other union starts
+        # on the common grid, each walk starts at the first piece ending after
+        # the other union starts; pieces can touch ([0,2) cut by [0,1),[1,2))
+        scale = lcm(self.den, other.den)
+        a, b = _scaled(self, scale), _scaled(other, scale)
         i = bisect.bisect_right(a, b[0][0], key=itemgetter(1))
         j = bisect.bisect_right(b, a[0][0], key=itemgetter(1))
-        # pieces of an intersection can touch (e.g. [0,2) cut by [0,1),[1,2))
-        return IntervalUnion(_merge_sorted(_pair_isect(a, b, i, j)))
+        return _grid_union(_merge_sorted(_pair_isect(a, b, i, j)), scale)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return normalize(self.pairs + other.pairs)
@@ -194,9 +197,12 @@ class IntervalUnion:
         a, b = rat(a), rat(b)
         if a == 0:
             raise ValueError("affine image requires a != 0")
+        # a*(n/den) + b = (p*s*n + r*q*den) / (q*s*den) for a = p/q, b = r/s
+        mul, add = a.numerator * b.denominator, b.numerator * a.denominator * self.den
+        scale = a.denominator * b.denominator * self.den
         if a > 0:
-            return IntervalUnion(tuple((a * lo + b, a * hi + b) for lo, hi in self.pairs))
-        return IntervalUnion(tuple((a * hi + b, a * lo + b) for lo, hi in reversed(self.pairs)))
+            return _grid_union([(mul * lo + add, mul * hi + add) for lo, hi in self.nums], scale)
+        return _grid_union([(mul * hi + add, mul * lo + add) for lo, hi in self.nums[::-1]], scale)
 
     def translate(self, shift: RationalLike) -> "IntervalUnion":
         return self.affine(1, shift)
@@ -205,7 +211,7 @@ class IntervalUnion:
         lo, hi = rat(lo), rat(hi)
         if lo >= hi:
             return IntervalUnion()
-        return self.intersect(IntervalUnion(((lo, hi),)))
+        return self.intersect(_grid_union(((lo, hi),), 1))
 
     def to_json(self):
         return [[rat_str(lo), rat_str(hi)] for lo, hi in self.pairs]
@@ -231,7 +237,7 @@ def normalize(pairs: Iterable[Tuple[RationalLike, RationalLike]]) -> IntervalUni
         if lo < hi:
             items.append((lo, hi))
     items.sort()
-    return IntervalUnion(_merge_sorted(items))
+    return _grid_union(_merge_sorted(items), 1)
 
 
 @dataclass(frozen=True)
@@ -269,7 +275,7 @@ class PiecewiseLinear:
         sides) are measure zero and omitted, consistent with the half-open
         set convention.
         """
-        return IntervalUnion(_superlevel(self.xs, self.ys[:-1], self.ys[1:], rat(level)))
+        return _grid_union(_superlevel(self.xs, self.ys[:-1], self.ys[1:], rat(level)), 1)
 
 
 @dataclass(frozen=True)
@@ -294,4 +300,4 @@ class StepFunction:
         return self.values[i]
 
     def superlevel(self, level: RationalLike) -> IntervalUnion:
-        return IntervalUnion(_superlevel(self.xs, self.values, self.values, rat(level)))
+        return _grid_union(_superlevel(self.xs, self.values, self.values, rat(level)), 1)

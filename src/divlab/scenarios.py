@@ -161,10 +161,6 @@ class CubeScenario:
     def witness(self) -> IntervalUnion:
         return materialize(self.witness_spec)
 
-    @cached_property
-    def form_sets(self) -> Dict[Tuple[int, ...], IntervalUnion]:
-        return {eps: materialize(s) for eps, s in self.form_specs.items()}
-
     @property
     def form_tail(self) -> Fraction:
         return Fraction(1, (2 ** (self.dimension + 1)) ** self.depth)

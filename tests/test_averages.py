@@ -277,7 +277,7 @@ def on_circle(u, y, lo, hi):
     """Whether y, folded into [lo, hi), lies in the image of u on that circle."""
     circ = hi - lo
     y = lo + (y - lo) % circ
-    first, last = u.bounds()
+    first, last = u.pairs[0][0], u.pairs[-1][1]
     periods = range(math.floor((first - y) / circ), math.ceil((last - y) / circ) + 1)
     return any(y + m * circ in u for m in periods)
 

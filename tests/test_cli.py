@@ -1,5 +1,6 @@
 """End-to-end CLI contract: JSON shapes, exit codes, byte determinism."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -518,3 +519,26 @@ def test_seeded_argument_fuzz(capsys, monkeypatch, tmp_path):
     run(capsys, "blowup", "--kind", "thm1", "--p", "1.25", "--kmax", "4", "--csv")
     rc, data = run_json(capsys, "blowup", "--kind", "thm1", "--p", "1.25", "--kmax", "4")
     assert rc == 0 and data["indices"] == [1, 2, 3, 4]
+
+
+# Stdout, stderr and exit code of these requests are pinned by one sha256,
+# frozen from the code that held interval unions as Fraction pairs.
+FROZEN_REQUESTS = (
+    *(("verify-claim", "--k", str(k)) for k in (1, 2, 3)),
+    *(("construct-thm1", "--k", str(k)) for k in (1, 2, 3)),
+    ("h3-eval", "--k", "1"),
+    ("h3-eval", "--k", "2"),
+    ("h3-eval", "--k", "2", "--x", "-1/7"),
+    ("find-nk", "--k", "1", "--level", "1/192", "--target", "1/9"),
+    ("verify-cubes", "--m", "3", "--k", "2"),
+    ("verify-cubes", "--m", "3", "--k", "2", "--tamper"),
+    ("mc-average", "--k", "1", "--x", "-37/192", "--seed", "5"),
+)
+
+
+def test_frozen_requests_digest(capsys):
+    h = hashlib.sha256()
+    for argv in FROZEN_REQUESTS:
+        rc, out, err = run(capsys, *argv)
+        h.update(f"{' '.join(argv)}\0{rc}\0{out}\0{err}\0".encode())
+    assert h.hexdigest() == "ea5ebdb93b96f09dacd770224fbd7fb4617ea819f325af0b7988a9653eed42ba"

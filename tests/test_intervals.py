@@ -1,10 +1,15 @@
 """Interval-union algebra against brute-force cell oracles."""
 
+import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from divlab import digitsets
+from divlab.averages import discrete_superlevel, sweep_superlevel, wrap_translate
+from divlab.hilbert import h3_support
 from divlab.intervals import (
     EMPTY,
     Interval,
@@ -19,6 +24,7 @@ from divlab.intervals import (
     rat_str,
     real,
 )
+from divlab.scenarios import cube_family, furstenberg_family
 
 
 # --- oracles -----------------------------------------------------------------
@@ -79,7 +85,7 @@ def test_membership_matches_linear_scan():
     rnd = random.Random(5150)
     for _ in range(300):
         u = normalize(rnd_pairs(rnd))
-        ends = u.endpoints()
+        ends = [e for pair in u.pairs for e in pair]
         probes = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
         probes += [ends[0] - 1, ends[-1] + 1] if ends else [F(0)]
         for x in probes:
@@ -315,3 +321,169 @@ def test_superlevel_with_ties_matches_pointwise_oracle():
     assert PiecewiseLinear(xs[:2], (F(1), F(0))).superlevel(1) == EMPTY
     assert PiecewiseLinear((F(5),), (F(1),)).superlevel(0) == EMPTY
     assert StepFunction(xs, (F(0), F(1, 3), F(0))).superlevel(-1).pairs == ((F(0), F(3)),)
+
+
+# --- the Fraction-pair operations as reference --------------------------------
+# Unions used to hold their pieces as (lo, hi) Fraction pairs, and every
+# operation ran on them; these are those operations, over pair tuples.
+
+
+def reference_normalize(pairs):
+    items = sorted((F(lo), F(hi)) for lo, hi in pairs if F(lo) < F(hi))
+    merged = []
+    for lo, hi in items:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def reference_intersect(a, b):
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if lo < hi:
+            if out and out[-1][1] == lo:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+        if a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def reference_union(a, b):
+    return reference_normalize(a + b)
+
+
+def reference_affine(pairs, a, b):
+    if a > 0:
+        return tuple((a * lo + b, a * hi + b) for lo, hi in pairs)
+    return tuple((a * hi + b, a * lo + b) for lo, hi in reversed(pairs))
+
+
+def reference_clip(pairs, lo, hi):
+    return reference_intersect(pairs, ((lo, hi),)) if lo < hi else ()
+
+
+def reference_measure(pairs):
+    return sum((hi - lo for lo, hi in pairs), F(0))
+
+
+def reference_in(pairs, x):
+    return any(lo <= x < hi for lo, hi in pairs)
+
+
+DENOMINATORS = (1, 2, 3, 5, 6, 7, 8, 12, 16, 96, 1152)
+
+
+def rnd_mixed(rnd):
+    """A rational with a denominator drawn from DENOMINATORS."""
+    den = rnd.choice(DENOMINATORS)
+    return F(rnd.randint(-4 * den, 4 * den), den)
+
+
+def rnd_mixed_pairs(rnd):
+    pairs = []
+    for _ in range(rnd.randint(0, 7)):
+        a, b = sorted((rnd_mixed(rnd), rnd_mixed(rnd)))
+        pairs.append((a, b))
+    return pairs
+
+
+def assert_canonical(u):
+    """den >= 1 in lowest terms with the int endpoints, pieces sorted,
+    disjoint and non-touching, and an empty union equal to EMPTY."""
+    ends = [e for pair in u.nums for e in pair]
+    assert type(u.nums) is tuple and all(type(pair) is tuple for pair in u.nums), u
+    assert type(u.den) is int and u.den >= 1, u
+    assert all(type(e) is int for e in ends), u
+    assert all(a < b for a, b in zip(ends, ends[1:])), u
+    assert math.gcd(u.den, *ends) == 1, u
+    if not ends:
+        assert u == EMPTY
+
+
+def test_union_ops_match_fraction_reference():
+    rnd = random.Random(20260)
+    rounds = 0
+    for _ in range(400):
+        pa, pb = rnd_mixed_pairs(rnd), rnd_mixed_pairs(rnd)
+        a, b = normalize(pa), normalize(pb)
+        ra, rb = reference_normalize(pa), reference_normalize(pb)
+        assert a.pairs == ra and b.pairs == rb
+        both, either = a.intersect(b), a.union(b)
+        assert both.pairs == reference_intersect(ra, rb)
+        assert either.pairs == reference_union(ra, rb)
+        assert a.issubset(b) == (reference_intersect(ra, rb) == ra)
+        assert b.issubset(a) == (reference_intersect(rb, ra) == rb)
+        assert both.issubset(a) and both.issubset(b) and a.issubset(either)
+        # negative and non-integer scales and shifts
+        s = F(rnd.choice([-7, -3, -2, -1, 1, 2, 3, 5]), rnd.choice([1, 2, 3, 4, 12]))
+        t = rnd_mixed(rnd)
+        img = a.affine(s, t)
+        assert img.pairs == reference_affine(ra, s, t)
+        assert a.translate(t).pairs == reference_affine(ra, F(1), t)
+        lo, hi = rnd_mixed(rnd), rnd_mixed(rnd)
+        cut = a.clip(lo, hi)
+        assert cut.pairs == reference_clip(ra, lo, hi)
+        for u, ref in ((a, ra), (both, both.pairs), (either, either.pairs), (img, img.pairs)):
+            assert u.measure() == reference_measure(ref)
+            assert json.dumps(u.to_json()) == json.dumps([[rat_str(x), rat_str(y)] for x, y in ref])
+        for u in (a, b, both, either, img, cut):
+            assert_canonical(u)
+        # points on and off the union's grid: endpoints, their neighbours at
+        # a finer step, and denominators the union does not use
+        probes = [e for pair in ra for e in pair]
+        probes += [e + F(d, 7 * a.den * 11) for e in probes for d in (-1, 1)]
+        probes += [F(rnd.randint(-500, 500), rnd.choice([13, 17, 97, 7 * 1152])) for _ in range(8)]
+        for x in probes:
+            assert (x in a) == reference_in(ra, x), (a, x)
+        rounds += 1
+    assert rounds >= 300
+
+
+def test_union_den_is_reduced_after_a_clip():
+    # [-1/6, 1/3) clipped to [0, 1) drops the only endpoint needing sixths
+    u = normalize([(F(-1, 6), F(1, 3))])
+    assert (u.nums, u.den) == (((-1, 2),), 6)
+    cut = u.clip(0, 1)
+    assert (cut.nums, cut.den) == (((0, 1),), 3) and cut.pairs == ((F(0), F(1, 3)),)
+    assert u.clip(1, 2) == EMPTY and (EMPTY.nums, EMPTY.den) == ((), 1)
+    assert normalize([(F(2), F(4))]).den == 1 and normalize([(F(1, 2), 1)]).affine(2, 0).den == 1
+
+
+def test_package_unions_are_canonical():
+    rnd = random.Random(4711)
+    out = []
+    for k in (1, 2):
+        scen = furstenberg_family(k)
+        out += [*scen.factors, scen.witness]
+        res = sweep_superlevel(scen.factors, scen.coefficients, scen.level, (-1, 0))
+        out.append(res.superlevel)
+        for topology in ("line", "circle"):
+            out.append(discrete_superlevel(scen.factors, scen.coefficients, 96 * k, scen.level,
+                                           (-1, 0), topology=topology).superlevel)
+        for x in digitsets.base_points(scen.witness_spec)[:40] + [F(0), F(-1, 7)]:
+            if x <= 0:
+                out.append(h3_support(x, *scen.factors))
+    cubes = cube_family(3, 1)
+    out += [digitsets.materialize(spec) for spec in cubes.form_specs.values()]
+    for _ in range(150):
+        sets = [normalize(rnd_mixed_pairs(rnd)) for _ in range(2)]
+        out += [wrap_translate(sets[0], rnd_mixed(rnd), rnd.choice([-1, F(-1, 3)]), F(1, 2))]
+        out += [sets[0].union(sets[1]), sets[0].intersect(sets[1]), sets[1].clip(-1, F(2, 3))]
+        out += [sets[0].affine(F(rnd.choice([-3, 2]), rnd.choice([1, 6])), rnd_mixed(rnd))]
+        if not sets[0].is_empty() and not sets[1].is_empty():
+            coeffs = [rnd.choice([1, 2]), rnd.choice([-1, 3])]
+            level = F(1, rnd.randint(2, 12))
+            out.append(sweep_superlevel(sets, coeffs, level, (-2, 2)).superlevel)
+            out.append(discrete_superlevel(sets, coeffs, 12, level, (-2, 2)).superlevel)
+    for f, level in superlevel_tie_cases():
+        out.append(f.superlevel(level))
+    for u in out:
+        assert_canonical(u)
+    assert sum(u.is_empty() for u in out) > 10 and sum(not u.is_empty() for u in out) > 500
