@@ -28,7 +28,6 @@ from .intervals import (
     _merge_sorted,
     _pair_isect,
     _scaled,
-    _superlevel,
     common_denominator,
     rat,
 )
@@ -93,6 +92,9 @@ class SweepResult:
 
 # candidates handled per numpy block; bounds the sweep's working memory
 _BLOCK = 1 << 12
+
+# the continuous sweep refuses more meeting candidates than this (k=5 has 40 M)
+MAX_SWEEP_CANDIDATES = 10**8
 
 
 def _distinct(a):
@@ -196,15 +198,19 @@ def sweep_superlevel(
     t0 and t1) are generated and filtered in numpy blocks of _BLOCK.  On the
     depth-k claim scenarios (k = 1..4) that keeps 175 / 3,045 / 57,949 /
     1,166,577 meetings out of 268 / 4,420 / 86,764 / 1,836,484 candidates,
-    for 37 / 433 / 5,185 / 62,209 breakpoints.  Arrays are int64 when a
-    magnitude bound computed from the inputs stays below 2^62, and dtype
+    for 37 / 433 / 5,185 / 62,209 breakpoints.  The candidate count is known
+    from the endpoint counts before any event; past MAX_SWEEP_CANDIDATES
+    (k=6 has 912,610,660) the sweep raises ValueError.  Arrays are int64 when
+    a magnitude bound computed from the inputs stays below 2^62, and dtype
     object (Python ints) otherwise; both run the same code.
 
     Each meeting changes F's slope by a jump read off the families' local
     states there (see _meeting_jumps).  F and its slope on the first piece
     come from multilinear_integral at the first two breakpoints; cumulative
     sums of the jumps then give F at every breakpoint, and the last value is
-    checked against multilinear_integral.
+    checked against multilinear_integral.  The function holds F on the
+    integer grid (breakpoints over S, values over S * C) and cuts the
+    superlevel set there.
     """
     sets = list(sets)
     coeffs = [int(c) for c in coefficients]
@@ -219,6 +225,14 @@ def sweep_superlevel(
     if t0 >= t1:
         raise ValueError("t-domain must be nondegenerate")
     level = rat(level)
+    sizes = [2 * len(u.nums) for u in sets]
+    candidates = 2 * sum(sizes) + sum(
+        a * b for (a, c), (b, d) in itertools.combinations(zip(sizes, coeffs), 2) if c != d
+    )
+    if candidates > MAX_SWEEP_CANDIDATES:
+        raise ValueError(
+            f"sweep of {candidates:,} meeting candidates exceeds the cap of {MAX_SWEEP_CANDIDATES:,}"
+        )
 
     c_lcm = lcm(*(abs(c) for c in coeffs))
     scale = (
@@ -259,22 +273,20 @@ def sweep_superlevel(
         np.add.at(slope_jumps, np.searchsorted(xs_s, np.concatenate(jump_x)),
                   np.concatenate(jump_v))
 
-    xs = [Fraction(v, scale) for v in xs_s.tolist()]
-    f0 = multilinear_integral(sets, coeffs, xs[0], (t0, t1))
-    slope0 = (multilinear_integral(sets, coeffs, xs[1], (t0, t1)) - f0) / (xs[1] - xs[0])
+    xs = xs_s.tolist()
+    x0, x1, xn = (Fraction(v, scale) for v in (xs[0], xs[1], xs[-1]))
+    f0 = multilinear_integral(sets, coeffs, x0, (t0, t1))
+    slope0 = (multilinear_integral(sets, coeffs, x1, (t0, t1)) - f0) / (x1 - x0)
     if (slope0 * c_lcm).denominator != 1:
         raise InvariantError("sweep events missed a breakpoint of F")
     # slopes in 1/C units; F * S * C accumulates slope * dx exactly
     slopes = int(slope0 * c_lcm) + np.cumsum(np.concatenate(([0], slope_jumps[1:-1])))
     unit = scale * c_lcm
-    ys_s = np.cumsum(np.concatenate(([int(f0 * unit)], slopes * np.diff(xs_s)))).tolist()
-    ys = [Fraction(v, unit) for v in ys_s]
-    if ys[-1] != multilinear_integral(sets, coeffs, xs[-1], (t0, t1)):
+    ys = np.cumsum(np.concatenate(([int(f0 * unit)], slopes * np.diff(xs_s)))).tolist()
+    if Fraction(ys[-1], unit) != multilinear_integral(sets, coeffs, xn, (t0, t1)):
         raise InvariantError("kinetic sweep disagrees with the pointwise integral")
-    # F >= level on the grid: ys_s * den(level) >= num(level) * unit
-    ys_l = [v * level.denominator for v in ys_s]
-    sup = _grid_union(_superlevel(xs_s.tolist(), ys_l, ys_l[1:], level.numerator * unit), scale)
-    f = PiecewiseLinear(tuple(xs), tuple(ys))
+    f = PiecewiseLinear(tuple(xs), tuple(ys), scale, unit)
+    sup = f.superlevel(level)
     return SweepResult(function=f, superlevel=sup, superlevel_measure=sup.measure())
 
 
@@ -390,11 +402,8 @@ def discrete_superlevel(
     if circle and circle[0] >= circle[1]:
         raise ValueError("circle must be nondegenerate")
     xs, counts, scale = _grid_cells(sets, coeffs, n_steps, w0, w1, circle)
-    # G >= level on the grid: count * den(level) >= num(level) * N
-    ys = [cnt * level.denominator for cnt in counts]
-    sup = _grid_union(_superlevel(xs, ys, ys, level.numerator * n_steps), scale)
-    g = StepFunction(tuple(Fraction(x, scale) for x in xs),
-                     tuple(Fraction(cnt, n_steps) for cnt in counts))
+    g = StepFunction(tuple(xs), tuple(counts), scale, n_steps)
+    sup = g.superlevel(level)
     return SweepResult(function=g, superlevel=sup, superlevel_measure=sup.measure())
 
 

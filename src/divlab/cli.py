@@ -147,7 +147,7 @@ def _cmd_verify_claim(args) -> int:
             "superlevel_measure": _rat_real(res.superlevel_measure),
             "witness_contained": witness_in,
             "measure_reached": meas_ok,
-            "breakpoints": len(res.function.xs),
+            "breakpoints": len(res.function.x_nums),
             "superlevel": res.superlevel.to_json(),
             "verified": verified,
         },

@@ -7,14 +7,17 @@ versus half-open changes results only on finite point sets, which carry no
 measure, so every measure, integral and inequality computed downstream is
 unaffected.
 
-No floating point enters here: endpoints are integers over one denominator;
-measures, function values and the `.pairs` view are Fractions.
+No floating point enters here: endpoints, and the breakpoints and values of
+the piecewise-linear and step functions, are integers over one denominator;
+measures, function values and the `.pairs`, `.xs`, `.ys` and `.values` views
+are Fractions.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -186,7 +189,8 @@ class IntervalUnion:
         return _grid_union(_merge_sorted(_pair_isect(a, b, i, j)), scale)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return normalize(self.pairs + other.pairs)
+        scale = lcm(self.den, other.den)
+        return _grid_union(_merge_sorted(sorted(_scaled(self, scale) + _scaled(other, scale))), scale)
 
     def issubset(self, other: "IntervalUnion") -> bool:
         # exact containment up to the canonical form: A subset B iff A&B == A
@@ -214,7 +218,13 @@ class IntervalUnion:
         return self.intersect(_grid_union(((lo, hi),), 1))
 
     def to_json(self):
-        return [[rat_str(lo), rat_str(hi)] for lo, hi in self.pairs]
+        den = self.den
+
+        def text(n):  # rat_str(n/den) with one gcd
+            g = gcd(n, den)
+            return f"{n // g}/{den // g}"
+
+        return [[text(lo), text(hi)] for lo, hi in self.nums]
 
     @staticmethod
     def from_json(data) -> "IntervalUnion":
@@ -241,21 +251,49 @@ def normalize(pairs: Iterable[Tuple[RationalLike, RationalLike]]) -> IntervalUni
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear:
-    """Continuous piecewise-linear function with exact rational breakpoints.
-
-    Linear between consecutive breakpoints, constant outside the span.
+class _GridFunction:
+    """A function held on integer grids: breakpoints x_nums[i]/x_den and
+    values y_nums[i]/y_den, each over one positive denominator in lowest
+    terms, so `==` is structural.  `.xs` is a Fraction view built on first use.
     """
 
-    xs: Tuple[Fraction, ...]
-    ys: Tuple[Fraction, ...]
+    x_nums: Tuple[int, ...]
+    y_nums: Tuple[int, ...]
+    x_den: int = 1
+    y_den: int = 1
 
     def __post_init__(self):
-        if len(self.xs) != len(self.ys) or not self.xs:
+        for nums, den in (("x_nums", "x_den"), ("y_nums", "y_den")):
+            n, d = getattr(self, nums), getattr(self, den)
+            if d <= 0:
+                raise ValueError("denominators must be positive")
+            g = gcd(d, *n)
+            object.__setattr__(self, nums, tuple(v // g for v in n))
+            object.__setattr__(self, den, d // g)
+        if any(a >= b for a, b in zip(self.x_nums, self.x_nums[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+
+    @cached_property
+    def xs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.x_den) for n in self.x_nums)
+
+
+class PiecewiseLinear(_GridFunction):
+    """Continuous piecewise-linear function with exact rational breakpoints:
+    the value y_nums[i]/y_den at x_nums[i]/x_den.
+
+    Linear between consecutive breakpoints, constant outside the span.  `.ys`
+    is a Fraction view built on first use.
+    """
+
+    def __post_init__(self):
+        if len(self.x_nums) != len(self.y_nums) or not self.x_nums:
             raise ValueError("breakpoints and values must match and be nonempty")
-        for a, b in zip(self.xs, self.xs[1:]):
-            if a >= b:
-                raise ValueError("breakpoints must be strictly increasing")
+        super().__post_init__()
+
+    @cached_property
+    def ys(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.y_den) for n in self.y_nums)
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
@@ -269,28 +307,33 @@ class PiecewiseLinear:
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def superlevel(self, level: RationalLike) -> IntervalUnion:
-        """Exact {x in [xs[0], xs[-1]] : f(x) >= level} as a canonical union.
+        """Exact {x in [xs[0], xs[-1]] : f(x) >= level} as a canonical union,
+        cut on the integers: y_nums * den(level) >= num(level) * y_den.
 
         Isolated touch points (f == level at a single x with f < level on both
         sides) are measure zero and omitted, consistent with the half-open
         set convention.
         """
-        return _grid_union(_superlevel(self.xs, self.ys[:-1], self.ys[1:], rat(level)), 1)
+        level = rat(level)
+        ys = [v * level.denominator for v in self.y_nums]
+        pairs = _superlevel(self.x_nums, ys, ys[1:], level.numerator * self.y_den)
+        return _grid_union(pairs, self.x_den)
 
 
-@dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous step function: value[i] on [xs[i], xs[i+1])."""
-
-    xs: Tuple[Fraction, ...]
-    values: Tuple[Fraction, ...]
+class StepFunction(_GridFunction):
+    """Right-continuous step function: the value y_nums[i]/y_den on
+    [x_nums[i]/x_den, x_nums[i+1]/x_den), 0 outside.  `.values` is a Fraction
+    view built on first use.
+    """
 
     def __post_init__(self):
-        if len(self.xs) != len(self.values) + 1 or len(self.xs) < 2:
+        if len(self.x_nums) != len(self.y_nums) + 1 or len(self.x_nums) < 2:
             raise ValueError("need n+1 boundaries for n cells")
-        for a, b in zip(self.xs, self.xs[1:]):
-            if a >= b:
-                raise ValueError("cell boundaries must be strictly increasing")
+        super().__post_init__()
+
+    @cached_property
+    def values(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.y_den) for n in self.y_nums)
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
@@ -300,4 +343,7 @@ class StepFunction:
         return self.values[i]
 
     def superlevel(self, level: RationalLike) -> IntervalUnion:
-        return _grid_union(_superlevel(self.xs, self.values, self.values, rat(level)), 1)
+        """Exact {x : g(x) >= level} within the cells, cut on the integers."""
+        level = rat(level)
+        ys = [v * level.denominator for v in self.y_nums]
+        return _grid_union(_superlevel(self.x_nums, ys, ys, level.numerator * self.y_den), self.x_den)

@@ -14,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
+from divlab import averages
 from divlab.averages import (
+    MAX_SWEEP_CANDIDATES,
     CubeCertificateReport,
     CubeCheck,
     SearchExhaustedError,
@@ -32,7 +34,7 @@ from divlab.averages import (
     wrap_translate,
 )
 from divlab.digitsets import base_points, digit_spec
-from divlab.intervals import IntervalUnion, normalize
+from divlab.intervals import IntervalUnion, _superlevel, normalize
 from divlab.scenarios import cube_family, furstenberg_family
 
 
@@ -197,8 +199,9 @@ def test_sweep_matches_pointwise_property(instance, seed):
     level = (t_domain[1] - t_domain[0]) / 4
     res = check_against_pointwise(sets, coeffs, t_domain, window, level, random.Random(seed))
     assert res.superlevel_measure == res.superlevel.measure()
-    # the integer-grid cut agrees with the Fraction cut of the same function
-    assert res.superlevel == res.function.superlevel(level)
+    # the integer-grid cut agrees with the same pass run on the Fraction views
+    f = res.function
+    assert res.superlevel == normalize(_superlevel(f.xs, f.ys, f.ys[1:], level))
 
 
 def test_sweep_huge_denominators():
@@ -214,6 +217,37 @@ def test_sweep_huge_denominators():
     t_domain = (F(-1, 2), F(3, 2) + F(1, big))
     res = check_against_pointwise(sets, coeffs, t_domain, (-2, 2), F(1, 10), random.Random(3))
     assert len(res.function.xs) > 10
+
+
+def test_sweeps_build_no_fraction_view():
+    # both sweeps hold their function on the integer grid; the Fraction views
+    # are built only when read
+    s = furstenberg_family(3)
+    res = sweep_superlevel(s.factors, s.coefficients, s.level, window=(-1, 0))
+    res.superlevel.to_json()
+    assert len(res.function.x_nums) == len(res.function.y_nums) == 5185
+    assert not {"xs", "ys"} & res.function.__dict__.keys()
+    s = furstenberg_family(2)
+    res = discrete_superlevel(s.factors, s.coefficients, 1152, s.level, (-1, 0))
+    assert res.superlevel_measure > 0
+    assert not {"xs", "values"} & res.function.__dict__.keys()
+    assert res.function.xs[0] == -1 and "xs" in res.function.__dict__
+
+
+def test_sweep_refuses_candidates_past_the_cap(monkeypatch):
+    # 10 and 12 endpoints: 2 * (10 + 12) candidates at the t-domain ends, and
+    # 10 * 12 meetings more when the coefficients differ
+    u = normalize((F(2 * i), F(2 * i + 1)) for i in range(5))
+    v = normalize((F(2 * i), F(2 * i + 1)) for i in range(6))
+    monkeypatch.setattr(averages, "MAX_SWEEP_CANDIDATES", 164)
+    sweep_superlevel([u, v], [1, 2], F(1, 2), window=(0, 1))
+    monkeypatch.setattr(averages, "MAX_SWEEP_CANDIDATES", 163)
+    with pytest.raises(ValueError, match="164 meeting candidates exceeds the cap of 163"):
+        sweep_superlevel([u, v], [1, 2], F(1, 2), window=(0, 1))
+    monkeypatch.setattr(averages, "MAX_SWEEP_CANDIDATES", 44)
+    sweep_superlevel([u, v], [1, 1], F(1, 2), window=(0, 1))
+    monkeypatch.undo()
+    assert 40_440_268 <= MAX_SWEEP_CANDIDATES < 912_610_660  # k=5 runs, k=6 is refused
 
 
 def test_sweep_validation():
@@ -321,8 +355,8 @@ def test_discrete_circle_matches_brute_property(instance, seed):
     )
     g = res.function
     assert g.xs[0] == window[0] and g.xs[-1] == window[1]
-    # the integer-grid cut agrees with the Fraction cut of the same function
-    assert res.superlevel == g.superlevel(level)
+    # the integer-grid cut agrees with the same pass run on the Fraction views
+    assert res.superlevel == normalize(_superlevel(g.xs, g.values, g.values, level))
     rnd = random.Random(seed)
     for i in rnd.sample(range(len(g.values)), min(8, len(g.values))):
         for x in (g.xs[i], (g.xs[i] + g.xs[i + 1]) / 2):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -443,6 +444,8 @@ FUZZ_BASE = [
     ["construct-thm1", "--k", "1"],
     ["construct-cubes", "--m", "3", "--k", "1"],
     ["verify-claim", "--k", "1"],
+    ["verify-claim", "--k", "6"],
+    ["verify-claim", "--k", "7"],
     ["find-nk", "--k", "1", "--level", "1/192", "--target", "1/9", "--max-n", "192"],
     ["find-nk", "--k", "1", "--level", "1/192", "--target", "3/2", "--max-n", "192"],
     ["verify-cubes", "--m", "3", "--k", "1"],
@@ -542,3 +545,23 @@ def test_frozen_requests_digest(capsys):
         rc, out, err = run(capsys, *argv)
         h.update(f"{' '.join(argv)}\0{rc}\0{out}\0{err}\0".encode())
     assert h.hexdigest() == "ea5ebdb93b96f09dacd770224fbd7fb4617ea819f325af0b7988a9653eed42ba"
+
+
+def test_verify_claim_k4_digest(capsys):
+    # stdout (1.2 MB) and exit code of the depth-4 claim, frozen from the code
+    # that built every breakpoint of F as a Fraction
+    rc, out, err = run(capsys, "verify-claim", "--k", "4")
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(f"{rc}\0{out}".encode()).hexdigest() == (
+        "1b894b72e64b657687ce87b445b1f759f997608f9d6ed6dc19c3e48bb2e904d5"
+    )
+
+
+@pytest.mark.parametrize("k, estimate", [(6, "912,610,660"), (7, "20,939,287,084")])
+def test_verify_claim_refuses_deep_sweeps(capsys, k, estimate):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "verify-claim", "--k", str(k))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and out == ""
+    assert err == (f"divlab: error: sweep of {estimate} meeting candidates exceeds "
+                   "the cap of 100,000,000\n")

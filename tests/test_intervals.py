@@ -190,20 +190,43 @@ def test_json_round_trip():
 # --- piecewise-linear and step functions ------------------------------------
 
 
+def on_grid(qs):
+    """Fractions as their int numerators over one common denominator."""
+    den = common_denominator(qs)
+    return tuple(int(q * den) for q in qs), den
+
+
+def pl(xs, ys):
+    """The PiecewiseLinear through the Fraction points (xs[i], ys[i])."""
+    (x_nums, x_den), (y_nums, y_den) = on_grid(xs), on_grid(ys)
+    return PiecewiseLinear(x_nums, y_nums, x_den, y_den)
+
+
+def step(xs, values):
+    """The StepFunction with Fraction value values[i] on [xs[i], xs[i+1])."""
+    (x_nums, x_den), (y_nums, y_den) = on_grid(xs), on_grid(values)
+    return StepFunction(x_nums, y_nums, x_den, y_den)
+
+
 def rnd_pl(rnd):
     xs = sorted({rnd_fraction(rnd, span=12, den=4) for _ in range(rnd.randint(2, 7))})
     while len(xs) < 2:
         xs.append(xs[-1] + 1)
     ys = [rnd_fraction(rnd, span=6, den=6) for _ in xs]
-    return PiecewiseLinear(tuple(xs), tuple(ys))
+    return pl(xs, ys)
 
 
 def test_piecewise_linear_evaluation():
-    f = PiecewiseLinear((F(0), F(2)), (F(0), F(1)))
+    f = pl((F(0), F(2)), (F(0), F(1)))
     assert f(F(1)) == F(1, 2)
     assert f(F(-5)) == F(0) and f(F(7)) == F(1)  # constant outside the span
     with pytest.raises(ValueError):
-        PiecewiseLinear((F(0), F(0)), (F(1), F(1)))
+        pl((F(0), F(0)), (F(1), F(1)))
+    # held in lowest terms, so the same function on a finer grid is equal
+    assert PiecewiseLinear((0, 4), (0, 6), 2, 6) == f
+    assert (f.x_nums, f.y_nums, f.x_den, f.y_den) == ((0, 2), (0, 1), 1, 1)
+    with pytest.raises(ValueError):
+        PiecewiseLinear((0, 1), (0, 1), 0, 1)
 
 
 def test_piecewise_superlevel_against_sampling():
@@ -224,7 +247,7 @@ def test_piecewise_superlevel_against_sampling():
 
 
 def test_piecewise_superlevel_exact_crossings():
-    f = PiecewiseLinear((F(0), F(1), F(2)), (F(0), F(1), F(0)))
+    f = pl((F(0), F(1), F(2)), (F(0), F(1), F(0)))
     assert f.superlevel(F(1, 2)).pairs == ((F(1, 2), F(3, 2)),)
     # isolated touch point carries no measure and is omitted
     assert f.superlevel(F(1)) == EMPTY
@@ -239,7 +262,8 @@ def test_step_function_superlevel():
         if len(xs) < 2:
             continue
         vals = [rnd_fraction(rnd, span=4, den=8) for _ in xs[:-1]]
-        g = StepFunction(tuple(xs), tuple(vals))
+        g = step(xs, vals)
+        assert StepFunction(tuple(2 * n for n in g.x_nums), g.y_nums, 2 * g.x_den, g.y_den) == g
         level = rnd_fraction(rnd, span=4, den=8)
         expected = normalize(
             (xs[i], xs[i + 1]) for i, v in enumerate(vals) if v >= level
@@ -270,23 +294,23 @@ def superlevel_tie_cases():
     """Explicit ties, then seeded functions whose values and levels share a
     small grid, so plateaus at the level and crossings on breakpoints abound."""
     xs = (F(0), F(1), F(2), F(3))
-    yield PiecewiseLinear(xs, (F(0), F(1), F(1), F(0))), F(1)  # plateau at the level
-    yield PiecewiseLinear(xs[:3], (F(0), F(1), F(0))), F(1)  # touch at a breakpoint
-    yield PiecewiseLinear(xs[:3], (F(2), F(1), F(0))), F(1)  # crossing on a breakpoint
-    yield PiecewiseLinear(xs[:2], (F(1), F(0))), F(1)  # zero-length piece only
-    yield PiecewiseLinear((F(5),), (F(1),)), F(0)  # single breakpoint
-    yield StepFunction(xs, (F(1), F(1, 2), F(1))), F(1)
+    yield pl(xs, (F(0), F(1), F(1), F(0))), F(1)  # plateau at the level
+    yield pl(xs[:3], (F(0), F(1), F(0))), F(1)  # touch at a breakpoint
+    yield pl(xs[:3], (F(2), F(1), F(0))), F(1)  # crossing on a breakpoint
+    yield pl(xs[:2], (F(1), F(0))), F(1)  # zero-length piece only
+    yield pl((F(5),), (F(1),)), F(0)  # single breakpoint
+    yield step(xs, (F(1), F(1, 2), F(1))), F(1)
     for level in (F(0), F(-1)):
-        yield StepFunction(xs, (F(0), F(1, 3), F(0))), level  # level <= 0
+        yield step(xs, (F(0), F(1, 3), F(0))), level  # level <= 0
     rnd = random.Random(1618)
     grid = [F(n, 2) for n in range(-2, 3)]
     for _ in range(400):
         xs = sorted({F(rnd.randint(-8, 8), rnd.randint(1, 3)) for _ in range(rnd.randint(1, 7))})
         ys = [rnd.choice(grid) for _ in xs]
         level = rnd.choice(grid)
-        yield PiecewiseLinear(tuple(xs), tuple(ys)), level
+        yield pl(xs, ys), level
         if len(xs) > 1:
-            yield StepFunction(tuple(xs), tuple(ys[:-1])), level
+            yield step(xs, ys[:-1]), level
 
 
 def integer_superlevel(f, level):
@@ -316,11 +340,11 @@ def test_superlevel_with_ties_matches_pointwise_oracle():
         cases += 1
     assert cases > 500 and crossings > 50
     xs = (F(0), F(1), F(2), F(3))
-    assert PiecewiseLinear(xs, (F(0), F(1), F(1), F(0))).superlevel(1).pairs == ((F(1), F(2)),)
-    assert PiecewiseLinear(xs[:3], (F(2), F(1), F(0))).superlevel(1).pairs == ((F(0), F(1)),)
-    assert PiecewiseLinear(xs[:2], (F(1), F(0))).superlevel(1) == EMPTY
-    assert PiecewiseLinear((F(5),), (F(1),)).superlevel(0) == EMPTY
-    assert StepFunction(xs, (F(0), F(1, 3), F(0))).superlevel(-1).pairs == ((F(0), F(3)),)
+    assert pl(xs, (F(0), F(1), F(1), F(0))).superlevel(1).pairs == ((F(1), F(2)),)
+    assert pl(xs[:3], (F(2), F(1), F(0))).superlevel(1).pairs == ((F(0), F(1)),)
+    assert pl(xs[:2], (F(1), F(0))).superlevel(1) == EMPTY
+    assert pl((F(5),), (F(1),)).superlevel(0) == EMPTY
+    assert step(xs, (F(0), F(1, 3), F(0))).superlevel(-1).pairs == ((F(0), F(3)),)
 
 
 # --- the Fraction-pair operations as reference --------------------------------

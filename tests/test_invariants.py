@@ -134,7 +134,6 @@ def test_bench_tracer_binds_every_traced_name(capsys):
             "averages.discrete_superlevel.circle", "intervals.IntervalUnion.issubset",
             "hilbert.h3_evaluate", "averages.form_time_set",
             "intervals.IntervalUnion.affine"} <= names
-    # both sweeps cut their superlevel on the integer grid, not through the
-    # Fraction methods
-    assert not {"intervals.PiecewiseLinear.superlevel", "intervals.StepFunction.superlevel"} & names
+    # both sweeps cut their superlevel set through their function's method
+    assert {"intervals.PiecewiseLinear.superlevel", "intervals.StepFunction.superlevel"} <= names
     assert set(tracer.metrics()) <= tracing.metric_names()
