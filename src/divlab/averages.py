@@ -106,31 +106,62 @@ def _distinct(a):
 def _crossing_blocks(fam_s, coeffs, dom, win):
     """Yield (x, tau, p, q) blocks of meetings inside the window and t-domain.
 
-    Coordinates are integers on the sweep's shared grid; rows p < q are the
-    meeting pair, row 0 being the t-domain and row i + 1 family i.  Endpoints
-    e of family i and f of family j meet at tau = (f - e)/(c_j - c_i),
-    x = e - c_i tau; candidates run in blocks of _BLOCK endpoint pairs.
+    Coordinates are integers on the sweep's shared grid; p < q are
+    per-meeting arrays naming the meeting pair, row 0 being the t-domain and
+    row i + 1 family i.  Endpoints e of family i and f of family j meet at
+    tau = (f - e)/(c_j - c_i), x = e - c_i tau; e meets the domain ends
+    tau = t0, t1 at x = e - c_i tau.  The candidates of all pairs run as one
+    sequence cut into blocks of _BLOCK, so a block spans pairs and every
+    block but the last is full.
     """
-    (ts0, ts1), (ws0, ws1) = dom, win
-    for i, (es, ci) in enumerate(zip(fam_s, coeffs)):
-        xs = np.concatenate((es - ci * ts0, es - ci * ts1))
-        taus = np.concatenate((np.full_like(es, ts0), np.full_like(es, ts1)))
-        keep = (xs >= ws0) & (xs <= ws1)
-        xs, taus = xs[keep], taus[keep]
-        for s in range(0, len(xs), _BLOCK):
-            yield xs[s : s + _BLOCK], taus[s : s + _BLOCK], 0, i + 1
-        for j in range(i + 1, len(fam_s)):
-            cj, fs = coeffs[j], fam_s[j]
-            if cj == ci:
-                continue
-            n = len(es) * len(fs)
-            for s in range(0, n, _BLOCK):
-                g = np.arange(s, min(s + _BLOCK, n))
-                e = es[g // len(fs)]
-                tau = (fs[g % len(fs)] - e) // (cj - ci)
-                x = e - ci * tau
-                keep = (tau >= ts0) & (tau <= ts1) & (x >= ws0) & (x <= ws1)
-                yield x[keep], tau[keep], i + 1, j + 1
+    ts = np.array(dom, dtype=fam_s[0].dtype)
+
+    def meetings(p, q, g):  # (x, tau) of the candidates g of pair (p, q)
+        fs, cj = fam_s[q - 1], coeffs[q - 1]
+        if p == 0:
+            return fs[g % len(fs)] - cj * ts[g // len(fs)], ts[g // len(fs)]
+        es, ci = fam_s[p - 1], coeffs[p - 1]
+        e = es[g // len(fs)]
+        tau = (fs[g % len(fs)] - e) // (cj - ci)
+        return e - ci * tau, tau
+
+    def block(parts):
+        cut = [meetings(p, q, g) for p, q, g in parts]
+        x, tau = np.concatenate([x for x, _ in cut]), np.concatenate([t for _, t in cut])
+        p = np.concatenate([np.full(len(g), p) for p, _, g in parts])
+        q = np.concatenate([np.full(len(g), q) for _, q, g in parts])
+        keep = (tau >= dom[0]) & (tau <= dom[1]) & (x >= win[0]) & (x <= win[1])
+        return x[keep], tau[keep], p[keep], q[keep]
+
+    runs = []  # (p, q, candidate count) of every pair that can meet
+    for i, es in enumerate(fam_s):
+        runs.append((0, i + 1, 2 * len(es)))
+        runs += [(i + 1, j + 1, len(es) * len(fam_s[j]))
+                 for j in range(i + 1, len(fam_s)) if coeffs[j] != coeffs[i]]
+    parts, room = [], _BLOCK
+    for p, q, n in runs:
+        s = 0
+        while s < n:
+            take = min(room, n - s)
+            parts.append((p, q, np.arange(s, s + take)))
+            s, room = s + take, room - take
+            if not room:
+                yield block(parts)
+                parts, room = [], _BLOCK
+    if parts:
+        yield block(parts)
+
+
+def _fold(xs, jumps, pending):
+    """Merge pending meeting blocks into the sorted distinct breakpoints xs
+    and the slope jump at each.  A block is (x, x_nz, jump_nz): every
+    meeting's abscissa, then those with a nonzero jump and the jump."""
+    out = _distinct(np.concatenate([xs, *(x for x, _, _ in pending)]))
+    acc = np.zeros(len(out), dtype=xs.dtype)
+    acc[np.searchsorted(out, xs)] = jumps
+    for _, x, v in pending:
+        np.add.at(acc, np.searchsorted(out, x), v)
+    return out, acc
 
 
 def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
@@ -195,8 +226,9 @@ def sweep_superlevel(
     S = L0 * lcm|c_j - c_i| * lcm|c_i| (L0 clears all input denominators), on
     which meeting abscissae and times are exact.  Candidates (every endpoint
     pair of families with different coefficients, and every endpoint at
-    t0 and t1) are generated and filtered in numpy blocks of _BLOCK.  On the
-    depth-k claim scenarios (k = 1..4) that keeps 175 / 3,045 / 57,949 /
+    t0 and t1) run as one sequence over all pairs, generated and filtered in
+    numpy blocks of _BLOCK that span pairs: 1 / 2 / 22 / 449 blocks on the
+    depth-k claim scenarios (k = 1..4), which keep 175 / 3,045 / 57,949 /
     1,166,577 meetings out of 268 / 4,420 / 86,764 / 1,836,484 candidates,
     for 37 / 433 / 5,185 / 62,209 breakpoints.  The candidate count is known
     from the endpoint counts before any event; past MAX_SWEEP_CANDIDATES
@@ -205,12 +237,16 @@ def sweep_superlevel(
     object (Python ints) otherwise; both run the same code.
 
     Each meeting changes F's slope by a jump read off the families' local
-    states there (see _meeting_jumps).  F and its slope on the first piece
-    come from multilinear_integral at the first two breakpoints; cumulative
-    sums of the jumps then give F at every breakpoint, and the last value is
-    checked against multilinear_integral.  The function holds F on the
-    integer grid (breakpoints over S, values over S * C) and cuts the
-    superlevel set there.
+    states there (see _meeting_jumps).  Pending meetings fold into the
+    breakpoints, their jumps summed onto each abscissa, after 64 blocks once
+    they are at least as many as the breakpoints so far, so memory follows
+    the breakpoints rather than the meetings.  F and its slope on the first
+    piece come from multilinear_integral at the first two breakpoints;
+    cumulative sums of the jumps then give F at every breakpoint, and the
+    last value is checked against multilinear_integral.  The function holds
+    F on the integer grid (breakpoints over S, values over S * C) and cuts
+    the superlevel set there, each level crossing an integer on that grid
+    refined by the lcm of the crossings' denominators.
     """
     sets = list(sets)
     coeffs = [int(c) for c in coefficients]
@@ -257,21 +293,19 @@ def sweep_superlevel(
     fam_s = [np.array(es, dtype=dtype) for es in fam]
     vel = np.array([0] + [-c_lcm // c for c in coeffs], dtype=dtype)
 
-    xs_s, pending = np.array(win, dtype=dtype), []
-    jump_x, jump_v = [], []
+    # breakpoints so far and F's slope jump at each; pending meetings fold in
+    # after 64 blocks once they are at least as many as the breakpoints, so
+    # memory follows the breakpoints, not the meetings
+    xs_s, slope_jumps, pending, held = np.array(win, dtype=dtype), np.zeros(2, dtype=dtype), [], 0
     for x, tau, p, q in _crossing_blocks(fam_s, coeffs, dom, win):
-        pending.append(x)
-        if len(pending) == 64:  # fold meetings into the breakpoints as they come
-            xs_s, pending = _distinct(np.concatenate([xs_s, *pending])), []
         jumps = _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom)
         nz = jumps != 0
-        jump_x.append(x[nz])
-        jump_v.append(jumps[nz])
-    xs_s = _distinct(np.concatenate([xs_s, *pending]))
-    slope_jumps = np.zeros(len(xs_s), dtype=dtype)
-    if jump_x:
-        np.add.at(slope_jumps, np.searchsorted(xs_s, np.concatenate(jump_x)),
-                  np.concatenate(jump_v))
+        pending.append((x, x[nz], jumps[nz]))
+        held += len(x)
+        if len(pending) >= 64 and held >= len(xs_s):
+            xs_s, slope_jumps = _fold(xs_s, slope_jumps, pending)
+            pending, held = [], 0
+    xs_s, slope_jumps = _fold(xs_s, slope_jumps, pending)
 
     xs = xs_s.tolist()
     x0, x1, xn = (Fraction(v, scale) for v in (xs[0], xs[1], xs[-1]))

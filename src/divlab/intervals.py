@@ -18,9 +18,10 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterable, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -104,37 +105,56 @@ def _merge_sorted(pairs):
 
 
 def _superlevel(xs, left, right, level):
-    """Fused pairs of {x : f(x) >= level}, f running linearly from left[i] to
-    right[i] on [xs[i], xs[i+1]] (ints or Fractions, like _pair_isect; each
-    crossing is an exact Fraction, also on ints).
+    """{x : f(x) >= level} as (pairs, m): canonical int pairs on the grid
+    1/m of xs's unit, f running linearly from left[i] to right[i] on
+    [xs[i], xs[i+1]] (all ints; a step function has left == right).
 
-    Each cell gives at most one nonempty piece, in order; a crossing that
-    lands on a breakpoint gives none.
+    One walk over the cells opens or closes a piece only where f changes
+    side of the level.  A crossing x0 + n/d stays an int triple until the
+    walk ends; m is the lcm of the d in lowest terms (one gcd each), so every
+    endpoint is exact on the refined grid.  A crossing that lands on a
+    breakpoint opens or closes nothing there, so isolated touch points are
+    omitted; a step function has no crossing and m = 1.
     """
-
-    def pieces():
-        for x0, x1, y0, y1 in zip(xs, xs[1:], left, right):
-            if y0 >= level:
-                if y1 >= level:
-                    yield x0, x1
-                elif y0 > level:
-                    yield x0, x0 + Fraction((level - y0) * (x1 - x0), y1 - y0)
-            elif y1 > level:
-                yield x0 + Fraction((level - y0) * (x1 - x0), y1 - y0), x1
-
-    return _merge_sorted(pieces())
+    ends, start = [], None  # start: the open piece's left end
+    for x0, x1, y0, y1 in zip(xs, xs[1:], left, right):
+        if y0 >= level:
+            if start is None and (y0 > level or y1 >= level):
+                start = x0
+            if y1 < level and start is not None:
+                ends += start, x0 if y0 == level else (x0, (y0 - level) * (x1 - x0), y0 - y1)
+                start = None
+        else:
+            if start is not None:
+                ends += start, x0
+                start = None
+            if y1 > level:
+                start = x0, (level - y0) * (x1 - x0), y1 - y0
+    if start is not None:
+        ends += start, xs[-1]
+    dens = {e[2] // gcd(e[1], e[2]) for e in ends if type(e) is tuple}
+    m = lcm(*dens)
+    if dens:
+        ends = [e * m if type(e) is int else e[0] * m + e[1] * m // e[2] for e in ends]
+    return list(zip(ends[::2], ends[1::2])), m
 
 
 def _grid_union(pairs, scale) -> "IntervalUnion":
-    """The union of canonical (lo, hi) pairs given on the grid 1/scale (ints,
-    or Fractions where a crossing falls off the grid), in lowest terms."""
-    if any(type(e) is not int for pair in pairs for e in pair):
-        m = lcm(*(e.denominator for pair in pairs for e in pair))
-        pairs, scale = [(int(lo * m), int(hi * m)) for lo, hi in pairs], scale * m
-    g = gcd(scale, *(e for pair in pairs for e in pair))
+    """The union of canonical int (lo, hi) pairs given on the grid 1/scale,
+    in lowest terms.  Its callers holding Fractions, `normalize` and `clip`,
+    put them on an integer grid with `_fraction_grid` first."""
+    g = gcd(scale, *chain.from_iterable(pairs))
     if g > 1:
         pairs = [(lo // g, hi // g) for lo, hi in pairs]
     return IntervalUnion(tuple(pairs), scale // g)
+
+
+def _fraction_grid(pairs):
+    """(int pairs, m): Fraction (lo, hi) pairs on the grid 1/m, m the lcm of
+    their denominators."""
+    m = lcm(*(e.denominator for pair in pairs for e in pair))
+    return [(lo.numerator * (m // lo.denominator), hi.numerator * (m // hi.denominator))
+            for lo, hi in pairs], m
 
 
 def _scaled(u, scale):
@@ -215,7 +235,7 @@ class IntervalUnion:
         lo, hi = rat(lo), rat(hi)
         if lo >= hi:
             return IntervalUnion()
-        return self.intersect(_grid_union(((lo, hi),), 1))
+        return self.intersect(_grid_union(*_fraction_grid([(lo, hi)])))
 
     def to_json(self):
         den = self.den
@@ -247,7 +267,7 @@ def normalize(pairs: Iterable[Tuple[RationalLike, RationalLike]]) -> IntervalUni
         if lo < hi:
             items.append((lo, hi))
     items.sort()
-    return _grid_union(_merge_sorted(items), 1)
+    return _grid_union(*_fraction_grid(_merge_sorted(items)))
 
 
 @dataclass(frozen=True)
@@ -268,14 +288,23 @@ class _GridFunction:
             if d <= 0:
                 raise ValueError("denominators must be positive")
             g = gcd(d, *n)
-            object.__setattr__(self, nums, tuple(v // g for v in n))
+            object.__setattr__(self, nums, tuple([v // g for v in n]) if g > 1 else tuple(n))
             object.__setattr__(self, den, d // g)
-        if any(a >= b for a, b in zip(self.x_nums, self.x_nums[1:])):
+        if not all(map(lt, self.x_nums, self.x_nums[1:])):
             raise ValueError("breakpoints must be strictly increasing")
 
     @cached_property
     def xs(self) -> Tuple[Fraction, ...]:
         return tuple(Fraction(n, self.x_den) for n in self.x_nums)
+
+    def _cut(self, level: RationalLike, right) -> IntervalUnion:
+        """The superlevel set, cut on the integers: y_nums * den(level) against
+        num(level) * y_den, with right(ys) the values at the cells' right ends."""
+        level = rat(level)
+        d = level.denominator
+        ys = [v * d for v in self.y_nums]
+        pairs, m = _superlevel(self.x_nums, ys, right(ys), level.numerator * self.y_den)
+        return _grid_union(pairs, self.x_den * m)
 
 
 class PiecewiseLinear(_GridFunction):
@@ -314,10 +343,7 @@ class PiecewiseLinear(_GridFunction):
         sides) are measure zero and omitted, consistent with the half-open
         set convention.
         """
-        level = rat(level)
-        ys = [v * level.denominator for v in self.y_nums]
-        pairs = _superlevel(self.x_nums, ys, ys[1:], level.numerator * self.y_den)
-        return _grid_union(pairs, self.x_den)
+        return self._cut(level, lambda ys: ys[1:])
 
 
 class StepFunction(_GridFunction):
@@ -344,6 +370,4 @@ class StepFunction(_GridFunction):
 
     def superlevel(self, level: RationalLike) -> IntervalUnion:
         """Exact {x : g(x) >= level} within the cells, cut on the integers."""
-        level = rat(level)
-        ys = [v * level.denominator for v in self.y_nums]
-        return _grid_union(_superlevel(self.x_nums, ys, ys, level.numerator * self.y_den), self.x_den)
+        return self._cut(level, lambda ys: ys)

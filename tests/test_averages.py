@@ -9,6 +9,7 @@ import random
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,8 +35,9 @@ from divlab.averages import (
     wrap_translate,
 )
 from divlab.digitsets import base_points, digit_spec
-from divlab.intervals import IntervalUnion, _superlevel, normalize
+from divlab.intervals import IntervalUnion, normalize
 from divlab.scenarios import cube_family, furstenberg_family
+from superlevel_reference import fraction_superlevel
 
 
 # --- oracles -----------------------------------------------------------------
@@ -140,9 +142,15 @@ def test_sweep_on_random_small_instances():
                 assert x not in res.superlevel
 
 
-def check_frozen_claim(k, measure, breakpoints):
+@functools.cache
+def claim_sweep(k):
+    """The depth-k claim scenario and its sweep on [-1, 0], run once per test run."""
     s = furstenberg_family(k)
-    res = sweep_superlevel(s.factors, s.coefficients, s.level, window=(-1, 0))
+    return s, sweep_superlevel(s.factors, s.coefficients, s.level, window=(-1, 0))
+
+
+def check_frozen_claim(k, measure, breakpoints):
+    s, res = claim_sweep(k)
     assert res.superlevel_measure == measure
     assert len(res.function.xs) == breakpoints  # 3 * 12^k + 1
     assert res.superlevel_measure >= F(1, 8) - s.level
@@ -157,6 +165,119 @@ def test_sweep_frozen_measures():
 
 def test_sweep_frozen_k4_certificate():
     check_frozen_claim(4, F(23039, 36864), 62209)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sweep_depth_pattern(k):
+    # [-1, -11/12) holds S_{k-1} shrunk by 12 and each of the other 11 cells a
+    # pattern covering 5/8 of it, 12^(k-1) pieces a cell: m_k = m_{k-1}/12 + 55/96
+    s, res = claim_sweep(k)
+    assert res.superlevel_measure == F(5, 8) - F(9, 16 * 12**k)
+    assert len(res.function.x_nums) == 3 * 12**k + 1
+    assert len(res.superlevel.nums) == 12**k
+    assert s.witness.clip(-1, 0).issubset(res.superlevel)
+
+
+def fraction_counter(monkeypatch):
+    """A list that grows by one per Fraction built while the patch holds."""
+    made = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    if "_from_coprime_ints" in vars(F):  # newer Pythons build arithmetic results here
+        coprime = vars(F)["_from_coprime_ints"].__func__
+
+        def counting_coprime(cls, numerator, denominator):
+            made.append(1)
+            return coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counting_coprime))
+    return made
+
+
+def test_superlevel_cuts_build_no_fraction_per_crossing(monkeypatch):
+    s, res = claim_sweep(3)
+    f = res.function
+    ys, lev = [y * s.level.denominator for y in f.y_nums], s.level.numerator * f.y_den
+    assert len(f.x_nums) == 5185
+    assert sum((a - lev) * (b - lev) < 0 for a, b in zip(ys, ys[1:])) == 3455
+    s2 = furstenberg_family(2)
+    g = discrete_superlevel(s2.factors, s2.coefficients, 1152, s2.level, (-1, 0)).function
+    made = fraction_counter(monkeypatch)
+    assert F(1, 3) + F(1, 6) == F(1, 2) and len(made) >= 3  # the counter sees arithmetic
+    made.clear()
+    sup = f.superlevel(s.level)
+    cut_f = len(made)
+    step_sup = g.superlevel(s2.level)
+    cut_g = len(made) - cut_f
+    monkeypatch.undo()
+    assert cut_f <= 2 and cut_g <= 2, (cut_f, cut_g)
+    assert sup == res.superlevel and sup.measure() == F(1919, 3072)
+    assert len(g.x_nums) == 861 and step_sup.measure() == F(859, 1152)
+
+
+def per_pair_blocks(fam_s, coeffs, dom, win):
+    """The meeting candidates pair by pair, at most _BLOCK at a time, with
+    scalar p and q: a reference that never puts two pairs in one block."""
+    block = averages._BLOCK
+    (ts0, ts1), (ws0, ws1) = dom, win
+    for i, (es, ci) in enumerate(zip(fam_s, coeffs)):
+        xs = np.concatenate((es - ci * ts0, es - ci * ts1))
+        taus = np.concatenate((np.full_like(es, ts0), np.full_like(es, ts1)))
+        keep = (xs >= ws0) & (xs <= ws1)
+        xs, taus = xs[keep], taus[keep]
+        for s in range(0, len(xs), block):
+            yield xs[s : s + block], taus[s : s + block], 0, i + 1
+        for j in range(i + 1, len(fam_s)):
+            cj, fs = coeffs[j], fam_s[j]
+            if cj == ci:
+                continue
+            n = len(es) * len(fs)
+            for s in range(0, n, block):
+                g = np.arange(s, min(s + block, n))
+                e = es[g // len(fs)]
+                tau = (fs[g % len(fs)] - e) // (cj - ci)
+                x = e - ci * tau
+                keep = (tau >= ts0) & (tau <= ts1) & (x >= ws0) & (x <= ws1)
+                yield x[keep], tau[keep], i + 1, j + 1
+
+
+def test_sweep_packs_candidates_across_pairs(monkeypatch):
+    calls = []
+    meeting_jumps, packed_blocks, default = (
+        averages._meeting_jumps, averages._crossing_blocks, averages._BLOCK)
+
+    def counting_jumps(*args):
+        calls.append(len(args[0]))
+        return meeting_jumps(*args)
+
+    def sweep(s, coeffs, blocks, block):
+        monkeypatch.setattr(averages, "_crossing_blocks", blocks)
+        monkeypatch.setattr(averages, "_BLOCK", block)
+        calls.clear()
+        return sweep_superlevel(s.factors, coeffs, s.level, window=(-1, 0))
+
+    monkeypatch.setattr(averages, "_meeting_jumps", counting_jumps)
+    # the frozen scenarios, then two with lockstep pairs (equal coefficients),
+    # which never meet and bring no candidates
+    instances = [(k, (1, 2, 3)) for k in (1, 2, 3)] + [(1, (2, -1, 2)), (2, (1, 1, 3))]
+    for k, coeffs in instances:
+        s = furstenberg_family(k)
+        sizes = [2 * len(u.nums) for u in s.factors]
+        pairs = [(i, j) for i, j in itertools.combinations(range(3), 2) if coeffs[i] != coeffs[j]]
+        candidates = 2 * sum(sizes) + sum(sizes[i] * sizes[j] for i, j in pairs)
+        for block in (default, 31):  # at 31, blocks span pairs and fold many times
+            packed = sweep(s, coeffs, packed_blocks, block)
+            assert len(calls) == -(-candidates // block), (k, coeffs, block)
+            if block == default and coeffs == s.coefficients:
+                assert len(calls) <= {1: 1, 2: 2, 3: -(-candidates // block) + 3 + len(pairs)}[k]
+                assert packed == claim_sweep(k)[1]
+            unpacked = sweep(s, coeffs, per_pair_blocks, block)
+            assert packed == unpacked, (k, coeffs, block)
 
 
 # a coarse grid makes three or more endpoints meet at one point often
@@ -199,9 +320,9 @@ def test_sweep_matches_pointwise_property(instance, seed):
     level = (t_domain[1] - t_domain[0]) / 4
     res = check_against_pointwise(sets, coeffs, t_domain, window, level, random.Random(seed))
     assert res.superlevel_measure == res.superlevel.measure()
-    # the integer-grid cut agrees with the same pass run on the Fraction views
+    # the integer-grid cut agrees with the Fraction reference pass on the views
     f = res.function
-    assert res.superlevel == normalize(_superlevel(f.xs, f.ys, f.ys[1:], level))
+    assert res.superlevel == normalize(fraction_superlevel(f.xs, f.ys, f.ys[1:], level))
 
 
 def test_sweep_huge_denominators():
@@ -355,8 +476,8 @@ def test_discrete_circle_matches_brute_property(instance, seed):
     )
     g = res.function
     assert g.xs[0] == window[0] and g.xs[-1] == window[1]
-    # the integer-grid cut agrees with the same pass run on the Fraction views
-    assert res.superlevel == normalize(_superlevel(g.xs, g.values, g.values, level))
+    # the integer-grid cut agrees with the Fraction reference pass on the views
+    assert res.superlevel == normalize(fraction_superlevel(g.xs, g.values, g.values, level))
     rnd = random.Random(seed)
     for i in rnd.sample(range(len(g.values)), min(8, len(g.values))):
         for x in (g.xs[i], (g.xs[i] + g.xs[i + 1]) / 2):

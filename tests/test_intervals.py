@@ -25,6 +25,7 @@ from divlab.intervals import (
     real,
 )
 from divlab.scenarios import cube_family, furstenberg_family
+from superlevel_reference import fraction_superlevel
 
 
 # --- oracles -----------------------------------------------------------------
@@ -321,7 +322,8 @@ def integer_superlevel(f, level):
     dy = 5 * common_denominator([*ys, level])
     xs, ys = [int(x * dx) for x in f.xs], [int(y * dy) for y in ys]
     left, right = (ys[:-1], ys[1:]) if isinstance(f, PiecewiseLinear) else (ys, ys)
-    return _superlevel(xs, left, right, int(level * dy)), dx
+    pairs, m = _superlevel(xs, left, right, int(level * dy))
+    return pairs, dx * m, m
 
 
 def test_superlevel_with_ties_matches_pointwise_oracle():
@@ -330,13 +332,14 @@ def test_superlevel_with_ties_matches_pointwise_oracle():
         sup = f.superlevel(level)
         assert sup == pointwise_superlevel(f, level), (f, level)
         assert sup == normalize(sup.pairs)
-        # the same cut on the integer-scaled copy: grid points stay ints and
-        # every crossing is an exact Fraction, never a float
-        pairs, dx = integer_superlevel(f, level)
+        # the same cut on the integer-scaled copy: every endpoint, crossings
+        # included, is an int on the refined grid 1/(dx m), never a Fraction
+        # or a float; m > 1 only where a crossing falls off the grid 1/dx
+        pairs, scale, m = integer_superlevel(f, level)
         ends = [e for pair in pairs for e in pair]
-        assert all(type(e) is int or type(e) is F for e in ends), (f, level, pairs)
-        assert _grid_union(pairs, dx) == sup, (f, level)
-        crossings += sum(type(e) is F for e in ends)
+        assert all(type(e) is int for e in ends), (f, level, pairs)
+        assert _grid_union(pairs, scale) == sup, (f, level)
+        crossings += sum(e % m != 0 for e in ends)
         cases += 1
     assert cases > 500 and crossings > 50
     xs = (F(0), F(1), F(2), F(3))
@@ -345,6 +348,58 @@ def test_superlevel_with_ties_matches_pointwise_oracle():
     assert pl(xs[:2], (F(1), F(0))).superlevel(1) == EMPTY
     assert pl((F(5),), (F(1),)).superlevel(0) == EMPTY
     assert step(xs, (F(0), F(1, 3), F(0))).superlevel(-1).pairs == ((F(0), F(3)),)
+
+
+LARGE_PRIME = 2**61 - 1
+
+
+def grid_superlevel_cases():
+    """Seeded functions on random integer grids, each with a level that is a
+    breakpoint value (crossings on breakpoints, flat runs, touch points), a
+    small-denominator rational (crossings off the grid) or a rational over a
+    large prime; values and levels take both signs."""
+    rnd = random.Random(60221)
+    for _ in range(1500):
+        n = rnd.randint(2, 10)
+        x_nums = sorted(rnd.sample(range(-50, 50), n))
+        y_nums = [rnd.randint(-15, 15) for _ in range(n)]
+        y_den = rnd.randint(1, 9)
+        kind = rnd.randrange(3)
+        if kind == 0:
+            at = rnd.choice(y_nums)
+            for i in rnd.sample(range(n), rnd.randint(0, n // 2)):
+                y_nums[i] = at
+            level = F(at, y_den)
+        elif kind == 1:
+            level = F(rnd.randint(-60, 60), y_den * rnd.randint(1, 4))
+        else:
+            level = F(rnd.randint(-15 * LARGE_PRIME, 15 * LARGE_PRIME), y_den * LARGE_PRIME)
+        yield PiecewiseLinear(tuple(x_nums), tuple(y_nums), rnd.randint(1, 9), y_den), level
+
+
+def test_piecewise_superlevel_on_integer_grids_matches_references():
+    seen = dict.fromkeys(
+        ("off-grid crossing", "crossing on a breakpoint", "flat run at the level",
+         "touch point", "fractional slope", "negative level", "large prime"), 0)
+    for f, level in grid_superlevel_cases():
+        sup = f.superlevel(level)
+        assert sup == normalize(fraction_superlevel(f.xs, f.ys, f.ys[1:], level)), (f, level)
+        assert sup == pointwise_superlevel(f, level), (f, level)
+        xs, ys = f.xs, f.ys
+        for i, (x0, x1, y0, y1) in enumerate(zip(xs, xs[1:], ys, ys[1:])):
+            if (y0 - level) * (y1 - level) < 0:
+                c = x0 + (level - y0) * (x1 - x0) / (y1 - y0)
+                seen["off-grid crossing"] += (c * f.x_den).denominator != 1
+            seen["flat run at the level"] += y0 == y1 == level
+            seen["fractional slope"] += F(f.y_nums[i + 1] - f.y_nums[i],
+                                          f.x_nums[i + 1] - f.x_nums[i]).denominator != 1
+        for y_prev, y, y_next in zip(ys, ys[1:], ys[2:]):
+            if y == level:
+                seen["crossing on a breakpoint"] += (y_prev - level) * (y_next - level) < 0
+                seen["touch point"] += y_prev < level and y_next < level
+        seen["negative level"] += level < 0
+        seen["large prime"] += level.denominator % LARGE_PRIME == 0
+    assert min(seen.values()) > 50, seen
 
 
 # --- the Fraction-pair operations as reference --------------------------------
