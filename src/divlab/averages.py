@@ -12,12 +12,12 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .digitsets import _base_nums
+from .digitsets import _base_nums, cardinality
 from .intervals import (
     IntervalUnion,
     InvariantError,
@@ -493,6 +493,10 @@ def find_riemann_n(
 # ---------------------------------------------------------------------------
 
 
+# the cube certificate refuses more checks than this ((4,4) has 15,728,640)
+MAX_CUBE_CHECKS = 2_000_000
+
+
 @dataclass(frozen=True)
 class CubeCheck:
     x: Fraction
@@ -526,6 +530,9 @@ def cube_certificate_check(
     must be >= 0.  Both checks run per (x, eps); all-pass implies the average
     lower bound t_tail^m, the volume of the checked t-box, at every witness
     point.  The default t_tail is the witness tail [(m+1) * 2^(k(m+1))]^(-1).
+    The check count, the product of the generator and shared cardinalities
+    times the 2^m - 1 forms, is known before any enumeration; past
+    MAX_CUBE_CHECKS the check raises ValueError.
 
     Every base point is an integer over one scale L, the lcm of the specs'
     denominators, so the decomposition, the lattice test and each form
@@ -537,6 +544,12 @@ def cube_certificate_check(
     t_tail = tau if t_tail is None else rat(t_tail)
     if t_tail <= 0:
         raise ValueError("t_tail must be positive")
+    n_checks = prod(map(cardinality, (*scenario.generator_specs, scenario.shared_spec)))
+    n_checks *= len(scenario.form_specs)
+    if n_checks > MAX_CUBE_CHECKS:
+        raise ValueError(
+            f"cube certificate of {n_checks:,} checks exceeds the cap of {MAX_CUBE_CHECKS:,}"
+        )
     form_tail = scenario.form_tail
     eps_order = sorted(scenario.form_specs)
     specs = [*scenario.generator_specs, scenario.shared_spec, scenario.base_spec,

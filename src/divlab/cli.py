@@ -134,9 +134,13 @@ def _cmd_verify_claim(args) -> int:
     res = sweep_superlevel(
         scen.factors, scen.coefficients, scen.level, window=(-1, 0)
     )
-    witness_in = scen.witness.clip(-1, 0).issubset(res.superlevel)
+    # keep what the JSON needs, so the sweep function is freed before rendering
+    superlevel, measure = res.superlevel, res.superlevel_measure
+    breakpoints = len(res.function.x_nums)
+    del res
+    witness_in = scen.witness.clip(-1, 0).issubset(superlevel)
     target = Fraction(1, 8) - scen.level
-    meas_ok = res.superlevel_measure >= target
+    meas_ok = measure >= target
     verified = witness_in and meas_ok
     _emit_json(
         {
@@ -144,11 +148,11 @@ def _cmd_verify_claim(args) -> int:
             "lambda": rat_str(scen.level),
             "window": [rat_str(-1), rat_str(0)],
             "target": rat_str(target),
-            "superlevel_measure": _rat_real(res.superlevel_measure),
+            "superlevel_measure": _rat_real(measure),
             "witness_contained": witness_in,
             "measure_reached": meas_ok,
-            "breakpoints": len(res.function.x_nums),
-            "superlevel": res.superlevel.to_json(),
+            "breakpoints": breakpoints,
+            "superlevel": superlevel.to_json(),
             "verified": verified,
         },
         args.out,

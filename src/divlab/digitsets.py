@@ -4,8 +4,8 @@ A spec (radix rho, depth k, alphabet, tail) generates the set
 
     { sum_{i=1..k} d_i * rho^(-i) + z : d_i in alphabet, 0 <= z < tail }.
 
-Digits may be arbitrary rationals.  Whether distinct digit strings give
-distinct base points (collision-freeness) is always computed, never assumed.
+Digits may be arbitrary rationals, held as ints over one denominator.  Whether
+distinct digit strings give distinct base points is always computed, never assumed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import cached_property
+from math import lcm, prod
+from operator import mul, sub
 from typing import Sequence, Tuple
 
 from .intervals import (
@@ -21,6 +23,7 @@ from .intervals import (
     IntervalUnion,
     RationalLike,
     _grid_union,
+    _set_lowest_terms,
     _merge_sorted,
     common_denominator,
     rat,
@@ -37,9 +40,12 @@ class NoCarryError(ValueError):
 
 @dataclass(frozen=True)
 class DigitSetSpec:
+    """Sorted distinct digits[i]/den in lowest terms; `.alphabet` is their Fraction view."""
+
     radix: int
     depth: int
-    alphabet: Tuple[Fraction, ...]
+    digits: Tuple[int, ...]
+    den: int
     tail: Fraction
 
     def __post_init__(self):
@@ -47,17 +53,21 @@ class DigitSetSpec:
             raise ValueError("radix must be >= 2")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        alphabet = tuple(sorted({rat(a) for a in self.alphabet}))
-        if not alphabet:
+        if not self.digits:
             raise ValueError("alphabet must be nonempty")
-        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "digits", sorted(set(self.digits)))
+        _set_lowest_terms(self, "digits", "den")
         tail = rat(self.tail)
         if tail < 0:
             raise ValueError("tail must be >= 0")
         object.__setattr__(self, "tail", tail)
 
+    @cached_property
+    def alphabet(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(d, self.den) for d in self.digits)
+
     def with_tail(self, tail: RationalLike) -> "DigitSetSpec":
-        return DigitSetSpec(self.radix, self.depth, self.alphabet, rat(tail))
+        return DigitSetSpec(self.radix, self.depth, self.digits, self.den, tail)
 
     def to_json(self):
         return {
@@ -69,35 +79,30 @@ class DigitSetSpec:
 
     @staticmethod
     def from_json(data) -> "DigitSetSpec":
-        return DigitSetSpec(
-            int(data["radix"]),
-            int(data["depth"]),
-            tuple(rat(a) for a in data["alphabet"]),
-            rat(data["tail"]),
-        )
+        return digit_spec(data["radix"], data["depth"], data["alphabet"], data["tail"])
 
 
 def digit_spec(radix, depth, alphabet, tail) -> DigitSetSpec:
-    return DigitSetSpec(int(radix), int(depth), tuple(rat(a) for a in alphabet), rat(tail))
+    alphabet = {rat(a) for a in alphabet}
+    den = common_denominator(alphabet)
+    digits = [a.numerator * (den // a.denominator) for a in alphabet]
+    return DigitSetSpec(int(radix), int(depth), digits, den, tail)
 
 
 def _base_nums(spec: DigitSetSpec):
     """Distinct base points as sorted integer numerators over a common denominator.
 
     Returns (nums, den) with base point = num/den.  Pure integer Horner
-    enumeration: value = sum d_i rho^(k-i) over den = c * rho^k where c clears
-    the alphabet denominators.
+    enumeration: value = sum d_i rho^(k-i) over den = spec.den * rho^k.
     """
-    if len(spec.alphabet) ** spec.depth > MAX_ENUM:
+    if len(spec.digits) ** spec.depth > MAX_ENUM:
         raise ValueError(
-            f"enumeration of {len(spec.alphabet)}^{spec.depth} base points exceeds cap"
+            f"enumeration of {len(spec.digits)}^{spec.depth} base points exceeds cap"
         )
-    c = common_denominator(spec.alphabet)
-    digits = [int(a * c) for a in spec.alphabet]
     vals = [0]
     for _ in range(spec.depth):
-        vals = [v * spec.radix + d for v in vals for d in digits]
-    return sorted(set(vals)), c * spec.radix**spec.depth
+        vals = [v * spec.radix + d for v in vals for d in spec.digits]
+    return sorted(set(vals)), spec.den * spec.radix**spec.depth
 
 
 def base_points(spec: DigitSetSpec):
@@ -125,22 +130,21 @@ def _gap_certified(spec: DigitSetSpec) -> bool:
     least min_gap * rho^(-j); the remaining positions can contribute at most
     spread * (rho^(-j) - rho^(-k))/(rho - 1), which is strictly smaller.
     """
-    a = spec.alphabet
+    a = spec.digits  # all over spec.den, which cancels
     if len(a) <= 1:
         return True
-    min_gap = min(y - x for x, y in zip(a, a[1:]))
-    return min_gap * (spec.radix - 1) >= a[-1] - a[0]
+    return min(map(sub, a[1:], a)) * (spec.radix - 1) >= a[-1] - a[0]
 
 
 def is_collision_free(spec: DigitSetSpec) -> bool:
     """True when distinct digit strings give distinct base points (cardinality |alphabet|^depth)."""
-    return cardinality(spec) == len(spec.alphabet) ** spec.depth
+    return cardinality(spec) == len(spec.digits) ** spec.depth
 
 
 def cardinality(spec: DigitSetSpec) -> int:
     """Number of distinct base points."""
     if _gap_certified(spec):
-        return len(spec.alphabet) ** spec.depth
+        return len(spec.digits) ** spec.depth
     return len(_base_nums(spec)[0])
 
 
@@ -158,20 +162,16 @@ def combine(
     """
     if not terms:
         raise ValueError("need at least one term")
-    radix = terms[0][1].radix
-    depth = terms[0][1].depth
-    for _, s in terms:
-        if s.radix != radix or s.depth != depth:
-            raise ValueError("combined specs must share radix and depth")
-    size = 1
-    for _, s in terms:
-        size *= len(s.alphabet)
-        if size > MAX_ENUM:
-            raise ValueError("alphabet product exceeds enumeration cap")
     coeffs = [c for c, _ in terms]
-    # every digit as an integer over the alphabets' common denominator
-    den = common_denominator(a for _, s in terms for a in s.alphabet)
-    digits = [[a.numerator * (den // a.denominator) for a in s.alphabet] for _, s in terms]
+    specs = [s for _, s in terms]
+    radix, depth = specs[0].radix, specs[0].depth
+    if any((s.radix, s.depth) != (radix, depth) for s in specs):
+        raise ValueError("combined specs must share radix and depth")
+    if prod(len(s.digits) for s in specs) > MAX_ENUM:
+        raise ValueError("alphabet product exceeds enumeration cap")
+    # every digit as an integer over the specs' common denominator
+    den = lcm(*(s.den for s in specs))
+    digits = [[d * (den // s.den) for d in s.digits] for s in specs]
     bound = radix * den
     values = set()
     for ds in itertools.product(*digits):
@@ -182,4 +182,4 @@ def combine(
                 f"{Fraction(v, den)}, magnitude >= radix {radix}"
             )
         values.add(v)
-    return DigitSetSpec(radix, depth, tuple(Fraction(v, den) for v in sorted(values)), rat(tail))
+    return DigitSetSpec(radix, depth, values, den, tail)

@@ -139,6 +139,16 @@ def _superlevel(xs, left, right, level):
     return list(zip(ends[::2], ends[1::2])), m
 
 
+def _set_lowest_terms(obj, nums, den):
+    """Put a frozen dataclass's int fields nums over den in lowest terms, den > 0."""
+    n, d = getattr(obj, nums), getattr(obj, den)
+    if d <= 0:
+        raise ValueError("denominators must be positive")
+    g = gcd(d, *n)
+    object.__setattr__(obj, nums, tuple([v // g for v in n]) if g > 1 else tuple(n))
+    object.__setattr__(obj, den, d // g)
+
+
 def _grid_union(pairs, scale) -> "IntervalUnion":
     """The union of canonical int (lo, hi) pairs given on the grid 1/scale,
     in lowest terms.  Its callers holding Fractions, `normalize` and `clip`,
@@ -283,13 +293,8 @@ class _GridFunction:
     y_den: int = 1
 
     def __post_init__(self):
-        for nums, den in (("x_nums", "x_den"), ("y_nums", "y_den")):
-            n, d = getattr(self, nums), getattr(self, den)
-            if d <= 0:
-                raise ValueError("denominators must be positive")
-            g = gcd(d, *n)
-            object.__setattr__(self, nums, tuple([v // g for v in n]) if g > 1 else tuple(n))
-            object.__setattr__(self, den, d // g)
+        _set_lowest_terms(self, "x_nums", "x_den")
+        _set_lowest_terms(self, "y_nums", "y_den")
         if not all(map(lt, self.x_nums, self.x_nums[1:])):
             raise ValueError("breakpoints must be strictly increasing")
 

@@ -210,7 +210,7 @@ def classify(matrix: Sequence[Sequence[int]]) -> Classification:
         )
     # pivot columns of the circuit's t-parts, taken as columns, are the
     # lexicographically first maximal independent subset
-    pivots, _ = _bareiss([[rows[i][d] for i in circuit.indices] for d in range(len(rows[0]))])
+    pivots, a = _bareiss([[rows[i][d] for i in circuit.indices] for d in range(len(rows[0]))])
     basis = [circuit.indices[c] for c in pivots]
     t_rank = len(basis)
     r = circuit.size
@@ -222,15 +222,12 @@ def classify(matrix: Sequence[Sequence[int]]) -> Classification:
         bound = Fraction(r, r - 1)
     else:
         raise InvariantError(f"circuit t-part rank must be r-2 or r-1, got {t_rank} for r={r}")
-    basis_vecs = [rows[j] for j in basis]
+    # the kernel vector at each free column expresses that row over the basis
     expansions = {}
-    for i in circuit.indices:
-        if i in basis:
-            continue
-        alpha = solve_in_span(basis_vecs, rows[i])
-        if alpha is None:
-            raise InvariantError(f"circuit row {i} is outside the span of its t-part basis")
-        expansions[i] = alpha
+    for col, i in enumerate(circuit.indices):
+        if col not in pivots:
+            lam = _kernel(pivots, a, col, r)
+            expansions[i] = [Fraction(-lam[c], lam[col]) for c in pivots]
     return Classification(
         matrix=tuple(rows),
         rank_matrix=rank_m,

@@ -17,6 +17,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from divlab import averages
 from divlab.averages import (
+    MAX_CUBE_CHECKS,
     MAX_SWEEP_CANDIDATES,
     CubeCertificateReport,
     CubeCheck,
@@ -34,7 +35,7 @@ from divlab.averages import (
     sweep_superlevel,
     wrap_translate,
 )
-from divlab.digitsets import base_points, digit_spec
+from divlab.digitsets import _base_nums, base_points, cardinality, combine, digit_spec
 from divlab.intervals import IntervalUnion, normalize
 from divlab.scenarios import cube_family, furstenberg_family
 from superlevel_reference import fraction_superlevel
@@ -218,6 +219,23 @@ def test_superlevel_cuts_build_no_fraction_per_crossing(monkeypatch):
     assert cut_f <= 2 and cut_g <= 2, (cut_f, cut_g)
     assert sup == res.superlevel and sup.measure() == F(1919, 3072)
     assert len(g.x_nums) == 861 and step_sup.measure() == F(859, 1152)
+
+
+def test_digit_specs_build_no_fraction_per_digit(monkeypatch):
+    # digits stay ints over one denominator: combine, _base_nums and the gap
+    # certificate build no Fraction, and a whole cube family fewer than its forms
+    made = fraction_counter(monkeypatch)
+    s = cube_family(5, 2)
+    built = len(made)
+    made.clear()
+    spec = combine([(1, g) for g in s.generator_specs] + [(-4, s.shared_spec)], s.witness_tail)
+    nums, den = _base_nums(spec)
+    count = cardinality(spec)
+    monkeypatch.undo()
+    assert built < len(s.form_specs) == 31, built
+    assert made == []
+    assert spec == s.witness_spec and count == len(nums) == 2 ** 12
+    assert den == spec.den * 64**2
 
 
 def per_pair_blocks(fam_s, coeffs, dom, win):
@@ -704,6 +722,29 @@ def test_cube_certificate_mutated_form_alphabet_fails():
     assert missed and {c.eps for c in missed} == {eps}
     assert all(not c.passed for c in missed)
     assert cube_certificate_check(s).all_pass
+
+
+@pytest.mark.parametrize(
+    "m, k, count", [(3, 1, 112), (3, 2, 1792), (4, 1, 480), (4, 2, 15_360), (5, 2, 126_976)]
+)
+def test_cube_certificate_estimates_its_checks(monkeypatch, m, k, count):
+    # the estimate, named by the refusal one under it, is the check count
+    s = cube_family(m, k)
+    assert len(cube_certificate_check(s).checks) == count
+    monkeypatch.setattr(averages, "MAX_CUBE_CHECKS", count - 1)
+    with pytest.raises(ValueError, match=f"of {count:,} checks exceeds the cap of {count - 1:,}"):
+        cube_certificate_check(s)
+
+
+def test_cube_certificate_refuses_before_enumerating(monkeypatch):
+    monkeypatch.setattr(averages, "MAX_CUBE_CHECKS", 112)
+    assert cube_certificate_check(cube_family(3, 1)).all_pass  # exactly at the cap
+    monkeypatch.undo()
+    monkeypatch.setattr(averages, "_base_nums", lambda spec: pytest.fail("enumerated"))
+    for (m, k), count in {(4, 4): 15_728_640, (5, 3): 8_126_464, (3, 5): 7_340_032}.items():
+        with pytest.raises(ValueError, match=f"of {count:,} checks exceeds the cap"):
+            cube_certificate_check(cube_family(m, k))
+    assert 1_032_192 <= MAX_CUBE_CHECKS < 7_340_032  # (6,2) runs, (3,5) is refused
 
 
 # --- Monte Carlo -------------------------------------------------------------

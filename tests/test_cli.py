@@ -547,6 +547,25 @@ def test_frozen_requests_digest(capsys):
     assert h.hexdigest() == "ea5ebdb93b96f09dacd770224fbd7fb4617ea819f325af0b7988a9653eed42ba"
 
 
+CUBE_REQUESTS = (
+    *(("construct-cubes", "--m", str(m), "--k", str(k))
+      for m, k in ((3, 1), (3, 2), (4, 1), (4, 2), (5, 1))),
+    ("construct-thm1", "--k", "4"),
+    *(("blowup", "--kind", "cubes", "--m", str(m), "--p", "1.2", "--kmax", "6", "--mode", mode)
+      for m in (3, 4, 5) for mode in ("exact", "bound")),
+)
+
+
+def test_digit_spec_requests_digest(capsys):
+    # frozen from the digit specs that held Fraction alphabets; m = 4 has the
+    # non-integer shared digit -16/3
+    h = hashlib.sha256()
+    for argv in CUBE_REQUESTS:
+        rc, out, err = run(capsys, *argv)
+        h.update(f"{' '.join(argv)}\0{rc}\0{out}\0{err}\0".encode())
+    assert h.hexdigest() == "f9fdba9889bdcee53619b6e325864a600685bcb0df3d4e1c419e03a3178e31bf"
+
+
 def test_verify_claim_k4_digest(capsys):
     # stdout (1.2 MB) and exit code of the depth-4 claim, frozen from the code
     # that built every breakpoint of F as a Fraction
@@ -565,3 +584,12 @@ def test_verify_claim_refuses_deep_sweeps(capsys, k, estimate):
     assert rc == 1 and out == ""
     assert err == (f"divlab: error: sweep of {estimate} meeting candidates exceeds "
                    "the cap of 100,000,000\n")
+
+
+def test_verify_cubes_refuses_oversized_enumerations(capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "verify-cubes", "--m", "4", "--k", "4")
+    assert time.perf_counter() - start < 0.5
+    assert rc == 1 and out == ""
+    assert err == ("divlab: error: cube certificate of 15,728,640 checks exceeds "
+                   "the cap of 2,000,000\n")

@@ -10,6 +10,7 @@ import pytest
 from divlab.digitsets import (
     DigitSetSpec,
     NoCarryError,
+    _gap_certified,
     base_points,
     cardinality,
     combine,
@@ -61,7 +62,15 @@ def test_spec_validation():
         digit_spec(2, 1, [0], F(-1))
     s = digit_spec(10, 1, [3, 1, 3, F(2, 2)], F(1, 10))
     assert s.alphabet == (F(1), F(3))  # sorted, deduplicated
+    assert (s.digits, s.den) == ((1, 3), 1)
     assert s.with_tail(0).tail == 0
+    # integer digits are sorted, deduplicated and put in lowest terms, so == is structural
+    h = DigitSetSpec(12, 2, (8, -4, 0, 8), 6, F(1, 288))
+    assert (h.digits, h.den) == ((-2, 0, 4), 3)
+    assert h == digit_spec(12, 2, [F(4, 3), F(-2, 3), 0], F(1, 288))
+    assert hash(h) == hash(DigitSetSpec(12, 2, (-2, 0, 4), 3, F(1, 288)))
+    with pytest.raises(ValueError):
+        DigitSetSpec(12, 2, (0, 1), 0, 0)
 
 
 def test_json_round_trip():
@@ -120,11 +129,18 @@ def test_materialize_frozen_scenario_digest():
 
 def test_cardinality_and_collision_freeness():
     rnd = random.Random(987)
+    certified = 0
     for _ in range(150):
         s = rnd_spec(rnd)
         brute = brute_points(s)
         assert cardinality(s) == len(brute)
         assert is_collision_free(s) == (len(brute) == len(s.alphabet) ** s.depth)
+        # the gap certificate on the integer digits, against the Fraction alphabet
+        a = s.alphabet
+        gaps = [y - x for x, y in zip(a, a[1:])]
+        assert _gap_certified(s) == (not gaps or min(gaps) * (s.radix - 1) >= a[-1] - a[0])
+        certified += _gap_certified(s) and s.den > 1 and len(a) > 1
+    assert certified > 10
 
 
 def test_collision_example():
@@ -183,7 +199,7 @@ def reference_combine(terms, tail=0):
                 f"magnitude >= radix {radix}"
             )
         values.add(v)
-    return DigitSetSpec(radix, depth, tuple(sorted(values)), F(tail))
+    return digit_spec(radix, depth, values, tail)
 
 
 def test_combine_matches_fraction_reference():

@@ -63,6 +63,21 @@ def test_interval_objects_are_built_only_in_intervals_module():
     assert found == []
 
 
+def test_alphabet_view_is_read_only_in_digitsets_module():
+    # a digit spec is its integer digits over one denominator; the Fraction
+    # .alphabet view stays behind that one type
+    files = sorted(Path(divlab.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        if path.name != "digitsets.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "alphabet"
+    ]
+    assert len(files) > 1
+    assert found == []
+
+
 def test_invariant_error_is_a_runtime_error():
     assert issubclass(InvariantError, RuntimeError)
 
@@ -71,12 +86,6 @@ def test_missing_dependence_vector_raises(monkeypatch):
     monkeypatch.setattr(linforms, "dependence_vector", lambda rows: None)
     with pytest.raises(InvariantError, match="no dependence vector"):
         linforms.minimal_dependent_rows([[2, 0], [0, 2], [1, 1]])
-
-
-def test_missing_span_solution_raises(monkeypatch):
-    monkeypatch.setattr(linforms, "solve_in_span", lambda basis, v: None)
-    with pytest.raises(InvariantError, match="outside the span"):
-        linforms.classify([[2, 0], [0, 2], [1, 1]])
 
 
 def test_circuit_with_full_t_rank_raises(monkeypatch):
