@@ -7,10 +7,12 @@ Everything except the Monte Carlo estimator is exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence, Tuple, Union
@@ -506,14 +508,61 @@ class CubeCheck:
     passed: bool
 
 
+class CubeChecks:
+    """Every (x, eps) check of a cube certificate, in enumeration order, as a
+    lazy view: len is the check count, and each iteration reruns the integer
+    enumeration and builds one CubeCheck per check."""
+
+    def __init__(self, count, scale, forms, rows):
+        self._count = count
+        self._scale = scale
+        self._forms = forms  # per eps in order: (eps, slack, slack >= 0)
+        self._rows = rows  # () -> the enumeration's (x, membership per eps) rows
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        for x, members in self._rows():
+            xq = Fraction(x, self._scale)
+            for (eps, slack, slack_ok), member in zip(self._forms, members):
+                yield CubeCheck(xq, eps, member, slack, member and slack_ok)
+
+
 @dataclass(frozen=True)
 class CubeCertificateReport:
     dimension: int
     depth: int
     t_tail: Fraction
-    checks: Tuple[CubeCheck, ...]
+    checks_total: int
+    checks_failed: int
+    first_failures: Tuple[CubeCheck, ...]  # the first five, in enumeration order
     all_pass: bool
     integral_lower_bound: Fraction
+    checks: CubeChecks = field(compare=False, repr=False)
+
+
+# a cube report keeps this many failing checks
+_FAILURES_KEPT = 5
+
+
+def _cube_rows(points, lattice, forms):
+    """The integer cube enumeration: per combination of generator and shared
+    base points (all ints over one scale), x = b_1 + ... + b_m - (m - 1) b and
+    whether each form target is a base point of its form, in form order."""
+    m = len(points) - 1
+    # each mask as (the mask without its lowest bit, that bit's j)
+    lowest = [(mask & (mask - 1), (mask & -mask).bit_length() - 1) for mask in range(1 << m)]
+    for combo in itertools.product(*points):
+        b = combo[-1]
+        x = sum(combo) - m * b  # b_1 + ... + b_m - (m - 1) b
+        if x not in lattice:
+            raise InvariantError("witness decomposition left the base lattice")
+        # targets[mask] = x + sum of b - b_j over the bits j of mask
+        targets = [x]
+        for rest, j in lowest[1:]:
+            targets.append(targets[rest] + b - combo[j])
+        yield x, [targets[mask] in form for form, mask in forms]
 
 
 def cube_certificate_check(
@@ -536,8 +585,10 @@ def cube_certificate_check(
 
     Every base point is an integer over one scale L, the lcm of the specs'
     denominators, so the decomposition, the lattice test and each form
-    target are int sums and set lookups; x becomes a Fraction once per
-    combination, for its checks.
+    target are int sums and set lookups.  The report counts the checks and
+    the failures and keeps the first _FAILURES_KEPT failures; x becomes
+    a Fraction only for a kept failure.  report.checks is a lazy view that
+    reruns the same enumeration to yield every CubeCheck.
     """
     m = scenario.dimension
     tau = scenario.witness_tail
@@ -557,41 +608,42 @@ def cube_certificate_check(
     nums = [_base_nums(spec) for spec in specs]
     scale = lcm(*(den for _, den in nums))
     pts = [[v * (scale // den) for v in vs] for vs, den in nums]
-    lattice = set(pts[m + 1])
-    # per eps: its form's base points, its slack, whether the slack holds, and
-    # the subset of j (eps_j = 1) as a bit mask, bit j for b - b_j
+    # per eps: its form's base points and the subset of j (eps_j = 1) as a bit
+    # mask, bit j for b - b_j; its slack and whether the slack holds
+    form_sets = [(set(p), sum(1 << j for j in range(m) if eps[j]))
+                 for eps, p in zip(eps_order, pts[m + 2 :])]
     forms = []
-    for eps, p in zip(eps_order, pts[m + 2 :]):
+    for eps in eps_order:
         slack = form_tail - (tau + sum(eps) * t_tail)
-        forms.append((eps, set(p), slack, slack >= 0, sum(1 << j for j in range(m) if eps[j])))
-    # each mask as (the mask without its lowest bit, that bit's j)
-    lowest = [(mask & (mask - 1), (mask & -mask).bit_length() - 1) for mask in range(1 << m)]
+        forms.append((eps, slack, slack >= 0))
+    slack_oks = [ok for _, _, ok in forms]
+    rows = functools.partial(_cube_rows, pts[: m + 1], set(pts[m + 1]), form_sets)
 
-    checks = []
-    all_pass = True
-    for combo in itertools.product(*pts[: m + 1]):
-        b = combo[-1]
-        x = sum(combo) - m * b  # b_1 + ... + b_m - (m - 1) b
-        if x not in lattice:
-            raise InvariantError("witness decomposition left the base lattice")
-        xq = Fraction(x, scale)
-        # targets[mask] = x + sum of b - b_j over the bits j of mask
-        targets = [x]
-        for rest, j in lowest[1:]:
-            targets.append(targets[rest] + b - combo[j])
-        for eps, form, slack, slack_ok, mask in forms:
-            member = targets[mask] in form
-            ok = member and slack_ok
-            if not ok:
-                all_pass = False
-            checks.append(CubeCheck(xq, eps, member, slack, ok))
+    total = failed = 0
+    first = []
+    for x, members in rows():
+        total += len(members)
+        passed = list(map(operator.and_, members, slack_oks))
+        row_failed = passed.count(False)
+        if row_failed:
+            failed += row_failed
+            if len(first) < _FAILURES_KEPT:
+                xq = Fraction(x, scale)
+                first += itertools.islice(
+                    (CubeCheck(xq, eps, member, slack, False)
+                     for (eps, slack, _), member, ok in zip(forms, members, passed) if not ok),
+                    _FAILURES_KEPT - len(first),
+                )
     return CubeCertificateReport(
         dimension=m,
         depth=scenario.depth,
         t_tail=t_tail,
-        checks=tuple(checks),
-        all_pass=all_pass,
+        checks_total=total,
+        checks_failed=failed,
+        first_failures=tuple(first),
+        all_pass=failed == 0,
         integral_lower_bound=t_tail**m,
+        checks=CubeChecks(total, scale, tuple(forms), rows),
     )
 
 

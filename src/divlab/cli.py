@@ -197,7 +197,6 @@ def _cmd_verify_cubes(args) -> int:
     if args.tamper:
         t_tail *= 2
     report = cube_certificate_check(scen, t_tail)
-    failures = [c for c in report.checks if not c.passed]
     meas = scen.witness.measure()
     meas_ok = meas == Fraction(1, args.m + 1)
     cards = scen.cardinalities()
@@ -215,8 +214,8 @@ def _cmd_verify_cubes(args) -> int:
             "k": args.k,
             "t_tail": rat_str(t_tail),
             "tampered": bool(args.tamper),
-            "checks_total": len(report.checks),
-            "checks_failed": len(failures),
+            "checks_total": report.checks_total,
+            "checks_failed": report.checks_failed,
             "first_failures": [
                 {
                     "x": rat_str(c.x),
@@ -224,7 +223,7 @@ def _cmd_verify_cubes(args) -> int:
                     "base_in_form": c.base_in_form,
                     "slack": rat_str(c.slack),
                 }
-                for c in failures[:5]
+                for c in report.first_failures
             ],
             "witness_measure": rat_str(meas),
             "witness_measure_expected": rat_str(Fraction(1, args.m + 1)),

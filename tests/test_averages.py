@@ -658,7 +658,8 @@ def test_cube_certificate_custom_t_tail():
 
 def reference_cube_certificate_check(scenario, t_tail=None):
     """The certificate as a Fraction loop over Fraction base points: every
-    decomposition, lattice test and form target is Fraction arithmetic."""
+    decomposition, lattice test and form target is Fraction arithmetic, and
+    every check is kept."""
     m = scenario.dimension
     tau = scenario.witness_tail
     t_tail = tau if t_tail is None else F(t_tail)
@@ -680,14 +681,30 @@ def reference_cube_certificate_check(scenario, t_tail=None):
             ok = member and slack >= 0
             all_pass &= ok
             checks.append(CubeCheck(x=x, eps=eps, base_in_form=member, slack=slack, passed=ok))
+    failures = [c for c in checks if not c.passed]
     return CubeCertificateReport(
         dimension=m,
         depth=scenario.depth,
         t_tail=t_tail,
-        checks=tuple(checks),
+        checks_total=len(checks),
+        checks_failed=len(failures),
+        first_failures=tuple(failures[:5]),
         all_pass=all_pass,
         integral_lower_bound=t_tail**m,
+        checks=tuple(checks),
     )
+
+
+def assert_matches_reference(rep, ref):
+    # the report against the reference, field by field; == covers the
+    # dimension, depth and t_tail too (checks is left out of ==)
+    assert tuple(rep.checks) == ref.checks
+    assert rep.checks_total == ref.checks_total == len(rep.checks)
+    assert rep.checks_failed == ref.checks_failed
+    assert rep.first_failures == ref.first_failures
+    assert rep.all_pass == ref.all_pass
+    assert rep.integral_lower_bound == ref.integral_lower_bound
+    assert rep == ref
 
 
 @pytest.mark.parametrize("m,k", [(3, 1), (3, 2), (4, 1), (4, 2)])
@@ -702,7 +719,7 @@ def test_cube_certificate_matches_fraction_reference(m, k):
     verdicts = set()
     for t_tail in tails:
         rep = cube_certificate_check(s, t_tail)
-        assert rep == reference_cube_certificate_check(s, t_tail), t_tail
+        assert_matches_reference(rep, reference_cube_certificate_check(s, t_tail))
         verdicts.add(rep.all_pass)
     assert verdicts == {True, False}
 
@@ -716,12 +733,55 @@ def test_cube_certificate_mutated_form_alphabet_fails():
     mutated = digit_spec(spec.radix, spec.depth, spec.alphabet[:-1], spec.tail)
     bad = dataclasses.replace(s, form_specs={**s.form_specs, eps: mutated})
     rep = cube_certificate_check(bad)
-    assert rep == reference_cube_certificate_check(bad)
+    assert_matches_reference(rep, reference_cube_certificate_check(bad))
     assert not rep.all_pass
     missed = [c for c in rep.checks if not c.base_in_form]
     assert missed and {c.eps for c in missed} == {eps}
     assert all(not c.passed for c in missed)
     assert cube_certificate_check(s).all_pass
+
+
+def cube_check_counter(monkeypatch):
+    """A list that grows by one per CubeCheck built while the patch holds."""
+    made = []
+
+    def counting(*args):
+        made.append(1)
+        return CubeCheck(*args)
+
+    monkeypatch.setattr(averages, "CubeCheck", counting)
+    return made
+
+
+def test_cube_report_keeps_only_the_first_failures(monkeypatch):
+    # the report holds counts and at most five failures, so its memory does
+    # not grow with the check count; only the lazy .checks builds every check
+    passing = [cube_family(4, 2), cube_family(5, 2)]
+    s = cube_family(3, 1)
+    made = cube_check_counter(monkeypatch)
+    for scen in passing:
+        rep = cube_certificate_check(scen)
+        assert rep.all_pass and rep.checks_failed == 0 and rep.first_failures == ()
+        assert made == [], (scen.dimension, scen.depth)
+    rep = cube_certificate_check(s, s.witness_tail * 2)
+    assert rep.checks_failed > 5 and not rep.all_pass
+    assert len(made) == min(5, rep.checks_failed) == len(rep.first_failures)
+    assert len(list(rep.checks)) == rep.checks_total == 112
+    assert len(made) == 5 + 112
+    monkeypatch.undo()
+    assert list(rep.first_failures) == [c for c in rep.checks if not c.passed][:5]
+
+
+def test_cube_certificate_builds_no_fraction_per_combination(monkeypatch):
+    # x stays an int over one scale; the Fractions built are the tail and a
+    # few per form for its slack, none per combination of base points
+    s = cube_family(4, 2)
+    combinations = 15_360 // len(s.form_specs)
+    made = fraction_counter(monkeypatch)
+    rep = cube_certificate_check(s)
+    monkeypatch.undo()
+    assert rep.all_pass and rep.checks_total == 15_360
+    assert len(made) <= 4 * len(s.form_specs) < combinations, len(made)
 
 
 @pytest.mark.parametrize(

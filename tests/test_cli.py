@@ -437,7 +437,8 @@ def test_invariant_failure_exits_1_without_traceback(capsys, monkeypatch):
 # --- seeded argument fuzz ----------------------------------------------------
 
 # cheap requests of every subcommand; find-nk carries a small --max-n so that
-# no single mangling turns it into a long exhaustive search
+# no single mangling turns it into a long exhaustive search; verify-cubes
+# (4,4) is refused, and every cube size a mangling reaches runs in milliseconds
 FUZZ_BASE = [
     ["thresholds"],
     ["thresholds", "--m", "5", "--r", "4"],
@@ -451,6 +452,8 @@ FUZZ_BASE = [
     ["verify-cubes", "--m", "3", "--k", "1"],
     ["verify-cubes", "--m", "3", "--k", "1", "--t-tail", "1/1000", "--tamper"],
     ["verify-cubes", "--m", "3", "--k", "1", "--tamper"],
+    ["verify-cubes", "--m", "4", "--k", "2"],
+    ["verify-cubes", "--m", "4", "--k", "4"],
     ["blowup", "--kind", "thm1", "--p", "1.25", "--kmax", "4"],
     ["blowup", "--kind", "thm1", "--p", "1.25", "--kmax", "4", "--weighted", "--csv"],
     ["blowup", "--kind", "cubes", "--m", "3", "--p", "1.25", "--kmax", "4", "--mode", "bound"],
@@ -574,6 +577,29 @@ def test_verify_claim_k4_digest(capsys):
     assert hashlib.sha256(f"{rc}\0{out}".encode()).hexdigest() == (
         "1b894b72e64b657687ce87b445b1f759f997608f9d6ed6dc19c3e48bb2e904d5"
     )
+
+
+# Stdout, stderr and exit code of these requests are pinned by one sha256,
+# frozen from the code that kept one CubeCheck object per check.
+VERIFY_CUBES_REQUESTS = (
+    ("verify-cubes", "--m", "3", "--k", "1"),
+    ("verify-cubes", "--m", "3", "--k", "1", "--tamper"),
+    ("verify-cubes", "--m", "4", "--k", "1"),
+    ("verify-cubes", "--m", "4", "--k", "1", "--tamper"),
+    ("verify-cubes", "--m", "4", "--k", "2"),
+    ("verify-cubes", "--m", "5", "--k", "2", "--tamper"),
+    ("verify-cubes", "--m", "3", "--k", "3", "--t-tail", "1/2"),
+    ("verify-cubes", "--m", "3", "--k", "4"),
+    ("verify-cubes", "--m", "6", "--k", "2"),
+)
+
+
+def test_verify_cubes_requests_digest(capsys):
+    h = hashlib.sha256()
+    for argv in VERIFY_CUBES_REQUESTS:
+        rc, out, err = run(capsys, *argv)
+        h.update(f"{' '.join(argv)}\0{rc}\0{out}\0{err}\0".encode())
+    assert h.hexdigest() == "72c3ddd25b18c47894021b98cbda9ab67dc9a355e6f9d1a0dd466b69986c8448"
 
 
 @pytest.mark.parametrize("k, estimate", [(6, "912,610,660"), (7, "20,939,287,084")])

@@ -78,6 +78,19 @@ def test_alphabet_view_is_read_only_in_digitsets_module():
     assert found == []
 
 
+def test_cli_never_reads_the_lazy_cube_checks():
+    # verify-cubes prints the report's counts and first failures; reading
+    # .checks would rebuild one CubeCheck per check
+    path = Path(cli.__file__)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "checks"
+    ]
+    assert "report.checks_total" in path.read_text()
+    assert found == []
+
+
 def test_invariant_error_is_a_runtime_error():
     assert issubclass(InvariantError, RuntimeError)
 
