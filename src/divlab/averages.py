@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,15 +94,33 @@ class SweepResult:
 
 
 # candidates handled per numpy block; bounds the sweep's working memory
-_BLOCK = 1 << 12
+_BLOCK = 1 << 13
 
 # the continuous sweep refuses more meeting candidates than this (k=5 has 40 M)
 MAX_SWEEP_CANDIDATES = 10**8
 
 
+def check_sweep_candidates(sizes: Sequence[int], coefficients: Sequence[int]) -> int:
+    """The meeting candidates sum_{i<j, c_i != c_j} |E_i||E_j| + 2 sum |E_i| of
+    a continuous sweep whose families have sizes[i] = |E_i| endpoints; past
+    MAX_SWEEP_CANDIDATES it raises ValueError naming the count.  An upper
+    bound on the sizes gives an upper bound on the count."""
+    candidates = 2 * sum(sizes) + sum(
+        a * b
+        for (a, c), (b, d) in itertools.combinations(zip(sizes, coefficients), 2)
+        if c != d
+    )
+    if candidates > MAX_SWEEP_CANDIDATES:
+        raise ValueError(
+            f"sweep of {candidates:,} meeting candidates exceeds the cap of {MAX_SWEEP_CANDIDATES:,}"
+        )
+    return candidates
+
+
 def _distinct(a):
-    """Sorted distinct values (np.unique would import numpy.ma on first use)."""
-    a = np.sort(a)
+    """Sorted distinct values of a, which is sorted in place (np.unique would
+    import numpy.ma on first use)."""
+    a.sort()
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
@@ -154,42 +173,60 @@ def _crossing_blocks(fam_s, coeffs, dom, win):
         yield block(parts)
 
 
-def _fold(xs, jumps, pending):
-    """Merge pending meeting blocks into the sorted distinct breakpoints xs
-    and the slope jump at each.  A block is (x, x_nz, jump_nz): every
-    meeting's abscissa, then those with a nonzero jump and the jump."""
-    out = _distinct(np.concatenate([xs, *(x for x, _, _ in pending)]))
-    acc = np.zeros(len(out), dtype=xs.dtype)
-    acc[np.searchsorted(out, xs)] = jumps
-    for _, x, v in pending:
-        np.add.at(acc, np.searchsorted(out, x), v)
-    return out, acc
+def _merge(xs, pending, nz):
+    """The sorted distinct breakpoints xs with the abscissa of every pending
+    meeting merged in.  A pending block is (x, x_nz, jump_nz): every
+    meeting's abscissa, then those with a nonzero jump and the jump; the
+    nonzero ones move to nz as one (abscissae, jumps) pair."""
+    if not pending:
+        return xs
+    _, at, jumps = zip(*pending)
+    nz.append((np.concatenate(at), np.concatenate(jumps)))
+    return _distinct(np.concatenate([xs, *(x for x, _, _ in pending)]))
 
 
 def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
-    """Slope jump of F (units 1/C) from each meeting counted by pair (p, q).
+    """(index, jump) of the meetings counted by pair (p, q) whose slope jump
+    of F (units 1/C) is nonzero; p and q are arrays or scalars.
 
     Near the meeting point every family is inside, outside, or has its lower
     or upper t-endpoint there; endpoints move at vel = -C/c (the domain at 0).
-    The local intersection [max lowers, min uppers] gives F's slope just
-    right (plus) and left (minus) of x.  A meeting shared by several pairs is
-    counted only by its canonical pair: the first participant and the first
-    later one with a different velocity.
+    One search per family finds the first endpoint at or after the point, and
+    an equality test there tells a hit.  A meeting outside some family has
+    F = 0 on both sides, so it is dropped before the local reductions.  On
+    the live ones the local intersection [max lowers, min uppers] gives F's
+    slope just right (plus) and left (minus) of x.  A meeting shared by
+    several pairs is counted only by its canonical pair: the first
+    participant and the first later one with a different velocity.
     """
-    shape = (len(fam_s) + 1, len(x))
-    lower, upper = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    lower[0], upper[0] = tau == dom[0], tau == dom[1]  # meetings lie in the domain
-    outside = np.zeros(len(x), dtype=bool)
-    for r, (es, c) in enumerate(zip(fam_s, coeffs), 1):
+    idx = np.arange(len(x))
+    hits, ks = [], []  # per family: an endpoint at y; the first endpoint index at or after y
+    for es, c in zip(fam_s, coeffs):
+        if not len(es):  # an empty family: F = 0 everywhere
+            return idx[:0], x[:0]
         y = x + c * tau
-        k = np.searchsorted(es, y, side="left")
-        hit = np.searchsorted(es, y, side="right") > k
-        even = k % 2 == 0
-        outside |= even & ~hit
-        lower[r] = hit & (even == (c > 0))
-        upper[r] = hit & (even != (c > 0))
-    big = int(np.abs(vel).max()) + 1
+        k = np.searchsorted(es, y)
+        hit = np.take(es, k, mode="clip") == y
+        # keep the meetings inside or on this family (a hit, or past an odd
+        # number of endpoints); the next family searches only those
+        keep = np.flatnonzero(hit | (k & 1).astype(bool))
+        idx, x, tau = idx[keep], x[keep], tau[keep]
+        hits = [h[keep] for h in hits] + [hit[keep]]
+        ks = [j[keep] for j in ks] + [k[keep]]
+    # the canonical pair reads only which rows take part: the domain at its
+    # ends, a family at a hit; the reductions then run on the counted meetings
+    part = np.array([(tau == dom[0]) | (tau == dom[1]), *hits])
     v = vel[:, None]
+    first = part.argmax(axis=0)
+    second = (part & (v != vel[first])).argmax(axis=0)
+    if np.ndim(p):
+        p, q = p[idx], q[idx]
+    own = np.flatnonzero((first == p) & (second == q))
+    idx, tau, part = idx[own], tau[own], part[:, own]
+    # a hit at an even index is a lower t-endpoint when c > 0, an upper one when c < 0
+    lower = part & np.array([tau == dom[0], *(((k[own] & 1) == 0) == (c > 0) for k, c in zip(ks, coeffs))])
+    upper = part & ~lower
+    big = int(np.abs(vel).max()) + 1
     has_lo, has_up = lower.any(axis=0), upper.any(axis=0)
     max_lo = np.where(lower, v, -big).max(axis=0)
     min_lo = np.where(lower, v, big).min(axis=0)
@@ -200,11 +237,29 @@ def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
                     np.where(has_up, min_up, np.where(has_lo, -max_lo, 0)))
     minus = np.where(both, -np.maximum(min_lo - max_up, 0),
                      np.where(has_up, max_up, np.where(has_lo, -min_lo, 0)))
-    part = lower | upper
-    first = part.argmax(axis=0)
-    second = (part & (v != vel[first])).argmax(axis=0)
-    counted = (first == p) & (second == q) & ~outside
-    return np.where(counted, plus - minus, 0)
+    jump = plus - minus
+    nz = np.flatnonzero(jump)
+    return idx[nz], jump[nz]
+
+
+def _grid_integral(fam, coeffs, c_lcm, dom, x):
+    """F * S * C at the grid point x: everything an int on the sweep's grid.
+
+    fam holds each family's sorted endpoints (ints over S), dom the t-domain
+    over S, and C = c_lcm is a multiple of every c.  In units 1/(S * C) the
+    t-set of family i is ((a - x) * C/c, (b - x) * C/c) for each piece
+    (a, b), reversed when c < 0; only the pieces that reach the domain are
+    read, and the running t-set meets them with _pair_isect.
+    """
+    cur = [(dom[0] * c_lcm, dom[1] * c_lcm)]
+    for es, c in zip(fam, coeffs):
+        # the endpoints that x + c * t reaches over the domain, whole pieces
+        lo, hi = sorted((x + c * dom[0], x + c * dom[1]))
+        ts = [(e - x) * (c_lcm // c)
+              for e in es[bisect_right(es, lo) & ~1 : (bisect_left(es, hi) + 1) & ~1]]
+        pieces = zip(ts[::2], ts[1::2]) if c > 0 else zip(ts[-1::-2], ts[-2::-2])
+        cur = _pair_isect(cur, list(pieces))
+    return sum(b - a for a, b in cur)
 
 
 def sweep_superlevel(
@@ -229,26 +284,34 @@ def sweep_superlevel(
     which meeting abscissae and times are exact.  Candidates (every endpoint
     pair of families with different coefficients, and every endpoint at
     t0 and t1) run as one sequence over all pairs, generated and filtered in
-    numpy blocks of _BLOCK that span pairs: 1 / 2 / 22 / 449 blocks on the
+    numpy blocks of _BLOCK that span pairs: 1 / 1 / 11 / 225 blocks on the
     depth-k claim scenarios (k = 1..4), which keep 175 / 3,045 / 57,949 /
     1,166,577 meetings out of 268 / 4,420 / 86,764 / 1,836,484 candidates,
     for 37 / 433 / 5,185 / 62,209 breakpoints.  The candidate count is known
-    from the endpoint counts before any event; past MAX_SWEEP_CANDIDATES
-    (k=6 has 912,610,660) the sweep raises ValueError.  Arrays are int64 when
-    a magnitude bound computed from the inputs stays below 2^62, and dtype
-    object (Python ints) otherwise; both run the same code.
+    from the endpoint counts before any event (check_sweep_candidates); past
+    MAX_SWEEP_CANDIDATES (k=6 has 912,610,660) the sweep raises ValueError.
+    Arrays are int64 when a magnitude bound computed from the inputs stays
+    below 2^62, and dtype object (Python ints) otherwise; both run the same
+    code.
 
     Each meeting changes F's slope by a jump read off the families' local
-    states there (see _meeting_jumps).  Pending meetings fold into the
-    breakpoints, their jumps summed onto each abscissa, after 64 blocks once
-    they are at least as many as the breakpoints so far, so memory follows
-    the breakpoints rather than the meetings.  F and its slope on the first
-    piece come from multilinear_integral at the first two breakpoints;
-    cumulative sums of the jumps then give F at every breakpoint, and the
-    last value is checked against multilinear_integral.  The function holds
-    F on the integer grid (breakpoints over S, values over S * C) and cuts
-    the superlevel set there, each level crossing an integer on that grid
-    refined by the lcm of the crossings' denominators.
+    states there (see _meeting_jumps).  The kernel searches each family once
+    and drops a meeting as soon as it lies outside some family, so only the
+    live ones reach the local reductions (13,823 of 57,949 at k=3, 165,887
+    of 1,166,577 at k=4), and of those only the ones their canonical pair
+    counts; it returns the (index, jump) of the nonzero jumps (6,910 and
+    82,942).  Every meeting's abscissa is a breakpoint: pending abscissae
+    merge into the sorted breakpoints after 32 blocks once they are at least
+    as many as the breakpoints so far, so memory follows the breakpoints
+    rather than the meetings, and the nonzero jumps, kept with their
+    abscissae, are summed onto the breakpoints at the end.  F at the first
+    two breakpoints and at the last one comes from one integer pointwise
+    evaluation on the sweep's own grid (_grid_integral), as F * S * C: the
+    first slope is an exact divmod, cumulative sums of the jumps then give F
+    at every breakpoint, and the last value must equal the third evaluation.
+    The function holds F on the integer grid (breakpoints over S, values
+    over S * C) and cuts the superlevel set there, each level crossing an
+    integer on that grid refined by the lcm of the crossings' denominators.
     """
     sets = list(sets)
     coeffs = [int(c) for c in coefficients]
@@ -263,14 +326,7 @@ def sweep_superlevel(
     if t0 >= t1:
         raise ValueError("t-domain must be nondegenerate")
     level = rat(level)
-    sizes = [2 * len(u.nums) for u in sets]
-    candidates = 2 * sum(sizes) + sum(
-        a * b for (a, c), (b, d) in itertools.combinations(zip(sizes, coeffs), 2) if c != d
-    )
-    if candidates > MAX_SWEEP_CANDIDATES:
-        raise ValueError(
-            f"sweep of {candidates:,} meeting candidates exceeds the cap of {MAX_SWEEP_CANDIDATES:,}"
-        )
+    check_sweep_candidates([2 * len(u.nums) for u in sets], coeffs)
 
     c_lcm = lcm(*(abs(c) for c in coeffs))
     scale = (
@@ -295,33 +351,36 @@ def sweep_superlevel(
     fam_s = [np.array(es, dtype=dtype) for es in fam]
     vel = np.array([0] + [-c_lcm // c for c in coeffs], dtype=dtype)
 
-    # breakpoints so far and F's slope jump at each; pending meetings fold in
-    # after 64 blocks once they are at least as many as the breakpoints, so
-    # memory follows the breakpoints, not the meetings
-    xs_s, slope_jumps, pending, held = np.array(win, dtype=dtype), np.zeros(2, dtype=dtype), [], 0
+    # breakpoints so far; pending meetings merge in after 32 blocks once they
+    # are at least as many as the breakpoints, so memory follows the
+    # breakpoints, not the meetings.  Only the nonzero slope jumps are kept,
+    # with their abscissae, and summed onto the breakpoints at the end.
+    xs_s, pending, held, nz = np.array(win, dtype=dtype), [], 0, []
     for x, tau, p, q in _crossing_blocks(fam_s, coeffs, dom, win):
-        jumps = _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom)
-        nz = jumps != 0
-        pending.append((x, x[nz], jumps[nz]))
+        at, jumps = _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom)
+        pending.append((x, x[at], jumps))
         held += len(x)
-        if len(pending) >= 64 and held >= len(xs_s):
-            xs_s, slope_jumps = _fold(xs_s, slope_jumps, pending)
+        if len(pending) >= 32 and held >= len(xs_s):
+            xs_s = _merge(xs_s, pending, nz)
             pending, held = [], 0
-    xs_s, slope_jumps = _fold(xs_s, slope_jumps, pending)
+    xs_s = _merge(xs_s, pending, nz)
+    slope_jumps = np.zeros(len(xs_s), dtype=dtype)
+    for x, v in nz:
+        np.add.at(slope_jumps, np.searchsorted(xs_s, x), v)
+    del nz
 
-    xs = xs_s.tolist()
-    x0, x1, xn = (Fraction(v, scale) for v in (xs[0], xs[1], xs[-1]))
-    f0 = multilinear_integral(sets, coeffs, x0, (t0, t1))
-    slope0 = (multilinear_integral(sets, coeffs, x1, (t0, t1)) - f0) / (x1 - x0)
-    if (slope0 * c_lcm).denominator != 1:
-        raise InvariantError("sweep events missed a breakpoint of F")
+    x0, x1, xn = (int(xs_s[i]) for i in (0, 1, -1))
+    y0, y1, yn = (_grid_integral(fam, coeffs, c_lcm, dom, v) for v in (x0, x1, xn))
     # slopes in 1/C units; F * S * C accumulates slope * dx exactly
-    slopes = int(slope0 * c_lcm) + np.cumsum(np.concatenate(([0], slope_jumps[1:-1])))
-    unit = scale * c_lcm
-    ys = np.cumsum(np.concatenate(([int(f0 * unit)], slopes * np.diff(xs_s)))).tolist()
-    if Fraction(ys[-1], unit) != multilinear_integral(sets, coeffs, xn, (t0, t1)):
+    slope0, missed = divmod(y1 - y0, x1 - x0)
+    if missed:
+        raise InvariantError("sweep events missed a breakpoint of F")
+    slopes = slope0 + np.cumsum(np.concatenate(([0], slope_jumps[1:-1])))
+    ys = np.cumsum(np.concatenate(([y0], slopes * np.diff(xs_s))))
+    if int(ys[-1]) != yn:
         raise InvariantError("kinetic sweep disagrees with the pointwise integral")
-    f = PiecewiseLinear(tuple(xs), tuple(ys), scale, unit)
+    f = PiecewiseLinear(tuple(xs_s.tolist()), tuple(ys.tolist()), scale, scale * c_lcm)
+    del xs_s, slope_jumps, slopes, ys  # the arrays go before the cut's peak
     sup = f.superlevel(level)
     return SweepResult(function=f, superlevel=sup, superlevel_measure=sup.measure())
 

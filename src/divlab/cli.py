@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .averages import (
     SearchExhaustedError,
+    check_sweep_candidates,
     cube_certificate_check,
     find_riemann_n,
     form_time_set,
@@ -30,6 +31,7 @@ from .averages import (
     degenerate_lower_ratio,
     dependent_forms_lower_ratio,
 )
+from .digitsets import cardinality, measure
 from .hilbert import h3_evaluate, h3_ratio_series, h3_series_columns, h3_witness_evaluations
 from .intervals import InvariantError, rat_str, real
 from .linforms import classify
@@ -131,24 +133,30 @@ def _cmd_construct_cubes(args) -> int:
 
 def _cmd_verify_claim(args) -> int:
     scen = furstenberg_family(args.k)
+    # refuse an oversized sweep before materializing any factor: a factor has
+    # at most 2 * cardinality endpoints, since its pieces can only merge
+    check_sweep_candidates([2 * cardinality(s) for s in scen.factor_specs], scen.coefficients)
     res = sweep_superlevel(
         scen.factors, scen.coefficients, scen.level, window=(-1, 0)
     )
-    # keep what the JSON needs, so the sweep function is freed before rendering
-    superlevel, measure = res.superlevel, res.superlevel_measure
+    # keep what the JSON needs, so the sweep function, the factors and the
+    # witness are freed before rendering
+    superlevel, sup_measure = res.superlevel, res.superlevel_measure
     breakpoints = len(res.function.x_nums)
     del res
     witness_in = scen.witness.clip(-1, 0).issubset(superlevel)
-    target = Fraction(1, 8) - scen.level
-    meas_ok = measure >= target
+    level = scen.level
+    del scen
+    target = Fraction(1, 8) - level
+    meas_ok = sup_measure >= target
     verified = witness_in and meas_ok
     _emit_json(
         {
             "k": args.k,
-            "lambda": rat_str(scen.level),
+            "lambda": rat_str(level),
             "window": [rat_str(-1), rat_str(0)],
             "target": rat_str(target),
-            "superlevel_measure": _rat_real(measure),
+            "superlevel_measure": _rat_real(sup_measure),
             "witness_contained": witness_in,
             "measure_reached": meas_ok,
             "breakpoints": breakpoints,
@@ -197,7 +205,7 @@ def _cmd_verify_cubes(args) -> int:
     if args.tamper:
         t_tail *= 2
     report = cube_certificate_check(scen, t_tail)
-    meas = scen.witness.measure()
+    meas = measure(scen.witness_spec)
     meas_ok = meas == Fraction(1, args.m + 1)
     cards = scen.cardinalities()
     card_rows = {}

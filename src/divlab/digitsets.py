@@ -148,6 +148,20 @@ def cardinality(spec: DigitSetSpec) -> int:
     return len(_base_nums(spec)[0])
 
 
+def measure(spec: DigitSetSpec) -> Fraction:
+    """Lebesgue measure of the generated set.
+
+    Under the gap certificate, distinct base points lie at least min_gap
+    apart on the grid 1/(den * radix^depth); a tail no longer than that
+    leaves the pieces disjoint, and the measure is cardinality * tail with
+    no enumeration.  Otherwise it is the measure of the materialized union.
+    """
+    d, unit = spec.digits, spec.den * spec.radix**spec.depth
+    if _gap_certified(spec) and all(spec.tail * unit <= b - a for a, b in zip(d, d[1:])):
+        return cardinality(spec) * spec.tail
+    return materialize(spec).measure()
+
+
 def combine(
     terms: Sequence[Tuple[int, DigitSetSpec]], tail: RationalLike = 0
 ) -> DigitSetSpec:

@@ -23,7 +23,15 @@ from functools import cached_property
 from math import comb
 from typing import Dict, Mapping, Tuple
 
-from .digitsets import MAX_ENUM, DigitSetSpec, cardinality, combine, digit_spec, materialize
+from .digitsets import (
+    MAX_ENUM,
+    DigitSetSpec,
+    cardinality,
+    combine,
+    digit_spec,
+    materialize,
+    measure,
+)
 from .intervals import IntervalUnion, rat, rat_str, real
 
 RATIO_TOL = 1e-12  # band around 1 separating diverges / boundary / decays
@@ -189,7 +197,7 @@ class CubeScenario:
             "k": self.depth,
             "m": self.dimension,
             "sets": sets,
-            "measures": {"witness": rat_str(self.witness.measure())},
+            "measures": {"witness": rat_str(measure(self.witness_spec))},
             "cardinalities": {
                 eps_key(e): c for e, c in sorted(self.cardinalities().items())
             },

@@ -22,6 +22,7 @@ from divlab.averages import (
     CubeCertificateReport,
     CubeCheck,
     SearchExhaustedError,
+    _grid_integral,
     cube_certificate_check,
     degenerate_lower_ratio,
     degenerate_pointwise_bound,
@@ -36,8 +37,9 @@ from divlab.averages import (
     wrap_translate,
 )
 from divlab.digitsets import _base_nums, base_points, cardinality, combine, digit_spec
-from divlab.intervals import IntervalUnion, normalize
+from divlab.intervals import EMPTY, IntervalUnion, normalize
 from divlab.scenarios import cube_family, furstenberg_family
+from meeting_reference import full_state_jumps
 from superlevel_reference import fraction_superlevel
 
 
@@ -298,6 +300,141 @@ def test_sweep_packs_candidates_across_pairs(monkeypatch):
             assert packed == unpacked, (k, coeffs, block)
 
 
+def kernel_calls(monkeypatch, sweep):
+    """The arguments of every meeting-kernel call that sweep() makes."""
+    calls, kernel = [], averages._meeting_jumps
+
+    def capture(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(averages, "_meeting_jumps", capture)
+        sweep()
+    return calls
+
+
+def check_kernel(args):
+    """The kernel's (index, jump) are the full-state reference's nonzero
+    entries; returns the reference's jumps."""
+    ref = full_state_jumps(*args)
+    at, jumps = averages._meeting_jumps(*args)
+    nz = np.flatnonzero(ref)
+    assert np.array_equal(at, nz) and np.array_equal(jumps, ref[nz])
+    assert jumps.dtype == args[0].dtype
+    return ref
+
+
+def test_meeting_kernel_matches_full_state_reference(monkeypatch):
+    # every block of the depth-1..3 claim sweeps
+    for k in (1, 2, 3):
+        s = furstenberg_family(k)
+        calls = kernel_calls(monkeypatch, lambda: sweep_superlevel(
+            s.factors, s.coefficients, s.level, window=(-1, 0)))
+        assert len(calls) == {1: 1, 2: 1, 3: 11}[k]
+        for args in calls:
+            check_kernel(args)
+    # random instances on a coarse grid, with negative coefficients and a
+    # window that holds every meeting, the t-domain ends included
+    rnd = random.Random(1512)
+    seen = dict.fromkeys(("t0", "t1", "negative", "coincident"), 0)
+    for _ in range(60):
+        nsets = rnd.randint(1, 3)
+        sets = [rnd_union(rnd, span=4, den=2, max_pieces=3) for _ in range(nsets)]
+        coeffs = [rnd.choice([-3, -2, -1, 1, 2, 3]) for _ in range(nsets)]
+        t0 = F(rnd.randint(-4, 4), 2)
+        t_domain = (t0, t0 + F(rnd.randint(1, 4), 2))
+        for args in kernel_calls(monkeypatch, lambda: sweep_superlevel(
+                sets, coeffs, F(1, 8), window=(-20, 20), t_domain=t_domain)):
+            x, tau, _, _, fam_s, _, _, dom = args
+            counted = check_kernel(args) != 0
+            rows = ((tau == dom[0]) | (tau == dom[1])).astype(int)
+            rows += sum(np.isin(x + c * tau, es) for es, c in zip(fam_s, coeffs))
+            seen["t0"] += np.count_nonzero(counted & (tau == dom[0]))
+            seen["t1"] += np.count_nonzero(counted & (tau == dom[1]))
+            seen["negative"] += min(coeffs) < 0 and counted.any()
+            seen["coincident"] += np.count_nonzero(counted & (rows >= 3))
+    assert all(seen.values()), seen
+    # dtype-object arrays
+    sets, coeffs, t_domain = huge_denominator_instance()
+    calls = kernel_calls(monkeypatch, lambda: sweep_superlevel(
+        sets, coeffs, F(1, 10), window=(-2, 2), t_domain=t_domain))
+    assert calls and all(args[0].dtype == object for args in calls)
+    for args in calls:
+        check_kernel(args)
+
+
+def test_meeting_kernel_takes_scalar_pairs(monkeypatch):
+    # the per-pair blocks of test_sweep_packs_candidates_across_pairs pass
+    # scalar p and q
+    blocks = averages._crossing_blocks
+    for k, coeffs in [(k, (1, 2, 3)) for k in (1, 2, 3)] + [(1, (2, -1, 2)), (2, (1, 1, 3))]:
+        s = furstenberg_family(k)
+        inputs = []
+        with monkeypatch.context() as m:
+            m.setattr(averages, "_crossing_blocks", lambda *a: inputs.append(a) or blocks(*a))
+            (*_, vel, _), *_ = kernel_calls(monkeypatch, lambda: sweep_superlevel(
+                s.factors, coeffs, s.level, window=(-1, 0)))
+        (fam_s, cs, dom, win), = inputs
+        pair_blocks = list(per_pair_blocks(fam_s, cs, dom, win))
+        assert pair_blocks and all(np.ndim(p) == 0 for _, _, p, _ in pair_blocks)
+        for x, tau, p, q in pair_blocks:
+            check_kernel((x, tau, p, q, fam_s, cs, vel, dom))
+
+
+def test_grid_integral_is_the_scaled_pointwise_integral():
+    # F * S * C at grid points, against the Fraction interval algebra
+    rnd = random.Random(2494)
+    for _ in range(80):
+        nsets = rnd.randint(1, 3)
+        sets = [EMPTY if rnd.random() < 0.1 else rnd_union(rnd, span=6, den=4)
+                for _ in range(nsets)]
+        coeffs = [rnd.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for _ in range(nsets)]
+        t0 = F(rnd.randint(-8, 8), rnd.randint(1, 3))
+        t_domain = (t0, t0 + F(rnd.randint(1, 8), rnd.randint(1, 3)))
+        scale = math.lcm(*(u.den for u in sets), t_domain[0].denominator,
+                         t_domain[1].denominator, rnd.randint(1, 5))
+        c_lcm = math.lcm(*map(abs, coeffs))
+        fam = [[e * (scale // u.den) for pair in u.nums for e in pair] for u in sets]
+        dom = tuple(int(t * scale) for t in t_domain)
+        for _ in range(10):
+            x = rnd.randint(-16 * scale, 16 * scale)
+            want = multilinear_integral(sets, coeffs, F(x, scale), t_domain) * scale * c_lcm
+            assert want.denominator == 1
+            assert _grid_integral(fam, coeffs, c_lcm, dom, x) == want
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_sweep_with_an_empty_factor(i):
+    # an empty union makes F = 0; its family brings no meeting, so the
+    # breakpoints are those of the other two families alone
+    s = furstenberg_family(1)
+    sets, coeffs = list(s.factors), list(s.coefficients)
+    sets[i] = EMPTY
+    res = sweep_superlevel(sets, coeffs, s.level, window=(-1, 0))
+    rest = sweep_superlevel(sets[:i] + sets[i + 1:], coeffs[:i] + coeffs[i + 1:], s.level,
+                            window=(-1, 0))
+    f = res.function
+    assert len(f.x_nums) == (25, 37, 25)[i]
+    assert (f.x_nums, f.x_den) == (rest.function.x_nums, rest.function.x_den)
+    assert set(f.y_nums) == {0}
+    assert res.superlevel == EMPTY and res.superlevel_measure == 0
+
+
+def test_sweep_builds_the_same_few_fractions_at_every_depth(monkeypatch):
+    # the anchors are int evaluations on the sweep's grid: past the window,
+    # the t-domain and the measure, no Fraction is built, whatever the depth
+    counts = []
+    for k in (1, 2, 3):
+        s = furstenberg_family(k)
+        sets, level = s.factors, s.level
+        with monkeypatch.context() as m:
+            made = fraction_counter(m)
+            sweep_superlevel(sets, s.coefficients, level, window=(-1, 0))
+        counts.append(len(made))
+    assert counts[0] == counts[1] == counts[2] <= 6, counts
+
+
 # a coarse grid makes three or more endpoints meet at one point often
 small_rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3]))
 lengths = small_rationals.map(lambda q: abs(q) + F(1, 3))
@@ -343,17 +480,21 @@ def test_sweep_matches_pointwise_property(instance, seed):
     assert res.superlevel == normalize(fraction_superlevel(f.xs, f.ys, f.ys[1:], level))
 
 
-def test_sweep_huge_denominators():
-    # the shared integer scale exceeds int64 here, so the sweep must run on
-    # Python-int (dtype object) arrays and still agree with the pointwise integral
+def huge_denominator_instance():
+    """(sets, coeffs, t_domain): the shared integer scale exceeds int64."""
     big = 10**19 + 7
     sets = [
         normalize([(F(-3, big), F(5, 7)), (F(1), F(2) + F(1, big - 2))]),
         normalize([(F(-2), F(1, 3))]),
         normalize([(F(-5, 2), F(-1, big))]),
     ]
-    coeffs = [1, -3, 2]
-    t_domain = (F(-1, 2), F(3, 2) + F(1, big))
+    return sets, [1, -3, 2], (F(-1, 2), F(3, 2) + F(1, big))
+
+
+def test_sweep_huge_denominators():
+    # the shared integer scale exceeds int64 here, so the sweep must run on
+    # Python-int (dtype object) arrays and still agree with the pointwise integral
+    sets, coeffs, t_domain = huge_denominator_instance()
     res = check_against_pointwise(sets, coeffs, t_domain, (-2, 2), F(1, 10), random.Random(3))
     assert len(res.function.xs) > 10
 

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from divlab import linforms
+from divlab import digitsets, linforms, scenarios
 from divlab.cli import main
 from divlab.scenarios import (
     CubeScenario,
@@ -603,13 +603,18 @@ def test_verify_cubes_requests_digest(capsys):
 
 
 @pytest.mark.parametrize("k, estimate", [(6, "912,610,660"), (7, "20,939,287,084")])
-def test_verify_claim_refuses_deep_sweeps(capsys, k, estimate):
+def test_verify_claim_refuses_deep_sweeps(capsys, monkeypatch, k, estimate):
+    # the estimate reads 2 * cardinality per factor off the specs: no union is built
+    materialized = []
+    for module in (digitsets, scenarios):
+        monkeypatch.setattr(module, "materialize", materialized.append)
     start = time.perf_counter()
     rc, out, err = run(capsys, "verify-claim", "--k", str(k))
     assert time.perf_counter() - start < 1.0
     assert rc == 1 and out == ""
     assert err == (f"divlab: error: sweep of {estimate} meeting candidates exceeds "
                    "the cap of 100,000,000\n")
+    assert materialized == []
 
 
 def test_verify_cubes_refuses_oversized_enumerations(capsys):

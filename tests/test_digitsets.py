@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from divlab import digitsets
 from divlab.digitsets import (
     DigitSetSpec,
     NoCarryError,
@@ -17,6 +18,7 @@ from divlab.digitsets import (
     digit_spec,
     is_collision_free,
     materialize,
+    measure,
 )
 from divlab.intervals import EMPTY, normalize, rat_str
 from divlab.scenarios import cube_family, furstenberg_family
@@ -141,6 +143,33 @@ def test_cardinality_and_collision_freeness():
         assert _gap_certified(s) == (not gaps or min(gaps) * (s.radix - 1) >= a[-1] - a[0])
         certified += _gap_certified(s) and s.den > 1 and len(a) > 1
     assert certified > 10
+
+
+def test_measure_reads_the_gap_certificate(monkeypatch):
+    # cardinality * tail when the gap certificate holds and the tail fits in
+    # the certified gap; otherwise the measure of the materialized union
+    certified, specs = [], []
+    for k in range(1, 5):
+        scen = furstenberg_family(k)
+        certified += [*scen.factor_specs, scen.witness_spec]
+    for m, k in itertools.product((3, 4), (1, 2)):
+        scen = cube_family(m, k)
+        certified.append(scen.witness_spec)
+        specs += [*scen.generator_specs, scen.shared_spec, *scen.form_specs.values(),
+                  scen.base_spec]
+    rnd = random.Random(2468)
+    specs += [rnd_spec(rnd, tail_den=rnd.choice([None, 2, 3])) for _ in range(150)]
+    # the tail 2/100 exceeds the gap 1/100: [0, 2/100) and [1/100, 3/100) overlap
+    overlap = digit_spec(10, 2, [0, 1], F(1, 50))
+    want = [materialize(s).measure() for s in (*certified, *specs)]
+    calls = []
+    monkeypatch.setattr(digitsets, "materialize", lambda s: calls.append(s) or materialize(s))
+    assert [measure(s) for s in certified] == want[: len(certified)]
+    assert calls == []  # every witness and factor is read off its certificate
+    assert measure(overlap) == F(3, 50) < cardinality(overlap) * overlap.tail
+    assert calls == [overlap]
+    assert [measure(s) for s in specs] == want[len(certified) :]
+    assert len(calls) > 20  # the fallback ran on cube forms and drawn specs too
 
 
 def test_collision_example():
