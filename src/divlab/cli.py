@@ -33,7 +33,7 @@ from .averages import (
 )
 from .digitsets import cardinality, measure
 from .hilbert import h3_evaluate, h3_ratio_series, h3_series_columns, h3_witness_evaluations
-from .intervals import InvariantError, rat_str, real
+from .intervals import IntervalUnion, InvariantError, rat_str, real
 from .linforms import classify
 from .scenarios import (
     MAX_KMAX,
@@ -86,8 +86,42 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"need a rational p/q with q != 0, got {text!r}") from None
 
 
+_SLOT = "\0union"  # json writes it as "\u0000union", which no other value is
+
+
+def _pairs_text(pairs, indent: int) -> str:
+    """IntervalUnion.to_json pairs exactly as json.dumps(indent=2) writes them
+    at this indent; their "n/d" text needs no escaping."""
+    if not pairs:
+        return "[]"
+    outer, inner = "\n" + " " * (indent + 2), "\n" + " " * (indent + 4)
+    return (f'[{outer}[{inner}"'
+            + f'"{outer}],{outer}[{inner}"'.join(map(f'",{inner}"'.join, pairs))
+            + f'"{outer}]\n{" " * indent}]')
+
+
 def _emit_json(data, path: str | None) -> None:
-    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
+    """Indented JSON; an IntervalUnion value is written as its to_json pairs
+    by one join, since json's indented encoder is pure Python and such lists
+    hold most of a deep certificate's output."""
+    blocks = []
+
+    def slot(obj):
+        if not isinstance(obj, IntervalUnion):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        blocks.append(obj.to_json())
+        return _SLOT
+
+    text = json.dumps(data, indent=2, allow_nan=False, default=slot) + "\n"
+    if blocks:
+        # every union is a dict value: its list opens on the key's line and
+        # closes at that line's indent
+        parts = text.split(json.dumps(_SLOT))
+        out = [parts[0]]
+        for pairs, part in zip(blocks, parts[1:]):
+            line = out[-1][out[-1].rfind("\n") + 1:]
+            out += (_pairs_text(pairs, len(line) - len(line.lstrip(" "))), part)
+        text = "".join(out)
     if path:
         Path(path).write_text(text)
     else:
@@ -118,9 +152,9 @@ def _cmd_construct_thm1(args) -> int:
     scen = furstenberg_family(args.k)
     data = scen.to_json()
     data["intervals"] = {
-        f"factor_{i + 1}": u.to_json() for i, u in enumerate(scen.factors)
+        f"factor_{i + 1}": u for i, u in enumerate(scen.factors)
     }
-    data["intervals"]["witness"] = scen.witness.to_json()
+    data["intervals"]["witness"] = scen.witness
     _emit_json(data, args.out)
     return 0
 
@@ -160,7 +194,7 @@ def _cmd_verify_claim(args) -> int:
             "witness_contained": witness_in,
             "measure_reached": meas_ok,
             "breakpoints": breakpoints,
-            "superlevel": superlevel.to_json(),
+            "superlevel": superlevel,
             "verified": verified,
         },
         args.out,
@@ -288,7 +322,7 @@ def _cmd_h3_eval(args) -> int:
     def enc(ev):
         return {
             "x": rat_str(ev.x),
-            "support": ev.support.to_json(),
+            "support": ev.support,
             "value": "inf" if ev.diverges else real(ev.value),
             "lower_bound": rat_str(ev.lower_bound),
             "diverges": ev.diverges,

@@ -27,6 +27,10 @@ from .scenarios import (
 )
 
 
+# h3-eval refuses more witness base points than this (k=5 has 248,832)
+MAX_H3_POINTS = 250_000
+
+
 class PositivityError(ValueError):
     """Preconditions x <= 0 or second-set positivity violated."""
 
@@ -88,9 +92,18 @@ def h3_evaluate(
 
 
 def h3_witness_evaluations(scenario: FurstenbergScenario) -> Tuple[H3Evaluation, ...]:
-    """H3 at every negative witness base point of the scenario."""
-    from .digitsets import base_points
+    """H3 at every negative witness base point of the scenario.
 
+    The witness cardinality is read off its spec before any set is built;
+    past MAX_H3_POINTS it raises ValueError naming the count.
+    """
+    from .digitsets import base_points, cardinality
+
+    points = cardinality(scenario.witness_spec)
+    if points > MAX_H3_POINTS:
+        raise ValueError(
+            f"h3 evaluation at {points:,} witness points exceeds the cap of {MAX_H3_POINTS:,}"
+        )
     first, second, third = scenario.factors
     out = []
     for x in base_points(scenario.witness_spec):

@@ -11,16 +11,17 @@ degenerate one with predicted exponent bound p < r/(r-1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from operator import index
 from typing import List, Optional, Sequence, Tuple
 
 from .intervals import InvariantError, rat_str
 
-MAX_ROWS = 20  # brute-force circuit search cap
+MAX_ROWS = 20  # circuit search cap on the number of rows
+# the circuit search refuses more candidate row subsets than this (20 x 10 has 910,575)
+MAX_CIRCUIT_SUBSETS = 1_000_000
 
 
 def extended_matrix(matrix: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -126,27 +127,85 @@ class DependentRows:
     dependence: Tuple[int, ...]  # primitive, annihilates the augmented rows
 
 
+def circuit_subsets(n: int, columns: int) -> int:
+    """Candidate row subsets of the circuit search over n rows of `columns`
+    entries: sum_s C(n, s) for 2 <= s <= min(n, columns + 2), since any
+    columns + 2 augmented rows are dependent.  It bounds the row reductions of
+    minimal_dependent_rows' walk, one per subset: the prefix, k and the row."""
+    return sum(comb(n, s) for s in range(2, min(n, columns + 2) + 1))
+
+
 def minimal_dependent_rows(
     matrix: Sequence[Sequence[int]],
 ) -> Optional[DependentRows]:
     """Smallest dependent subset of the augmented rows; lexicographically first
-    among ties.  Any m+2 augmented rows are dependent, which caps the search."""
+    among ties.  Any m+2 augmented rows are dependent, which caps the search.
+
+    One depth-first walk over the independent row subsets in lexicographic
+    order.  A node is an independent prefix; it holds every later row reduced
+    against the prefix, fraction-free in ints divided by their gcd, with the
+    pivot columns dropped.  Taking row k as the next row reduces each row
+    after k against k's residual once; a residual that vanishes (gcd 0) closes
+    a dependent set of the prefix, k and that row.  Every proper subset of a
+    smallest dependent set is independent, so the walk reaches its prefix,
+    and the first circuit found at a size is the lexicographically first of
+    that size: nodes of one depth come in lexicographic order, and each node
+    scans its later rows in increasing order.  Only a strictly smaller circuit
+    replaces the best one, and a branch is pruned once its circuits could not
+    be smaller.  The dependence comes from dependence_vector on the found rows.
+
+    Past MAX_ROWS rows, or past MAX_CIRCUIT_SUBSETS candidate subsets
+    (circuit_subsets), it raises ValueError before the walk.
+    """
     rows = [list(map(int, row)) + [1] for row in matrix]
     n = len(rows)
     if n > MAX_ROWS:
-        raise ValueError(f"brute-force circuit search capped at {MAX_ROWS} rows")
+        raise ValueError(f"circuit search capped at {MAX_ROWS} rows")
     if n == 0:
         return None
-    dim = len(rows[0])
-    for size in range(2, min(n, dim + 1) + 1):
-        for combo in itertools.combinations(range(n), size):
-            sub = [rows[i] for i in combo]
-            if exact_rank(sub) < size:
-                lam = dependence_vector(sub)
-                if lam is None:
-                    raise InvariantError(f"rank-deficient rows {combo} have no dependence vector")
-                return DependentRows(size=size, indices=combo, dependence=lam)
-    return None
+    subsets = circuit_subsets(n, len(rows[0]) - 1)
+    if subsets > MAX_CIRCUIT_SUBSETS:
+        raise ValueError(
+            f"circuit search over {subsets:,} row subsets exceeds the cap of {MAX_CIRCUIT_SUBSETS:,}"
+        )
+    best_size, best = len(rows[0]) + 2, None
+
+    def walk(prefix, later):
+        # later: (j, residual of row j against the prefix) for every j after
+        # the prefix, each residual nonzero
+        nonlocal best_size, best
+        size = len(prefix) + 2  # of a circuit closed by taking the next row
+        for a, (k, piv) in enumerate(later):
+            if size >= best_size:
+                return
+            c = next(i for i, x in enumerate(piv) if x)
+            p = piv[c]
+            reduced = []
+            for j, v in later[a + 1:]:
+                f = v[c]
+                if f:
+                    w = [p * x - f * y for x, y in zip(v, piv)]
+                    g = gcd(*w)
+                    if not g:
+                        best_size, best = size, (*prefix, k, j)
+                        break
+                    if g > 1:
+                        w = [x // g for x in w]
+                    del w[c]
+                else:
+                    w = v[:c] + v[c + 1:]
+                reduced.append((j, w))
+            else:
+                if reduced and size + 1 < best_size:
+                    walk((*prefix, k), reduced)
+
+    walk((), list(enumerate(rows)))
+    if best is None:
+        return None
+    lam = dependence_vector([rows[i] for i in best])
+    if lam is None:
+        raise InvariantError(f"rank-deficient rows {best} have no dependence vector")
+    return DependentRows(size=best_size, indices=best, dependence=lam)
 
 
 @dataclass(frozen=True)

@@ -67,12 +67,13 @@ class FurstenbergScenario:
 
     def measures(self, normalized: bool = False) -> Dict[str, Fraction]:
         """Exact Lebesgue measures; normalized=True halves them (mass-1 measure
-        on the ambient interval of length 2)."""
+        on the ambient interval of length 2).  Read off the specs by
+        digitsets.measure, so no union is built under the gap certificate."""
         half = Fraction(1, 2) if normalized else Fraction(1)
         out = {
-            f"factor_{i + 1}": u.measure() * half for i, u in enumerate(self.factors)
+            f"factor_{i + 1}": measure(s) * half for i, s in enumerate(self.factor_specs)
         }
-        out["witness"] = self.witness.measure() * half
+        out["witness"] = measure(self.witness_spec) * half
         return out
 
     def to_json(self):

@@ -5,11 +5,14 @@ import json
 import random
 import time
 from collections import Counter
+from fractions import Fraction as F
 
 import pytest
 
-from divlab import digitsets, linforms, scenarios
-from divlab.cli import main
+from divlab import digitsets, hilbert, linforms, scenarios
+from divlab.cli import _emit_json, main
+from divlab.digitsets import cardinality
+from divlab.intervals import EMPTY, normalize
 from divlab.scenarios import (
     CubeScenario,
     FurstenbergScenario,
@@ -438,7 +441,8 @@ def test_invariant_failure_exits_1_without_traceback(capsys, monkeypatch):
 
 # cheap requests of every subcommand; find-nk carries a small --max-n so that
 # no single mangling turns it into a long exhaustive search; verify-cubes
-# (4,4) is refused, and every cube size a mangling reaches runs in milliseconds
+# (4,4) is refused, and every cube size a mangling reaches runs in milliseconds;
+# the 20 x 12 classify and h3-eval --k 6 are refused before any work
 FUZZ_BASE = [
     ["thresholds"],
     ["thresholds", "--m", "5", "--r", "4"],
@@ -463,6 +467,8 @@ FUZZ_BASE = [
     ["degenerate", "--p4prime", "0.5", "--L", "1e6"],
     ["degenerate", "--r", "4", "--b", "1,1,-1", "--p", "1.1", "--M", "10"],
     ["classify", "--rows", "2,0;0,2;1,1"],
+    ["classify", "--rows", ";".join(["1,0,0,0,0,0,0,0,0,0,0,0"] * 20)],
+    ["h3-eval", "--k", "6"],
     ["mc-average", "--k", "1", "--x", "-2/3", "--eps", "1/2", "--seed", "3", "--samples", "200"],
 ]
 FUZZ_JUNK = ["0", "-1", "2", "3/2", "-2/3", "nan", "inf", "-inf", "1/0", "1e-320", "1e400",
@@ -624,3 +630,53 @@ def test_verify_cubes_refuses_oversized_enumerations(capsys):
     assert rc == 1 and out == ""
     assert err == ("divlab: error: cube certificate of 15,728,640 checks exceeds "
                    "the cap of 2,000,000\n")
+
+
+def test_h3_eval_k3_digest(capsys):
+    # stdout (381 KB) and exit code of the depth-3 witness evaluations, frozen
+    # from the code that wrote every support through json's indented encoder
+    rc, out, err = run(capsys, "h3-eval", "--k", "3")
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(f"{rc}\0{out}".encode()).hexdigest() == (
+        "130b2ef72f73f2933fe62c41f0b08ff9a25e4d804c172372d15f018f7ef47b98"
+    )
+
+
+def test_unions_are_written_as_json_writes_their_pairs(tmp_path):
+    # the one-join writer against json.dumps(indent=2) of to_json at several
+    # depths, empty and one-piece unions included
+    unions = [normalize([(F(-1, 12), 0)]), EMPTY,
+              normalize([(F(1, 2), F(3, 4)), (F(-5, 6), F(7, 8)), (9, F(31, 3))])]
+    wrapped = {"k": 1, "a": unions[2],
+               "nested": {"b": unions[0], "c": [{"d": unions[1], "e": 2}]}}
+    data = {"k": 1, "a": unions[2].to_json(),
+            "nested": {"b": unions[0].to_json(), "c": [{"d": unions[1].to_json(), "e": 2}]}}
+    _emit_json(wrapped, str(tmp_path / "out.json"))
+    assert (tmp_path / "out.json").read_text() == json.dumps(data, indent=2) + "\n"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _emit_json({"x": object()}, str(tmp_path / "bad.json"))
+
+
+def test_classify_refuses_oversized_circuit_searches(capsys):
+    rows = ";".join(",".join(str((3 * i + j) % 7 - 3) for j in range(12)) for i in range(20))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "classify", "--rows", rows)
+    assert time.perf_counter() - start < 0.1
+    assert rc == 1 and out == ""
+    assert err == ("divlab: error: circuit search over 1,026,855 row subsets exceeds "
+                   "the cap of 1,000,000\n")
+
+
+def test_h3_eval_refuses_before_materializing(capsys, monkeypatch):
+    # the witness cardinality is read off the spec: no union is built
+    materialized = []
+    for module in (digitsets, scenarios):
+        monkeypatch.setattr(module, "materialize", materialized.append)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "h3-eval", "--k", "6")
+    assert time.perf_counter() - start < 0.1
+    assert rc == 1 and out == ""
+    assert err == ("divlab: error: h3 evaluation at 2,985,984 witness points exceeds "
+                   "the cap of 250,000\n")
+    assert materialized == []
+    assert hilbert.MAX_H3_POINTS >= cardinality(furstenberg_family(5).witness_spec) == 248_832

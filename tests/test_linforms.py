@@ -9,7 +9,11 @@ from math import gcd, lcm
 
 import pytest
 
+from circuit_reference import brute_force_dependent_rows
+from divlab import linforms
 from divlab.linforms import (
+    MAX_CIRCUIT_SUBSETS,
+    circuit_subsets,
     classify,
     dependence_vector,
     exact_rank,
@@ -314,3 +318,43 @@ def test_classify_json_frozen_digest():
         h.update(json.dumps(data, sort_keys=True).encode())
     assert scenarios == {"independent", "nondegenerate", "degenerate"}
     assert h.hexdigest() == "1aa15299ccc35f54a27ea021674b3bd21f40562708a6d2f0edc143c6b32b8a12"
+
+
+def test_circuit_walk_matches_brute_force_search():
+    rnd = random.Random(1997)
+    sizes = set()
+    for _ in range(500):
+        n, m = rnd.randint(1, 12), rnd.randint(1, 6)
+        mat = [[rnd.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        dep = minimal_dependent_rows(mat)
+        assert dep == brute_force_dependent_rows(mat), mat
+        sizes.add(None if dep is None else dep.size)
+    assert None in sizes and {2, 3, 4, 5, 6, 7} <= sizes
+
+
+@pytest.mark.parametrize("mat", [
+    [[1, 2], [3, -1], [1, 2], [0, 1]],  # a repeated row
+    [[2, 0, 1], [-1, 0, 3], [1, 0, 1], [3, 0, -2]],  # a zero column
+    [[0, 0], [1, 2], [0, 0], [2, 1]],  # all-zero t-parts, twice
+    [[0, 0], [1, -1], [2, 3]],  # one all-zero t-part
+    [[2, -1, 3]] * 5,  # all rows equal
+    [[1, 2, 3]],  # one row
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],  # no circuit
+    [[1], [2], [3]],  # the paper's x + t, x + 2t, x + 3t
+    sorted(itertools.product((0, 1), repeat=3))[1:],  # cube rows, m = 3
+])
+def test_circuit_walk_matches_brute_force_on_structured_rows(mat):
+    assert minimal_dependent_rows(mat) == brute_force_dependent_rows(mat)
+
+
+def test_circuit_search_refuses_past_its_subset_estimate(monkeypatch):
+    assert circuit_subsets(20, 10) == 910_575 <= MAX_CIRCUIT_SUBSETS
+    assert circuit_subsets(12, 6) == 3_784  # the largest a seeded benchmark request reaches
+    assert circuit_subsets(3, 1) == 4 and circuit_subsets(1, 5) == 0
+    rows = [[i, i * i, 1] for i in range(6)]
+    assert circuit_subsets(6, 3) == 56
+    monkeypatch.setattr(linforms, "MAX_CIRCUIT_SUBSETS", 56)
+    assert minimal_dependent_rows(rows) is not None
+    monkeypatch.setattr(linforms, "MAX_CIRCUIT_SUBSETS", 55)
+    with pytest.raises(ValueError, match="circuit search over 56 row subsets exceeds the cap of 55"):
+        minimal_dependent_rows(rows)

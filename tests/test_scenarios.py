@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from divlab import scenarios
+from divlab import digitsets, scenarios
 from divlab.digitsets import MAX_ENUM, base_points, cardinality
 from divlab.scenarios import (
     MAX_KMAX,
@@ -37,6 +37,20 @@ def test_furstenberg_measures_exact():
         assert m["witness"] == F(1, 8)
         n = furstenberg_family(k).measures(normalized=True)
         assert n == {key: v / 2 for key, v in m.items()}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_furstenberg_measures_build_no_union(monkeypatch, k):
+    scen = furstenberg_family(k)
+    specs = dict(zip(("factor_1", "factor_2", "factor_3", "witness"),
+                     (*scen.factor_specs, scen.witness_spec)))
+    want = {name: digitsets.materialize(spec).measure() for name, spec in specs.items()}
+    built = []
+    for module in (digitsets, scenarios):
+        monkeypatch.setattr(module, "materialize", built.append)
+    assert scen.measures() == want
+    assert scen.measures(normalized=True) == {name: v / 2 for name, v in want.items()}
+    assert built == []
 
 
 def test_furstenberg_alphabets():
