@@ -46,29 +46,44 @@ class SearchExhaustedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _time_pairs(sets, coeffs, scale, c_lcm, x, cur):
+    """{t in cur : x + c_i t in U_i for all i} as sorted int (lo, hi) pairs: x
+    over scale, a multiple of every u.den, and t over scale * C, C = c_lcm a
+    multiple of every c.  Piece (a, b) of U_i maps to ((a - x) * C/c,
+    (b - x) * C/c), reversed when c < 0, and only the pieces that the running
+    t-set's hull reaches are read.  With cur None the first family is whole."""
+    for u, c in zip(sets, coeffs):
+        if cur == []:
+            break
+        f, m, nums = scale // u.den, c_lcm // c, u.nums
+        if cur:  # the hull's reach x + c t on u's own grid, widened to ints
+            lo, hi = sorted(x * c_lcm + c * t for t in (cur[0][0], cur[-1][1]))
+            nums = nums[bisect_right(nums, lo // (f * c_lcm), key=operator.itemgetter(1)) :
+                        bisect_left(nums, -(-hi // (f * c_lcm)), key=operator.itemgetter(0))]
+        ts = [((a * f - x) * m, (b * f - x) * m) for a, b in nums]
+        ts = ts if m > 0 else [(b, a) for a, b in ts[::-1]]
+        cur = ts if cur is None else _pair_isect(cur, ts)
+    return cur
+
+
 def form_time_set(
     sets: Sequence[IntervalUnion],
     coefficients: Sequence[int],
     x: RationalLike,
     t_domain=None,
 ) -> IntervalUnion:
-    """Exact {t : x + c_i t in U_i for all i} (intersected with t_domain if given);
-    the running t-set meets each U_i after the first unmoved, in its frame x + c_i t."""
-    if len(sets) != len(coefficients) or not sets:
+    """Exact {t : x + c_i t in U_i for all i} (intersected with t_domain if given),
+    by _time_pairs on one grid for x, the t-domain and every U_i."""
+    coeffs = [int(c) for c in coefficients]
+    if len(sets) != len(coeffs) or not sets:
         raise ValueError("need matching nonempty sets and coefficients")
-    x = rat(x)
-    out = None
-    for u, c in zip(sets, coefficients):
-        c = int(c)
-        if c == 0:
-            raise ValueError("coefficients must be nonzero")
-        back = (Fraction(1, c), Fraction(-x, c))  # y -> (y - x)/c
-        out = u.affine(*back) if out is None else out.affine(c, x).intersect(u).affine(*back)
-        if out.is_empty():
-            return out
-    if t_domain is not None:
-        out = out.clip(rat(t_domain[0]), rat(t_domain[1]))
-    return out
+    if 0 in coeffs:
+        raise ValueError("coefficients must be nonzero")
+    ends = [rat(x), *(() if t_domain is None else map(rat, t_domain))]
+    scale, c_lcm = lcm(common_denominator(ends), *(u.den for u in sets)), lcm(*map(abs, coeffs))
+    x, *dom = (q.numerator * (scale // q.denominator) for q in ends)
+    cur = [(dom[0] * c_lcm, dom[1] * c_lcm)] if dom else None  # an inverted domain meets nothing
+    return _grid_union(_merge_sorted(_time_pairs(sets, coeffs, scale, c_lcm, x, cur)), scale * c_lcm)
 
 
 def multilinear_integral(
@@ -242,26 +257,6 @@ def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
     return idx[nz], jump[nz]
 
 
-def _grid_integral(fam, coeffs, c_lcm, dom, x):
-    """F * S * C at the grid point x: everything an int on the sweep's grid.
-
-    fam holds each family's sorted endpoints (ints over S), dom the t-domain
-    over S, and C = c_lcm is a multiple of every c.  In units 1/(S * C) the
-    t-set of family i is ((a - x) * C/c, (b - x) * C/c) for each piece
-    (a, b), reversed when c < 0; only the pieces that reach the domain are
-    read, and the running t-set meets them with _pair_isect.
-    """
-    cur = [(dom[0] * c_lcm, dom[1] * c_lcm)]
-    for es, c in zip(fam, coeffs):
-        # the endpoints that x + c * t reaches over the domain, whole pieces
-        lo, hi = sorted((x + c * dom[0], x + c * dom[1]))
-        ts = [(e - x) * (c_lcm // c)
-              for e in es[bisect_right(es, lo) & ~1 : (bisect_left(es, hi) + 1) & ~1]]
-        pieces = zip(ts[::2], ts[1::2]) if c > 0 else zip(ts[-1::-2], ts[-2::-2])
-        cur = _pair_isect(cur, list(pieces))
-    return sum(b - a for a, b in cur)
-
-
 def sweep_superlevel(
     sets: Sequence[IntervalUnion],
     coefficients: Sequence[int],
@@ -306,9 +301,10 @@ def sweep_superlevel(
     rather than the meetings, and the nonzero jumps, kept with their
     abscissae, are summed onto the breakpoints at the end.  F at the first
     two breakpoints and at the last one comes from one integer pointwise
-    evaluation on the sweep's own grid (_grid_integral), as F * S * C: the
-    first slope is an exact divmod, cumulative sums of the jumps then give F
-    at every breakpoint, and the last value must equal the third evaluation.
+    evaluation on the sweep's own grid by _time_pairs, the time-set kernel
+    form_time_set also runs, as F * S * C: the first slope is an exact
+    divmod, cumulative sums of the jumps then give F at every breakpoint,
+    and the last value must equal the third evaluation.
     The function holds F on the integer grid (breakpoints over S, values
     over S * C) and cuts the superlevel set there, each level crossing an
     integer on that grid refined by the lcm of the crossings' denominators.
@@ -370,7 +366,9 @@ def sweep_superlevel(
     del nz
 
     x0, x1, xn = (int(xs_s[i]) for i in (0, 1, -1))
-    y0, y1, yn = (_grid_integral(fam, coeffs, c_lcm, dom, v) for v in (x0, x1, xn))
+    cur = [(dom[0] * c_lcm, dom[1] * c_lcm)]
+    y0, y1, yn = (sum(b - a for a, b in _time_pairs(sets, coeffs, scale, c_lcm, v, cur))
+                  for v in (x0, x1, xn))
     # slopes in 1/C units; F * S * C accumulates slope * dx exactly
     slope0, missed = divmod(y1 - y0, x1 - x0)
     if missed:
@@ -502,6 +500,11 @@ def discrete_superlevel(
     return SweepResult(function=g, superlevel=sup, superlevel_measure=sup.measure())
 
 
+# the grid-size search refuses more worst-case grid cells than this (k=1 up to
+# N = 96,000 has 1,249,248,000)
+MAX_GRID_CELLS = 10**8
+
+
 @dataclass(frozen=True)
 class RiemannCertificate:
     n_steps: int
@@ -524,6 +527,12 @@ def find_riemann_n(
     progression is the multiples of 8*12^k up to max_n (grid aligned with the
     set endpoints).  The returned certificate is exact; exhaustion raises
     SearchExhaustedError and proves nothing.
+
+    Before any factor is built, the work is estimated as the sum over the
+    progression of N * sum_i 2 * cardinality(spec_i): each step meets the
+    window with at most that many endpoints per grid point.  Like
+    check_sweep_candidates it is a worst case, read off the specs; past
+    MAX_GRID_CELLS the search raises ValueError naming it.
     """
     scen = furstenberg_family(k)
     level, target = rat(level), rat(target)
@@ -532,9 +541,18 @@ def find_riemann_n(
         if max_n < base:
             raise ValueError(f"max_n must be at least 8*12^{k} = {base} (got {max_n})")
         progression = range(base, max_n + 1, base)
+        points = base * len(progression) * (len(progression) + 1) // 2
+    else:
+        progression = [int(n) for n in progression]
+        points = sum(progression)
+    cells = points * 2 * sum(map(cardinality, scen.factor_specs))
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid search over {cells:,} grid cells exceeds the cap of {MAX_GRID_CELLS:,}"
+        )
     last = None
     for n_steps in progression:
-        last = int(n_steps)
+        last = n_steps
         meas = discrete_superlevel(
             scen.factors, scen.coefficients, last, level, window, topology="line"
         ).superlevel_measure
@@ -711,6 +729,10 @@ def cube_certificate_check(
 # ---------------------------------------------------------------------------
 
 
+# the estimator refuses more samples than this before drawing any
+MAX_MC_SAMPLES = 10**6
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     estimate: float
@@ -741,6 +763,10 @@ def monte_carlo_average(
     samples = int(samples)
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if samples > MAX_MC_SAMPLES:
+        raise ValueError(
+            f"Monte Carlo estimate of {samples:,} samples exceeds the cap of {MAX_MC_SAMPLES:,}"
+        )
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -25,8 +25,8 @@ from .averages import (
     check_sweep_candidates,
     cube_certificate_check,
     find_riemann_n,
-    form_time_set,
     monte_carlo_average,
+    multilinear_integral,
     sweep_superlevel,
     degenerate_lower_ratio,
     dependent_forms_lower_ratio,
@@ -67,15 +67,23 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _kmax(text: str) -> int:
-    """argparse type: a series length of at most MAX_KMAX terms."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
-    if value > MAX_KMAX:
-        raise argparse.ArgumentTypeError(f"at most {MAX_KMAX} terms, got {value}")
-    return value
+def _int_at_most(limit: int, unit: str = ""):
+    """argparse type: an integer of at most limit (unit names what it counts)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"at most {limit}{unit}, got {value}")
+        return value
+
+    return parse
+
+
+# the largest cube dimension whose threshold (2^(m-1) + 1)/(m + 1) is a finite float
+MAX_THRESHOLD_M = 1035
 
 
 def _rational(text: str) -> Fraction:
@@ -428,9 +436,7 @@ def _cmd_mc_average(args) -> int:
         [[c] for c in scen.coefficients], scen.factors, args.x, args.eps,
         samples=args.samples, seed=args.seed,
     )
-    exact = form_time_set(
-        scen.factors, scen.coefficients, args.x, t_domain=(0, args.eps)
-    ).measure() / args.eps
+    exact = multilinear_integral(scen.factors, scen.coefficients, args.x, (0, args.eps)) / args.eps
     z = 0.0 if est.stderr == 0 else (est.estimate - float(exact)) / est.stderr
     agrees = abs(est.estimate - float(exact)) <= 4 * est.stderr or est.stderr == 0
     _emit_json(
@@ -503,7 +509,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(range_flags=(("--p", "p"), ("--kmax", "kmax")))
     p.add_argument("--kind", choices=("thm1", "cubes", "h3"), required=True)
     p.add_argument("--p", type=_positive_float, required=True)
-    p.add_argument("--kmax", type=_kmax, required=True)
+    p.add_argument("--kmax", type=_int_at_most(MAX_KMAX, " terms"), required=True)
     p.add_argument("--m", type=int, help="cube dimension (kind=cubes)")
     p.add_argument("--weighted", action="store_true",
                    help="k^-6 weighted variant (kind=thm1)")
@@ -536,7 +542,7 @@ def _build_parser() -> _Parser:
                    help="semicolon-separated rows, e.g. '2,0;0,2;1,1'")
 
     p = add("thresholds", _cmd_thresholds, "the three divergence thresholds")
-    p.add_argument("--m", type=int, default=3, help="cube dimension")
+    p.add_argument("--m", type=_int_at_most(MAX_THRESHOLD_M), default=3, help="cube dimension")
     p.add_argument("--r", type=int, default=3, help="dependent-monomial count")
 
     p = add("mc-average", _cmd_mc_average,

@@ -85,7 +85,8 @@ def h3_evaluate(
         value = math.inf
     else:
         value = sum(math.log(hi / lo) for lo, hi in sup.nums)
-    lower = sup.clip(0, 1).measure()
+    # the measure of sup in (0, 1]; its pieces lie in [0, inf)
+    lower = Fraction(sum(min(hi, sup.den) - lo for lo, hi in sup.nums if lo < sup.den), sup.den)
     return H3Evaluation(
         x=x, support=sup, value=value, lower_bound=lower, diverges=diverges
     )

@@ -48,6 +48,8 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]
     pivot d is the determinant of the pivot rows and columns.
     """
     a = [[index(v) for v in row] for row in rows]  # TypeError on non-integers
+    if any(len(row) != len(a[0]) for row in a):
+        raise ValueError("ragged matrix")
     pivots: List[int] = []
     prev = 1
     for c in range(len(a[0]) if a else 0):
@@ -252,8 +254,12 @@ def classify(matrix: Sequence[Sequence[int]]) -> Classification:
     every remaining circuit row's t-part is expanded over it exactly.
     """
     rows = [tuple(map(int, row)) for row in matrix]
+    if not rows:
+        raise ValueError("need at least one row")
+    # subtracting extended_matrix's bottom row (0, ..., 0, 1) from every
+    # augmented row leaves [[A, 0], [0, 1]]: the extended rank is rank A + 1
     rank_m = exact_rank(rows)
-    rank_e = exact_rank(extended_matrix(rows))
+    rank_e = rank_m + 1
     circuit = minimal_dependent_rows(rows)
     if circuit is None:
         return Classification(

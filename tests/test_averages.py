@@ -15,14 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from divlab import averages
+from divlab import averages, hilbert
 from divlab.averages import (
     MAX_CUBE_CHECKS,
     MAX_SWEEP_CANDIDATES,
     CubeCertificateReport,
     CubeCheck,
     SearchExhaustedError,
-    _grid_integral,
+    _time_pairs,
     cube_certificate_check,
     degenerate_lower_ratio,
     degenerate_pointwise_bound,
@@ -382,8 +382,9 @@ def test_meeting_kernel_takes_scalar_pairs(monkeypatch):
             check_kernel((x, tau, p, q, fam_s, cs, vel, dom))
 
 
-def test_grid_integral_is_the_scaled_pointwise_integral():
-    # F * S * C at grid points, against the Fraction interval algebra
+def test_time_pairs_is_the_scaled_pointwise_time_set():
+    # the one time-set kernel at grid points, against the Fraction interval
+    # algebra: the intersection of every family's image, clipped to the t-domain
     rnd = random.Random(2494)
     for _ in range(80):
         nsets = rnd.randint(1, 3)
@@ -395,13 +396,42 @@ def test_grid_integral_is_the_scaled_pointwise_integral():
         scale = math.lcm(*(u.den for u in sets), t_domain[0].denominator,
                          t_domain[1].denominator, rnd.randint(1, 5))
         c_lcm = math.lcm(*map(abs, coeffs))
-        fam = [[e * (scale // u.den) for pair in u.nums for e in pair] for u in sets]
-        dom = tuple(int(t * scale) for t in t_domain)
+        unit = scale * c_lcm
+        dom = [tuple(int(t * unit) for t in t_domain)]
         for _ in range(10):
             x = rnd.randint(-16 * scale, 16 * scale)
-            want = multilinear_integral(sets, coeffs, F(x, scale), t_domain) * scale * c_lcm
-            assert want.denominator == 1
-            assert _grid_integral(fam, coeffs, c_lcm, dom, x) == want
+            images = [u.affine(F(1, c), F(-x, c * scale)) for u, c in zip(sets, coeffs)]
+            want = functools.reduce(IntervalUnion.intersect, images)
+            for cur, clipped in ((dom, want.clip(*t_domain)), (None, want)):
+                pairs = _time_pairs(sets, coeffs, scale, c_lcm, x, cur)
+                assert pairs == sorted(pairs) and all(a < b for a, b in pairs)
+                assert normalize((F(a, unit), F(b, unit)) for a, b in pairs) == clipped
+                assert F(sum(b - a for a, b in pairs), unit) == clipped.measure()
+
+
+def test_time_set_needs_no_whole_union_algebra(monkeypatch):
+    # form_time_set, h3_evaluate and multilinear_integral run on the integer
+    # kernel alone: with affine and intersect raising, nothing changes
+    s = furstenberg_family(3)
+    points = [x for x in base_points(s.witness_spec) if x < 0][::40]
+    t_domain = (F(-1, 7), F(5, 6))
+
+    def results():
+        return [(form_time_set(s.factors, s.coefficients, x),
+                 form_time_set(s.factors, (2, -1, 3), x, t_domain),
+                 hilbert.h3_evaluate(x, *s.factors),
+                 multilinear_integral(s.factors, s.coefficients, x))
+                for x in points]
+
+    want = results()
+    assert len(points) == 44 and any(h.support.nums for _, _, h, _ in want)
+
+    def forbidden(*args):
+        raise AssertionError("whole-union algebra in the time-set engine")
+
+    monkeypatch.setattr(IntervalUnion, "affine", forbidden)
+    monkeypatch.setattr(IntervalUnion, "intersect", forbidden)
+    assert results() == want
 
 
 @pytest.mark.parametrize("i", range(3))

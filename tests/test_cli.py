@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -9,14 +10,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from divlab import digitsets, hilbert, linforms, scenarios
-from divlab.cli import _emit_json, main
+from divlab import averages, digitsets, hilbert, linforms, scenarios
+from divlab.cli import MAX_THRESHOLD_M, _emit_json, main
 from divlab.digitsets import cardinality
-from divlab.intervals import EMPTY, normalize
+from divlab.intervals import EMPTY, normalize, real
 from divlab.scenarios import (
     CubeScenario,
     FurstenbergScenario,
     cube_family,
+    cube_threshold,
     furstenberg_family,
 )
 
@@ -442,7 +444,9 @@ def test_invariant_failure_exits_1_without_traceback(capsys, monkeypatch):
 # cheap requests of every subcommand; find-nk carries a small --max-n so that
 # no single mangling turns it into a long exhaustive search; verify-cubes
 # (4,4) is refused, and every cube size a mangling reaches runs in milliseconds;
-# the 20 x 12 classify and h3-eval --k 6 are refused before any work
+# the 20 x 12 classify, h3-eval --k 6, 10^12 Monte Carlo samples, find-nk up
+# to N = 96,000 and a cube threshold past the float range are refused before
+# any work
 FUZZ_BASE = [
     ["thresholds"],
     ["thresholds", "--m", "5", "--r", "4"],
@@ -470,6 +474,9 @@ FUZZ_BASE = [
     ["classify", "--rows", ";".join(["1,0,0,0,0,0,0,0,0,0,0,0"] * 20)],
     ["h3-eval", "--k", "6"],
     ["mc-average", "--k", "1", "--x", "-2/3", "--eps", "1/2", "--seed", "3", "--samples", "200"],
+    ["mc-average", "--k", "1", "--x", "-2/3", "--seed", "3", "--samples", "1000000000000"],
+    ["find-nk", "--k", "1", "--level", "1/96", "--target", "99/100", "--max-n", "96000"],
+    ["thresholds", "--m", "100000000"],
 ]
 FUZZ_JUNK = ["0", "-1", "2", "3/2", "-2/3", "nan", "inf", "-inf", "1/0", "1e-320", "1e400",
              "abc", "", "1,,2", ";", "--k", "--csv", "--help", "--bogus", "-"]
@@ -680,3 +687,81 @@ def test_h3_eval_refuses_before_materializing(capsys, monkeypatch):
                    "the cap of 250,000\n")
     assert materialized == []
     assert hilbert.MAX_H3_POINTS >= cardinality(furstenberg_family(5).witness_spec) == 248_832
+
+
+def refusal(capsys, *argv):
+    """(stdout, stderr) of a request that must exit 1 in under 0.1 s."""
+    start = time.perf_counter()
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    assert time.perf_counter() - start < 0.1, argv
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == "" and "Traceback" not in out.err, argv
+    return out.err
+
+
+def test_mc_average_refuses_samples_past_the_cap(capsys):
+    # refused before numpy allocates the sample array
+    err = refusal(capsys, "mc-average", "--k", "1", "--x", "-2/3", "--seed", "3",
+                  "--samples", "1000000000000")
+    assert err == ("divlab: error: Monte Carlo estimate of 1,000,000,000,000 samples "
+                   "exceeds the cap of 1,000,000\n")
+    assert averages.MAX_MC_SAMPLES == 10**6
+
+
+def test_find_nk_refuses_oversized_searches(capsys, monkeypatch):
+    # a worst case read off the factor specs: no factor is materialized
+    materialized = []
+    for module in (digitsets, scenarios):
+        monkeypatch.setattr(module, "materialize", materialized.append)
+    for max_n, cells in (("96000", "1,249,248,000"), ("1000000", "135,412,333,056")):
+        err = refusal(capsys, "find-nk", "--k", "1", "--level", "1/96", "--target", "99/100",
+                      "--max-n", max_n)
+        assert err == (f"divlab: error: grid search over {cells} grid cells exceeds "
+                       "the cap of 100,000,000\n")
+    assert materialized == []
+
+
+@pytest.mark.parametrize("k,max_n,cells", [(1, 9600, 12_604_800), (2, 10_000, 5_059_584)])
+def test_find_nk_estimate_admits_the_exhaustive_searches(monkeypatch, k, max_n, cells):
+    # the exhaustive k=1 search and k=2 at max_n 10,000 are admitted; the
+    # estimate is exact at the cap's edge, and it bounds the grid sweep's
+    # endpoints, since a factor's pieces can only merge
+    s = furstenberg_family(k)
+    assert sum(2 * len(u.nums) for u in s.factors) <= 2 * sum(map(cardinality, s.factor_specs))
+    assert cells <= averages.MAX_GRID_CELLS
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(averages, "discrete_superlevel", admitted)
+    monkeypatch.setattr(averages, "MAX_GRID_CELLS", cells)
+    with pytest.raises(Admitted):
+        averages.find_riemann_n(k, F(1, 96), F(99, 100), max_n=max_n)
+    monkeypatch.setattr(averages, "MAX_GRID_CELLS", cells - 1)
+    with pytest.raises(ValueError, match=f"grid search over {cells:,} grid cells"):
+        averages.find_riemann_n(k, F(1, 96), F(99, 100), max_n=max_n)
+
+
+def test_thresholds_m_is_bounded_at_the_boundary(capsys):
+    for m in ("100000000", "2000", str(MAX_THRESHOLD_M + 1)):
+        err = refusal(capsys, "thresholds", "--m", m)
+        assert err.endswith(f"error: argument --m: at most {MAX_THRESHOLD_M}, got {m}\n")
+    # the bound is the largest m whose threshold is a finite float
+    assert math.isfinite(float(cube_threshold(MAX_THRESHOLD_M)))
+    with pytest.raises(OverflowError):
+        float(cube_threshold(MAX_THRESHOLD_M + 1))
+    rc, data = run_json(capsys, "thresholds", "--m", str(MAX_THRESHOLD_M))
+    assert rc == 0 and data["cubes"]["real"] == real(cube_threshold(MAX_THRESHOLD_M))
+    # every m of 3..10 prints what it printed before the bound
+    h = hashlib.sha256()
+    for m in range(3, 11):
+        rc, out, err = run(capsys, "thresholds", "--m", str(m))
+        assert (rc, err) == (0, "")
+        h.update(out.encode())
+    assert h.hexdigest() == "726aee322715e76b11193e6c8be4c25862ce126250417b41618a757198cc3280"

@@ -147,6 +147,9 @@ def test_bench_tracer_binds_every_traced_name(capsys):
             topology="circle",
         )
         hilbert.h3_evaluate(Fraction(-2, 3), *furstenberg_family(1).factors)
+        # the time-set engine maps no whole union, so affine is called here
+        u = furstenberg_family(1).factors[0]
+        assert u.affine(-1, 0).translate(Fraction(1, 2)).measure() == u.measure()
     finally:
         tracer.uninstall()
     capsys.readouterr()

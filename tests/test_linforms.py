@@ -329,6 +329,8 @@ def test_circuit_walk_matches_brute_force_search():
         dep = minimal_dependent_rows(mat)
         assert dep == brute_force_dependent_rows(mat), mat
         sizes.add(None if dep is None else dep.size)
+        # classify's extended rank: [[A, 1], [0, 1]] reduces to [[A, 0], [0, 1]]
+        assert exact_rank(extended_matrix(mat)) == exact_rank(mat) + 1, mat
     assert None in sizes and {2, 3, 4, 5, 6, 7} <= sizes
 
 
@@ -358,3 +360,11 @@ def test_circuit_search_refuses_past_its_subset_estimate(monkeypatch):
     monkeypatch.setattr(linforms, "MAX_CIRCUIT_SUBSETS", 55)
     with pytest.raises(ValueError, match="circuit search over 56 row subsets exceeds the cap of 55"):
         minimal_dependent_rows(rows)
+
+
+@pytest.mark.parametrize("mat", [[[1], [2, 3]], [[1, 2], [3]], [[1, 2], [], [3, 4]]])
+def test_ragged_matrices_are_refused(mat):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        exact_rank(mat)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        classify(mat)
