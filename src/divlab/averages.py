@@ -51,18 +51,18 @@ def _time_pairs(sets, coeffs, scale, c_lcm, x, cur):
     over scale, a multiple of every u.den, and t over scale * C, C = c_lcm a
     multiple of every c.  Piece (a, b) of U_i maps to ((a - x) * C/c,
     (b - x) * C/c), reversed when c < 0, and only the pieces that the running
-    t-set's hull reaches are read.  With cur None the first family is whole."""
+    t-set's hull reaches are read.  cur, the starting window, is a finite
+    list of t-pieces; an inverted piece meets nothing."""
     for u, c in zip(sets, coeffs):
-        if cur == []:
+        if not cur:
             break
         f, m, nums = scale // u.den, c_lcm // c, u.nums
-        if cur:  # the hull's reach x + c t on u's own grid, widened to ints
-            lo, hi = sorted(x * c_lcm + c * t for t in (cur[0][0], cur[-1][1]))
-            nums = nums[bisect_right(nums, lo // (f * c_lcm), key=operator.itemgetter(1)) :
-                        bisect_left(nums, -(-hi // (f * c_lcm)), key=operator.itemgetter(0))]
+        # the hull's reach x + c t on u's own grid, widened to ints
+        lo, hi = sorted(x * c_lcm + c * t for t in (cur[0][0], cur[-1][1]))
+        nums = nums[bisect_right(nums, lo // (f * c_lcm), key=operator.itemgetter(1)) :
+                    bisect_left(nums, -(-hi // (f * c_lcm)), key=operator.itemgetter(0))]
         ts = [((a * f - x) * m, (b * f - x) * m) for a, b in nums]
-        ts = ts if m > 0 else [(b, a) for a, b in ts[::-1]]
-        cur = ts if cur is None else _pair_isect(cur, ts)
+        cur = _pair_isect(cur, ts if m > 0 else [(b, a) for a, b in ts[::-1]])
     return cur
 
 
@@ -73,7 +73,9 @@ def form_time_set(
     t_domain=None,
 ) -> IntervalUnion:
     """Exact {t : x + c_i t in U_i for all i} (intersected with t_domain if given),
-    by _time_pairs on one grid for x, the t-domain and every U_i."""
+    by _time_pairs on one grid for x, the t-domain and every U_i.  With no
+    t-domain the starting window is the meet of every U_i's t-hull, the
+    t-images of its first and last endpoints; an empty U_i gives an empty one."""
     coeffs = [int(c) for c in coefficients]
     if len(sets) != len(coeffs) or not sets:
         raise ValueError("need matching nonempty sets and coefficients")
@@ -82,7 +84,13 @@ def form_time_set(
     ends = [rat(x), *(() if t_domain is None else map(rat, t_domain))]
     scale, c_lcm = lcm(common_denominator(ends), *(u.den for u in sets)), lcm(*map(abs, coeffs))
     x, *dom = (q.numerator * (scale // q.denominator) for q in ends)
-    cur = [(dom[0] * c_lcm, dom[1] * c_lcm)] if dom else None  # an inverted domain meets nothing
+    if dom:
+        cur = [(dom[0] * c_lcm, dom[1] * c_lcm)]  # an inverted domain meets nothing
+    else:  # the meet of every U_i's t-hull; an empty U_i's hull (0, 0) empties it
+        lo, hi = zip(*(
+            sorted((e * (scale // u.den) - x) * (c_lcm // c) for e in (u.nums[0][0], u.nums[-1][1]))
+            if u.nums else (0, 0) for u, c in zip(sets, coeffs)))
+        cur = [(max(lo), min(hi))]
     return _grid_union(_merge_sorted(_time_pairs(sets, coeffs, scale, c_lcm, x, cur)), scale * c_lcm)
 
 
@@ -188,21 +196,9 @@ def _crossing_blocks(fam_s, coeffs, dom, win):
         yield block(parts)
 
 
-def _merge(xs, pending, nz):
-    """The sorted distinct breakpoints xs with the abscissa of every pending
-    meeting merged in.  A pending block is (x, x_nz, jump_nz): every
-    meeting's abscissa, then those with a nonzero jump and the jump; the
-    nonzero ones move to nz as one (abscissae, jumps) pair."""
-    if not pending:
-        return xs
-    _, at, jumps = zip(*pending)
-    nz.append((np.concatenate(at), np.concatenate(jumps)))
-    return _distinct(np.concatenate([xs, *(x for x, _, _ in pending)]))
-
-
 def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
     """(index, jump) of the meetings counted by pair (p, q) whose slope jump
-    of F (units 1/C) is nonzero; p and q are arrays or scalars.
+    of F (units 1/C) is nonzero; p and q are per-meeting arrays.
 
     Near the meeting point every family is inside, outside, or has its lower
     or upper t-endpoint there; endpoints move at vel = -C/c (the domain at 0).
@@ -234,9 +230,7 @@ def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
     v = vel[:, None]
     first = part.argmax(axis=0)
     second = (part & (v != vel[first])).argmax(axis=0)
-    if np.ndim(p):
-        p, q = p[idx], q[idx]
-    own = np.flatnonzero((first == p) & (second == q))
+    own = np.flatnonzero((first == p[idx]) & (second == q[idx]))
     idx, tau, part = idx[own], tau[own], part[:, own]
     # a hit at an even index is a lower t-endpoint when c > 0, an upper one when c < 0
     lower = part & np.array([tau == dom[0], *(((k[own] & 1) == 0) == (c > 0) for k, c in zip(ks, coeffs))])
@@ -354,12 +348,13 @@ def sweep_superlevel(
     xs_s, pending, held, nz = np.array(win, dtype=dtype), [], 0, []
     for x, tau, p, q in _crossing_blocks(fam_s, coeffs, dom, win):
         at, jumps = _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom)
-        pending.append((x, x[at], jumps))
+        pending.append(x)
+        nz.append((x[at], jumps))
         held += len(x)
         if len(pending) >= 32 and held >= len(xs_s):
-            xs_s = _merge(xs_s, pending, nz)
+            xs_s = _distinct(np.concatenate([xs_s, *pending]))
             pending, held = [], 0
-    xs_s = _merge(xs_s, pending, nz)
+    xs_s = _distinct(np.concatenate([xs_s, *pending]))
     slope_jumps = np.zeros(len(xs_s), dtype=dtype)
     for x, v in nz:
         np.add.at(slope_jumps, np.searchsorted(xs_s, x), v)
@@ -808,6 +803,8 @@ def _centered_box_ratio(
     else:
         integral = 2.0 * (cb**q) * (u ** (1.0 - a) - 1.0) / (big_m * (1.0 - a))
     ratio = (integral * big_m / 2.0) ** (1.0 / q)
+    if not (math.isfinite(ratio) and math.isfinite(integral)):  # e.g. M*L + 1 is inf
+        raise OverflowError("centered-box ratio leaves the float range")
     return ratio, integral
 
 

@@ -527,8 +527,8 @@ def _build_parser() -> _Parser:
 
     p = add("degenerate", _cmd_degenerate,
             "truncated quasi-norm ratios for dependent forms")
-    p.set_defaults(range_flags=(("--p4prime", "p4prime"), ("--p", "p"), ("--M", "big_m"),
-                                ("--L", "L")))
+    p.set_defaults(range_flags=(("--p4prime", "p4prime"), ("--r", "r"), ("--p", "p"),
+                                ("--M", "big_m"), ("--L", "L")))
     p.add_argument("--M", dest="big_m", type=int, default=100)
     p.add_argument("--p4prime", type=_positive_float, help="squares family exponent")
     p.add_argument("--r", type=int, help="number of monomials (general family)")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .averages import form_time_set
-from .intervals import IntervalUnion, RationalLike, _grid_union, rat
+from .intervals import IntervalUnion, RationalLike, rat
 from .scenarios import (
     BlowupSeries,
     FurstenbergScenario,
@@ -41,20 +41,27 @@ def h3_support(
     second: IntervalUnion,
     third: IntervalUnion,
 ) -> IntervalUnion:
-    """Exact {t > 0 : x+t in first, x+2t in second, x+3t in third}.
+    """Exact {t : x+t in first, x+2t in second, x+3t in third}, the time set.
 
-    Requires x <= 0 and second within [0, inf); under these the full integrand
-    support lies in t > 0 (t <= 0 would put x + 2t below the second set).
+    Requires x <= 0 and second within [0, inf); under these x + 2t >= 0
+    forces t >= -x/2 >= 0, and a piece starting at 0 (only at x = 0) marks a
+    support reaching down to 0.
     """
     x = rat(x)
     if x > 0:
         raise PositivityError("base point must satisfy x <= 0")
     if not second.is_empty() and second.nums[0][0] < 0:
         raise PositivityError("second set must lie in [0, inf)")
-    t_set = form_time_set([first, second, third], [1, 2, 3], x)
-    # clip to (0, inf); a piece straddling 0 keeps its positive part, and a
-    # resulting lo == 0 marks a support reaching down to 0
-    return _grid_union([(max(lo, 0), hi) for lo, hi in t_set.nums if hi > 0], t_set.den)
+    return form_time_set([first, second, third], [1, 2, 3], x)
+
+
+def _log_ratio(hi: int, lo: int) -> float:
+    """ln(hi/lo) for ints 0 < lo < hi; where the quotient leaves the float
+    range, ln(hi) - ln(lo), which Python takes on ints of any size."""
+    try:
+        return math.log(hi / lo)
+    except OverflowError:
+        return math.log(hi) - math.log(lo)
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,7 @@ def h3_evaluate(
     if diverges:
         value = math.inf
     else:
-        value = sum(math.log(hi / lo) for lo, hi in sup.nums)
+        value = sum(_log_ratio(hi, lo) for lo, hi in sup.nums)
     # the measure of sup in (0, 1]; its pieces lie in [0, inf)
     lower = Fraction(sum(min(hi, sup.den) - lo for lo, hi in sup.nums if lo < sup.den), sup.den)
     return H3Evaluation(

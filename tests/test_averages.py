@@ -241,8 +241,8 @@ def test_digit_specs_build_no_fraction_per_digit(monkeypatch):
 
 
 def per_pair_blocks(fam_s, coeffs, dom, win):
-    """The meeting candidates pair by pair, at most _BLOCK at a time, with
-    scalar p and q: a reference that never puts two pairs in one block."""
+    """The meeting candidates pair by pair, at most _BLOCK at a time: a
+    reference that never puts two pairs in one block."""
     block = averages._BLOCK
     (ts0, ts1), (ws0, ws1) = dom, win
     for i, (es, ci) in enumerate(zip(fam_s, coeffs)):
@@ -251,7 +251,8 @@ def per_pair_blocks(fam_s, coeffs, dom, win):
         keep = (xs >= ws0) & (xs <= ws1)
         xs, taus = xs[keep], taus[keep]
         for s in range(0, len(xs), block):
-            yield xs[s : s + block], taus[s : s + block], 0, i + 1
+            x = xs[s : s + block]
+            yield x, taus[s : s + block], np.full(len(x), 0), np.full(len(x), i + 1)
         for j in range(i + 1, len(fam_s)):
             cj, fs = coeffs[j], fam_s[j]
             if cj == ci:
@@ -263,7 +264,8 @@ def per_pair_blocks(fam_s, coeffs, dom, win):
                 tau = (fs[g % len(fs)] - e) // (cj - ci)
                 x = e - ci * tau
                 keep = (tau >= ts0) & (tau <= ts1) & (x >= ws0) & (x <= ws1)
-                yield x[keep], tau[keep], i + 1, j + 1
+                x, tau = x[keep], tau[keep]
+                yield x, tau, np.full(len(x), i + 1), np.full(len(x), j + 1)
 
 
 def test_sweep_packs_candidates_across_pairs(monkeypatch):
@@ -364,9 +366,9 @@ def test_meeting_kernel_matches_full_state_reference(monkeypatch):
         check_kernel(args)
 
 
-def test_meeting_kernel_takes_scalar_pairs(monkeypatch):
-    # the per-pair blocks of test_sweep_packs_candidates_across_pairs pass
-    # scalar p and q
+def test_meeting_kernel_on_per_pair_blocks(monkeypatch):
+    # the per-pair blocks of test_sweep_packs_candidates_across_pairs, each
+    # naming one pair in every entry of its p and q arrays
     blocks = averages._crossing_blocks
     for k, coeffs in [(k, (1, 2, 3)) for k in (1, 2, 3)] + [(1, (2, -1, 2)), (2, (1, 1, 3))]:
         s = furstenberg_family(k)
@@ -377,14 +379,17 @@ def test_meeting_kernel_takes_scalar_pairs(monkeypatch):
                 s.factors, coeffs, s.level, window=(-1, 0)))
         (fam_s, cs, dom, win), = inputs
         pair_blocks = list(per_pair_blocks(fam_s, cs, dom, win))
-        assert pair_blocks and all(np.ndim(p) == 0 for _, _, p, _ in pair_blocks)
+        assert pair_blocks and all(
+            len(p) == len(q) == len(x) and np.unique(p).size <= 1 and np.unique(q).size <= 1
+            for x, _, p, q in pair_blocks)
         for x, tau, p, q in pair_blocks:
             check_kernel((x, tau, p, q, fam_s, cs, vel, dom))
 
 
 def test_time_pairs_is_the_scaled_pointwise_time_set():
     # the one time-set kernel at grid points, against the Fraction interval
-    # algebra: the intersection of every family's image, clipped to the t-domain
+    # algebra: the intersection of every family's image, clipped to the
+    # t-domain; with no t-domain form_time_set starts from the t-hulls' meet
     rnd = random.Random(2494)
     for _ in range(80):
         nsets = rnd.randint(1, 3)
@@ -402,11 +407,13 @@ def test_time_pairs_is_the_scaled_pointwise_time_set():
             x = rnd.randint(-16 * scale, 16 * scale)
             images = [u.affine(F(1, c), F(-x, c * scale)) for u, c in zip(sets, coeffs)]
             want = functools.reduce(IntervalUnion.intersect, images)
-            for cur, clipped in ((dom, want.clip(*t_domain)), (None, want)):
-                pairs = _time_pairs(sets, coeffs, scale, c_lcm, x, cur)
-                assert pairs == sorted(pairs) and all(a < b for a, b in pairs)
-                assert normalize((F(a, unit), F(b, unit)) for a, b in pairs) == clipped
-                assert F(sum(b - a for a, b in pairs), unit) == clipped.measure()
+            clipped = want.clip(*t_domain)
+            pairs = _time_pairs(sets, coeffs, scale, c_lcm, x, dom)
+            assert pairs == sorted(pairs) and all(a < b for a, b in pairs)
+            assert normalize((F(a, unit), F(b, unit)) for a, b in pairs) == clipped
+            assert F(sum(b - a for a, b in pairs), unit) == clipped.measure()
+            assert form_time_set(sets, coeffs, F(x, scale)) == want
+            assert form_time_set(sets, coeffs, F(x, scale), t_domain) == clipped
 
 
 def test_time_set_needs_no_whole_union_algebra(monkeypatch):

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -431,6 +432,34 @@ def test_float_overflow_names_subcommand_and_flags(capsys):
         assert err.count("\n") == 1
 
 
+def test_degenerate_overflow_names_the_flags_that_caused_it(capsys):
+    # M*L + 1 overflows to inf at p4' = 1/2, where the integral is a log; the
+    # general family overflows in the ratio's power 1/q = r/p
+    for argv, flags in (
+        (["degenerate", "--p4prime", "0.5", "--M", "1000", "--L", "1e308"],
+         "--p4prime 0.5 --M 1000 --L 1e+308"),
+        (["degenerate", "--r", "400", "--b", ",".join(["0"] * 398 + ["1"]), "--p", "1.2"],
+         "--r 400 --p 1.2 --M 100 --L 100.0"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == f"divlab: error: degenerate: result out of float range at {flags}\n"
+
+
+def test_h3_eval_near_zero_exits_0(capsys):
+    # hi/lo of the one support piece leaves the float range, ln(hi/lo) does not
+    rc, data = run_json(capsys, "h3-eval", "--k", "1", "--x", "-1e-400")
+    assert rc == 0
+    (ev,) = data["evaluations"]
+    (lo, hi), = ev["support"]
+    lo, hi = F(lo), F(hi)
+    assert hi / lo > 10**308 and not ev["diverges"]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = (Decimal(hi.numerator * lo.denominator) / Decimal(hi.denominator * lo.numerator)).ln()
+    assert ev["value"] == 916.757371078602 == pytest.approx(float(want), rel=1e-14)
+
+
 def test_invariant_failure_exits_1_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(linforms, "dependence_vector", lambda rows: None)
     rc, out, err = run(capsys, "classify", "--rows", "2,0;0,2;1,1")
@@ -646,6 +675,27 @@ def test_h3_eval_k3_digest(capsys):
     assert (rc, err) == (0, "")
     assert hashlib.sha256(f"{rc}\0{out}".encode()).hexdigest() == (
         "130b2ef72f73f2933fe62c41f0b08ff9a25e4d804c172372d15f018f7ef47b98"
+    )
+
+
+# Stdout sha256 of the two deepest requests that run: about 7 s and 3 s on a
+# 2-core host, past tier-1's budget, so they are marked slow and run only
+# with `pytest -m slow`.
+@pytest.mark.slow
+def test_verify_claim_k5_stdout_digest(capsys):
+    rc, out, err = run(capsys, "verify-claim", "--k", "5")
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b4eb13b7c3cd9e2477c6ce9b9c77b25bc25ed18a0eb3ecf784654ff35753ad69"
+    )
+
+
+@pytest.mark.slow
+def test_h3_eval_k4_stdout_digest(capsys):
+    rc, out, err = run(capsys, "h3-eval", "--k", "4")
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "47b1375dc6ef26385cbe26ed094a1a665161280ad79c316751f3c7012f46092a"
     )
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from divlab import averages
+from divlab.averages import form_time_set
 from divlab.digitsets import base_points
 from divlab.hilbert import (
     PositivityError,
@@ -15,7 +17,7 @@ from divlab.hilbert import (
     h3_support,
     h3_witness_evaluations,
 )
-from divlab.intervals import normalize
+from divlab.intervals import EMPTY, _grid_union, normalize
 from divlab.scenarios import MAX_KMAX, blowup_series, furstenberg_family
 
 
@@ -79,8 +81,6 @@ def test_witness_evaluations_frozen():
 
 
 def test_witness_support_is_pointwise_form_set():
-    from divlab.averages import form_time_set
-
     s = furstenberg_family(1)
     first, second, third = s.factors
     for x in base_points(s.witness_spec):
@@ -89,6 +89,50 @@ def test_witness_support_is_pointwise_form_set():
         sup = h3_support(x, first, second, third)
         raw = form_time_set([first, second, third], [1, 2, 3], x)
         assert sup == raw.clip(0, max(iv.hi for iv in raw.intervals))
+
+
+def test_support_is_the_time_set_clipped_to_positive_t():
+    # under the preconditions x + 2t >= 0 forces t >= -x/2 >= 0, so clipping
+    # the time set to t > 0 (the oracle below) changes no piece
+    rnd = random.Random(712)
+
+    def union(lo):
+        if rnd.random() < 0.1:
+            return EMPTY
+        starts = sorted(F(rnd.randint(lo * 12, 12), 12) for _ in range(2 * rnd.randint(1, 4)))
+        return normalize(zip(starts[::2], (b + F(1, 24) for b in starts[1::2])))
+
+    at_zero = 0
+    for _ in range(400):
+        x = 0 if rnd.random() < 0.2 else -F(rnd.randint(0, 36), rnd.randint(1, 12))
+        first, second, third = union(-1), union(0), union(-1)
+        t_set = form_time_set([first, second, third], [1, 2, 3], x)
+        want = _grid_union([(max(lo, 0), hi) for lo, hi in t_set.nums if hi > 0], t_set.den)
+        sup = h3_support(x, first, second, third)
+        assert sup == want
+        at_zero += bool(sup.nums) and sup.nums[0][0] == 0
+    assert at_zero
+
+
+def test_support_reads_each_family_near_the_support(monkeypatch):
+    # the time set starts from the meet of the three families' t-hulls, so
+    # each family is read in a narrow window, not whole: the pieces handed to
+    # the meeting kernel per point, at every 7th negative k=4 witness point
+    # (mean 269 when the first family was read whole, 84 from the window)
+    s = furstenberg_family(4)
+    points = [x for x in base_points(s.witness_spec) if x < 0][::7]
+    received, meet = [], averages._pair_isect
+
+    def spy(a, b, *args):
+        received[-1] += len(a) + len(b)
+        return meet(a, b, *args)
+
+    monkeypatch.setattr(averages, "_pair_isect", spy)
+    for x in points:
+        received.append(0)
+        h3_support(x, *s.factors)
+    assert len(received) == 2963
+    assert sum(received) / len(received) < 150 and max(received) < 200
 
 
 def test_ratio_series_matches_triple_average_series():
