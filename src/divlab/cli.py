@@ -95,6 +95,15 @@ def _rational(text: str) -> Fraction:
 
 
 _SLOT = "\0union"  # json writes it as "\u0000union", which no other value is
+_ROWS_SLOT = "\0rows"  # likewise, for a _Rows list
+
+
+class _Rows:
+    """A list of nonempty flat dicts (str, number, bool or IntervalUnion
+    values) that _emit_json writes with one compact encoder call."""
+
+    def __init__(self, rows):
+        self.rows = rows
 
 
 def _pairs_text(pairs, indent: int) -> str:
@@ -108,28 +117,50 @@ def _pairs_text(pairs, indent: int) -> str:
             + f'"{outer}]\n{" " * indent}]')
 
 
+def _rows_text(rows, default) -> str:
+    """Flat dicts exactly as json.dumps(indent=2) writes their list at indent
+    0.  json's C encoder writes them compactly with the indented item
+    separator; a raw newline is only ever a separator, so in flat dicts
+    "},\n    {" only ever stands between two rows."""
+    if not rows:
+        return "[]"
+    text = json.dumps(rows, separators=(",\n    ", ": "), allow_nan=False, default=default)
+    return "[\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
+
+
+def _fill(text, slot, blocks, render) -> str:
+    """text with its i-th written slot replaced by render(blocks[i], indent of its line)."""
+    if not blocks:
+        return text
+    parts = text.split(json.dumps(slot))
+    out = [parts[0]]
+    for block, part in zip(blocks, parts[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        out += (render(block, len(line) - len(line.lstrip(" "))), part)
+    return "".join(out)
+
+
 def _emit_json(data, path: str | None) -> None:
     """Indented JSON; an IntervalUnion value is written as its to_json pairs
-    by one join, since json's indented encoder is pure Python and such lists
-    hold most of a deep certificate's output."""
-    blocks = []
+    by one join and a _Rows list by one compact encoder call, since json's
+    indented encoder is pure Python and such values hold most of a deep
+    certificate's output."""
+    unions, rows = [], []
 
     def slot(obj):
-        if not isinstance(obj, IntervalUnion):
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        blocks.append(obj.to_json())
-        return _SLOT
+        if isinstance(obj, IntervalUnion):
+            unions.append(obj.to_json())
+            return _SLOT
+        if isinstance(obj, _Rows):
+            rows.append(_rows_text(obj.rows, slot))
+            return _ROWS_SLOT
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     text = json.dumps(data, indent=2, allow_nan=False, default=slot) + "\n"
-    if blocks:
-        # every union is a dict value: its list opens on the key's line and
-        # closes at that line's indent
-        parts = text.split(json.dumps(_SLOT))
-        out = [parts[0]]
-        for pairs, part in zip(blocks, parts[1:]):
-            line = out[-1][out[-1].rfind("\n") + 1:]
-            out += (_pairs_text(pairs, len(line) - len(line.lstrip(" "))), part)
-        text = "".join(out)
+    # every slot is a dict value: its block opens on the key's line and closes
+    # at that line's indent; rows go first, so their unions take their indent
+    text = _fill(text, _ROWS_SLOT, rows, lambda t, indent: t.replace("\n", "\n" + " " * indent))
+    text = _fill(text, _SLOT, unions, _pairs_text)
     if path:
         Path(path).write_text(text)
     else:
@@ -351,7 +382,7 @@ def _cmd_h3_eval(args) -> int:
             "lambda": rat_str(scen.level),
             "count": len(evs),
             "min_lower_bound": _rat_real(min_lower),
-            "evaluations": [enc(ev) for ev in evs],
+            "evaluations": _Rows([enc(ev) for ev in evs]),
             "verified": verified,
         },
         args.out,

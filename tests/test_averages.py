@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from divlab import averages, hilbert
+from divlab import averages, hilbert, intervals
 from divlab.averages import (
     MAX_CUBE_CHECKS,
     MAX_SWEEP_CANDIDATES,
@@ -39,6 +39,7 @@ from divlab.averages import (
 from divlab.digitsets import _base_nums, base_points, cardinality, combine, digit_spec
 from divlab.intervals import EMPTY, IntervalUnion, normalize
 from divlab.scenarios import cube_family, furstenberg_family
+from grid_reference import grid_cells_reference
 from meeting_reference import full_state_jumps
 from superlevel_reference import fraction_superlevel
 
@@ -727,6 +728,51 @@ def test_discrete_circle_frozen_k2():
     )
     assert circle.superlevel_measure == line.superlevel_measure == F(859, 1152)
     assert line.function == g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(circle_instances(), st.booleans())
+@example(  # an empty family, negative coefficients
+    ([normalize([(F(-1, 2), F(2, 3))]), EMPTY], [-3, 2], 9, (F(-1), F(1)), (F(-1), F(1))), True)
+@example(  # a window over several periods; a piece longer than the circle
+    ([normalize([(F(-7, 2), F(1, 3))]), normalize([(F(1, 2), F(4, 3))])],
+     [2, -1], 12, (F(-3), F(4)), (F(-1), F(1, 2))), True)
+@example(  # denominators past int64: the arrays hold Python ints
+    ([normalize([(F(-1, 2**70), F(2**69 + 1, 2**70))]), normalize([(F(-2, 3), F(5, 3**41))])],
+     [1, -2], 11, (F(-1), F(1, 2**65)), (F(-1), F(1))), False)
+def test_grid_cells_matches_per_step_loop(instance, circle):
+    sets, coeffs, n_steps, (w0, w1), bounds = instance
+    bounds = bounds if circle else None
+    want = grid_cells_reference(sets, coeffs, n_steps, w0, w1, bounds)
+    assert averages._grid_cells(sets, coeffs, n_steps, w0, w1, bounds) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(averages, "_BLOCK", 7)  # block seams fall inside the steps
+        assert averages._grid_cells(sets, coeffs, n_steps, w0, w1, bounds) == want
+
+
+@pytest.mark.slow
+def test_grid_cells_matches_per_step_loop_k3():
+    s = furstenberg_family(3)
+    for bounds in (None, (F(-1), F(1))):
+        args = (s.factors, s.coefficients, 13_824, F(-1), F(0), bounds)
+        assert averages._grid_cells(*args) == grid_cells_reference(*args)
+
+
+def test_grid_sweep_runs_no_pair_intersections(monkeypatch):
+    # every step of the grid sweep runs in one batched numpy pass
+    calls, pair_isect = [], intervals._pair_isect
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return pair_isect(*args)
+
+    monkeypatch.setattr(intervals, "_pair_isect", spy)
+    monkeypatch.setattr(averages, "_pair_isect", spy)
+    s = furstenberg_family(2)
+    for topology in ("line", "circle"):
+        res = discrete_superlevel(s.factors, s.coefficients, 1152, s.level, (-1, 0), topology=topology)
+        assert res.superlevel_measure == F(859, 1152)
+    assert calls == []
 
 
 def test_wrap_translate_preserves_measure_and_membership():

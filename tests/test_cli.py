@@ -12,9 +12,9 @@ from fractions import Fraction as F
 import pytest
 
 from divlab import averages, digitsets, hilbert, linforms, scenarios
-from divlab.cli import MAX_THRESHOLD_M, _emit_json, main
+from divlab.cli import MAX_THRESHOLD_M, _emit_json, _Rows, main
 from divlab.digitsets import cardinality
-from divlab.intervals import EMPTY, normalize, real
+from divlab.intervals import EMPTY, IntervalUnion, normalize, real
 from divlab.scenarios import (
     CubeScenario,
     FurstenbergScenario,
@@ -91,6 +91,16 @@ def test_find_nk(capsys):
     assert rc == 2
     assert data["verified"] is False
     assert "error" in data
+
+
+def test_find_nk_exhaustive_k1(capsys):
+    # all 100 sizes 96, 192, ..., 9600 fall short of the target
+    rc, out, err = run(capsys, "find-nk", "--k", "1", "--level", "1/96",
+                       "--target", "99/100", "--max-n", "9600")
+    assert (rc, err) == (2, "")
+    data = strict_json(out)
+    assert data["verified"] is False
+    assert data["error"] == "no N up to 9600 reached superlevel measure 99/100 at level 1/96"
 
 
 def test_verify_cubes_and_tamper(capsys):
@@ -712,6 +722,24 @@ def test_unions_are_written_as_json_writes_their_pairs(tmp_path):
     assert (tmp_path / "out.json").read_text() == json.dumps(data, indent=2) + "\n"
     with pytest.raises(TypeError, match="not JSON serializable"):
         _emit_json({"x": object()}, str(tmp_path / "bad.json"))
+
+
+def test_rows_are_written_as_json_writes_them(tmp_path):
+    # the one-call rows writer against json.dumps(indent=2), with unions in
+    # rows, rows at two depths, an empty rows list and a string that spells
+    # the separator between two rows
+    u = normalize([(F(1, 2), F(3, 4)), (F(-5, 6), F(7, 8))])
+    rows = [{"x": "-1/12", "support": u, "value": 0.1 + 0.2, "diverges": False},
+            {"x": "},\n    {", "support": EMPTY, "value": "inf", "diverges": True, "n": None},
+            {"k": 3}]
+    plain = [{key: v.to_json() if isinstance(v, IntervalUnion) else v for key, v in row.items()}
+             for row in rows]
+    wrapped = {"k": 1, "a": _Rows(rows), "nested": {"b": u, "c": _Rows(rows[:1]), "d": _Rows([])}}
+    data = {"k": 1, "a": plain, "nested": {"b": u.to_json(), "c": plain[:1], "d": []}}
+    _emit_json(wrapped, str(tmp_path / "out.json"))
+    assert (tmp_path / "out.json").read_text() == json.dumps(data, indent=2) + "\n"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _emit_json({"a": _Rows([{"value": math.inf}])}, str(tmp_path / "bad.json"))
 
 
 def test_classify_refuses_oversized_circuit_searches(capsys):
