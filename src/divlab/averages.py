@@ -115,8 +115,9 @@ class SweepResult:
     superlevel_measure: Fraction
 
 
-# meeting candidates (continuous sweep) or grid steps (grid sweep) handled per
-# numpy block; bounds the sweeps' working memory
+# meeting candidates (continuous sweep), grid steps (grid sweep) or base-point
+# combinations (cube certificate) handled per numpy block; bounds their
+# working memory
 _BLOCK = 1 << 13
 
 # the continuous sweep refuses more meeting candidates than this (k=5 has 40 M)
@@ -613,23 +614,24 @@ class CubeCheck:
 
 class CubeChecks:
     """Every (x, eps) check of a cube certificate, in enumeration order, as a
-    lazy view: len is the check count, and each iteration reruns the integer
-    enumeration and builds one CubeCheck per check."""
+    lazy view: len is the check count, and each iteration reruns the batched
+    enumeration, block by block, and builds one CubeCheck per check."""
 
-    def __init__(self, count, scale, forms, rows):
+    def __init__(self, count, scale, forms, blocks):
         self._count = count
         self._scale = scale
         self._forms = forms  # per eps in order: (eps, slack, slack >= 0)
-        self._rows = rows  # () -> the enumeration's (x, membership per eps) rows
+        self._blocks = blocks  # () -> the enumeration's (x, members) blocks
 
     def __len__(self):
         return self._count
 
     def __iter__(self):
-        for x, members in self._rows():
-            xq = Fraction(x, self._scale)
-            for (eps, slack, slack_ok), member in zip(self._forms, members):
-                yield CubeCheck(xq, eps, member, slack, member and slack_ok)
+        for xs, members in self._blocks():
+            for x, row in zip(xs.tolist(), members.tolist()):
+                xq = Fraction(x, self._scale)
+                for (eps, slack, slack_ok), member in zip(self._forms, row):
+                    yield CubeCheck(xq, eps, member, slack, member and slack_ok)
 
 
 @dataclass(frozen=True)
@@ -649,23 +651,38 @@ class CubeCertificateReport:
 _FAILURES_KEPT = 5
 
 
-def _cube_rows(points, lattice, forms):
-    """The integer cube enumeration: per combination of generator and shared
-    base points (all ints over one scale), x = b_1 + ... + b_m - (m - 1) b and
-    whether each form target is a base point of its form, in form order."""
+def _in_sorted(values, points):
+    """Whether each value is an element of the sorted array points; all false
+    when points is empty."""
+    if not len(points):
+        return np.zeros(values.shape, dtype=bool)
+    return points.take(np.searchsorted(points, values), mode="clip") == values
+
+
+def _cube_blocks(points, lattice, forms):
+    """The integer cube enumeration in numpy blocks of _BLOCK combinations of
+    generator and shared base points (sorted arrays of ints over one scale),
+    in itertools.product order.  Per block: x = b_1 + ... + b_m - (m - 1) b
+    per combination, and a (combination, form) matrix of whether each form
+    target x + sum of b - b_j over the bits j of the form's mask is a base
+    point of that form."""
     m = len(points) - 1
-    # each mask as (the mask without its lowest bit, that bit's j)
-    lowest = [(mask & (mask - 1), (mask & -mask).bit_length() - 1) for mask in range(1 << m)]
-    for combo in itertools.product(*points):
-        b = combo[-1]
-        x = sum(combo) - m * b  # b_1 + ... + b_m - (m - 1) b
-        if x not in lattice:
+    sizes = [len(p) for p in points]
+    n = prod(sizes)
+    for c0 in range(0, n, _BLOCK):
+        at = np.unravel_index(np.arange(c0, min(c0 + _BLOCK, n)), sizes)
+        b = points[m][at[m]]
+        d = [b - p[i] for p, i in zip(points[:m], at)]  # b - b_j per j
+        x = b - sum(d)  # b_1 + ... + b_m - (m - 1) b
+        if not _in_sorted(x, lattice).all():
             raise InvariantError("witness decomposition left the base lattice")
-        # targets[mask] = x + sum of b - b_j over the bits j of mask
-        targets = [x]
-        for rest, j in lowest[1:]:
-            targets.append(targets[rest] + b - combo[j])
-        yield x, [targets[mask] in form for form, mask in forms]
+        # targets[mask] = x + sum of b - b_j over the bits j of mask: the
+        # masks from 2^j up to 2^(j+1) are those below 2^j plus b - b_j
+        targets = np.empty((1 << m, len(x)), dtype=x.dtype)
+        targets[0] = x
+        for j, dj in enumerate(d):
+            np.add(targets[: 1 << j], dj, out=targets[1 << j : 2 << j])
+        yield x, np.array([_in_sorted(targets[mask], form) for form, mask in forms]).T
 
 
 def cube_certificate_check(
@@ -687,11 +704,18 @@ def cube_certificate_check(
     MAX_CUBE_CHECKS the check raises ValueError.
 
     Every base point is an integer over one scale L, the lcm of the specs'
-    denominators, so the decomposition, the lattice test and each form
-    target are int sums and set lookups.  The report counts the checks and
-    the failures and keeps the first _FAILURES_KEPT failures; x becomes
-    a Fraction only for a kept failure.  report.checks is a lazy view that
-    reruns the same enumeration to yield every CubeCheck.
+    denominators, and the combinations run in one batched numpy pass over
+    blocks of _BLOCK (_cube_blocks): the decomposition is a sum of gathered
+    base points, the lattice test and each form's membership one
+    searchsorted against sorted base points, and the 2^m targets whole
+    arrays, each mask's from a smaller mask's.  Arrays are int64 when a
+    magnitude bound from the inputs stays below 2^62, and dtype object
+    (Python ints) otherwise; both run the same code.  The report counts the
+    checks and the failures of each block's (combination, form) matrix
+    members & slack_ok and keeps the first _FAILURES_KEPT failures in
+    enumeration order; x becomes a Fraction only for a kept failure.
+    report.checks is a lazy view that reruns the same blocks to yield every
+    CubeCheck.
     """
     m = scenario.dimension
     tau = scenario.witness_tail
@@ -704,39 +728,47 @@ def cube_certificate_check(
         raise ValueError(
             f"cube certificate of {n_checks:,} checks exceeds the cap of {MAX_CUBE_CHECKS:,}"
         )
-    form_tail = scenario.form_tail
+    # per eps its slack and whether the slack holds; the slack depends on eps
+    # only through its weight w, and each unit of weight takes one t_tail
+    slacks = [scenario.form_tail - tau]
+    for _ in range(m):
+        slacks.append(slacks[-1] - t_tail)
+    oks = [slack >= 0 for slack in slacks]
     eps_order = sorted(scenario.form_specs)
+    forms = [(eps, slacks[sum(eps)], oks[sum(eps)]) for eps in eps_order]
     specs = [*scenario.generator_specs, scenario.shared_spec, scenario.base_spec,
              *(scenario.form_specs[eps] for eps in eps_order)]
     nums = [_base_nums(spec) for spec in specs]
     scale = lcm(*(den for _, den in nums))
-    pts = [[v * (scale // den) for v in vs] for vs, den in nums]
+    # x and every target are signed sums of fewer than 4m base points, and
+    # top bounds every base point and scale factor; past int64 the same
+    # arrays hold Python ints
+    top = max((max(-vs[0], vs[-1], 1) * (scale // den) for vs, den in nums if vs), default=0)
+    dtype = np.int64 if 4 * m * top < 2**62 else object
+    pts = [np.array(vs, dtype=dtype) for vs, _ in nums]
+    for p, (_, den) in zip(pts, nums):
+        if den != scale:
+            p *= scale // den
     # per eps: its form's base points and the subset of j (eps_j = 1) as a bit
-    # mask, bit j for b - b_j; its slack and whether the slack holds
-    form_sets = [(set(p), sum(1 << j for j in range(m) if eps[j]))
-                 for eps, p in zip(eps_order, pts[m + 2 :])]
-    forms = []
-    for eps in eps_order:
-        slack = form_tail - (tau + sum(eps) * t_tail)
-        forms.append((eps, slack, slack >= 0))
-    slack_oks = [ok for _, _, ok in forms]
-    rows = functools.partial(_cube_rows, pts[: m + 1], set(pts[m + 1]), form_sets)
+    # mask, bit j for b - b_j
+    form_pts = [(p, sum(1 << j for j in range(m) if eps[j]))
+                for eps, p in zip(eps_order, pts[m + 2 :])]
+    slack_ok = np.array([ok for _, _, ok in forms])
+    blocks = functools.partial(_cube_blocks, pts[: m + 1], pts[m + 1], form_pts)
 
     total = failed = 0
     first = []
-    for x, members in rows():
-        total += len(members)
-        passed = list(map(operator.and_, members, slack_oks))
-        row_failed = passed.count(False)
-        if row_failed:
-            failed += row_failed
-            if len(first) < _FAILURES_KEPT:
-                xq = Fraction(x, scale)
-                first += itertools.islice(
-                    (CubeCheck(xq, eps, member, slack, False)
-                     for (eps, slack, _), member, ok in zip(forms, members, passed) if not ok),
-                    _FAILURES_KEPT - len(first),
-                )
+    for xs, members in blocks():
+        passed = members & slack_ok
+        n_failed = passed.size - int(np.count_nonzero(passed))
+        total += passed.size
+        failed += n_failed
+        if n_failed and len(first) < _FAILURES_KEPT:
+            for i in np.flatnonzero(~passed)[: _FAILURES_KEPT - len(first)].tolist():
+                row, f = divmod(i, len(forms))
+                eps, slack, _ = forms[f]
+                first.append(CubeCheck(Fraction(int(xs[row]), scale), eps,
+                                       bool(members[row, f]), slack, False))
     return CubeCertificateReport(
         dimension=m,
         depth=scenario.depth,
@@ -746,7 +778,7 @@ def cube_certificate_check(
         first_failures=tuple(first),
         all_pass=failed == 0,
         integral_lower_bound=t_tail**m,
-        checks=CubeChecks(total, scale, tuple(forms), rows),
+        checks=CubeChecks(total, scale, tuple(forms), blocks),
     )
 
 

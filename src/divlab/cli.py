@@ -530,6 +530,7 @@ def _build_parser() -> _Parser:
 
     p = add("verify-cubes", _cmd_verify_cubes,
             "symbolic cube certificate (base points and tail slacks)")
+    p.set_defaults(range_flags=(("--t-tail", "t_tail"),))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t-tail", type=_rational, help="override the t-box side (rational)")

@@ -39,6 +39,7 @@ from divlab.averages import (
 from divlab.digitsets import _base_nums, base_points, cardinality, combine, digit_spec
 from divlab.intervals import EMPTY, IntervalUnion, normalize
 from divlab.scenarios import cube_family, furstenberg_family
+from cube_reference import cube_certificate_reference
 from grid_reference import grid_cells_reference
 from meeting_reference import full_state_jumps
 from superlevel_reference import fraction_superlevel
@@ -963,6 +964,76 @@ def test_cube_certificate_mutated_form_alphabet_fails():
     assert missed and {c.eps for c in missed} == {eps}
     assert all(not c.passed for c in missed)
     assert cube_certificate_check(s).all_pass
+
+
+@st.composite
+def mutated_cubes(draw):
+    """A cube family with one form alphabet mutated (a digit dropped, or one
+    shifted) and a rational t-box side around the witness tail."""
+    m, k = draw(st.sampled_from([(3, 1), (3, 2), (4, 1), (4, 2)]))
+    s = cube_family(m, k)
+    t_tail = s.witness_tail * F(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+    eps = draw(st.sampled_from(sorted(s.form_specs)))
+    spec = s.form_specs[eps]
+    digits = list(spec.alphabet)
+    i = draw(st.integers(0, len(digits) - 1))
+    if len(digits) > 1 and draw(st.booleans()):
+        del digits[i]
+    else:
+        digits[i] += draw(st.sampled_from([-2, -1, 1, 2, F(1, 3)]))
+    mutated = digit_spec(spec.radix, spec.depth, digits, spec.tail)
+    return dataclasses.replace(s, form_specs={**s.form_specs, eps: mutated}), t_tail
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mutated_cubes(), st.booleans())
+def test_cube_certificate_matches_per_combination_loop(instance, wide):
+    # wide: every base point's numerator and denominator times 2^70, the same
+    # points on a scale past int64, so the arrays hold Python ints
+    scen, t_tail = instance
+    with pytest.MonkeyPatch.context() as mp:
+        if wide:
+            base_nums = averages._base_nums
+            mp.setattr(averages, "_base_nums", lambda spec: (
+                [v << 70 for v in base_nums(spec)[0]], base_nums(spec)[1] << 70))
+        ref = cube_certificate_reference(scen, t_tail)
+        for block in (averages._BLOCK, 7):  # at 7, block seams fall inside the product
+            mp.setattr(averages, "_BLOCK", block)
+            rep = cube_certificate_check(scen, t_tail)
+            assert (rep.checks_total, rep.checks_failed) == (ref.checks_total, ref.checks_failed)
+            assert (rep.first_failures, rep.all_pass) == (ref.first_failures, ref.all_pass)
+            assert rep == ref
+            assert tuple(rep.checks) == ref.checks
+
+
+def test_cube_certificate_empty_form_set_misses_every_target(monkeypatch):
+    # a form with no base points fails each of its checks; the search over
+    # its empty array raises nothing
+    s = cube_family(3, 1)
+    empty = s.form_specs[(1, 0, 1)]
+    base_nums = averages._base_nums
+    monkeypatch.setattr(averages, "_base_nums",
+                        lambda spec: ([], 1) if spec is empty else base_nums(spec))
+    rep = cube_certificate_check(s)
+    assert rep == cube_certificate_reference(s)
+    missed = [c for c in rep.checks if not c.base_in_form]
+    assert {c.eps for c in missed} == {(1, 0, 1)} and len(missed) == 16
+    assert rep.checks_failed == 16 and not rep.all_pass
+
+
+def test_cube_certificate_scale_factor_past_int64(monkeypatch):
+    # every base point 2^70 times smaller but one form's, which is 0 over 1:
+    # the points stay small on the common scale, the factor that lifts that
+    # form's 0 onto it does not, and the arrays hold Python ints
+    s = cube_family(3, 1)
+    lone = s.form_specs[(1, 1, 1)]
+    base_nums = averages._base_nums
+    monkeypatch.setattr(averages, "_base_nums", lambda spec: (
+        ([0], 1) if spec is lone else (base_nums(spec)[0], base_nums(spec)[1] << 70)))
+    rep = cube_certificate_check(s)
+    ref = cube_certificate_reference(s)
+    assert rep == ref and tuple(rep.checks) == ref.checks
+    assert {c.eps for c in rep.checks if not c.passed} == {(1, 1, 1)}
 
 
 def cube_check_counter(monkeypatch):

@@ -442,6 +442,13 @@ def test_float_overflow_names_subcommand_and_flags(capsys):
         assert err.count("\n") == 1
 
 
+def test_verify_cubes_overflow_names_t_tail(capsys):
+    # the bound t_tail^m is exact; only its float view overflows
+    rc, out, err = run(capsys, "verify-cubes", "--m", "3", "--k", "1", "--t-tail", "1e300")
+    assert (rc, out) == (1, "")
+    assert err == f"divlab: error: verify-cubes: result out of float range at --t-tail {10**300}\n"
+
+
 def test_degenerate_overflow_names_the_flags_that_caused_it(capsys):
     # M*L + 1 overflows to inf at p4' = 1/2, where the integral is a log; the
     # general family overflows in the ratio's power 1/q = r/p
@@ -652,6 +659,18 @@ def test_verify_cubes_requests_digest(capsys):
         rc, out, err = run(capsys, *argv)
         h.update(f"{' '.join(argv)}\0{rc}\0{out}\0{err}\0".encode())
     assert h.hexdigest() == "72c3ddd25b18c47894021b98cbda9ab67dc9a355e6f9d1a0dd466b69986c8448"
+
+
+def test_verify_cubes_m4_k3_stdout_digest(capsys):
+    # 491,520 checks, a size the requests above lack; frozen from the code
+    # that looked up each form target in a set, one combination at a time
+    for argv, code, digest in (
+        ((), 0, "91de0c2a0c6c8d63baf654c8344b10badb59a4a9afc9afdae5e8d7a585eee033"),
+        (("--tamper",), 2, "06ee9670662fcd32ae99f60e5d1e8d602dc6b9174b35a6416742606fdfabe8bb"),
+    ):
+        rc, out, err = run(capsys, "verify-cubes", "--m", "4", "--k", "3", *argv)
+        assert (rc, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("k, estimate", [(6, "912,610,660"), (7, "20,939,287,084")])
