@@ -300,9 +300,12 @@ def sweep_superlevel(
     form_time_set also runs, as F * S * C: the first slope is an exact
     divmod, cumulative sums of the jumps then give F at every breakpoint,
     and the last value must equal the third evaluation.
-    The function holds F on the integer grid (breakpoints over S, values
-    over S * C) and cuts the superlevel set there, each level crossing an
-    integer on that grid refined by the lcm of the crossings' denominators.
+    The breakpoint and value arrays, put in lowest terms in numpy, become
+    the function (breakpoints over S, values over S * C) and stay with it,
+    so its superlevel method cuts them in one numpy pass
+    (intervals._superlevel) and no breakpoint goes from tuple back to array;
+    every level crossing is an integer on the grid refined by the lcm of
+    the crossings' reduced denominators.
     """
     sets = list(sets)
     coeffs = [int(c) for c in coefficients]
@@ -373,8 +376,8 @@ def sweep_superlevel(
     ys = np.cumsum(np.concatenate(([y0], slopes * np.diff(xs_s))))
     if int(ys[-1]) != yn:
         raise InvariantError("kinetic sweep disagrees with the pointwise integral")
-    f = PiecewiseLinear(tuple(xs_s.tolist()), tuple(ys.tolist()), scale, scale * c_lcm)
-    del xs_s, slope_jumps, slopes, ys  # the arrays go before the cut's peak
+    f = PiecewiseLinear._of_arrays(xs_s, ys, scale, scale * c_lcm)
+    del xs_s, slope_jumps, slopes, ys  # f keeps the reduced arrays for its cut
     sup = f.superlevel(level)
     return SweepResult(function=f, superlevel=sup, superlevel_measure=sup.measure())
 
@@ -417,7 +420,8 @@ def wrap_translate(u: IntervalUnion, shift: RationalLike, lo=-1, hi=1) -> Interv
 
 
 def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
-    """(coords, counts, scale L) of the grid sum: counts[i] on [coords[i], coords[i+1]).
+    """(coords, counts, scale L) of the grid sum, counts[i] on [coords[i],
+    coords[i+1]): int arrays, which the step function keeps for its cut.
 
     Every coordinate is an integer over one scale L that clears the window,
     the set endpoints, the circle bounds and the grid step 1/N; they run from
@@ -478,7 +482,7 @@ def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
         changes = np.concatenate((jumps, np.ones(len(lo), np.int64), np.full(len(hi), -1)))[order]
         head = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         coords, jumps = keys[head], np.add.reduceat(changes, head)
-    return coords.tolist(), np.cumsum(jumps[:-1]).tolist(), L
+    return coords, np.cumsum(jumps[:-1]), L
 
 
 def discrete_superlevel(
@@ -519,7 +523,7 @@ def discrete_superlevel(
     if circle and circle[0] >= circle[1]:
         raise ValueError("circle must be nondegenerate")
     xs, counts, scale = _grid_cells(sets, coeffs, n_steps, w0, w1, circle)
-    g = StepFunction(tuple(xs), tuple(counts), scale, n_steps)
+    g = StepFunction._of_arrays(xs, counts, scale, n_steps)
     sup = g.superlevel(level)
     return SweepResult(function=g, superlevel=sup, superlevel_measure=sup.measure())
 

@@ -85,6 +85,11 @@ def _int_at_most(limit: int, unit: str = ""):
 # the largest cube dimension whose threshold (2^(m-1) + 1)/(m + 1) is a finite float
 MAX_THRESHOLD_M = 1035
 
+# the deepest --k any subcommand accepts: each engine's own work estimate
+# refuses far shallower depths, and this cap refuses absurd ones at the
+# parser, before an estimate grows past Python's int-to-string limit
+MAX_DEPTH = 1000
+
 
 def _rational(text: str) -> Fraction:
     """argparse type: an exact rational such as '1/192', '-2/3' or '0.25'."""
@@ -502,6 +507,8 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    depth = _int_at_most(MAX_DEPTH)
+
     def add(name, func, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
@@ -510,20 +517,20 @@ def _build_parser() -> _Parser:
 
     p = add("construct-thm1", _cmd_construct_thm1,
             "build the depth-k triple-average scenario")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=depth, required=True)
 
     p = add("construct-cubes", _cmd_construct_cubes,
             "build the dimension-m depth-k cube scenario")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=depth, required=True)
 
     p = add("verify-claim", _cmd_verify_claim,
             "exact superlevel sweep certificate on [-1, 0]")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=depth, required=True)
 
     p = add("find-nk", _cmd_find_nk,
             "smallest grid size whose discrete superlevel reaches the target")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=depth, required=True)
     p.add_argument("--level", type=_rational, required=True, help="rational, e.g. 1/192")
     p.add_argument("--target", type=_rational, required=True, help="rational, e.g. 1/9")
     p.add_argument("--max-n", type=int, default=10_000)
@@ -532,7 +539,7 @@ def _build_parser() -> _Parser:
             "symbolic cube certificate (base points and tail slacks)")
     p.set_defaults(range_flags=(("--t-tail", "t_tail"),))
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=depth, required=True)
     p.add_argument("--t-tail", type=_rational, help="override the t-box side (rational)")
     p.add_argument("--tamper", action="store_true",
                    help="double the t-box side; the certificate must fail")
@@ -554,7 +561,7 @@ def _build_parser() -> _Parser:
 
     p = add("h3-eval", _cmd_h3_eval,
             "singular-integral values at witness base points")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=depth, required=True)
     p.add_argument("--x", type=_rational, help="evaluate at one rational point only")
 
     p = add("degenerate", _cmd_degenerate,
@@ -579,7 +586,7 @@ def _build_parser() -> _Parser:
 
     p = add("mc-average", _cmd_mc_average,
             "seeded Monte Carlo vs exact integral at one point")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=depth, required=True)
     p.add_argument("--x", type=_rational, required=True, help="rational base point")
     p.add_argument("--eps", type=_rational, default="1", help="cube side (rational)")
     p.add_argument("--samples", type=int, default=20_000)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul, sub
 from typing import Sequence, Tuple
 
@@ -94,6 +94,10 @@ def _base_nums(spec: DigitSetSpec):
 
     Returns (nums, den) with base point = num/den.  Pure integer Horner
     enumeration: value = sum d_i rho^(k-i) over den = spec.den * rho^k.
+    Under the gap certificate the enumeration is already sorted and
+    distinct: if consecutive values v < w of one depth lie at least min_gap
+    apart, then (w - v) rho - spread >= min_gap * rho - spread >= min_gap
+    separates the children of v from those of w.
     """
     if len(spec.digits) ** spec.depth > MAX_ENUM:
         raise ValueError(
@@ -102,7 +106,7 @@ def _base_nums(spec: DigitSetSpec):
     vals = [0]
     for _ in range(spec.depth):
         vals = [v * spec.radix + d for v in vals for d in spec.digits]
-    return sorted(set(vals)), spec.den * spec.radix**spec.depth
+    return vals if _gap_certified(spec) else sorted(set(vals)), spec.den * spec.radix**spec.depth
 
 
 def base_points(spec: DigitSetSpec):
@@ -117,9 +121,11 @@ def materialize(spec: DigitSetSpec) -> IntervalUnion:
         return EMPTY
     nums, den = _base_nums(spec)
     tn, td = spec.tail.numerator, spec.tail.denominator
-    # [v, v + tail*den) over den is [v*td, v*td + tn*den) over den*td
-    width, scale = tn * den, den * td
-    return _grid_union(_merge_sorted((v * td, v * td + width) for v in nums), scale)
+    # [v, v + tail*den) over den is [v*td, v*td + tn*den) over den*td, and
+    # g = gcd(td, tn*den) divides every endpoint and the denominator
+    g = gcd(td, tn * den)
+    step, width, scale = td // g, tn * den // g, den * td // g
+    return _grid_union(_merge_sorted((v * step, v * step + width) for v in nums), scale)
 
 
 def _gap_certified(spec: DigitSetSpec) -> bool:

@@ -24,6 +24,8 @@ from math import gcd, lcm
 from operator import itemgetter, lt
 from typing import Iterable, Tuple, Union
 
+import numpy as np
+
 RationalLike = Union[Fraction, int, str]
 
 
@@ -105,38 +107,67 @@ def _merge_sorted(pairs):
 
 
 def _superlevel(xs, left, right, level):
-    """{x : f(x) >= level} as (pairs, m): canonical int pairs on the grid
-    1/m of xs's unit, f running linearly from left[i] to right[i] on
-    [xs[i], xs[i+1]] (all ints; a step function has left == right).
+    """{x : f(x) >= level} as (lo, hi, m): int arrays of its canonical
+    pieces' ends on the grid 1/m of xs's unit, f running linearly from
+    left[i] to right[i] on [xs[i], xs[i+1]] (a step function has left ==
+    right).  xs is increasing; xs, left and right are int arrays, int64 or
+    object, with one left and one right value per cell; level is a rational
+    in the units of left and right.
 
-    One walk over the cells opens or closes a piece only where f changes
-    side of the level.  A crossing x0 + n/d stays an int triple until the
-    walk ends; m is the lcm of the d in lowest terms (one gcd each), so every
-    endpoint is exact on the refined grid.  A crossing that lands on a
-    breakpoint opens or closes nothing there, so isolated touch points are
-    omitted; a step function has no crossing and m = 1.
+    One numpy pass: with level = p/q the values move to Y = q y - p, so the
+    level is 0.  Two masks mark the cells whose piece reaches their left end
+    (Y0 > 0, or Y >= 0 at both ends) and their right end (Y1 > 0, or both);
+    a cell with exactly one is a crossing cell, where Y changes sign strictly
+    inside, and a crossing lies |Y0| dx / |Y1 - Y0| past x0.  np.gcd puts
+    each crossing in lowest terms and m is the lcm of the distinct reduced
+    denominators, so every endpoint is an int on the refined grid.  A
+    crossing that lands on a breakpoint opens or closes nothing there, so
+    isolated touch points are omitted; with no crossing m = 1.  Pieces of
+    neighbouring cells that touch are fused by one nonzero.  Arrays are
+    int64 while a magnitude bound from the inputs stays below 2^62 and dtype
+    object (Python ints) otherwise; both run the same code.
     """
-    ends, start = [], None  # start: the open piece's left end
-    for x0, x1, y0, y1 in zip(xs, xs[1:], left, right):
-        if y0 >= level:
-            if start is None and (y0 > level or y1 >= level):
-                start = x0
-            if y1 < level and start is not None:
-                ends += start, x0 if y0 == level else (x0, (y0 - level) * (x1 - x0), y0 - y1)
-                start = None
-        else:
-            if start is not None:
-                ends += start, x0
-                start = None
-            if y1 > level:
-                start = x0, (level - y0) * (x1 - x0), y1 - y0
-    if start is not None:
-        ends += start, xs[-1]
-    dens = {e[2] // gcd(e[1], e[2]) for e in ends if type(e) is tuple}
-    m = lcm(*dens)
-    if dens:
-        ends = [e * m if type(e) is int else e[0] * m + e[1] * m // e[2] for e in ends]
-    return list(zip(ends[::2], ends[1::2])), m
+    if not len(left) == len(right) == len(xs) - 1:
+        raise ValueError("need one left and one right value per cell")
+    if not len(left):
+        return xs[:0], xs[:0], 1
+    level = rat(level)
+    p, q = level.numerator, level.denominator
+    first, last = int(xs[0]), int(xs[-1])
+    reach, span = max(-first, last), last - first
+    y = np.array((left, right))
+    if 2 * (q * max(-int(y.min()), int(y.max())) + abs(p)) * (span + 1) >= 2**62:
+        xs, y = xs.astype(object), y.astype(object)
+    y = y * q - p
+    (pos0, pos1), (over0, over1) = y >= 0, y > 0
+    full = pos0 & pos1
+    left_end, right_end = over0 | full, over1 | full
+    cross = (left_end ^ right_end).nonzero()[0]
+    m, ends = 1, xs[:-1]  # a step function has no crossing
+    if len(cross):
+        y0, y1 = y[:, cross]
+        num, den = np.abs(y0) * (xs[cross + 1] - xs[cross]), np.abs(y1 - y0)
+        g = np.gcd(num, den)
+        num, den = num // g, den // g
+        m = lcm(*set(den.tolist()))
+        if 2 * (reach + span + 1) * m >= 2**62:
+            xs, num, den = xs.astype(object), num.astype(object), den.astype(object)
+        xs = xs * m
+        ends = xs[:-1].copy()
+        ends[cross] += num * (m // den)
+    x0, x1 = xs[:-1], xs[1:]
+    cells = (left_end | right_end).nonzero()[0]
+    lo, hi = np.where(left_end, x0, ends)[cells], np.where(right_end, x1, ends)[cells]
+    gap = (hi[:-1] != lo[1:]).nonzero()[0]
+    return np.concatenate((lo[:1], lo[gap + 1])), np.concatenate((hi[gap], hi[-1:])), m
+
+
+def _int_array(values):
+    """Ints as an int64 array, or dtype object (Python ints) past int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _set_lowest_terms(obj, nums, den):
@@ -151,8 +182,8 @@ def _set_lowest_terms(obj, nums, den):
 
 def _grid_union(pairs, scale) -> "IntervalUnion":
     """The union of canonical int (lo, hi) pairs given on the grid 1/scale,
-    in lowest terms.  Its callers holding Fractions, `normalize` and `clip`,
-    put them on an integer grid with `_fraction_grid` first."""
+    in lowest terms.  `normalize`, which holds Fractions, puts them on an
+    integer grid with `_fraction_grid` first."""
     g = gcd(scale, *chain.from_iterable(pairs))
     if g > 1:
         pairs = [(lo // g, hi // g) for lo, hi in pairs]
@@ -165,6 +196,23 @@ def _fraction_grid(pairs):
     m = lcm(*(e.denominator for pair in pairs for e in pair))
     return [(lo.numerator * (m // lo.denominator), hi.numerator * (m // hi.denominator))
             for lo, hi in pairs], m
+
+
+def _array_union(lo, hi, scale) -> "IntervalUnion":
+    """The union of canonical pieces given as int arrays of their ends on the
+    grid 1/scale, put in lowest terms in numpy."""
+    g = gcd(scale, int(np.gcd.reduce(lo)), int(np.gcd.reduce(hi)))
+    if g > 1:
+        lo, hi = lo // g, hi // g
+    return IntervalUnion(tuple(zip(lo.tolist(), hi.tolist())), scale // g)
+
+
+def _ends(u, f, dtype):
+    """(lo, hi) arrays of u's piece ends scaled by f, on the grid 1/(f u.den)."""
+    flat = np.fromiter(chain.from_iterable(u.nums), dtype=dtype, count=2 * len(u.nums))
+    if f > 1:
+        flat *= f
+    return flat[0::2], flat[1::2]
 
 
 def _scaled(u, scale):
@@ -223,8 +271,20 @@ class IntervalUnion:
         return _grid_union(_merge_sorted(sorted(_scaled(self, scale) + _scaled(other, scale))), scale)
 
     def issubset(self, other: "IntervalUnion") -> bool:
-        # exact containment up to the canonical form: A subset B iff A&B == A
-        return self.intersect(other) == self
+        """Exact containment, in one pass on the common grid: each piece of
+        self must lie inside the piece of other that starts at or before it,
+        found by searchsorted (canonical pieces never touch, so no piece of
+        self needs two).  The arrays are int64 below 2^62, dtype object above."""
+        if not self.nums or not other.nums:
+            return not self.nums
+        scale = lcm(self.den, other.den)
+        fa, fb = scale // self.den, scale // other.den
+        if self.nums[0][0] * fa < other.nums[0][0] * fb:
+            return False  # so every piece of self has a piece of other at or before it
+        reach = max(max(-u.nums[0][0], u.nums[-1][1]) * f for u, f in ((self, fa), (other, fb)))
+        dtype = np.int64 if reach < 2**62 else object
+        (a_lo, a_hi), (b_lo, b_hi) = _ends(self, fa, dtype), _ends(other, fb, dtype)
+        return bool((a_hi <= b_hi[np.searchsorted(b_lo, a_lo, side="right") - 1]).all())
 
     def affine(self, a: RationalLike, b: RationalLike) -> "IntervalUnion":
         """Image under x -> a*x + b, a != 0.  Orientation flips when a < 0."""
@@ -242,10 +302,26 @@ class IntervalUnion:
         return self.affine(1, shift)
 
     def clip(self, lo: RationalLike, hi: RationalLike) -> "IntervalUnion":
+        """self & [lo, hi): a bisect slice of the pieces that reach into
+        [lo, hi), its two end pieces trimmed on the grid that holds lo and hi."""
         lo, hi = rat(lo), rat(hi)
         if lo >= hi:
-            return IntervalUnion()
-        return self.intersect(_grid_union(*_fraction_grid([(lo, hi)])))
+            return EMPTY
+        nums = self.nums
+        scale = lcm(self.den, lo.denominator, hi.denominator)
+        f = scale // self.den
+        lo, hi = lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator)
+        # the pieces ending after lo and starting before hi, bisected on self's grid
+        part = nums[bisect.bisect_right(nums, lo // f, key=itemgetter(1)):
+                    bisect.bisect_left(nums, -(-hi // f), key=itemgetter(0))]
+        if not part:
+            return EMPTY
+        if lo <= part[0][0] * f and part[-1][1] * f <= hi:
+            return self if len(part) == len(nums) else _grid_union(part, self.den)
+        pairs = [(a * f, b * f) for a, b in part]
+        pairs[0] = (max(pairs[0][0], lo), pairs[0][1])
+        pairs[-1] = (pairs[-1][0], min(pairs[-1][1], hi))
+        return _grid_union(pairs, scale)
 
     def to_json(self):
         den = self.den
@@ -298,18 +374,32 @@ class _GridFunction:
         if not all(map(lt, self.x_nums, self.x_nums[1:])):
             raise ValueError("breakpoints must be strictly increasing")
 
+    @classmethod
+    def _of_arrays(cls, xs, ys, x_den=1, y_den=1):
+        """The function of the int arrays xs/x_den and ys/y_den (int64 or
+        object), each put in lowest terms in numpy; the cut reads the reduced
+        arrays, so they never go through a tuple and back."""
+        gx, gy = gcd(x_den, int(np.gcd.reduce(xs))), gcd(y_den, int(np.gcd.reduce(ys)))
+        xs, ys = (xs // gx if gx > 1 else xs), (ys // gy if gy > 1 else ys)
+        f = cls(tuple(xs.tolist()), tuple(ys.tolist()), x_den // gx, y_den // gy)
+        f.__dict__["_arrays"] = xs, ys
+        return f
+
+    @cached_property
+    def _arrays(self):
+        """x_nums and y_nums as int arrays, int64 or object past int64."""
+        return _int_array(self.x_nums), _int_array(self.y_nums)
+
     @cached_property
     def xs(self) -> Tuple[Fraction, ...]:
         return tuple(Fraction(n, self.x_den) for n in self.x_nums)
 
-    def _cut(self, level: RationalLike, right) -> IntervalUnion:
-        """The superlevel set, cut on the integers: y_nums * den(level) against
-        num(level) * y_den, with right(ys) the values at the cells' right ends."""
-        level = rat(level)
-        d = level.denominator
-        ys = [v * d for v in self.y_nums]
-        pairs, m = _superlevel(self.x_nums, ys, right(ys), level.numerator * self.y_den)
-        return _grid_union(pairs, self.x_den * m)
+    def _cut(self, level: RationalLike, cells) -> IntervalUnion:
+        """The superlevel set, cut on the integer arrays by _superlevel at
+        level * y_den, with cells(ys) the values at the cells' left and right ends."""
+        xs, ys = self._arrays
+        lo, hi, m = _superlevel(xs, *cells(ys), rat(level) * self.y_den)
+        return _array_union(lo, hi, self.x_den * m)
 
 
 class PiecewiseLinear(_GridFunction):
@@ -348,7 +438,7 @@ class PiecewiseLinear(_GridFunction):
         sides) are measure zero and omitted, consistent with the half-open
         set convention.
         """
-        return self._cut(level, lambda ys: ys[1:])
+        return self._cut(level, lambda ys: (ys[:-1], ys[1:]))
 
 
 class StepFunction(_GridFunction):
@@ -375,4 +465,4 @@ class StepFunction(_GridFunction):
 
     def superlevel(self, level: RationalLike) -> IntervalUnion:
         """Exact {x : g(x) >= level} within the cells, cut on the integers."""
-        return self._cut(level, lambda ys: ys)
+        return self._cut(level, lambda ys: (ys, ys))

@@ -731,6 +731,12 @@ def test_discrete_circle_frozen_k2():
     assert line.function == g
 
 
+def grid_cells(*args):
+    """averages._grid_cells with its coordinate and count arrays as lists."""
+    coords, counts, scale = averages._grid_cells(*args)
+    return coords.tolist(), counts.tolist(), scale
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(circle_instances(), st.booleans())
 @example(  # an empty family, negative coefficients
@@ -745,10 +751,10 @@ def test_grid_cells_matches_per_step_loop(instance, circle):
     sets, coeffs, n_steps, (w0, w1), bounds = instance
     bounds = bounds if circle else None
     want = grid_cells_reference(sets, coeffs, n_steps, w0, w1, bounds)
-    assert averages._grid_cells(sets, coeffs, n_steps, w0, w1, bounds) == want
+    assert grid_cells(sets, coeffs, n_steps, w0, w1, bounds) == want
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(averages, "_BLOCK", 7)  # block seams fall inside the steps
-        assert averages._grid_cells(sets, coeffs, n_steps, w0, w1, bounds) == want
+        assert grid_cells(sets, coeffs, n_steps, w0, w1, bounds) == want
 
 
 @pytest.mark.slow
@@ -756,7 +762,7 @@ def test_grid_cells_matches_per_step_loop_k3():
     s = furstenberg_family(3)
     for bounds in (None, (F(-1), F(1))):
         args = (s.factors, s.coefficients, 13_824, F(-1), F(0), bounds)
-        assert averages._grid_cells(*args) == grid_cells_reference(*args)
+        assert grid_cells(*args) == grid_cells_reference(*args)
 
 
 def test_grid_sweep_runs_no_pair_intersections(monkeypatch):

@@ -1,9 +1,13 @@
 """End-to-end CLI contract: JSON shapes, exit codes, byte determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -12,8 +16,8 @@ from fractions import Fraction as F
 import pytest
 
 from divlab import averages, digitsets, hilbert, linforms, scenarios
-from divlab.cli import MAX_THRESHOLD_M, _emit_json, _Rows, main
-from divlab.digitsets import cardinality
+from divlab.cli import MAX_DEPTH, MAX_THRESHOLD_M, _emit_json, _Rows, main
+from divlab.digitsets import DigitSetSpec, cardinality
 from divlab.intervals import EMPTY, IntervalUnion, normalize, real
 from divlab.scenarios import (
     CubeScenario,
@@ -75,6 +79,27 @@ def test_verify_claim(capsys):
     assert data["target"] == "11/96"
     assert data["witness_contained"] and data["measure_reached"]
     assert data["breakpoints"] == 37
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_verify_claim_mutated_witness_digit_fails(capsys, monkeypatch, k):
+    # one witness digit moved half a step off the alphabet: its base points
+    # leave the superlevel set, while the sweep and its measure are unchanged
+    scen = furstenberg_family(k)
+    spec = scen.witness_spec
+    digits = [2 * d for d in spec.digits]
+    digits[5] += 1
+    mutated = dataclasses.replace(scen, witness_spec=DigitSetSpec(
+        spec.radix, spec.depth, tuple(digits), 2 * spec.den, spec.tail))
+    monkeypatch.setattr("divlab.cli.furstenberg_family", lambda depth: mutated)
+    rc, data = run_json(capsys, "verify-claim", "--k", str(k))
+    assert rc == 2
+    assert data["witness_contained"] is False and data["verified"] is False
+    assert data["measure_reached"] is True
+    monkeypatch.undo()
+    rc, plain = run_json(capsys, "verify-claim", "--k", str(k))
+    assert rc == 0 and plain["witness_contained"] is True
+    assert plain["superlevel"] == data["superlevel"]
 
 
 def test_find_nk(capsys):
@@ -688,6 +713,31 @@ def test_verify_claim_refuses_deep_sweeps(capsys, monkeypatch, k, estimate):
     assert materialized == []
 
 
+DEPTH_REQUESTS = (
+    ("construct-thm1",),
+    ("verify-claim",),
+    ("find-nk", "--level", "1/192", "--target", "1/9"),
+    ("h3-eval",),
+    ("mc-average", "--x", "-1/2", "--seed", "1"),
+    ("construct-cubes", "--m", "3"),
+    ("verify-cubes", "--m", "3"),
+)
+
+
+@pytest.mark.parametrize("argv", DEPTH_REQUESTS, ids=lambda argv: argv[0])
+def test_depth_past_the_cap_exits_1_naming_it(capsys, argv):
+    # refused at the parser, before any estimate grows numbers too long to print
+    for k in (MAX_DEPTH + 1, 100_000, 10_000_000):
+        err = refusal(capsys, *argv, "--k", str(k))
+        assert err.endswith(f"error: argument --k: at most {MAX_DEPTH}, got {k}\n"), argv
+    # the cap itself parses, and each engine answers it by its own estimate
+    try:
+        main([*argv, "--k", str(MAX_DEPTH)])
+    except SystemExit as exc:
+        pytest.fail(f"{argv} at the cap exited {exc.code}")
+    assert "argument --k" not in capsys.readouterr().err
+
+
 def test_verify_cubes_refuses_oversized_enumerations(capsys):
     start = time.perf_counter()
     rc, out, err = run(capsys, "verify-cubes", "--m", "4", "--k", "4")
@@ -707,7 +757,7 @@ def test_h3_eval_k3_digest(capsys):
     )
 
 
-# Stdout sha256 of the two deepest requests that run: about 7 s and 3 s on a
+# Stdout sha256 of the two deepest requests that run: about 5 s and 2 s on a
 # 2-core host, past tier-1's budget, so they are marked slow and run only
 # with `pytest -m slow`.
 @pytest.mark.slow
@@ -717,6 +767,22 @@ def test_verify_claim_k5_stdout_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b4eb13b7c3cd9e2477c6ce9b9c77b25bc25ed18a0eb3ecf784654ff35753ad69"
     )
+
+
+@pytest.mark.slow
+def test_verify_claim_k5_peak_rss_as_a_subprocess():
+    # a child's ru_maxrss starts at the resident set of the process that
+    # forked it, so a bare interpreter launches the request and reads its
+    # peak with wait4
+    launch = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+              "_, status, usage = os.wait4(p.pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", launch, sys.executable, "-m", "divlab.cli",
+                          "verify-claim", "--k", "5"], env=env, capture_output=True, text=True, check=True)
+    rc, peak_kib = map(int, out.stdout.split())
+    assert rc == 0
+    assert peak_kib / 1024 <= 250
 
 
 @pytest.mark.slow

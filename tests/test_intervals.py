@@ -5,7 +5,10 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divlab import digitsets
 from divlab.averages import discrete_superlevel, sweep_superlevel, wrap_translate
@@ -320,10 +323,10 @@ def integer_superlevel(f, level):
     ys = f.ys if isinstance(f, PiecewiseLinear) else f.values
     dx = 3 * common_denominator(f.xs)
     dy = 5 * common_denominator([*ys, level])
-    xs, ys = [int(x * dx) for x in f.xs], [int(y * dy) for y in ys]
+    xs, ys = np.array([int(x * dx) for x in f.xs]), np.array([int(y * dy) for y in ys])
     left, right = (ys[:-1], ys[1:]) if isinstance(f, PiecewiseLinear) else (ys, ys)
-    pairs, m = _superlevel(xs, left, right, int(level * dy))
-    return pairs, dx * m, m
+    lo, hi, m = _superlevel(xs, left, right, int(level * dy))
+    return list(zip(lo.tolist(), hi.tolist())), dx * m, m
 
 
 def test_superlevel_with_ties_matches_pointwise_oracle():
@@ -348,6 +351,78 @@ def test_superlevel_with_ties_matches_pointwise_oracle():
     assert pl(xs[:2], (F(1), F(0))).superlevel(1) == EMPTY
     assert pl((F(5),), (F(1),)).superlevel(0) == EMPTY
     assert step(xs, (F(0), F(1, 3), F(0))).superlevel(-1).pairs == ((F(0), F(3)),)
+
+
+def test_superlevel_cut_pins():
+    # one breakpoint has no cell: nothing is cut, on either side of the level
+    xs = np.array([5])
+    for level in (-1, 0, 1):
+        lo, hi, m = _superlevel(xs, xs[:0], xs[:0], level)
+        assert (lo.tolist(), hi.tolist(), m) == ([], [], 1)
+    assert PiecewiseLinear((5,), (1,)).superlevel(0) == EMPTY
+    assert PiecewiseLinear._of_arrays(np.array([5]), np.array([1])).superlevel(0) == EMPTY
+    # the values at all n + 1 breakpoints are no cells' left ends: the cut
+    # refuses them instead of reading the first n
+    xs, ys = np.array([0, 1, 2]), np.array([1, -1, 1])
+    with pytest.raises(ValueError, match="one left and one right value per cell"):
+        _superlevel(xs, ys, ys[1:], 0)
+    lo, hi, m = _superlevel(xs, ys[:-1], ys[1:], 0)
+    assert (lo.tolist(), hi.tolist(), m) == ([0, 3], [1, 4], 2)
+    # a one-cell step function, and one cut past int64 by its level alone
+    assert StepFunction((0, 3), (1,)).superlevel(1).pairs == ((F(0), F(3)),)
+    assert StepFunction((0, 3), (1,)).superlevel(F(2**70 + 1, 2**70)) == EMPTY
+
+
+@st.composite
+def cut_cases(draw):
+    """(xs, left, right, level) of a cut: a piecewise-linear or step function
+    on sorted int breakpoints, at one of four magnitudes.  Values come from
+    a few small ints or anywhere in range, and the level is often one of
+    them, so ties, touch points and crossings on breakpoints abound; at 2^32
+    the crossing denominators are large and their lcm pushes the endpoints
+    past 2^62, at 2^62 int64 inputs span past 2^63, and at 2^70 the inputs
+    themselves are Python ints."""
+    size = draw(st.sampled_from((8, 2**32, 2**62, 2**70)))
+    n = draw(st.integers(0, 7))
+    xs = sorted(draw(st.sets(st.integers(-size, size), min_size=n + 1, max_size=n + 1)))
+    ys = draw(st.lists(st.integers(-2, 2) | st.integers(-size, size), min_size=n + 1, max_size=n + 1))
+    level = draw(st.sampled_from(ys) | st.fractions(-size, size, max_denominator=draw(
+        st.sampled_from((1, 3, 2**40)))))
+    left, right = (ys[:-1], ys[1:]) if draw(st.booleans()) else (ys[:-1], ys[:-1])
+    return xs, left, right, F(level)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cut_cases(), st.booleans())
+@example(([0], [], [], F(0)), False)  # one breakpoint
+@example(([0, 1, 2, 3], [0, 1, 1], [1, 1, 0], F(1)), False)  # plateau at the level
+@example(([0, 1, 2], [0, 1], [1, 0], F(1)), False)  # touch point on a breakpoint
+@example(([0, 1, 2], [2, 1], [1, 0], F(1)), False)  # crossing on a breakpoint
+@example(([0, 2**31, 2**32], [-(2**31 - 1), 2**32 - 5], [2**32 - 5, -(2**31 - 19)], F(0)), False)
+@example(([-(2**62), 2**62], [2**63 - 1], [-(2**63 - 1)], F(1, 3)), False)  # int64 spans past 2^63
+def test_superlevel_cut_matches_fraction_superlevel(case, as_objects):
+    # the numpy cut gives the Fraction reference's fused pieces exactly, on
+    # int64 or object arrays alike; endpoints past 2^62 come back as Python ints
+    xs, left, right, level = case
+    dtype = object if as_objects or max(map(abs, xs + left + right)) >= 2**63 else np.int64
+    lo, hi, m = _superlevel(*(np.array(v, dtype=dtype) for v in (xs, left, right)), level)
+    ends = lo.tolist() + hi.tolist()
+    assert all(type(e) is int for e in ends)
+    got = [(F(a, m), F(b, m)) for a, b in zip(lo.tolist(), hi.tolist())]
+    assert got == [(F(a), F(b)) for a, b in fraction_superlevel(xs, left, right, level)]
+    if max(map(abs, ends), default=0) >= 2**62:
+        assert lo.dtype == hi.dtype == object
+    # the same cut through the function classes, built from tuples or from arrays
+    x_den, y_den = 3, 7
+    if right == left and xs[1:]:
+        kind, ys = StepFunction, left
+    else:  # one breakpoint makes a piecewise-linear function with no cell
+        kind, ys = PiecewiseLinear, [*left, *right[-1:]] or [0]
+    f = kind(tuple(xs), tuple(ys), x_den, y_den)
+    sup = normalize((a / x_den, b / x_den) for a, b in got)
+    assert f.superlevel(level / y_den) == sup
+    g = kind._of_arrays(np.array(xs, dtype=dtype), np.array(ys, dtype=dtype), x_den, y_den)
+    assert g == f and g.superlevel(level / y_den) == sup
 
 
 LARGE_PRIME = 2**61 - 1
@@ -533,6 +608,58 @@ def test_union_den_is_reduced_after_a_clip():
     assert (cut.nums, cut.den) == (((0, 1),), 3) and cut.pairs == ((F(0), F(1, 3)),)
     assert u.clip(1, 2) == EMPTY and (EMPTY.nums, EMPTY.den) == ((), 1)
     assert normalize([(F(2), F(4))]).den == 1 and normalize([(F(1, 2), 1)]).affine(2, 0).den == 1
+
+
+def test_clip_trims_pieces_straddling_its_ends():
+    u = normalize([(F(-3, 2), F(-7, 8)), (F(-1, 2), F(-1, 3)), (F(-1, 5), F(1, 4)), (F(1, 2), 1)])
+    assert u.clip(-1, 0).pairs == ((F(-1), F(-7, 8)), (F(-1, 2), F(-1, 3)), (F(-1, 5), F(0)))
+    # ends off the union's grid refine it; one piece may straddle both ends
+    assert u.clip(F(-9, 10), F(1, 7)).pairs == (
+        (F(-9, 10), F(-7, 8)), (F(-1, 2), F(-1, 3)), (F(-1, 5), F(1, 7)))
+    assert u.clip(F(-2, 5), F(-3, 8)).pairs == ((F(-2, 5), F(-3, 8)),)
+    assert u.clip(F(-7, 8), F(-1, 2)) == u.clip(F(1, 4), F(1, 2)) == EMPTY
+    inside = u.clip(-1, 0)
+    assert inside.clip(-1, 0) is inside
+    # the claim witness shifted so that a piece straddles -1, or 0
+    for k in (1, 2):
+        w = furstenberg_family(k).witness
+        tail = F(1, 8 * 12**k)
+        for shift in (-tail / 2, F(-1, 12**k) - tail / 2):
+            moved = w.translate(shift)
+            assert moved.clip(-1, 0).pairs == reference_clip(moved.pairs, F(-1), F(0))
+            assert_canonical(moved.clip(-1, 0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_claim_witness_containment_fails_under_each_mutation(k):
+    # every witness piece starts one unit of the superlevel grid after the
+    # start of its superlevel piece: dropping that piece, or moving its left
+    # end in by one unit of the witness grid (two of the superlevel grid),
+    # must make issubset False; moving it in by one superlevel unit leaves
+    # the witness piece starting exactly there, still contained
+    s = furstenberg_family(k)
+    sup = sweep_superlevel(s.factors, s.coefficients, s.level, (-1, 0)).superlevel
+    w = s.witness.clip(-1, 0)
+    assert w.issubset(sup)
+    nums, den = sup.nums, sup.den
+    assert den % w.den == 0
+    unit = den // w.den
+    picks = range(len(nums)) if k < 3 else random.Random(1728).sample(range(len(nums)), 200)
+    failed = 0
+    for i in picks:
+        lo, hi = nums[i]
+        meets = not w.clip(F(lo, den), F(hi, den)).is_empty()
+        rest = nums[:i], nums[i + 1:]
+        dropped = _grid_union(rest[0] + rest[1], den)
+        moved = _grid_union(rest[0] + ((lo + unit, hi),) + rest[1], den)
+        touching = _grid_union(rest[0] + ((lo + 1, hi),) + rest[1], den)
+        assert w.issubset(dropped) is w.issubset(moved) is (not meets), i
+        assert w.issubset(touching), i
+        if k < 3:  # the former definition: A is in B iff A & B == A
+            assert w.issubset(dropped) is (w.intersect(dropped) == w), i
+            assert w.issubset(moved) is (w.intersect(moved) == w), i
+        failed += meets
+    assert failed >= len(picks) - 1
 
 
 def test_package_unions_are_canonical():
