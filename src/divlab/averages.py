@@ -29,6 +29,7 @@ from .intervals import (
     _grid_union,
     _merge_sorted,
     _pair_isect,
+    _refuse_past,
     _scaled,
     common_denominator,
     rat,
@@ -45,13 +46,30 @@ class SearchExhaustedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _matched(sets, coefficients):
+    """(sets, coefficients) as lists, the coefficients ints; ValueError
+    unless there is one coefficient per set and at least one set."""
+    sets, coeffs = list(sets), [int(c) for c in coefficients]
+    if len(sets) != len(coeffs) or not sets:
+        raise ValueError("need matching nonempty sets and coefficients")
+    return sets, coeffs
+
+
+def _nondegenerate(pair, name):
+    """(lo, hi) as Fractions; ValueError naming the pair unless lo < hi."""
+    lo, hi = rat(pair[0]), rat(pair[1])
+    if lo >= hi:
+        raise ValueError(f"{name} must be nondegenerate")
+    return lo, hi
+
+
 def _time_pairs(sets, coeffs, scale, c_lcm, x, cur):
-    """{t in cur : x + c_i t in U_i for all i} as sorted int (lo, hi) pairs: x
+    """{t in cur : x + c_i t in U_i for all i} as canonical int (lo, hi) pairs: x
     over scale, a multiple of every u.den, and t over scale * C, C = c_lcm a
     multiple of every c.  Piece (a, b) of U_i maps to ((a - x) * C/c,
     (b - x) * C/c), reversed when c < 0, and only the pieces that the running
-    t-set's hull reaches are read.  cur, the starting window, is a finite
-    list of t-pieces; an inverted piece meets nothing."""
+    t-set's hull reaches are read.  cur, the starting window, is a list of
+    one t-piece; an inverted piece meets nothing."""
     for u, c in zip(sets, coeffs):
         if not cur:
             break
@@ -75,9 +93,7 @@ def form_time_set(
     by _time_pairs on one grid for x, the t-domain and every U_i.  With no
     t-domain the starting window is the meet of every U_i's t-hull, the
     t-images of its first and last endpoints; an empty U_i gives an empty one."""
-    coeffs = [int(c) for c in coefficients]
-    if len(sets) != len(coeffs) or not sets:
-        raise ValueError("need matching nonempty sets and coefficients")
+    sets, coeffs = _matched(sets, coefficients)
     if 0 in coeffs:
         raise ValueError("coefficients must be nonzero")
     ends = [rat(x), *(() if t_domain is None else map(rat, t_domain))]
@@ -90,7 +106,7 @@ def form_time_set(
             sorted((e * (scale // u.den) - x) * (c_lcm // c) for e in (u.nums[0][0], u.nums[-1][1]))
             if u.nums else (0, 0) for u, c in zip(sets, coeffs)))
         cur = [(max(lo), min(hi))]
-    return _grid_union(_merge_sorted(_time_pairs(sets, coeffs, scale, c_lcm, x, cur)), scale * c_lcm)
+    return _grid_union(_time_pairs(sets, coeffs, scale, c_lcm, x, cur), scale * c_lcm)
 
 
 def multilinear_integral(
@@ -129,16 +145,9 @@ def check_sweep_candidates(sizes: Sequence[int], coefficients: Sequence[int]) ->
     a continuous sweep whose families have sizes[i] = |E_i| endpoints; past
     MAX_SWEEP_CANDIDATES it raises ValueError naming the count.  An upper
     bound on the sizes gives an upper bound on the count."""
-    candidates = 2 * sum(sizes) + sum(
-        a * b
-        for (a, c), (b, d) in itertools.combinations(zip(sizes, coefficients), 2)
-        if c != d
-    )
-    if candidates > MAX_SWEEP_CANDIDATES:
-        raise ValueError(
-            f"sweep of {candidates:,} meeting candidates exceeds the cap of {MAX_SWEEP_CANDIDATES:,}"
-        )
-    return candidates
+    pairs = itertools.combinations(zip(sizes, coefficients), 2)
+    candidates = 2 * sum(sizes) + sum(a * b for (a, c), (b, d) in pairs if c != d)
+    return _refuse_past(candidates, MAX_SWEEP_CANDIDATES, "sweep of", "meeting candidates")
 
 
 def _distinct(a):
@@ -307,18 +316,11 @@ def sweep_superlevel(
     every level crossing is an integer on the grid refined by the lcm of
     the crossings' reduced denominators.
     """
-    sets = list(sets)
-    coeffs = [int(c) for c in coefficients]
-    if len(sets) != len(coeffs) or not sets:
-        raise ValueError("need matching nonempty sets and coefficients")
-    if any(c == 0 for c in coeffs):
+    sets, coeffs = _matched(sets, coefficients)
+    if 0 in coeffs:
         raise ValueError("coefficients must be nonzero")
-    w0, w1 = rat(window[0]), rat(window[1])
-    if w0 >= w1:
-        raise ValueError("window must be nondegenerate")
-    t0, t1 = rat(t_domain[0]), rat(t_domain[1])
-    if t0 >= t1:
-        raise ValueError("t-domain must be nondegenerate")
+    w0, w1 = _nondegenerate(window, "window")
+    t0, t1 = _nondegenerate(t_domain, "t-domain")
     level = rat(level)
     check_sweep_candidates([2 * len(u.nums) for u in sets], coeffs)
 
@@ -412,9 +414,8 @@ def _fold_pairs(pairs, shift, lo, hi):
 
 def wrap_translate(u: IntervalUnion, shift: RationalLike, lo=-1, hi=1) -> IntervalUnion:
     """Translate u by shift and fold into [lo, hi) (circle of circumference hi-lo)."""
-    lo, hi, shift = rat(lo), rat(hi), rat(shift)
-    if lo >= hi:
-        raise ValueError("circle must be nondegenerate")
+    lo, hi = _nondegenerate((lo, hi), "circle")
+    shift = rat(shift)
     L = lcm(u.den, common_denominator((shift, lo, hi)))
     return _grid_union(_fold_pairs(_scaled(u, L), int(shift * L), int(lo * L), int(hi * L)), L)
 
@@ -507,21 +508,15 @@ def discrete_superlevel(
     meets every grid step with the families in one batched numpy pass, with
     no Python loop over the steps n.
     """
-    coeffs = [int(c) for c in coefficients]
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
-    if len(sets) != len(coeffs) or not sets:
-        raise ValueError("need matching nonempty sets and coefficients")
-    w0, w1 = rat(window[0]), rat(window[1])
-    if w0 >= w1:
-        raise ValueError("window must be nondegenerate")
+    sets, coeffs = _matched(sets, coefficients)
+    w0, w1 = _nondegenerate(window, "window")
     level = rat(level)
     if topology not in ("line", "circle"):
         raise ValueError("topology must be 'line' or 'circle'")
-    circle = (rat(circle_lo), rat(circle_hi)) if topology == "circle" else None
-    if circle and circle[0] >= circle[1]:
-        raise ValueError("circle must be nondegenerate")
+    circle = _nondegenerate((circle_lo, circle_hi), "circle") if topology == "circle" else None
     xs, counts, scale = _grid_cells(sets, coeffs, n_steps, w0, w1, circle)
     g = StepFunction._of_arrays(xs, counts, scale, n_steps)
     sup = g.superlevel(level)
@@ -575,26 +570,21 @@ def find_riemann_n(
         points = base * len(progression) * (len(progression) + 1) // 2
     else:
         progression = [int(n) for n in progression]
+        if not progression:
+            raise ValueError("empty progression")
         points = sum(progression)
     cells = points * 2 * sum(map(cardinality, scen.factor_specs))
-    if cells > MAX_GRID_CELLS:
-        raise ValueError(
-            f"grid search over {cells:,} grid cells exceeds the cap of {MAX_GRID_CELLS:,}"
-        )
-    last = None
+    _refuse_past(cells, MAX_GRID_CELLS, "grid search over", "grid cells")
     for n_steps in progression:
-        last = n_steps
         meas = discrete_superlevel(
-            scen.factors, scen.coefficients, last, level, window, topology="line"
+            scen.factors, scen.coefficients, n_steps, level, window, topology="line"
         ).superlevel_measure
         if meas >= target:
             return RiemannCertificate(
-                n_steps=last, measure=meas, level=level, target=target
+                n_steps=n_steps, measure=meas, level=level, target=target
             )
-    if last is None:
-        raise ValueError("empty progression")
     raise SearchExhaustedError(
-        f"no N up to {last} reached superlevel measure {target} at level {level}"
+        f"no N up to {progression[-1]} reached superlevel measure {target} at level {level}"
     )
 
 
@@ -605,6 +595,11 @@ def find_riemann_n(
 
 # the cube certificate refuses more checks than this ((4,4) has 15,728,640)
 MAX_CUBE_CHECKS = 2_000_000
+
+
+def _refuse_cube_checks(count: int) -> int:
+    """The cube certificate's gate, which verify-cubes reaches before it builds the family."""
+    return _refuse_past(count, MAX_CUBE_CHECKS, "cube certificate of", "checks")
 
 
 @dataclass(frozen=True)
@@ -727,11 +722,7 @@ def cube_certificate_check(
     if t_tail <= 0:
         raise ValueError("t_tail must be positive")
     n_checks = prod(map(cardinality, (*scenario.generator_specs, scenario.shared_spec)))
-    n_checks *= len(scenario.form_specs)
-    if n_checks > MAX_CUBE_CHECKS:
-        raise ValueError(
-            f"cube certificate of {n_checks:,} checks exceeds the cap of {MAX_CUBE_CHECKS:,}"
-        )
+    _refuse_cube_checks(n_checks * len(scenario.form_specs))
     # per eps its slack and whether the slack holds; the slack depends on eps
     # only through its weight w, and each unit of weight takes one t_tail
     slacks = [scenario.form_tail - tau]
@@ -825,10 +816,7 @@ def monte_carlo_average(
     samples = int(samples)
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if samples > MAX_MC_SAMPLES:
-        raise ValueError(
-            f"Monte Carlo estimate of {samples:,} samples exceeds the cap of {MAX_MC_SAMPLES:,}"
-        )
+    _refuse_past(samples, MAX_MC_SAMPLES, "Monte Carlo estimate of", "samples")
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

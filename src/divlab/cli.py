@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .averages import (
     SearchExhaustedError,
+    _refuse_cube_checks,
     check_sweep_candidates,
     cube_certificate_check,
     find_riemann_n,
@@ -37,6 +38,7 @@ from .intervals import IntervalUnion, InvariantError, rat_str, real
 from .linforms import classify
 from .scenarios import (
     MAX_KMAX,
+    _cube_check_count,
     blowup_series,
     cube_family,
     cube_threshold,
@@ -278,6 +280,8 @@ def _cmd_find_nk(args) -> int:
 
 
 def _cmd_verify_cubes(args) -> int:
+    # refuse an oversized certificate before cube_family combines any form spec
+    _refuse_cube_checks(_cube_check_count(args.m, args.k))
     scen = cube_family(args.m, args.k)
     t_tail = scen.witness_tail if args.t_tail is None else args.t_tail
     if args.tamper:

@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Tuple
 
 from .averages import form_time_set
-from .intervals import IntervalUnion, RationalLike, rat
+from .digitsets import base_points, cardinality
+from .intervals import IntervalUnion, RationalLike, _refuse_past, rat
 from .scenarios import (
     BlowupSeries,
     FurstenbergScenario,
@@ -105,13 +106,8 @@ def h3_witness_evaluations(scenario: FurstenbergScenario) -> Tuple[H3Evaluation,
     The witness cardinality is read off its spec before any set is built;
     past MAX_H3_POINTS it raises ValueError naming the count.
     """
-    from .digitsets import base_points, cardinality
-
     points = cardinality(scenario.witness_spec)
-    if points > MAX_H3_POINTS:
-        raise ValueError(
-            f"h3 evaluation at {points:,} witness points exceeds the cap of {MAX_H3_POINTS:,}"
-        )
+    _refuse_past(points, MAX_H3_POINTS, "h3 evaluation at", "witness points")
     first, second, third = scenario.factors
     out = []
     for x in base_points(scenario.witness_spec):

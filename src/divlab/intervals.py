@@ -45,6 +45,13 @@ def rat(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _refuse_past(count: int, cap: int, head: str, unit: str) -> int:
+    """count; past cap, every engine's refusal "<head> <count> <unit> exceeds the cap of <cap>"."""
+    if count > cap:
+        raise ValueError(f"{head} {count:,} {unit} exceeds the cap of {cap:,}")
+    return count
+
+
 def rat_str(q: RationalLike) -> str:
     """Canonical 'num/den' rendering, e.g. '-1/96', '0/1'."""
     q = rat(q)
@@ -259,12 +266,12 @@ class IntervalUnion:
         if not self.nums or not other.nums:
             return EMPTY
         # on the common grid, each walk starts at the first piece ending after
-        # the other union starts; pieces can touch ([0,2) cut by [0,1),[1,2))
+        # the other union starts; pieces of a meet touch only where an input's do
         scale = lcm(self.den, other.den)
         a, b = _scaled(self, scale), _scaled(other, scale)
         i = bisect.bisect_right(a, b[0][0], key=itemgetter(1))
         j = bisect.bisect_right(b, a[0][0], key=itemgetter(1))
-        return _grid_union(_merge_sorted(_pair_isect(a, b, i, j)), scale)
+        return _grid_union(_pair_isect(a, b, i, j), scale)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         scale = lcm(self.den, other.den)

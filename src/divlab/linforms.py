@@ -17,7 +17,7 @@ from math import comb, gcd
 from operator import index
 from typing import List, Optional, Sequence, Tuple
 
-from .intervals import InvariantError, rat_str
+from .intervals import InvariantError, _refuse_past, rat_str
 
 MAX_ROWS = 20  # circuit search cap on the number of rows
 # the circuit search refuses more candidate row subsets than this (20 x 10 has 910,575)
@@ -166,10 +166,7 @@ def minimal_dependent_rows(
     if n == 0:
         return None
     subsets = circuit_subsets(n, len(rows[0]) - 1)
-    if subsets > MAX_CIRCUIT_SUBSETS:
-        raise ValueError(
-            f"circuit search over {subsets:,} row subsets exceeds the cap of {MAX_CIRCUIT_SUBSETS:,}"
-        )
+    _refuse_past(subsets, MAX_CIRCUIT_SUBSETS, "circuit search over", "row subsets")
     best_size, best = len(rows[0]) + 2, None
 
     def walk(prefix, later):

@@ -227,7 +227,9 @@ class CubeScenario:
         )
 
 
-def cube_family(m: int, k: int) -> CubeScenario:
+def _cube_check_count(m: int, k: int) -> int:
+    """cube_family's refusals of m and k, then its certificate's checks
+    2^(k(m+1)) (2^m - 1): m + 1 two-digit gap-certified specs, 2^m - 1 forms."""
     if m < 3:
         raise ValueError("dimension must be >= 3 (m = 2 has no dependent forms)")
     if k < 1:
@@ -238,6 +240,11 @@ def cube_family(m: int, k: int) -> CubeScenario:
         raise ValueError(
             f"dimension m = {m} needs about 2*3^{m} digit combinations, above the cap {MAX_ENUM}"
         )
+    return 2 ** (k * (m + 1)) * (2**m - 1)
+
+
+def cube_family(m: int, k: int) -> CubeScenario:
+    _cube_check_count(m, k)  # refuses an m or k the family cannot build
     rho = 2 ** (m + 1)
     form_tail = Fraction(1, rho**k)
     witness_tail = Fraction(1, (m + 1) * rho**k)

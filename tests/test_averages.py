@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from divlab import averages, hilbert, intervals
+from divlab import averages, hilbert, intervals, scenarios
 from divlab.averages import (
     MAX_CUBE_CHECKS,
     MAX_SWEEP_CANDIDATES,
@@ -416,6 +416,44 @@ def test_time_pairs_is_the_scaled_pointwise_time_set():
             assert F(sum(b - a for a, b in pairs), unit) == clipped.measure()
             assert form_time_set(sets, coeffs, F(x, scale)) == want
             assert form_time_set(sets, coeffs, F(x, scale), t_domain) == clipped
+
+
+small_unions = st.one_of(
+    st.just(EMPTY),
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6), st.sampled_from([1, 2, 3])),
+             min_size=1, max_size=4).map(
+        lambda ps: normalize((F(a, d), F(a + n, d)) for a, n, d in ps)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(small_unions, st.integers(1, 4).flatmap(
+           lambda c: st.sampled_from([c, -c]))), min_size=1, max_size=3),
+       st.integers(-40, 40), st.tuples(st.integers(-90, 90), st.integers(-90, 90)),
+       st.integers(1, 3))
+@example([(EMPTY, 1), (normalize([(0, 1)]), -2)], 0, (-5, 5), 1)  # an empty union
+@example([(normalize([(0, 1), (2, 3)]), 2)], 1, (9, -9), 1)  # an inverted window
+def test_time_pairs_are_canonical_without_a_merge(families, x, window, refine):
+    # the meet of canonical piece lists is canonical, so _time_pairs' pieces
+    # and the unions form_time_set and intersect build from them unmerged
+    # are sorted, nonempty and never touch
+    sets, coeffs = zip(*families)
+    scale = math.lcm(*(u.den for u in sets)) * refine
+    c_lcm = math.lcm(*map(abs, coeffs))
+    pairs = _time_pairs(sets, coeffs, scale, c_lcm, x, [window])
+    assert all(a < b for a, b in pairs)
+    assert all(b < c for (_, b), (c, _) in zip(pairs, pairs[1:]))
+    unit = scale * c_lcm
+    domain = (F(window[0], unit), F(window[1], unit))
+    for u in (form_time_set(sets, coeffs, F(x, scale)),
+              form_time_set(sets, coeffs, F(x, scale), domain),
+              functools.reduce(IntervalUnion.intersect, sets)):
+        assert u == normalize(u.pairs)
+    if window[0] < window[1]:
+        assert form_time_set(sets, coeffs, F(x, scale), domain) == normalize(
+            (F(a, unit), F(b, unit)) for a, b in pairs)
+    else:
+        assert pairs == []
 
 
 def test_time_set_needs_no_whole_union_algebra(monkeypatch):
@@ -1106,6 +1144,26 @@ def test_cube_certificate_refuses_before_enumerating(monkeypatch):
         with pytest.raises(ValueError, match=f"of {count:,} checks exceeds the cap"):
             cube_certificate_check(cube_family(m, k))
     assert 1_032_192 <= MAX_CUBE_CHECKS < 7_340_032  # (6,2) runs, (3,5) is refused
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_cube_closed_form_count_is_the_certificates_count(m):
+    # verify-cubes gates the closed form before cube_family builds anything;
+    # the certificate counts off its specs, and past the cap both refusals
+    # name the same count
+    for k in (1, 2, 3):
+        count = scenarios._cube_check_count(m, k)
+        scen = cube_family(m, k)
+        for t_tail in (None, 2 * scen.witness_tail):  # plain and --tamper
+            if count <= MAX_CUBE_CHECKS:
+                assert averages._refuse_cube_checks(count) == count
+                assert cube_certificate_check(scen, t_tail).checks_total == count
+                continue
+            with pytest.raises(ValueError) as cli_gate:
+                averages._refuse_cube_checks(count)
+            with pytest.raises(ValueError, match=f"of {count:,} checks exceeds") as certificate:
+                cube_certificate_check(scen, t_tail)
+            assert str(cli_gate.value) == str(certificate.value)
 
 
 # --- Monte Carlo -------------------------------------------------------------

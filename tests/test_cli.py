@@ -738,6 +738,59 @@ def test_depth_past_the_cap_exits_1_naming_it(capsys, argv):
     assert "argument --k" not in capsys.readouterr().err
 
 
+def cli_subprocess(*argv):
+    """(exit code, stdout, stderr, seconds) of one divlab request run as a subprocess."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    start = time.perf_counter()
+    p = subprocess.run([sys.executable, "-m", "divlab.cli", *argv], env=env, capture_output=True, text=True)
+    return p.returncode, p.stdout, p.stderr, time.perf_counter() - start
+
+
+AT_THE_DEPTH_CAP = (
+    (("verify-claim",), f"meeting candidates exceeds the cap of {averages.MAX_SWEEP_CANDIDATES:,}"),
+    (("h3-eval",), f"witness points exceeds the cap of {hilbert.MAX_H3_POINTS:,}"),
+    (("construct-thm1",), "base points exceeds cap"),
+    (("mc-average", "--x", "-1/2", "--seed", "1"), "base points exceeds cap"),
+    # a --max-n of one grid size, so the search reaches its grid-cell estimate
+    (("find-nk", "--level", "1/2", "--target", "1/2", "--max-n", str(8 * 12**MAX_DEPTH)),
+     f"grid cells exceeds the cap of {averages.MAX_GRID_CELLS:,}"),
+    (("verify-cubes", "--m", "3"), f"checks exceeds the cap of {averages.MAX_CUBE_CHECKS:,}"),
+)
+
+
+@pytest.mark.parametrize("argv, cap", AT_THE_DEPTH_CAP, ids=[argv[0] for argv, _ in AT_THE_DEPTH_CAP])
+def test_requests_at_the_depth_cap_are_refused_within_a_second(argv, cap):
+    rc, out, err, seconds = cli_subprocess(*argv, "--k", str(MAX_DEPTH))
+    assert (rc, out) == (1, ""), argv
+    assert err.startswith("divlab: error: ") and err.endswith(f"{cap}\n"), err[-200:]
+    assert seconds < 1.0, (argv, seconds)
+
+
+@pytest.mark.parametrize("m, k", [(10, 1), (12, 1), (13, 1), (13, MAX_DEPTH)])
+def test_verify_cubes_refuses_wide_cubes_within_a_second(m, k):
+    # the closed-form count is refused before cube_family combines any of its
+    # 2^m - 1 form specs, which took 3-5 s at m = 13
+    rc, out, err, seconds = cli_subprocess("verify-cubes", "--m", str(m), "--k", str(k))
+    count = scenarios._cube_check_count(m, k)
+    assert (rc, out) == (1, "")
+    assert err == (f"divlab: error: cube certificate of {count:,} checks exceeds "
+                   f"the cap of {averages.MAX_CUBE_CHECKS:,}\n")
+    assert seconds < 1.0, seconds
+
+
+def test_construct_cubes_at_the_depth_cap_still_runs():
+    rc, out, err, _ = cli_subprocess("construct-cubes", "--m", "3", "--k", str(MAX_DEPTH))
+    assert (rc, err) == (0, "") and json.loads(out)["k"] == MAX_DEPTH
+
+
+@pytest.mark.parametrize("m", [10, 12, 13])
+def test_verify_cubes_refuses_before_building_any_form(capsys, monkeypatch, m):
+    monkeypatch.setattr(scenarios, "combine", lambda *a: pytest.fail("a form spec was built"))
+    rc, out, err = run(capsys, "verify-cubes", "--m", str(m), "--k", "1")
+    assert rc == 1 and out == "" and "checks exceeds the cap of" in err
+
+
 def test_verify_cubes_refuses_oversized_enumerations(capsys):
     start = time.perf_counter()
     rc, out, err = run(capsys, "verify-cubes", "--m", "4", "--k", "4")

@@ -78,6 +78,29 @@ def test_alphabet_view_is_read_only_in_digitsets_module():
     assert found == []
 
 
+def test_refusals_and_input_checks_are_spelled_once():
+    # every cap refusal goes through intervals._refuse_past, and the engines'
+    # shared input checks through one function each in averages
+    wording = {
+        "exceeds the cap of": {"intervals.py:_refuse_past"},
+        "must be nondegenerate": {"averages.py:_nondegenerate"},
+        "need matching nonempty sets and coefficients": {"averages.py:_matched"},
+    }
+    found = {text: set() for text in wording}
+    for path in sorted(Path(divlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # node -> its innermost enclosing function
+        for fn in ast.walk(tree):  # breadth first: inner functions overwrite outer ones
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for text in wording:
+                    if text in node.value:
+                        found[text].add(f"{path.name}:{owner.get(node, '<module>')}")
+    assert found == wording
+
+
 def test_cli_never_reads_the_lazy_cube_checks():
     # verify-cubes prints the report's counts and first failures; reading
     # .checks would rebuild one CubeCheck per check
