@@ -19,7 +19,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .digitsets import _base_nums, cardinality
+from .digitsets import _base_nums, _digit_sums, cardinality
 from .intervals import (
     IntervalUnion,
     InvariantError,
@@ -593,7 +593,10 @@ def find_riemann_n(
 # ---------------------------------------------------------------------------
 
 
-# the cube certificate refuses more checks than this ((4,4) has 15,728,640)
+# the cube certificate refuses more checks than this ((4,4) has 15,728,640).
+# The digitwise proof is depth-free, but the cap stays: the enumeration it
+# falls back on and the lazy report.checks visit every check, and
+# CubeScenario.cardinalities() enumerates the forms that are not gap-certified
 MAX_CUBE_CHECKS = 2_000_000
 
 
@@ -613,22 +616,22 @@ class CubeCheck:
 
 class CubeChecks:
     """Every (x, eps) check of a cube certificate, in enumeration order, as a
-    lazy view: len is the check count, and each iteration reruns the batched
+    lazy view: len is the check count, and each iteration runs the batched
     enumeration, block by block, and builds one CubeCheck per check."""
 
-    def __init__(self, count, scale, forms, blocks):
+    def __init__(self, count, forms, enumeration):
         self._count = count
-        self._scale = scale
         self._forms = forms  # per eps in order: (eps, slack, slack >= 0)
-        self._blocks = blocks  # () -> the enumeration's (x, members) blocks
+        self._enumeration = enumeration  # () -> (scale, () -> the (x, members) blocks)
 
     def __len__(self):
         return self._count
 
     def __iter__(self):
-        for xs, members in self._blocks():
+        scale, blocks = self._enumeration()
+        for xs, members in blocks():
             for x, row in zip(xs.tolist(), members.tolist()):
-                xq = Fraction(x, self._scale)
+                xq = Fraction(x, scale)
                 for (eps, slack, slack_ok), member in zip(self._forms, row):
                     yield CubeCheck(xq, eps, member, slack, member and slack_ok)
 
@@ -684,6 +687,75 @@ def _cube_blocks(points, lattice, forms):
         yield x, np.array([_in_sorted(targets[mask], form) for form, mask in forms]).T
 
 
+def _cube_enumeration(scenario: CubeScenario, eps_order):
+    """(scale, blocks): every generator, shared, lattice and form base point
+    (forms in eps_order) as an int over the one scale L, the lcm of their
+    denominators, and blocks() runs the _cube_blocks enumeration over them.
+    Arrays are int64 when a magnitude bound stays below 2^62 and dtype
+    object (Python ints) otherwise; both run the same code."""
+    m = scenario.dimension
+    specs = [*scenario.generator_specs, scenario.shared_spec, scenario.base_spec,
+             *(scenario.form_specs[eps] for eps in eps_order)]
+    nums = [_base_nums(spec) for spec in specs]
+    scale = lcm(*(den for _, den in nums))
+    # x and every target are signed sums of fewer than 4m base points, and
+    # top bounds every base point and scale factor
+    top = max((max(-vs[0], vs[-1], 1) * (scale // den) for vs, den in nums if vs), default=0)
+    dtype = np.int64 if 4 * m * top < 2**62 else object
+    pts = [np.array(vs, dtype=dtype) for vs, _ in nums]
+    for p, (_, den) in zip(pts, nums):
+        if den != scale:
+            p *= scale // den
+    # per eps: its form's base points and the subset of j (eps_j = 1) as a bit
+    # mask, bit j for b - b_j
+    form_pts = [(p, sum(1 << j for j in range(m) if eps[j]))
+                for eps, p in zip(eps_order, pts[m + 2 :])]
+    return scale, functools.partial(_cube_blocks, pts[: m + 1], pts[m + 1], form_pts)
+
+
+def _cube_digitwise_proof(scenario: CubeScenario, eps_order) -> bool:
+    """Whether one digit position proves every membership of the cube
+    certificate at every depth.  The form target of eps with zero set Z is
+    sum_{j in Z} b_j - (|Z| - 1) b, and x is sum_j b_j - (m - 1) b; at every
+    digit position these are the same integer combination of the generator
+    digits g_j and the shared digit s.  So when all specs share radix and
+    depth, every sum_{j in Z} g_j - (|Z| - 1) s lies in the eps form's
+    alphabet and every sum_j g_j - (m - 1) s in the lattice's, each target
+    and each x is a sum of in-alphabet digits, a base point.  2 * 3^m digit
+    sums (digitsets._digit_sums), each tested on one common denominator."""
+    m = scenario.dimension
+    gens, shared = scenario.generator_specs, scenario.shared_spec
+    specs = [*gens, shared, scenario.base_spec, *scenario.form_specs.values()]
+    if len({(s.radix, s.depth) for s in specs}) > 1:
+        return False
+
+    def covered(zero, spec):
+        den, _, sums = _digit_sums([*((1, gens[j]) for j in zero), (1 - len(zero), shared)])
+        return {v * spec.den for v in sums} <= {d * den for d in spec.digits}
+
+    return covered(range(m), scenario.base_spec) and all(
+        covered([j for j in range(m) if not eps[j]], scenario.form_specs[eps])
+        for eps in eps_order
+    )
+
+
+def _proved_failures(scenario: CubeScenario, forms):
+    """The first _FAILURES_KEPT failing (combination, eps) checks when every
+    membership holds, in itertools.product order: each combination fails at
+    the forms whose slack is negative, and its x = b_1 + ... + b_m - (m - 1) b
+    is read off the generator and shared base points alone."""
+    failing = [(eps, slack) for eps, slack, ok in forms if not ok]
+    if not failing:
+        return []
+    m = scenario.dimension
+    nums = [_base_nums(spec) for spec in (*scenario.generator_specs, scenario.shared_spec)]
+    scale = lcm(*(den for _, den in nums))
+    pts = [[v * (scale // den) for v in vs] for vs, den in nums]
+    pairs = ((combo, f) for combo in itertools.product(*pts) for f in failing)
+    return [CubeCheck(Fraction(sum(combo) - m * combo[-1], scale), eps, True, slack, False)
+            for combo, (eps, slack) in itertools.islice(pairs, _FAILURES_KEPT)]
+
+
 def cube_certificate_check(
     scenario: CubeScenario, t_tail: RationalLike | None = None
 ) -> CubeCertificateReport:
@@ -698,31 +770,35 @@ def cube_certificate_check(
     must be >= 0.  Both checks run per (x, eps); all-pass implies the average
     lower bound t_tail^m, the volume of the checked t-box, at every witness
     point.  The default t_tail is the witness tail [(m+1) * 2^(k(m+1))]^(-1).
-    The check count, the product of the generator and shared cardinalities
-    times the 2^m - 1 forms, is known before any enumeration; past
-    MAX_CUBE_CHECKS the check raises ValueError.
+    The check count n * (2^m - 1), n the product of the generator and shared
+    cardinalities, is known before any enumeration; past MAX_CUBE_CHECKS the
+    check raises ValueError.
 
-    Every base point is an integer over one scale L, the lcm of the specs'
-    denominators, and the combinations run in one batched numpy pass over
-    blocks of _BLOCK (_cube_blocks): the decomposition is a sum of gathered
-    base points, the lattice test and each form's membership one
-    searchsorted against sorted base points, and the 2^m targets whole
-    arrays, each mask's from a smaller mask's.  Arrays are int64 when a
-    magnitude bound from the inputs stays below 2^62, and dtype object
-    (Python ints) otherwise; both run the same code.  The report counts the
-    checks and the failures of each block's (combination, form) matrix
-    members & slack_ok and keeps the first _FAILURES_KEPT failures in
-    enumeration order; x becomes a Fraction only for a kept failure.
-    report.checks is a lazy view that reruns the same blocks to yield every
-    CubeCheck.
+    The memberships are first proved on one digit position
+    (_cube_digitwise_proof), which holds for every cube_family scenario and
+    takes 2 * 3^m digit sums at any depth.  Then no form or lattice base point
+    is built: the report is closed form, n failures per form of negative
+    slack, and the first _FAILURES_KEPT failing checks take their x from the
+    generator and shared base points alone.  When the proof fails (a mutated
+    alphabet, specs of mixed radix or depth), the enumeration decides:
+    every base point is an integer over one scale, and the combinations run
+    in one batched numpy pass over blocks of _BLOCK (_cube_blocks), the
+    decomposition a sum of gathered base points, the lattice test and each
+    form's membership one searchsorted against sorted base points, and the
+    2^m targets whole arrays, each mask's from a smaller mask's.  It counts
+    the failures of each block's (combination, form) matrix members &
+    slack_ok, keeps the first _FAILURES_KEPT in enumeration order, and
+    raises InvariantError when some x leaves the lattice.  Either way
+    report.checks is a lazy view that builds the base points and runs the
+    enumeration only when iterated, yielding every CubeCheck.
     """
     m = scenario.dimension
     tau = scenario.witness_tail
     t_tail = tau if t_tail is None else rat(t_tail)
     if t_tail <= 0:
         raise ValueError("t_tail must be positive")
-    n_checks = prod(map(cardinality, (*scenario.generator_specs, scenario.shared_spec)))
-    _refuse_cube_checks(n_checks * len(scenario.form_specs))
+    n_combos = prod(map(cardinality, (*scenario.generator_specs, scenario.shared_spec)))
+    _refuse_cube_checks(n_combos * len(scenario.form_specs))
     # per eps its slack and whether the slack holds; the slack depends on eps
     # only through its weight w, and each unit of weight takes one t_tail
     slacks = [scenario.form_tail - tau]
@@ -731,39 +807,29 @@ def cube_certificate_check(
     oks = [slack >= 0 for slack in slacks]
     eps_order = sorted(scenario.form_specs)
     forms = [(eps, slacks[sum(eps)], oks[sum(eps)]) for eps in eps_order]
-    specs = [*scenario.generator_specs, scenario.shared_spec, scenario.base_spec,
-             *(scenario.form_specs[eps] for eps in eps_order)]
-    nums = [_base_nums(spec) for spec in specs]
-    scale = lcm(*(den for _, den in nums))
-    # x and every target are signed sums of fewer than 4m base points, and
-    # top bounds every base point and scale factor; past int64 the same
-    # arrays hold Python ints
-    top = max((max(-vs[0], vs[-1], 1) * (scale // den) for vs, den in nums if vs), default=0)
-    dtype = np.int64 if 4 * m * top < 2**62 else object
-    pts = [np.array(vs, dtype=dtype) for vs, _ in nums]
-    for p, (_, den) in zip(pts, nums):
-        if den != scale:
-            p *= scale // den
-    # per eps: its form's base points and the subset of j (eps_j = 1) as a bit
-    # mask, bit j for b - b_j
-    form_pts = [(p, sum(1 << j for j in range(m) if eps[j]))
-                for eps, p in zip(eps_order, pts[m + 2 :])]
-    slack_ok = np.array([ok for _, _, ok in forms])
-    blocks = functools.partial(_cube_blocks, pts[: m + 1], pts[m + 1], form_pts)
 
-    total = failed = 0
-    first = []
-    for xs, members in blocks():
-        passed = members & slack_ok
-        n_failed = passed.size - int(np.count_nonzero(passed))
-        total += passed.size
-        failed += n_failed
-        if n_failed and len(first) < _FAILURES_KEPT:
-            for i in np.flatnonzero(~passed)[: _FAILURES_KEPT - len(first)].tolist():
-                row, f = divmod(i, len(forms))
-                eps, slack, _ = forms[f]
-                first.append(CubeCheck(Fraction(int(xs[row]), scale), eps,
-                                       bool(members[row, f]), slack, False))
+    if _cube_digitwise_proof(scenario, eps_order):
+        total = n_combos * len(forms)
+        failed = n_combos * sum(not ok for _, _, ok in forms)
+        first = _proved_failures(scenario, forms)
+        enumeration = functools.partial(_cube_enumeration, scenario, eps_order)
+    else:
+        built = scale, blocks = _cube_enumeration(scenario, eps_order)
+        slack_ok = np.array([ok for _, _, ok in forms])
+        total = failed = 0
+        first = []
+        for xs, members in blocks():
+            passed = members & slack_ok
+            n_failed = passed.size - int(np.count_nonzero(passed))
+            total += passed.size
+            failed += n_failed
+            if n_failed and len(first) < _FAILURES_KEPT:
+                for i in np.flatnonzero(~passed)[: _FAILURES_KEPT - len(first)].tolist():
+                    row, f = divmod(i, len(forms))
+                    eps, slack, _ = forms[f]
+                    first.append(CubeCheck(Fraction(int(xs[row]), scale), eps,
+                                           bool(members[row, f]), slack, False))
+        enumeration = lambda: built
     return CubeCertificateReport(
         dimension=m,
         depth=scenario.depth,
@@ -773,7 +839,7 @@ def cube_certificate_check(
         first_failures=tuple(first),
         all_pass=failed == 0,
         integral_lower_bound=t_tail**m,
-        checks=CubeChecks(total, scale, tuple(forms), blocks),
+        checks=CubeChecks(total, tuple(forms), enumeration),
     )
 
 

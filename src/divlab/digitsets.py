@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import mul, sub
+from operator import sub
 from typing import Sequence, Tuple
 
 from .intervals import (
@@ -25,6 +25,7 @@ from .intervals import (
     _grid_union,
     _set_lowest_terms,
     _merge_sorted,
+    _refuse_past,
     common_denominator,
     rat,
     rat_str,
@@ -99,10 +100,7 @@ def _base_nums(spec: DigitSetSpec):
     apart, then (w - v) rho - spread >= min_gap * rho - spread >= min_gap
     separates the children of v from those of w.
     """
-    if len(spec.digits) ** spec.depth > MAX_ENUM:
-        raise ValueError(
-            f"enumeration of {len(spec.digits)}^{spec.depth} base points exceeds cap"
-        )
+    _refuse_past(len(spec.digits) ** spec.depth, MAX_ENUM, "enumeration of", "base points")
     vals = [0]
     for _ in range(spec.depth):
         vals = [v * spec.radix + d for v in vals for d in spec.digits]
@@ -125,7 +123,9 @@ def materialize(spec: DigitSetSpec) -> IntervalUnion:
     # g = gcd(td, tn*den) divides every endpoint and the denominator
     g = gcd(td, tn * den)
     step, width, scale = td // g, tn * den // g, den * td // g
-    return _grid_union(_merge_sorted((v * step, v * step + width) for v in nums), scale)
+    pairs = [(v * step, v * step + width) for v in nums]
+    # pieces shorter than the certified gap are sorted and apart: nothing to fuse
+    return _grid_union(pairs if _tail_within_gap(spec, strict=True) else _merge_sorted(pairs), scale)
 
 
 def _gap_certified(spec: DigitSetSpec) -> bool:
@@ -137,9 +137,26 @@ def _gap_certified(spec: DigitSetSpec) -> bool:
     spread * (rho^(-j) - rho^(-k))/(rho - 1), which is strictly smaller.
     """
     a = spec.digits  # all over spec.den, which cancels
-    if len(a) <= 1:
-        return True
-    return min(map(sub, a[1:], a)) * (spec.radix - 1) >= a[-1] - a[0]
+    return len(a) <= 1 or _least_gap(a) * (spec.radix - 1) >= a[-1] - a[0]
+
+
+def _least_gap(digits) -> int:
+    """The least difference of consecutive sorted digits (two or more)."""
+    return min(map(sub, digits[1:], digits))
+
+
+def _tail_within_gap(spec: DigitSetSpec, strict: bool = False) -> bool:
+    """Whether the gap certificate holds and the tail is at most (strict: below)
+    the least digit gap over den * radix^depth, the least distance the
+    certificate proves between distinct base points: the pieces are then
+    disjoint (strict: apart, so none touch).  One integer comparison."""
+    if not _gap_certified(spec):
+        return False
+    if len(spec.digits) == 1:
+        return True  # one base point, one piece
+    reach = spec.tail.numerator * spec.den * spec.radix**spec.depth
+    gap = _least_gap(spec.digits) * spec.tail.denominator
+    return reach < gap if strict else reach <= gap
 
 
 def is_collision_free(spec: DigitSetSpec) -> bool:
@@ -162,8 +179,7 @@ def measure(spec: DigitSetSpec) -> Fraction:
     leaves the pieces disjoint, and the measure is cardinality * tail with
     no enumeration.  Otherwise it is the measure of the materialized union.
     """
-    d, unit = spec.digits, spec.den * spec.radix**spec.depth
-    if _gap_certified(spec) and all(spec.tail * unit <= b - a for a, b in zip(d, d[1:])):
+    if _tail_within_gap(spec):
         return cardinality(spec) * spec.tail
     return materialize(spec).measure()
 
@@ -180,26 +196,35 @@ def combine(
     { sum_j c_j x_j : x_j a base point of S_j }; violations raise NoCarryError
     naming the offending digit combination.
     """
+    den, digits, sums = _digit_sums(terms)
+    radix, depth = terms[0][1].radix, terms[0][1].depth
+    bound = radix * den
+    if max(sums) >= bound or min(sums) <= -bound:
+        i = next(i for i, v in enumerate(sums) if abs(v) >= bound)
+        ds = next(itertools.islice(itertools.product(*digits), i, None))
+        raise NoCarryError(
+            f"combination {[c for c, _ in terms]} x {tuple(str(Fraction(d, den)) for d in ds)} "
+            f"gives {Fraction(sums[i], den)}, magnitude >= radix {radix}"
+        )
+    return DigitSetSpec(radix, depth, set(sums), den, tail)
+
+
+def _digit_sums(terms: Sequence[Tuple[int, DigitSetSpec]]):
+    """(den, digits, sums): every spec's digits as ints over den, the lcm of
+    the specs' denominators, and sum_j c_j d_j for every digit tuple (d_j),
+    one digit of each spec, in itertools.product order (the last spec's
+    digit varies fastest).  The one enumeration of digit tuples: combine
+    builds its alphabet from it, and the cube certificate's digitwise proof
+    tests each sum against an alphabet."""
     if not terms:
         raise ValueError("need at least one term")
-    coeffs = [c for c, _ in terms]
     specs = [s for _, s in terms]
-    radix, depth = specs[0].radix, specs[0].depth
-    if any((s.radix, s.depth) != (radix, depth) for s in specs):
+    if any((s.radix, s.depth) != (specs[0].radix, specs[0].depth) for s in specs):
         raise ValueError("combined specs must share radix and depth")
-    if prod(len(s.digits) for s in specs) > MAX_ENUM:
-        raise ValueError("alphabet product exceeds enumeration cap")
-    # every digit as an integer over the specs' common denominator
+    _refuse_past(prod(len(s.digits) for s in specs), MAX_ENUM, "combination of", "digit tuples")
     den = lcm(*(s.den for s in specs))
     digits = [[d * (den // s.den) for d in s.digits] for s in specs]
-    bound = radix * den
-    values = set()
-    for ds in itertools.product(*digits):
-        v = sum(map(mul, coeffs, ds))
-        if abs(v) >= bound:
-            raise NoCarryError(
-                f"combination {coeffs} x {tuple(str(Fraction(d, den)) for d in ds)} gives "
-                f"{Fraction(v, den)}, magnitude >= radix {radix}"
-            )
-        values.add(v)
-    return DigitSetSpec(radix, depth, values, den, tail)
+    sums = [0]
+    for (c, _), ds in zip(terms, digits):
+        sums = [v + c * d for v in sums for d in ds]
+    return den, digits, sums

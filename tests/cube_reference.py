@@ -1,5 +1,5 @@
 """The per-combination cube loop, a reference for the cube certificate's
-batched kernel.
+digitwise proof and its batched enumeration.
 
 Per combination of generator and shared base points (ints over one scale),
 x = b_1 + ... + b_m - (m - 1) b must be a point of the base lattice, and
@@ -35,9 +35,9 @@ def cube_rows_reference(points, lattice, forms):
         yield x, [targets[mask] in form for form, mask in forms]
 
 
-def cube_certificate_reference(scenario, t_tail=None):
-    """The cube report with every check kept, from cube_rows_reference over
-    the base points that averages._base_nums gives."""
+def cube_checks_reference(scenario, t_tail=None):
+    """Every CubeCheck of the certificate in enumeration order, from
+    cube_rows_reference over the base points that averages._base_nums gives."""
     m = scenario.dimension
     tau = scenario.witness_tail
     t_tail = tau if t_tail is None else rat(t_tail)
@@ -50,20 +50,24 @@ def cube_certificate_reference(scenario, t_tail=None):
     form_sets = [(set(p), sum(1 << j for j in range(m) if eps[j]))
                  for eps, p in zip(eps_order, pts[m + 2 :])]
     slacks = [scenario.form_tail - (tau + sum(eps) * t_tail) for eps in eps_order]
-    checks = tuple(
-        CubeCheck(Fraction(x, scale), eps, member, slack, member and slack >= 0)
-        for x, members in cube_rows_reference(pts[: m + 1], set(pts[m + 1]), form_sets)
-        for eps, slack, member in zip(eps_order, slacks, members)
-    )
+    for x, members in cube_rows_reference(pts[: m + 1], set(pts[m + 1]), form_sets):
+        for eps, slack, member in zip(eps_order, slacks, members):
+            yield CubeCheck(Fraction(x, scale), eps, member, slack, member and slack >= 0)
+
+
+def cube_certificate_reference(scenario, t_tail=None):
+    """The cube report with every check kept, from cube_checks_reference."""
+    t_tail = scenario.witness_tail if t_tail is None else rat(t_tail)
+    checks = tuple(cube_checks_reference(scenario, t_tail))
     failures = [c for c in checks if not c.passed]
     return CubeCertificateReport(
-        dimension=m,
+        dimension=scenario.dimension,
         depth=scenario.depth,
         t_tail=t_tail,
         checks_total=len(checks),
         checks_failed=len(failures),
         first_failures=tuple(failures[:5]),
         all_pass=not failures,
-        integral_lower_bound=t_tail**m,
+        integral_lower_bound=t_tail**scenario.dimension,
         checks=checks,
     )

@@ -36,10 +36,17 @@ from divlab.averages import (
     sweep_superlevel,
     wrap_translate,
 )
-from divlab.digitsets import _base_nums, base_points, cardinality, combine, digit_spec
+from divlab.digitsets import (
+    DigitSetSpec,
+    _base_nums,
+    base_points,
+    cardinality,
+    combine,
+    digit_spec,
+)
 from divlab.intervals import EMPTY, IntervalUnion, normalize
 from divlab.scenarios import cube_family, furstenberg_family
-from cube_reference import cube_certificate_reference
+from cube_reference import cube_certificate_reference, cube_checks_reference
 from grid_reference import grid_cells_reference
 from meeting_reference import full_state_jumps
 from superlevel_reference import fraction_superlevel
@@ -1035,6 +1042,8 @@ def test_cube_certificate_matches_per_combination_loop(instance, wide):
     # wide: every base point's numerator and denominator times 2^70, the same
     # points on a scale past int64, so the arrays hold Python ints
     scen, t_tail = instance
+    # a mutated alphabet misses some digit sum, so the enumeration decides
+    assert not averages._cube_digitwise_proof(scen, sorted(scen.form_specs))
     with pytest.MonkeyPatch.context() as mp:
         if wide:
             base_nums = averages._base_nums
@@ -1050,10 +1059,17 @@ def test_cube_certificate_matches_per_combination_loop(instance, wide):
             assert tuple(rep.checks) == ref.checks
 
 
+def on_the_enumeration_path(monkeypatch):
+    """Fail the digitwise proof, so the certificate enumerates base points
+    through averages._base_nums and a fake there decides the report."""
+    monkeypatch.setattr(averages, "_cube_digitwise_proof", lambda scenario, eps_order: False)
+
+
 def test_cube_certificate_empty_form_set_misses_every_target(monkeypatch):
     # a form with no base points fails each of its checks; the search over
     # its empty array raises nothing
     s = cube_family(3, 1)
+    on_the_enumeration_path(monkeypatch)
     empty = s.form_specs[(1, 0, 1)]
     base_nums = averages._base_nums
     monkeypatch.setattr(averages, "_base_nums",
@@ -1070,6 +1086,7 @@ def test_cube_certificate_scale_factor_past_int64(monkeypatch):
     # the points stay small on the common scale, the factor that lifts that
     # form's 0 onto it does not, and the arrays hold Python ints
     s = cube_family(3, 1)
+    on_the_enumeration_path(monkeypatch)
     lone = s.form_specs[(1, 1, 1)]
     base_nums = averages._base_nums
     monkeypatch.setattr(averages, "_base_nums", lambda spec: (
@@ -1078,6 +1095,93 @@ def test_cube_certificate_scale_factor_past_int64(monkeypatch):
     ref = cube_certificate_reference(s)
     assert rep == ref and tuple(rep.checks) == ref.checks
     assert {c.eps for c in rep.checks if not c.passed} == {(1, 1, 1)}
+
+
+def assert_matches_streamed_reference(rep, scen, t_tail):
+    # the report against cube_checks_reference, field by field, streaming
+    # both check sequences so that no tuple of every check is held
+    total, failed, first = 0, 0, []
+    for got, want in itertools.zip_longest(rep.checks, cube_checks_reference(scen, t_tail)):
+        assert got == want
+        total += 1
+        if not want.passed:
+            failed += 1
+            first += [want][: 5 - len(first)]
+    assert (rep.dimension, rep.depth) == (scen.dimension, scen.depth)
+    assert rep.t_tail == (scen.witness_tail if t_tail is None else t_tail)
+    assert rep.checks_total == len(rep.checks) == total
+    assert (rep.checks_failed, rep.first_failures) == (failed, tuple(first))
+    assert rep.all_pass == (failed == 0)
+    assert rep.integral_lower_bound == rep.t_tail**scen.dimension
+
+
+def cube_tails(scen, seeded):
+    """The default tail, --tamper's doubled tail, a tail at which only the
+    top weight fails (so the first five failures span five combinations) and
+    seeded random tails around the witness tail."""
+    m, tau = scen.dimension, scen.witness_tail
+    rnd = random.Random(1000 * m + scen.depth)
+    top_only = (scen.form_tail - tau) / (m - F(1, 2))  # slack < 0 at weight m only
+    return [None, 2 * tau, top_only,
+            *(tau * F(rnd.randint(1, 9), rnd.randint(1, 4)) for _ in range(seeded))]
+
+
+@pytest.mark.parametrize("m,k,seeded", [(3, 2, 2), (5, 1, 2)])
+def test_cube_certificate_matches_the_loop_on_both_paths(m, k, seeded):
+    # the digitwise proof's closed-form report and the enumeration's agree
+    # with the per-combination loop, every check included
+    scen = cube_family(m, k)
+    assert averages._cube_digitwise_proof(scen, sorted(scen.form_specs))
+    for t_tail in cube_tails(scen, seeded):
+        rep = cube_certificate_check(scen, t_tail)
+        ref = cube_certificate_reference(scen, t_tail)
+        assert_matches_reference(rep, ref)
+        with pytest.MonkeyPatch.context() as mp:
+            on_the_enumeration_path(mp)
+            assert_matches_reference(cube_certificate_check(scen, t_tail), ref)
+
+
+@pytest.mark.slow
+def test_cube_certificate_matches_the_loop_at_every_admitted_size():
+    # every (m, k) with m <= 5 and mk <= 12 that the cap admits: 9 sizes up
+    # to 491,520 checks
+    sizes = [(m, k) for m in (3, 4, 5) for k in range(1, 12 // m + 1)
+             if scenarios._cube_check_count(m, k) <= MAX_CUBE_CHECKS]
+    assert len(sizes) == 9
+    for m, k in sizes:
+        scen = cube_family(m, k)
+        for t_tail in cube_tails(scen, seeded=1):
+            assert_matches_streamed_reference(cube_certificate_check(scen, t_tail), scen, t_tail)
+
+
+def test_cube_certificate_builds_no_form_or_lattice_point(monkeypatch):
+    # when the proof holds no form or lattice base point is built; a failing
+    # report reads its x off the generator and shared base points alone
+    calls = []
+    base_nums = averages._base_nums
+    monkeypatch.setattr(averages, "_base_nums", lambda spec: calls.append(spec) or base_nums(spec))
+    for m, k in ((3, 1), (3, 4), (4, 3), (5, 2), (6, 2)):
+        scen = cube_family(m, k)
+        own = {*scen.generator_specs, scen.shared_spec}
+        for t_tail in (None, 2 * scen.witness_tail):
+            rep = cube_certificate_check(scen, t_tail)
+            assert rep.all_pass == (t_tail is None)
+            assert set(calls) <= own and len(calls) == (0 if t_tail is None else m + 1)
+            calls.clear()
+
+
+def test_cube_certificate_enumerates_specs_of_another_depth():
+    # the proof reads one digit position only when every spec shares radix
+    # and depth; a form of another depth leaves the report to the enumeration
+    scen = cube_family(3, 1)
+    eps = (1, 1, 0)
+    spec = scen.form_specs[eps]
+    deeper = DigitSetSpec(spec.radix, 2, spec.digits, spec.den, spec.tail)
+    bad = dataclasses.replace(scen, form_specs={**scen.form_specs, eps: deeper})
+    assert not averages._cube_digitwise_proof(bad, sorted(bad.form_specs))
+    rep = cube_certificate_check(bad)
+    assert_matches_reference(rep, cube_certificate_reference(bad))
+    assert rep.all_pass  # 0 is a digit, so the deeper form holds every depth-1 point
 
 
 def cube_check_counter(monkeypatch):

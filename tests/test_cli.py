@@ -686,6 +686,26 @@ def test_verify_cubes_requests_digest(capsys):
     assert h.hexdigest() == "72c3ddd25b18c47894021b98cbda9ab67dc9a355e6f9d1a0dd466b69986c8448"
 
 
+# Stdout, stderr and exit code of cube requests the two digests above lack,
+# pinned by one sha256 frozen from the code that enumerated every
+# combination: the last passes at weight 1 and fails at weights 2 and 3.
+PROOF_CUBE_REQUESTS = (
+    ("verify-cubes", "--m", "3", "--k", "2", "--tamper"),
+    ("verify-cubes", "--m", "4", "--k", "2", "--tamper"),
+    ("verify-cubes", "--m", "5", "--k", "1"),
+    ("verify-cubes", "--m", "6", "--k", "1", "--tamper"),
+    ("verify-cubes", "--m", "3", "--k", "3", "--t-tail", "1/8192"),
+)
+
+
+def test_verify_cubes_proof_requests_digest(capsys):
+    h = hashlib.sha256()
+    for argv in PROOF_CUBE_REQUESTS:
+        rc, out, err = run(capsys, *argv)
+        h.update(f"{' '.join(argv)}\0{rc}\0{out}\0{err}\0".encode())
+    assert h.hexdigest() == "4c51c8d82def566c71b67ddc8f2dc5bafc412a361a781ac3d678ff819dd78b11"
+
+
 def test_verify_cubes_m4_k3_stdout_digest(capsys):
     # 491,520 checks, a size the requests above lack; frozen from the code
     # that looked up each form target in a set, one combination at a time
@@ -750,8 +770,8 @@ def cli_subprocess(*argv):
 AT_THE_DEPTH_CAP = (
     (("verify-claim",), f"meeting candidates exceeds the cap of {averages.MAX_SWEEP_CANDIDATES:,}"),
     (("h3-eval",), f"witness points exceeds the cap of {hilbert.MAX_H3_POINTS:,}"),
-    (("construct-thm1",), "base points exceeds cap"),
-    (("mc-average", "--x", "-1/2", "--seed", "1"), "base points exceeds cap"),
+    (("construct-thm1",), f"base points exceeds the cap of {digitsets.MAX_ENUM:,}"),
+    (("mc-average", "--x", "-1/2", "--seed", "1"), f"base points exceeds the cap of {digitsets.MAX_ENUM:,}"),
     # a --max-n of one grid size, so the search reaches its grid-cell estimate
     (("find-nk", "--level", "1/2", "--target", "1/2", "--max-n", str(8 * 12**MAX_DEPTH)),
      f"grid cells exceeds the cap of {averages.MAX_GRID_CELLS:,}"),

@@ -114,6 +114,27 @@ def test_materialize_merges_touching_tails():
     assert materialize(s).pairs == ((F(0), F(3, 10)),)
 
 
+def test_materialize_fuses_only_touching_pieces(monkeypatch):
+    # under the gap certificate a tail below the least digit gap leaves the
+    # pieces apart and the merge is skipped; at the gap they touch and fuse
+    merges = []
+    merge = digitsets._merge_sorted
+    monkeypatch.setattr(digitsets, "_merge_sorted", lambda pairs: merges.append(1) or merge(pairs))
+    below = digit_spec(10, 2, [0, 1, 2], F(1, 100) - F(1, 10**6))  # the gap is 1/100
+    at = below.with_tail(F(1, 100))
+    assert materialize(below) == brute_union(below)
+    assert len(materialize(below).pairs) == 9 and merges == []
+    assert materialize(digit_spec(10, 2, [5], 7)) == brute_union(digit_spec(10, 2, [5], 7))
+    assert merges == []  # one digit, one piece
+    assert materialize(at) == brute_union(at)
+    assert materialize(at).pairs == tuple((F(d, 10), F(d, 10) + F(3, 100)) for d in (0, 1, 2))
+    assert merges == [1, 1]
+    # no gap certificate: the base points may interleave, and the merge runs
+    collide = digit_spec(2, 3, [0, F(1, 2), 1], F(1, 1000))
+    assert not _gap_certified(collide)
+    assert materialize(collide) == brute_union(collide) and len(merges) == 3
+
+
 def test_materialize_frozen_scenario_digest():
     # sha256 of every factor, witness and form set of the shipped scenarios:
     # a faster materialize must build exactly the same unions
@@ -276,6 +297,19 @@ def test_combine_no_carry_violation():
     # scalar blow-up alone can violate it too
     with pytest.raises(NoCarryError):
         combine([(2, digit_spec(4, 1, [0, 2], 0))])
+
+
+def test_enumeration_caps_name_the_count_and_the_cap(monkeypatch):
+    # both caps go through the engines' one gate, at the cap and one past it
+    monkeypatch.setattr(digitsets, "MAX_ENUM", 8)
+    assert cardinality(digit_spec(10, 3, [0, 1, 5], 0)) == 27  # certified: no enumeration
+    assert len(base_points(digit_spec(10, 3, [0, 1], 0))) == 8
+    with pytest.raises(ValueError, match="^enumeration of 16 base points exceeds the cap of 8$"):
+        base_points(digit_spec(10, 4, [0, 1], 0))
+    a, b = digit_spec(10, 1, [0, 1], 0), digit_spec(10, 1, [0, 2, 4, 6], 0)
+    assert tuple(combine([(1, a), (1, b)]).digits) == tuple(range(8))
+    with pytest.raises(ValueError, match="^combination of 16 digit tuples exceeds the cap of 8$"):
+        combine([(1, b), (1, b)])
 
 
 def test_combine_shape_validation():

@@ -1,6 +1,7 @@
 """Internal invariants raise InvariantError, which, unlike assert, survives python -O."""
 
 import ast
+import dataclasses
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import divlab
 from divlab import averages, cli, hilbert, linforms
+from divlab.digitsets import DigitSetSpec
 from divlab.intervals import InvariantError
 from divlab.scenarios import cube_family, furstenberg_family
 
@@ -133,9 +135,10 @@ def test_circuit_with_full_t_rank_raises(monkeypatch):
 
 
 def test_cube_decomposition_outside_lattice_raises(monkeypatch):
-    # the certificate reads every base point through the integer seam
+    # the enumeration reads every base point through the integer seam
     # _base_nums; an empty lattice forces every decomposition off it
     scen = cube_family(3, 1)
+    monkeypatch.setattr(averages, "_cube_digitwise_proof", lambda scenario, eps_order: False)
     base_nums = averages._base_nums
     monkeypatch.setattr(
         averages, "_base_nums",
@@ -143,6 +146,20 @@ def test_cube_decomposition_outside_lattice_raises(monkeypatch):
     )
     with pytest.raises(InvariantError, match="base lattice"):
         averages.cube_certificate_check(scen)
+
+
+def test_cube_lattice_alphabet_missing_a_digit_raises():
+    # the digit-level twin: with one lattice digit dropped the digitwise
+    # proof fails, and the enumeration finds x off the lattice
+    scen = cube_family(3, 1)
+    spec = scen.base_spec
+    for i in (0, len(spec.digits) // 2, len(spec.digits) - 1):
+        digits = spec.digits[:i] + spec.digits[i + 1 :]
+        lattice = DigitSetSpec(spec.radix, spec.depth, digits, spec.den, spec.tail)
+        bad = dataclasses.replace(scen, base_spec=lattice)
+        with pytest.raises(InvariantError, match="base lattice"):
+            averages.cube_certificate_check(bad)
+    assert averages.cube_certificate_check(scen).all_pass
 
 
 def load_bench_tracing():
