@@ -3,6 +3,9 @@
 The central object is F(x) = |{t in D : x + c_i t in U_i for all i}| for
 interval-union sets U_i, integer coefficients c_i and a rational t-domain D.
 Everything except the Monte Carlo estimator is exact rational arithmetic.
+numpy is imported inside the array kernels (the sweeps, the cube
+enumeration and the Monte Carlo estimator), so a cube certificate proved on
+one digit position never loads it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence, Tuple, Union
-
-import numpy as np
 
 from .digitsets import _base_nums, _digit_sums, cardinality
 from .intervals import (
@@ -153,6 +154,7 @@ def check_sweep_candidates(sizes: Sequence[int], coefficients: Sequence[int]) ->
 def _distinct(a):
     """Sorted distinct values of a, which is sorted in place (np.unique would
     import numpy.ma on first use)."""
+    import numpy as np
     a.sort()
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
@@ -168,6 +170,7 @@ def _crossing_blocks(fam_s, coeffs, dom, win):
     sequence cut into blocks of _BLOCK, so a block spans pairs and every
     block but the last is full.
     """
+    import numpy as np
     ts = np.array(dom, dtype=fam_s[0].dtype)
 
     def meetings(p, q, g):  # (x, tau) of the candidates g of pair (p, q)
@@ -220,6 +223,7 @@ def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
     several pairs is counted only by its canonical pair: the first
     participant and the first later one with a different velocity.
     """
+    import numpy as np
     idx = np.arange(len(x))
     hits, ks = [], []  # per family: an endpoint at y; the first endpoint index at or after y
     for es, c in zip(fam_s, coeffs):
@@ -316,6 +320,7 @@ def sweep_superlevel(
     every level crossing is an integer on the grid refined by the lcm of
     the crossings' reduced denominators.
     """
+    import numpy as np
     sets, coeffs = _matched(sets, coefficients)
     if 0 in coeffs:
         raise ValueError("coefficients must be nonzero")
@@ -441,6 +446,7 @@ def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
     are int64 when a magnitude bound from the inputs stays below 2^62, and
     dtype object (Python ints) otherwise; both run the same code.
     """
+    import numpy as np
     bounds = (w0, w1, *circle) if circle else (w0, w1)
     L = lcm(common_denominator(bounds), n_steps, *(u.den for u in sets))
     step = L // n_steps
@@ -656,6 +662,7 @@ _FAILURES_KEPT = 5
 def _in_sorted(values, points):
     """Whether each value is an element of the sorted array points; all false
     when points is empty."""
+    import numpy as np
     if not len(points):
         return np.zeros(values.shape, dtype=bool)
     return points.take(np.searchsorted(points, values), mode="clip") == values
@@ -668,6 +675,7 @@ def _cube_blocks(points, lattice, forms):
     per combination, and a (combination, form) matrix of whether each form
     target x + sum of b - b_j over the bits j of the form's mask is a base
     point of that form."""
+    import numpy as np
     m = len(points) - 1
     sizes = [len(p) for p in points]
     n = prod(sizes)
@@ -693,6 +701,7 @@ def _cube_enumeration(scenario: CubeScenario, eps_order):
     denominators, and blocks() runs the _cube_blocks enumeration over them.
     Arrays are int64 when a magnitude bound stays below 2^62 and dtype
     object (Python ints) otherwise; both run the same code."""
+    import numpy as np
     m = scenario.dimension
     specs = [*scenario.generator_specs, scenario.shared_spec, scenario.base_spec,
              *(scenario.form_specs[eps] for eps in eps_order)]
@@ -814,6 +823,7 @@ def cube_certificate_check(
         first = _proved_failures(scenario, forms)
         enumeration = functools.partial(_cube_enumeration, scenario, eps_order)
     else:
+        import numpy as np
         built = scale, blocks = _cube_enumeration(scenario, eps_order)
         slack_ok = np.array([ok for _, _, ok in forms])
         total = failed = 0
@@ -873,6 +883,7 @@ def monte_carlo_average(
     Floating point by design (the non-exact substitute engine); output is a
     deterministic function of (seed, samples).
     """
+    import numpy as np
     matrix = [list(map(int, row)) for row in matrix]
     if len(matrix) != len(sets) or not matrix:
         raise ValueError("need one coefficient row per set")
@@ -888,15 +899,16 @@ def monte_carlo_average(
         raise ValueError("eps must be positive")
     rng = np.random.default_rng(seed)
     t = rng.random((samples, mdim)) * float(eps)
-    ok = np.ones(samples, dtype=bool)
     x0 = float(rat(x))
+    # each set tests only the samples still inside the sets before it; y is
+    # the whole product t @ row, so no summation order depends on the survivors
+    inside = np.arange(samples)
     for row, u in zip(matrix, sets):
         y = x0 + t @ np.asarray(row, dtype=float)
         ep = np.asarray([e / u.den for pair in u.nums for e in pair], dtype=float)
-        if ep.size == 0:
-            ok[:] = False
-            break
-        ok &= (np.searchsorted(ep, y, side="right") % 2) == 1
+        inside = inside[np.searchsorted(ep, y[inside], side="right") % 2 == 1]
+    ok = np.zeros(samples, dtype=bool)
+    ok[inside] = True
     est = float(ok.mean())
     stderr = float(ok.std(ddof=1) / math.sqrt(samples))
     return MCEstimate(estimate=est, stderr=stderr, samples=samples, seed=int(seed))

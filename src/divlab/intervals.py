@@ -11,6 +11,9 @@ No floating point enters here: endpoints, and the breakpoints and values of
 the piecewise-linear and step functions, are integers over one denominator;
 measures, function values and the `.pairs`, `.xs`, `.ys` and `.values` views
 are Fractions.
+
+numpy is imported inside the functions that build or read an array, so a
+program that never cuts a function or tests containment never loads it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, lt
 from typing import Iterable, Tuple, Union
-
-import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 
@@ -134,6 +135,7 @@ def _superlevel(xs, left, right, level):
     int64 while a magnitude bound from the inputs stays below 2^62 and dtype
     object (Python ints) otherwise; both run the same code.
     """
+    import numpy as np
     if not len(left) == len(right) == len(xs) - 1:
         raise ValueError("need one left and one right value per cell")
     if not len(left):
@@ -171,6 +173,7 @@ def _superlevel(xs, left, right, level):
 
 def _int_array(values):
     """Ints as an int64 array, or dtype object (Python ints) past int64."""
+    import numpy as np
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -208,6 +211,7 @@ def _fraction_grid(pairs):
 def _array_union(lo, hi, scale) -> "IntervalUnion":
     """The union of canonical pieces given as int arrays of their ends on the
     grid 1/scale, put in lowest terms in numpy."""
+    import numpy as np
     g = gcd(scale, int(np.gcd.reduce(lo)), int(np.gcd.reduce(hi)))
     if g > 1:
         lo, hi = lo // g, hi // g
@@ -216,6 +220,7 @@ def _array_union(lo, hi, scale) -> "IntervalUnion":
 
 def _ends(u, f, dtype):
     """(lo, hi) arrays of u's piece ends scaled by f, on the grid 1/(f u.den)."""
+    import numpy as np
     flat = np.fromiter(chain.from_iterable(u.nums), dtype=dtype, count=2 * len(u.nums))
     if f > 1:
         flat *= f
@@ -288,6 +293,7 @@ class IntervalUnion:
         fa, fb = scale // self.den, scale // other.den
         if self.nums[0][0] * fa < other.nums[0][0] * fb:
             return False  # so every piece of self has a piece of other at or before it
+        import numpy as np
         reach = max(max(-u.nums[0][0], u.nums[-1][1]) * f for u, f in ((self, fa), (other, fb)))
         dtype = np.int64 if reach < 2**62 else object
         (a_lo, a_hi), (b_lo, b_hi) = _ends(self, fa, dtype), _ends(other, fb, dtype)
@@ -386,6 +392,7 @@ class _GridFunction:
         """The function of the int arrays xs/x_den and ys/y_den (int64 or
         object), each put in lowest terms in numpy; the cut reads the reduced
         arrays, so they never go through a tuple and back."""
+        import numpy as np
         gx, gy = gcd(x_den, int(np.gcd.reduce(xs))), gcd(y_den, int(np.gcd.reduce(ys)))
         xs, ys = (xs // gx if gx > 1 else xs), (ys // gy if gy > 1 else ys)
         f = cls(tuple(xs.tolist()), tuple(ys.tolist()), x_den // gx, y_den // gy)

@@ -375,6 +375,21 @@ def ratio_verdict(ratio: float) -> str:
     return "boundary"
 
 
+def _cube_ratio_overflows(m: int, p: float) -> bool:
+    """Whether the cube series' closed-form ratio exp(-m(m+1) ln 2 + P/p),
+    P = log_prod1 in either mode, is finite and past the float range, read
+    off m and p before any form is built.  A depth-1 form of weight l has at
+    most 2^(m-l+1) digits, and the bound mode's exponent for it is at least
+    l, so P >= sum_l l C(m,l) ln 2 = m 2^(m-1) ln 2.  Each of the 2^m - 1
+    forms gives at most (m+1) ln 2, so while that total over p stays well
+    inside the float range P/p is finite.  Past it P/p can be inf, whose
+    exp is inf and no OverflowError, so the series goes on as before."""
+    ln2 = math.log(2)
+    most = (2**m - 1) * (m + 1) * ln2 / p
+    least = -m * (m + 1) * ln2 + m * 2 ** (m - 1) * ln2 / p
+    return most < sys.float_info.max / 2 and least > math.log(sys.float_info.max)
+
+
 def blowup_series(
     kind: str,
     p: float,
@@ -417,6 +432,9 @@ def blowup_series(
             raise ValueError("weighted variant applies to kind 'thm1' only")
         if mode not in ("exact", "bound"):
             raise ValueError("mode must be 'exact' or 'bound'")
+        _cube_check_count(m, 1)  # refuses an m the family cannot build
+        if _cube_ratio_overflows(m, p):
+            raise OverflowError("the cube series' closed-form ratio is out of float range")
         scen1 = cube_family(m, 1)
         cards1 = scen1.cardinalities()
         logs = []

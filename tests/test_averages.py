@@ -47,6 +47,7 @@ from divlab.digitsets import (
 from divlab.intervals import EMPTY, IntervalUnion, normalize
 from divlab.scenarios import cube_family, furstenberg_family
 from cube_reference import cube_certificate_reference, cube_checks_reference
+from fresh_interpreter import run_script
 from grid_reference import grid_cells_reference
 from meeting_reference import full_state_jumps
 from superlevel_reference import fraction_superlevel
@@ -1059,6 +1060,23 @@ def test_cube_certificate_matches_per_combination_loop(instance, wide):
             assert tuple(rep.checks) == ref.checks
 
 
+def test_cube_certificate_loads_numpy_only_to_enumerate():
+    # in a fresh interpreter: the digitwise proof builds no array, and a
+    # mutated alphabet, which fails the proof, enumerates in numpy
+    out = run_script("""
+import dataclasses, sys
+from divlab import cube_certificate_check, cube_family, digit_spec
+s = cube_family(3, 2)
+proved = cube_certificate_check(s)
+before = "numpy" in sys.modules
+spec = s.form_specs[(0, 1, 1)]
+mutated = digit_spec(spec.radix, spec.depth, spec.alphabet[:-1], spec.tail)
+bad = cube_certificate_check(dataclasses.replace(s, form_specs={**s.form_specs, (0, 1, 1): mutated}))
+print(proved.all_pass, bad.all_pass, before, "numpy" in sys.modules)
+""")
+    assert out.split() == ["True", "False", "False", "True"]
+
+
 def on_the_enumeration_path(monkeypatch):
     """Fail the digitwise proof, so the certificate enumerates base points
     through averages._base_nums and a fake there decides the report."""
@@ -1298,6 +1316,29 @@ def test_monte_carlo_multidim():
     v = normalize([(0, F(1, 4))])
     est = monte_carlo_average([[1, 0], [0, 1]], [u, v], 0, 1, 40_000, seed=5)
     assert abs(est.estimate - 0.125) <= 4 * est.stderr
+
+
+def test_monte_carlo_estimates_are_frozen():
+    # (estimate, stderr) bit for bit as frozen from the estimator that tested
+    # every set on every sample: seeded inputs at k = 1 and 2, a two-column
+    # matrix, and an empty set, which leaves no sample inside
+    s1, s2 = furstenberg_family(1), furstenberg_family(2)
+    r1, r2 = [[c] for c in s1.coefficients], [[c] for c in s2.coefficients]
+    u = normalize([(0, F(1, 2)), (F(3, 4), 2)])
+    v = normalize([(F(1, 4), F(3, 2))])
+    w = normalize([(-1, F(1, 3)), (F(1, 2), 2)])
+    cases = [
+        ((r1, s1.factors, F(-2, 3), 1, 5000, 99), (0.014, 0.0016617317083254112)),
+        ((r1, s1.factors, F(-1, 4), F(1, 2), 3001, 7), (0.030656447850716428, 0.003147307317686699)),
+        ((r2, s2.factors, F(-2, 3), 1, 20000, 11), (0.00105, 0.00022901418596861793)),
+        ((r2, s2.factors, F(-1, 4), F(1, 3), 4000, 2024), (0.00475, 0.001087269476132036)),
+        (([[1, 2], [-1, 1], [3, 0]], [u, v, w], F(1, 8), 1, 6000, 5),
+         (0.18133333333333335, 0.004974540206656008)),
+        ((r1, [s1.factors[0], EMPTY, s1.factors[2]], F(-2, 3), 1, 1000, 3), (0.0, 0.0)),
+    ]
+    for args, frozen in cases:
+        est = monte_carlo_average(*args)
+        assert (est.estimate, est.stderr) == frozen, args[2:]
 
 
 def test_monte_carlo_eps_must_be_positive():

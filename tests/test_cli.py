@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -26,6 +25,7 @@ from divlab.scenarios import (
     cube_threshold,
     furstenberg_family,
 )
+from fresh_interpreter import run_script, src_env
 
 
 def run(capsys, *argv):
@@ -760,10 +760,8 @@ def test_depth_past_the_cap_exits_1_naming_it(capsys, argv):
 
 def cli_subprocess(*argv):
     """(exit code, stdout, stderr, seconds) of one divlab request run as a subprocess."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     start = time.perf_counter()
-    p = subprocess.run([sys.executable, "-m", "divlab.cli", *argv], env=env, capture_output=True, text=True)
+    p = subprocess.run([sys.executable, "-m", "divlab.cli", *argv], env=src_env(), capture_output=True, text=True)
     return p.returncode, p.stdout, p.stderr, time.perf_counter() - start
 
 
@@ -820,6 +818,81 @@ def test_verify_cubes_refuses_oversized_enumerations(capsys):
                    "the cap of 2,000,000\n")
 
 
+def test_cube_series_past_the_float_range_is_refused_before_building_forms(capsys, monkeypatch):
+    # at m = 13, m 2^(m-1) ln 2 / p alone puts the closed-form ratio past the
+    # float range; the same refusal came after all 8,191 form specs were
+    # combined (2.65 s and 149 MB as a subprocess)
+    argv = ("blowup", "--kind", "cubes", "--m", "13", "--p", "1.2", "--kmax", "3")
+    refused = "divlab: error: blowup: result out of float range at --p 1.2 --kmax 3\n"
+    rc, out, err, seconds = cli_subprocess(*argv)
+    assert (rc, out, err) == (1, "", refused)
+    assert seconds < 1.0, seconds
+    combined = []
+    for module in (digitsets, scenarios):
+        monkeypatch.setattr(module, "combine", lambda *a: combined.append(a))
+    for mode in ("exact", "bound"):
+        assert run(capsys, *argv, "--mode", mode) == (1, "", refused)
+    assert combined == []
+    # m = 14 keeps its dimension refusal
+    rc, out, err = run(capsys, "blowup", "--kind", "cubes", "--m", "14", "--p", "1.2", "--kmax", "3")
+    assert (rc, out) == (1, "") and "dimension m = 14 needs about 2*3^14" in err
+
+
+# requests that never run an array kernel, with their exit codes: the last
+# one is a usage error (find-nk without --level and --target)
+NUMPY_FREE_REQUESTS = (
+    (("construct-thm1", "--k", "2"), 0),
+    (("construct-cubes", "--m", "3", "--k", "2"), 0),
+    (("verify-cubes", "--m", "3", "--k", "2"), 0),
+    (("verify-cubes", "--m", "3", "--k", "2", "--tamper"), 2),
+    (("blowup", "--kind", "thm1", "--p", "1.25", "--kmax", "4"), 0),
+    (("blowup", "--kind", "cubes", "--m", "3", "--p", "1.2", "--kmax", "4"), 0),
+    (("blowup", "--kind", "h3", "--p", "1.25", "--kmax", "4"), 0),
+    (("h3-eval", "--k", "2"), 0),
+    (("degenerate", "--p4prime", "0.4"), 0),
+    (("classify", "--rows", "2,0;0,2;1,1"), 0),
+    (("thresholds",), 0),
+    (("--help",), 0),
+    (("find-nk", "--k", "1"), 1),
+)
+
+# run requests one after another in one fresh interpreter and print, as JSON,
+# whether numpy was loaded after the import and after each request, with
+# each request's exit code
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import divlab.cli
+seen = [[None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = divlab.cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    seen.append([rc, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def numpy_probe(*requests):
+    """[(exit code, numpy loaded)] after `import divlab.cli` (code None) and after each request."""
+    return [tuple(row) for row in json.loads(run_script(NUMPY_PROBE, json.dumps(requests)))]
+
+
+def test_requests_without_an_array_kernel_never_load_numpy():
+    seen = numpy_probe(*(argv for argv, _ in NUMPY_FREE_REQUESTS))
+    assert seen == [(None, False), *((rc, False) for _, rc in NUMPY_FREE_REQUESTS)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-claim", "--k", "1"),
+    ("find-nk", "--k", "1", "--level", "1/192", "--target", "1/9"),
+    ("mc-average", "--k", "1", "--x", "-2/3", "--seed", "7"),
+], ids=lambda argv: argv[0])
+def test_array_requests_load_numpy(argv):
+    assert numpy_probe(argv) == [(None, False), (0, True)]
+
+
 def test_h3_eval_k3_digest(capsys):
     # stdout (381 KB) and exit code of the depth-3 witness evaluations, frozen
     # from the code that wrote every support through json's indented encoder
@@ -849,10 +922,8 @@ def test_verify_claim_k5_peak_rss_as_a_subprocess():
     # peak with wait4
     launch = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
               "_, status, usage = os.wait4(p.pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", launch, sys.executable, "-m", "divlab.cli",
-                          "verify-claim", "--k", "5"], env=env, capture_output=True, text=True, check=True)
+                          "verify-claim", "--k", "5"], env=src_env(), capture_output=True, text=True, check=True)
     rc, peak_kib = map(int, out.stdout.split())
     assert rc == 0
     assert peak_kib / 1024 <= 250

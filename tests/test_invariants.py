@@ -27,6 +27,25 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_no_module_imports_numpy_at_import_time():
+    # numpy is imported inside the array kernels, so importing divlab (and a
+    # request that runs no kernel) never loads it; only function bodies may
+    # import it
+    files = sorted(Path(divlab.__file__).parent.glob("*.py"))
+    found = []
+    for path in files:
+        pending = list(ast.iter_child_nodes(ast.parse(path.read_text(), filename=str(path))))
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "numpy"]
+            pending += ast.iter_child_nodes(node)
+    assert found == []
+
+
 def test_package_has_no_unused_imports():
     # no linter runs here; every module-level import must be read somewhere
     files = sorted(Path(divlab.__file__).parent.glob("*.py"))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -236,6 +237,38 @@ def test_cubes_series_closed_forms_m3():
     for ser in (bound, exact):
         for r in ser.step_ratios:
             assert abs(r - ser.closed_form_ratio) < 1e-12
+
+
+def series_or_overflow(*args, **kwargs):
+    """The series' repr, which a nan step ratio compares equal in, or OverflowError."""
+    try:
+        return repr(blowup_series(*args, **kwargs))
+    except OverflowError:
+        return OverflowError
+
+
+def test_cube_series_is_refused_early_only_where_it_overflows(monkeypatch):
+    # the refusal read off m and p against the series built without it: every
+    # refused (m, p, mode) overflows there too, and every request gives the
+    # same series or error with and without it.  The p values straddle both
+    # edges of the test: where the least exponent reaches the float range,
+    # and where the most exponent over p leaves it; at top / 4 the exponent
+    # itself is inf for small m, whose exp is inf and no OverflowError
+    log_max, ln2 = math.log(sys.float_info.max), math.log(2)
+    cases = []
+    for m in range(3, 10):
+        edge = m * 2 ** (m - 1) * ln2 / (log_max + m * (m + 1) * ln2)
+        top = (2**m - 1) * (m + 1) * ln2 / (sys.float_info.max / 2)
+        for p in (0.05, 0.3, 1.2, 7.5, edge * (1 - 1e-9), edge * (1 + 1e-9), top / 4, top / 2, top * 2):
+            cases += [(m, p, mode) for mode in ("exact", "bound")]
+    refused = [(m, p, mode) for m, p, mode in cases if scenarios._cube_ratio_overflows(m, p)]
+    with monkeypatch.context() as mp:
+        mp.setattr(scenarios, "_cube_ratio_overflows", lambda m, p: False)
+        late = {(m, p, mode): series_or_overflow("cubes", p, 3, m=m, mode=mode) for m, p, mode in cases}
+    for m, p, mode in cases:
+        assert series_or_overflow("cubes", p, 3, m=m, mode=mode) == late[m, p, mode], (m, p, mode)
+    assert all(late[case] is OverflowError for case in refused)
+    assert 0 < len(refused) < sum(v is OverflowError for v in late.values())
 
 
 def test_series_validation():
