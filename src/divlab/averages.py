@@ -3,9 +3,8 @@
 The central object is F(x) = |{t in D : x + c_i t in U_i for all i}| for
 interval-union sets U_i, integer coefficients c_i and a rational t-domain D.
 Everything except the Monte Carlo estimator is exact rational arithmetic.
-numpy is imported inside the array kernels (the sweeps, the cube
-enumeration and the Monte Carlo estimator), so a cube certificate proved on
-one digit position never loads it.
+numpy is imported inside the array kernels (the sweeps and the Monte Carlo
+estimator), so no cube certificate loads it.
 """
 
 from __future__ import annotations
@@ -132,9 +131,8 @@ class SweepResult:
     superlevel_measure: Fraction
 
 
-# meeting candidates (continuous sweep), grid steps (grid sweep) or base-point
-# combinations (cube certificate) handled per numpy block; bounds their
-# working memory
+# meeting candidates (continuous sweep) or grid steps (grid sweep) handled
+# per numpy block; bounds their working memory
 _BLOCK = 1 << 13
 
 # the continuous sweep refuses more meeting candidates than this (k=5 has 40 M)
@@ -622,24 +620,23 @@ class CubeCheck:
 
 class CubeChecks:
     """Every (x, eps) check of a cube certificate, in enumeration order, as a
-    lazy view: len is the check count, and each iteration runs the batched
-    enumeration, block by block, and builds one CubeCheck per check."""
+    lazy view: len is the check count, and each iteration runs _cube_rows
+    and builds one CubeCheck per check."""
 
-    def __init__(self, count, forms, enumeration):
+    def __init__(self, count, forms, rows):
         self._count = count
         self._forms = forms  # per eps in order: (eps, slack, slack >= 0)
-        self._enumeration = enumeration  # () -> (scale, () -> the (x, members) blocks)
+        self._rows = rows  # () -> _cube_rows' (scale, rows)
 
     def __len__(self):
         return self._count
 
     def __iter__(self):
-        scale, blocks = self._enumeration()
-        for xs, members in blocks():
-            for x, row in zip(xs.tolist(), members.tolist()):
-                xq = Fraction(x, scale)
-                for (eps, slack, slack_ok), member in zip(self._forms, row):
-                    yield CubeCheck(xq, eps, member, slack, member and slack_ok)
+        scale, rows = self._rows()
+        for x, members in rows:
+            xq = Fraction(x, scale)
+            for (eps, slack, slack_ok), member in zip(self._forms, members):
+                yield CubeCheck(xq, eps, member, slack, member and slack_ok)
 
 
 @dataclass(frozen=True)
@@ -659,67 +656,45 @@ class CubeCertificateReport:
 _FAILURES_KEPT = 5
 
 
-def _in_sorted(values, points):
-    """Whether each value is an element of the sorted array points; all false
-    when points is empty."""
-    import numpy as np
-    if not len(points):
-        return np.zeros(values.shape, dtype=bool)
-    return points.take(np.searchsorted(points, values), mode="clip") == values
-
-
-def _cube_blocks(points, lattice, forms):
-    """The integer cube enumeration in numpy blocks of _BLOCK combinations of
-    generator and shared base points (sorted arrays of ints over one scale),
-    in itertools.product order.  Per block: x = b_1 + ... + b_m - (m - 1) b
-    per combination, and a (combination, form) matrix of whether each form
-    target x + sum of b - b_j over the bits j of the form's mask is a base
-    point of that form."""
-    import numpy as np
-    m = len(points) - 1
-    sizes = [len(p) for p in points]
-    n = prod(sizes)
-    for c0 in range(0, n, _BLOCK):
-        at = np.unravel_index(np.arange(c0, min(c0 + _BLOCK, n)), sizes)
-        b = points[m][at[m]]
-        d = [b - p[i] for p, i in zip(points[:m], at)]  # b - b_j per j
-        x = b - sum(d)  # b_1 + ... + b_m - (m - 1) b
-        if not _in_sorted(x, lattice).all():
-            raise InvariantError("witness decomposition left the base lattice")
-        # targets[mask] = x + sum of b - b_j over the bits j of mask: the
-        # masks from 2^j up to 2^(j+1) are those below 2^j plus b - b_j
-        targets = np.empty((1 << m, len(x)), dtype=x.dtype)
-        targets[0] = x
-        for j, dj in enumerate(d):
-            np.add(targets[: 1 << j], dj, out=targets[1 << j : 2 << j])
-        yield x, np.array([_in_sorted(targets[mask], form) for form, mask in forms]).T
-
-
-def _cube_enumeration(scenario: CubeScenario, eps_order):
-    """(scale, blocks): every generator, shared, lattice and form base point
-    (forms in eps_order) as an int over the one scale L, the lcm of their
-    denominators, and blocks() runs the _cube_blocks enumeration over them.
-    Arrays are int64 when a magnitude bound stays below 2^62 and dtype
-    object (Python ints) otherwise; both run the same code."""
-    import numpy as np
+def _cube_rows(scenario: CubeScenario, eps_order, proved: bool):
+    """(scale, rows): rows runs over the combinations of generator and shared
+    base points, ints over the one scale, in itertools.product order, and
+    yields x = b_1 + ... + b_m - (m - 1) b with, per form in eps_order,
+    whether its target x + sum of b - b_j over the j with eps_j = 1 is a base
+    point of that form.  When the digitwise proof holds every membership is
+    true and no lattice or form base point is built; otherwise each target
+    is looked up in a set of its form's base points, and an x off the base
+    lattice raises InvariantError."""
     m = scenario.dimension
-    specs = [*scenario.generator_specs, scenario.shared_spec, scenario.base_spec,
-             *(scenario.form_specs[eps] for eps in eps_order)]
+    specs = [*scenario.generator_specs, scenario.shared_spec]
+    if not proved:
+        specs += [scenario.base_spec, *(scenario.form_specs[eps] for eps in eps_order)]
     nums = [_base_nums(spec) for spec in specs]
     scale = lcm(*(den for _, den in nums))
-    # x and every target are signed sums of fewer than 4m base points, and
-    # top bounds every base point and scale factor
-    top = max((max(-vs[0], vs[-1], 1) * (scale // den) for vs, den in nums if vs), default=0)
-    dtype = np.int64 if 4 * m * top < 2**62 else object
-    pts = [np.array(vs, dtype=dtype) for vs, _ in nums]
-    for p, (_, den) in zip(pts, nums):
-        if den != scale:
-            p *= scale // den
+    pts = [[v * (scale // den) for v in vs] for vs, den in nums]
+    lattice = set(pts[m + 1]) if not proved else None
     # per eps: its form's base points and the subset of j (eps_j = 1) as a bit
     # mask, bit j for b - b_j
-    form_pts = [(p, sum(1 << j for j in range(m) if eps[j]))
-                for eps, p in zip(eps_order, pts[m + 2 :])]
-    return scale, functools.partial(_cube_blocks, pts[: m + 1], pts[m + 1], form_pts)
+    forms = [(set(p), sum(1 << j for j in range(m) if eps[j]))
+             for eps, p in zip(eps_order, pts[m + 2 :])]
+
+    def rows():
+        members = [True] * len(eps_order)
+        for combo in itertools.product(*pts[: m + 1]):
+            b = combo[-1]
+            x = sum(combo) - m * b
+            if not proved:
+                if x not in lattice:
+                    raise InvariantError("witness decomposition left the base lattice")
+                # targets[mask] = x + sum of b - b_j over the bits j of mask:
+                # the masks from 2^j up to 2^(j+1) are those below 2^j plus b - b_j
+                targets = [x]
+                for bj in combo[:m]:
+                    targets += [t + b - bj for t in targets]
+                members = [targets[mask] in form for form, mask in forms]
+            yield x, members
+
+    return scale, rows()
 
 
 def _cube_digitwise_proof(scenario: CubeScenario, eps_order) -> bool:
@@ -748,23 +723,6 @@ def _cube_digitwise_proof(scenario: CubeScenario, eps_order) -> bool:
     )
 
 
-def _proved_failures(scenario: CubeScenario, forms):
-    """The first _FAILURES_KEPT failing (combination, eps) checks when every
-    membership holds, in itertools.product order: each combination fails at
-    the forms whose slack is negative, and its x = b_1 + ... + b_m - (m - 1) b
-    is read off the generator and shared base points alone."""
-    failing = [(eps, slack) for eps, slack, ok in forms if not ok]
-    if not failing:
-        return []
-    m = scenario.dimension
-    nums = [_base_nums(spec) for spec in (*scenario.generator_specs, scenario.shared_spec)]
-    scale = lcm(*(den for _, den in nums))
-    pts = [[v * (scale // den) for v in vs] for vs, den in nums]
-    pairs = ((combo, f) for combo in itertools.product(*pts) for f in failing)
-    return [CubeCheck(Fraction(sum(combo) - m * combo[-1], scale), eps, True, slack, False)
-            for combo, (eps, slack) in itertools.islice(pairs, _FAILURES_KEPT)]
-
-
 def cube_certificate_check(
     scenario: CubeScenario, t_tail: RationalLike | None = None
 ) -> CubeCertificateReport:
@@ -789,17 +747,12 @@ def cube_certificate_check(
     is built: the report is closed form, n failures per form of negative
     slack, and the first _FAILURES_KEPT failing checks take their x from the
     generator and shared base points alone.  When the proof fails (a mutated
-    alphabet, specs of mixed radix or depth), the enumeration decides:
-    every base point is an integer over one scale, and the combinations run
-    in one batched numpy pass over blocks of _BLOCK (_cube_blocks), the
-    decomposition a sum of gathered base points, the lattice test and each
-    form's membership one searchsorted against sorted base points, and the
-    2^m targets whole arrays, each mask's from a smaller mask's.  It counts
-    the failures of each block's (combination, form) matrix members &
-    slack_ok, keeps the first _FAILURES_KEPT in enumeration order, and
-    raises InvariantError when some x leaves the lattice.  Either way
-    report.checks is a lazy view that builds the base points and runs the
-    enumeration only when iterated, yielding every CubeCheck.
+    alphabet, specs of mixed radix or depth), the enumeration decides: one
+    pass of _cube_rows over every combination counts the checks whose
+    membership or slack fails, keeps the first _FAILURES_KEPT in enumeration
+    order, and raises InvariantError when some x leaves the lattice.  Either
+    way report.checks is a lazy view that runs _cube_rows only when
+    iterated, yielding every CubeCheck.
     """
     m = scenario.dimension
     tau = scenario.witness_tail
@@ -817,39 +770,31 @@ def cube_certificate_check(
     eps_order = sorted(scenario.form_specs)
     forms = [(eps, slacks[sum(eps)], oks[sum(eps)]) for eps in eps_order]
 
-    if _cube_digitwise_proof(scenario, eps_order):
-        total = n_combos * len(forms)
-        failed = n_combos * sum(not ok for _, _, ok in forms)
-        first = _proved_failures(scenario, forms)
-        enumeration = functools.partial(_cube_enumeration, scenario, eps_order)
-    else:
-        import numpy as np
-        built = scale, blocks = _cube_enumeration(scenario, eps_order)
-        slack_ok = np.array([ok for _, _, ok in forms])
-        total = failed = 0
-        first = []
-        for xs, members in blocks():
-            passed = members & slack_ok
-            n_failed = passed.size - int(np.count_nonzero(passed))
-            total += passed.size
-            failed += n_failed
-            if n_failed and len(first) < _FAILURES_KEPT:
-                for i in np.flatnonzero(~passed)[: _FAILURES_KEPT - len(first)].tolist():
-                    row, f = divmod(i, len(forms))
-                    eps, slack, _ = forms[f]
-                    first.append(CubeCheck(Fraction(int(xs[row]), scale), eps,
-                                           bool(members[row, f]), slack, False))
-        enumeration = lambda: built
+    proved = _cube_digitwise_proof(scenario, eps_order)
+    rows = functools.partial(_cube_rows, scenario, eps_order, proved)
+    # under the proof each combination fails exactly at the forms of negative slack
+    failing = sum(not ok for _, _, ok in forms)
+    failed, first = n_combos * failing if proved else 0, []
+    if failing or not proved:
+        scale, combos = rows()
+        for x, members in combos:
+            misses = [(f, member) for f, member in zip(forms, members) if not (member and f[2])]
+            if not proved:
+                failed += len(misses)
+            for (eps, slack, _), member in misses[: _FAILURES_KEPT - len(first)]:
+                first.append(CubeCheck(Fraction(x, scale), eps, member, slack, False))
+            if proved and len(first) == _FAILURES_KEPT:
+                break
     return CubeCertificateReport(
         dimension=m,
         depth=scenario.depth,
         t_tail=t_tail,
-        checks_total=total,
+        checks_total=n_combos * len(forms),
         checks_failed=failed,
         first_failures=tuple(first),
         all_pass=failed == 0,
         integral_lower_bound=t_tail**m,
-        checks=CubeChecks(total, tuple(forms), enumeration),
+        checks=CubeChecks(n_combos * len(forms), tuple(forms), rows),
     )
 
 

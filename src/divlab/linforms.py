@@ -155,6 +155,8 @@ def minimal_dependent_rows(
     scans its later rows in increasing order.  Only a strictly smaller circuit
     replaces the best one, and a branch is pruned once its circuits could not
     be smaller.  The dependence comes from dependence_vector on the found rows.
+    Restricting the rows to a basis of their column space keeps every row
+    dependence, so rows wider than their count walk on their pivot columns.
 
     Past MAX_ROWS rows, or past MAX_CIRCUIT_SUBSETS candidate subsets
     (circuit_subsets), it raises ValueError before the walk.
@@ -198,7 +200,8 @@ def minimal_dependent_rows(
                 if reduced and size + 1 < best_size:
                     walk((*prefix, k), reduced)
 
-    walk((), list(enumerate(rows)))
+    cols = _bareiss(rows)[0] if len(rows[0]) > n else range(len(rows[0]))
+    walk((), [(j, [row[c] for c in cols]) for j, row in enumerate(rows)])
     if best is None:
         return None
     lam = dependence_vector([rows[i] for i in best])

@@ -346,8 +346,11 @@ def series_from_logs(logs):
 
     A step ratio is value_{k+1}/value_k of the reported values while both are
     normal floats; once either is subnormal or 0.0 the quotient has lost its
-    precision, and the ratio is exp(log_{k+1} - log_k).
+    precision, and the ratio is exp(log_{k+1} - log_k).  A non-finite log
+    (a log over a p so small that it is inf or nan) raises OverflowError.
     """
+    if not all(map(math.isfinite, logs)):
+        raise OverflowError("series leaves the float range")
     values = tuple(math.exp(lv) for lv in logs)
     tiny = sys.float_info.min
     ratios = tuple(

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 import warnings
 from fractions import Fraction as F
 
@@ -1041,7 +1042,7 @@ def mutated_cubes(draw):
 @given(mutated_cubes(), st.booleans())
 def test_cube_certificate_matches_per_combination_loop(instance, wide):
     # wide: every base point's numerator and denominator times 2^70, the same
-    # points on a scale past int64, so the arrays hold Python ints
+    # points on a scale past int64
     scen, t_tail = instance
     # a mutated alphabet misses some digit sum, so the enumeration decides
     assert not averages._cube_digitwise_proof(scen, sorted(scen.form_specs))
@@ -1051,30 +1052,28 @@ def test_cube_certificate_matches_per_combination_loop(instance, wide):
             mp.setattr(averages, "_base_nums", lambda spec: (
                 [v << 70 for v in base_nums(spec)[0]], base_nums(spec)[1] << 70))
         ref = cube_certificate_reference(scen, t_tail)
-        for block in (averages._BLOCK, 7):  # at 7, block seams fall inside the product
-            mp.setattr(averages, "_BLOCK", block)
-            rep = cube_certificate_check(scen, t_tail)
-            assert (rep.checks_total, rep.checks_failed) == (ref.checks_total, ref.checks_failed)
-            assert (rep.first_failures, rep.all_pass) == (ref.first_failures, ref.all_pass)
-            assert rep == ref
-            assert tuple(rep.checks) == ref.checks
+        rep = cube_certificate_check(scen, t_tail)
+        assert (rep.checks_total, rep.checks_failed) == (ref.checks_total, ref.checks_failed)
+        assert (rep.first_failures, rep.all_pass) == (ref.first_failures, ref.all_pass)
+        assert rep == ref
+        assert tuple(rep.checks) == ref.checks
 
 
-def test_cube_certificate_loads_numpy_only_to_enumerate():
-    # in a fresh interpreter: the digitwise proof builds no array, and a
-    # mutated alphabet, which fails the proof, enumerates in numpy
+def test_cube_certificate_never_loads_numpy():
+    # in a fresh interpreter: neither the digitwise proof, nor the enumeration
+    # a mutated alphabet falls back on, nor iterating .checks loads numpy
     out = run_script("""
 import dataclasses, sys
 from divlab import cube_certificate_check, cube_family, digit_spec
 s = cube_family(3, 2)
 proved = cube_certificate_check(s)
-before = "numpy" in sys.modules
 spec = s.form_specs[(0, 1, 1)]
 mutated = digit_spec(spec.radix, spec.depth, spec.alphabet[:-1], spec.tail)
 bad = cube_certificate_check(dataclasses.replace(s, form_specs={**s.form_specs, (0, 1, 1): mutated}))
-print(proved.all_pass, bad.all_pass, before, "numpy" in sys.modules)
+n = sum(1 for rep in (proved, bad) for _ in rep.checks)
+print(proved.all_pass, bad.all_pass, n, "numpy" in sys.modules)
 """)
-    assert out.split() == ["True", "False", "False", "True"]
+    assert out.split() == ["True", "False", str(2 * 1792), "False"]
 
 
 def on_the_enumeration_path(monkeypatch):
@@ -1170,6 +1169,26 @@ def test_cube_certificate_matches_the_loop_at_every_admitted_size():
         scen = cube_family(m, k)
         for t_tail in cube_tails(scen, seeded=1):
             assert_matches_streamed_reference(cube_certificate_check(scen, t_tail), scen, t_tail)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m,k", [(6, 2), (3, 4), (4, 3), (9, 1)])
+def test_cube_certificate_fallback_at_the_largest_sizes(m, k):
+    # one form alphabet loses its largest digit, so the enumeration decides
+    # up to 1,032,192 checks; it gives the loop's report within 5 s
+    scen = cube_family(m, k)
+    eps = sorted(scen.form_specs)[len(scen.form_specs) // 2]
+    spec = scen.form_specs[eps]
+    mutated = digit_spec(spec.radix, spec.depth, spec.alphabet[:-1], spec.tail)
+    bad = dataclasses.replace(scen, form_specs={**scen.form_specs, eps: mutated})
+    assert not averages._cube_digitwise_proof(bad, sorted(bad.form_specs))
+    start = time.perf_counter()
+    rep = cube_certificate_check(bad)
+    elapsed = time.perf_counter() - start
+    ref = cube_certificate_reference(bad)
+    assert (rep.checks_total, rep.checks_failed) == (ref.checks_total, ref.checks_failed)
+    assert rep == ref and not rep.all_pass
+    assert elapsed < 5, elapsed
 
 
 def test_cube_certificate_builds_no_form_or_lattice_point(monkeypatch):

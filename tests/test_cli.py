@@ -357,11 +357,21 @@ def test_nonfinite_or_nonpositive_floats_exit_1(capsys):
 
 
 def test_json_overflow_exits_1_without_output(capsys):
-    # a tiny but valid p overflows the series; strict JSON refuses Infinity
+    # a tiny but valid p overflows the series before any JSON is written
     rc, out, err = run(capsys, "blowup", "--kind", "thm1", "--p", "1e-320",
                        "--kmax", "4")
     assert rc == 1 and out == ""
-    assert err.startswith("divlab: error:") and "JSON" in err
+    assert err == "divlab: error: blowup: result out of float range at --p 1e-320 --kmax 4\n"
+
+
+@pytest.mark.parametrize("kind", [("--kind", "thm1"), ("--kind", "cubes", "--m", "3"), ("--kind", "h3")])
+@pytest.mark.parametrize("csv", [(), ("--csv",)])
+def test_blowup_non_finite_logs_name_the_flags(capsys, kind, csv):
+    # at p = 1e-310 a log over p is inf (thm1, cubes) or inf - inf = nan
+    # (h3); JSON and CSV both refuse it with the flags named
+    rc, out, err = run(capsys, "blowup", *kind, "--p", "1e-310", "--kmax", "3", *csv)
+    assert (rc, out) == (1, "")
+    assert err == "divlab: error: blowup: result out of float range at --p 1e-310 --kmax 3\n"
 
 
 def test_h3_blowup_small_p_factor_underflow_exits_0(capsys):
@@ -979,6 +989,22 @@ def test_classify_refuses_oversized_circuit_searches(capsys):
     assert rc == 1 and out == ""
     assert err == ("divlab: error: circuit search over 1,026,855 row subsets exceeds "
                    "the cap of 1,000,000\n")
+
+
+def test_classify_wide_rows_walk_on_their_pivot_columns(capsys):
+    # 16 independent rows of 1,000 entries: the walk visits all 65,519
+    # subsets, so it finishes within 1 s only by reducing over the 16 pivot
+    # columns, not all 1,001; the sha256 of stdout is frozen from the walk
+    # over every column
+    rnd = random.Random(1000)
+    rows = ";".join(",".join(str(rnd.randint(-3, 3)) for _ in range(1000)) for _ in range(16))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "classify", "--rows", rows)
+    elapsed = time.perf_counter() - start
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ac37ed7c694ea5afda4c2e2f2996f130b39820c47feeaf40fa9b53be79e7a108")
+    assert elapsed < 1, elapsed
 
 
 def test_h3_eval_refuses_before_materializing(capsys, monkeypatch):

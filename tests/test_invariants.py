@@ -189,6 +189,26 @@ def load_bench_tracing():
     return module
 
 
+def test_bench_tracer_counts_read_the_results():
+    # the tracer builds after import divlab.cli, and its work counters read a
+    # sweep's breakpoints and a cube report's check count off the results, so
+    # a result that drops what they read fails here and not only under
+    # bench/run.py --trace 1
+    import divlab.cli  # noqa: F401  (the modules the tracer binds)
+
+    tracing = load_bench_tracing()
+    assert tracing.Tracer()._bindings
+    s = furstenberg_family(1)
+    results = {
+        "averages.sweep_superlevel":
+            averages.sweep_superlevel(s.factors, s.coefficients, s.level, window=(-1, 0)),
+        "averages.cube_certificate_check": averages.cube_certificate_check(cube_family(3, 1)),
+    }
+    assert set(results) == set(tracing.COUNTED)
+    counts = {name: tracing.COUNTED[name][1](res) for name, res in results.items()}
+    assert counts == {"averages.sweep_superlevel": 37, "averages.cube_certificate_check": 112}
+
+
 def test_bench_tracer_binds_every_traced_name(capsys):
     # building the tracer looks up every traced function and method, so a
     # refactor that drops or renames one fails here

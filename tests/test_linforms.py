@@ -334,6 +334,28 @@ def test_circuit_walk_matches_brute_force_search():
     assert None in sizes and {2, 3, 4, 5, 6, 7} <= sizes
 
 
+def test_circuit_walk_on_wide_rows_matches_brute_force_search():
+    # more columns than rows, so the walk runs on the pivot columns; planted
+    # rows are copies, affine combinations (coefficients summing to 1, an
+    # augmented dependence) or multiples (a t-part dependence only)
+    rnd = random.Random(4040)
+    sizes = set()
+    for _ in range(200):
+        mat = [[rnd.randint(-3, 3) for _ in range(rnd.randint(10, 40))]]
+        mat += [[rnd.randint(-3, 3) for _ in mat[0]] for _ in range(rnd.randint(0, 6))]
+        for _ in range(rnd.randint(0, 10 - len(mat))):
+            picked = rnd.sample(mat, min(len(mat), rnd.randint(1, 3)))
+            coeffs = [rnd.randint(-2, 2) for _ in picked[1:]]
+            coeffs.insert(0, rnd.choice([1 - sum(coeffs), 2]))
+            mat.append([sum(c * row[d] for c, row in zip(coeffs, picked)) for d in range(len(mat[0]))])
+        rnd.shuffle(mat)
+        assert len(mat[0]) + 1 > len(mat)
+        dep = minimal_dependent_rows(mat)
+        assert dep == brute_force_dependent_rows(mat), mat
+        sizes.add(None if dep is None else dep.size)
+    assert {None, 2, 3, 4} <= sizes
+
+
 @pytest.mark.parametrize("mat", [
     [[1, 2], [3, -1], [1, 2], [0, 1]],  # a repeated row
     [[2, 0, 1], [-1, 0, 3], [1, 0, 1], [3, 0, -2]],  # a zero column
