@@ -156,7 +156,7 @@ def minimal_dependent_rows(
     replaces the best one, and a branch is pruned once its circuits could not
     be smaller.  The dependence comes from dependence_vector on the found rows.
     Restricting the rows to a basis of their column space keeps every row
-    dependence, so rows wider than their count walk on their pivot columns.
+    dependence, so the walk runs on the pivot columns of the augmented rows.
 
     Past MAX_ROWS rows, or past MAX_CIRCUIT_SUBSETS candidate subsets
     (circuit_subsets), it raises ValueError before the walk.
@@ -200,7 +200,7 @@ def minimal_dependent_rows(
                 if reduced and size + 1 < best_size:
                     walk((*prefix, k), reduced)
 
-    cols = _bareiss(rows)[0] if len(rows[0]) > n else range(len(rows[0]))
+    cols = _bareiss(rows)[0]
     walk((), [(j, [row[c] for c in cols]) for j, row in enumerate(rows)])
     if best is None:
         return None

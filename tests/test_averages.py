@@ -1083,8 +1083,8 @@ def on_the_enumeration_path(monkeypatch):
 
 
 def test_cube_certificate_empty_form_set_misses_every_target(monkeypatch):
-    # a form with no base points fails each of its checks; the search over
-    # its empty array raises nothing
+    # a form with no base points fails each of its checks: its empty set
+    # makes every lookup miss, and nothing raises
     s = cube_family(3, 1)
     on_the_enumeration_path(monkeypatch)
     empty = s.form_specs[(1, 0, 1)]
@@ -1101,7 +1101,7 @@ def test_cube_certificate_empty_form_set_misses_every_target(monkeypatch):
 def test_cube_certificate_scale_factor_past_int64(monkeypatch):
     # every base point 2^70 times smaller but one form's, which is 0 over 1:
     # the points stay small on the common scale, the factor that lifts that
-    # form's 0 onto it does not, and the arrays hold Python ints
+    # form's 0 onto it does not: past 2^62 it stays an exact Python int
     s = cube_family(3, 1)
     on_the_enumeration_path(monkeypatch)
     lone = s.form_specs[(1, 1, 1)]

@@ -335,9 +335,9 @@ def test_circuit_walk_matches_brute_force_search():
 
 
 def test_circuit_walk_on_wide_rows_matches_brute_force_search():
-    # more columns than rows, so the walk runs on the pivot columns; planted
-    # rows are copies, affine combinations (coefficients summing to 1, an
-    # augmented dependence) or multiples (a t-part dependence only)
+    # more columns than rows, so the walk keeps only the few pivot columns;
+    # planted rows are copies, affine combinations (coefficients summing to 1,
+    # an augmented dependence) or multiples (a t-part dependence only)
     rnd = random.Random(4040)
     sizes = set()
     for _ in range(200):
