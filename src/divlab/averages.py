@@ -664,11 +664,11 @@ def _cube_rows(scenario: CubeScenario, eps_order, proved: bool):
     point of that form.  When the digitwise proof holds every membership is
     true and no lattice or form base point is built; otherwise each target
     is looked up in a set of its form's base points, and an x off the base
-    lattice raises InvariantError."""
+    lattice, the witness spec's base points, raises InvariantError."""
     m = scenario.dimension
     specs = [*scenario.generator_specs, scenario.shared_spec]
     if not proved:
-        specs += [scenario.base_spec, *(scenario.form_specs[eps] for eps in eps_order)]
+        specs += [scenario.witness_spec, *(scenario.form_specs[eps] for eps in eps_order)]
     nums = [_base_nums(spec) for spec in specs]
     scale = lcm(*(den for _, den in nums))
     pts = [[v * (scale // den) for v in vs] for vs, den in nums]
@@ -704,12 +704,12 @@ def _cube_digitwise_proof(scenario: CubeScenario, eps_order) -> bool:
     digit position these are the same integer combination of the generator
     digits g_j and the shared digit s.  So when all specs share radix and
     depth, every sum_{j in Z} g_j - (|Z| - 1) s lies in the eps form's
-    alphabet and every sum_j g_j - (m - 1) s in the lattice's, each target
+    alphabet and every sum_j g_j - (m - 1) s in the witness's, each target
     and each x is a sum of in-alphabet digits, a base point.  2 * 3^m digit
     sums (digitsets._digit_sums), each tested on one common denominator."""
     m = scenario.dimension
     gens, shared = scenario.generator_specs, scenario.shared_spec
-    specs = [*gens, shared, scenario.base_spec, *scenario.form_specs.values()]
+    specs = [*gens, shared, scenario.witness_spec, *scenario.form_specs.values()]
     if len({(s.radix, s.depth) for s in specs}) > 1:
         return False
 
@@ -717,7 +717,7 @@ def _cube_digitwise_proof(scenario: CubeScenario, eps_order) -> bool:
         den, _, sums = _digit_sums([*((1, gens[j]) for j in zero), (1 - len(zero), shared)])
         return {v * spec.den for v in sums} <= {d * den for d in spec.digits}
 
-    return covered(range(m), scenario.base_spec) and all(
+    return covered(range(m), scenario.witness_spec) and all(
         covered([j for j in range(m) if not eps[j]], scenario.form_specs[eps])
         for eps in eps_order
     )
@@ -728,18 +728,18 @@ def cube_certificate_check(
 ) -> CubeCertificateReport:
     """Symbolic verification of the cube-average certificate.
 
-    Every witness base point decomposes uniquely as x = b_1+...+b_m - (m-1)b
-    over generator base points b_j and a shared point b.  With t_j in
+    Each x = b_1+...+b_m - (m-1)b over generator base points b_j and a shared
+    point b must be a witness base point.  With t_j in
     [b - b_j, b - b_j + t_tail] the form value x + eps.t has base point
     x + sum_{j: eps_j=1} (b - b_j), which must be a base point of the eps form
     set, and fractional part z + sum of at most |eps| tails, which must fit
-    inside the form tail: slack = form_tail - (witness_tail + |eps| * t_tail)
-    must be >= 0.  Both checks run per (x, eps); all-pass implies the average
-    lower bound t_tail^m, the volume of the checked t-box, at every witness
-    point.  The default t_tail is the witness tail [(m+1) * 2^(k(m+1))]^(-1).
-    The check count n * (2^m - 1), n the product of the generator and shared
-    cardinalities, is known before any enumeration; past MAX_CUBE_CHECKS the
-    check raises ValueError.
+    inside that form's own tail: slack = form_specs[eps].tail -
+    (witness_tail + |eps| * t_tail) must be >= 0.  Both checks run per
+    (x, eps); all-pass implies the average lower bound t_tail^m, the volume
+    of the checked t-box, at every witness point.  The default t_tail is the
+    witness tail [(m+1) * 2^(k(m+1))]^(-1).  The check count n * (2^m - 1),
+    n the product of the generator and shared cardinalities, is known before
+    any enumeration; past MAX_CUBE_CHECKS the check raises ValueError.
 
     The memberships are first proved on one digit position
     (_cube_digitwise_proof), which holds for every cube_family scenario and
@@ -761,14 +761,12 @@ def cube_certificate_check(
         raise ValueError("t_tail must be positive")
     n_combos = prod(map(cardinality, (*scenario.generator_specs, scenario.shared_spec)))
     _refuse_cube_checks(n_combos * len(scenario.form_specs))
-    # per eps its slack and whether the slack holds; the slack depends on eps
-    # only through its weight w, and each unit of weight takes one t_tail
-    slacks = [scenario.form_tail - tau]
-    for _ in range(m):
-        slacks.append(slacks[-1] - t_tail)
-    oks = [slack >= 0 for slack in slacks]
+    # per eps its slack and whether the slack holds: the witness tail and one
+    # t_tail per unit of weight w must fit inside the form's own tail
+    reach = [tau + w * t_tail for w in range(m + 1)]
     eps_order = sorted(scenario.form_specs)
-    forms = [(eps, slacks[sum(eps)], oks[sum(eps)]) for eps in eps_order]
+    slacks = [scenario.form_specs[eps].tail - reach[sum(eps)] for eps in eps_order]
+    forms = [(eps, slack, slack >= 0) for eps, slack in zip(eps_order, slacks)]
 
     proved = _cube_digitwise_proof(scenario, eps_order)
     rows = functools.partial(_cube_rows, scenario, eps_order, proved)

@@ -346,15 +346,22 @@ def _series_csv(series, h3_columns=None):
 
 
 def _cmd_blowup(args) -> int:
+    # a flag of another kind would be dropped without a word: refuse it
+    flags = (("--weighted", args.weighted or None, "thm1"), ("--m", args.m, "cubes"),
+             ("--mode", args.mode, "cubes"), ("--normalization", args.normalization, "h3"))
+    for flag, value, kind in flags:
+        if value is not None and args.kind != kind:
+            raise ValueError(f"blowup: {flag} applies to --kind {kind} only")
     columns = None
     if args.kind == "h3":
-        series = h3_ratio_series(args.p, args.kmax, normalization=args.normalization)
+        normalization = args.normalization or "lebesgue"
+        series = h3_ratio_series(args.p, args.kmax, normalization=normalization)
         if args.csv is not None:
-            columns = h3_series_columns(args.p, args.kmax, normalization=args.normalization)
+            columns = h3_series_columns(args.p, args.kmax, normalization=normalization)
     else:
         series = blowup_series(
             args.kind, args.p, args.kmax,
-            m=args.m, weighted=args.weighted, mode=args.mode,
+            m=args.m, weighted=args.weighted, mode=args.mode or "exact",
         )
     if args.csv is not None:
         header, rows = _series_csv(series, columns)
@@ -556,10 +563,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, help="cube dimension (kind=cubes)")
     p.add_argument("--weighted", action="store_true",
                    help="k^-6 weighted variant (kind=thm1)")
-    p.add_argument("--mode", choices=("exact", "bound"), default="exact",
-                   help="cube cardinalities: exact counts or proven bounds")
+    p.add_argument("--mode", choices=("exact", "bound"),
+                   help="cube cardinalities: exact counts (default) or proven bounds (kind=cubes)")
     p.add_argument("--normalization", choices=("lebesgue", "normalized"),
-                   default="lebesgue", help="factor norms (kind=h3)")
+                   help="factor norms, lebesgue by default (kind=h3)")
     p.add_argument("--csv", nargs="?", const="", default=None, metavar="PATH",
                    help="emit CSV (to PATH, or stdout if no PATH)")
 

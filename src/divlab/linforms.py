@@ -156,7 +156,8 @@ def minimal_dependent_rows(
     replaces the best one, and a branch is pruned once its circuits could not
     be smaller.  The dependence comes from dependence_vector on the found rows.
     Restricting the rows to a basis of their column space keeps every row
-    dependence, so the walk runs on the pivot columns of the augmented rows.
+    dependence, so the walk runs on the pivot columns of the augmented rows;
+    when there are n of them the rows are independent and nothing is walked.
 
     Past MAX_ROWS rows, or past MAX_CIRCUIT_SUBSETS candidate subsets
     (circuit_subsets), it raises ValueError before the walk.
@@ -169,6 +170,9 @@ def minimal_dependent_rows(
         return None
     subsets = circuit_subsets(n, len(rows[0]) - 1)
     _refuse_past(subsets, MAX_CIRCUIT_SUBSETS, "circuit search over", "row subsets")
+    cols = _bareiss(rows)[0]
+    if len(cols) == n:
+        return None  # n independent rows: no subset is dependent
     best_size, best = len(rows[0]) + 2, None
 
     def walk(prefix, later):
@@ -200,7 +204,6 @@ def minimal_dependent_rows(
                 if reduced and size + 1 < best_size:
                     walk((*prefix, k), reduced)
 
-    cols = _bareiss(rows)[0]
     walk((), [(j, [row[c] for c in cols]) for j, row in enumerate(rows)])
     if best is None:
         return None

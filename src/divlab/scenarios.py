@@ -154,8 +154,9 @@ class CubeScenario:
 
     generator_specs[j] (j = 0..m-1) are the two-digit sets {0, 2^j}; the
     shared spec carries the rational digit -2^m/(m-1).  form_specs maps each
-    nonzero epsilon to the set hit by the form x + eps.t; the witness has
-    exact measure 1/(m+1).
+    nonzero epsilon to the set hit by the form x + eps.t, each with its own
+    tail; the witness has exact measure 1/(m+1), and its base points are the
+    lattice that every b_1 + ... + b_m - (m-1)b lies on.
     """
 
     dimension: int
@@ -163,16 +164,11 @@ class CubeScenario:
     generator_specs: Tuple[DigitSetSpec, ...]
     shared_spec: DigitSetSpec
     form_specs: Mapping[Tuple[int, ...], DigitSetSpec]
-    base_spec: DigitSetSpec  # witness base-point lattice, tail 0
     witness_spec: DigitSetSpec
 
     @cached_property
     def witness(self) -> IntervalUnion:
         return materialize(self.witness_spec)
-
-    @property
-    def form_tail(self) -> Fraction:
-        return Fraction(1, (2 ** (self.dimension + 1)) ** self.depth)
 
     @property
     def witness_tail(self) -> Fraction:
@@ -191,7 +187,7 @@ class CubeScenario:
 
     def to_json(self):
         sets = {f"form_{eps_key(e)}": s.to_json() for e, s in sorted(self.form_specs.items())}
-        sets["base_lattice"] = self.base_spec.to_json()
+        sets["base_lattice"] = self.witness_spec.with_tail(0).to_json()
         sets["witness"] = self.witness_spec.to_json()
         return {
             "kind": "cubes",
@@ -216,14 +212,16 @@ class CubeScenario:
             for j in range(m)
         )
         shared = form_specs[(1,) * m].with_tail(0)
+        witness = DigitSetSpec.from_json(sets["witness"])
+        if DigitSetSpec.from_json(sets["base_lattice"]) != witness.with_tail(0):
+            raise ValueError("base_lattice must be the witness spec with tail 0")
         return CubeScenario(
             dimension=m,
             depth=k,
             generator_specs=gens,
             shared_spec=shared,
             form_specs=form_specs,
-            base_spec=DigitSetSpec.from_json(sets["base_lattice"]),
-            witness_spec=DigitSetSpec.from_json(sets["witness"]),
+            witness_spec=witness,
         )
 
 
@@ -258,15 +256,13 @@ def cube_family(m: int, k: int) -> CubeScenario:
         if c != 0:
             terms.append((c, shared))
         form_specs[eps] = combine(terms, form_tail)
-    base = combine([(1, g) for g in gens] + [(-(m - 1), shared)], 0)
     return CubeScenario(
         dimension=m,
         depth=k,
         generator_specs=gens,
         shared_spec=shared,
         form_specs=form_specs,
-        base_spec=base,
-        witness_spec=base.with_tail(witness_tail),
+        witness_spec=combine([(1, g) for g in gens] + [(-(m - 1), shared)], witness_tail),
     )
 
 

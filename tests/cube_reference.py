@@ -2,9 +2,10 @@
 digitwise proof and its batched enumeration.
 
 Per combination of generator and shared base points (ints over one scale),
-x = b_1 + ... + b_m - (m - 1) b must be a point of the base lattice, and
-each form target x + sum of b - b_j over the j with eps_j = 1 is looked up
-in its form's base points with one set lookup.  `cube_certificate_check`
+x = b_1 + ... + b_m - (m - 1) b must be a point of the base lattice, the
+witness spec's base points, and each form target x + sum of b - b_j over the
+j with eps_j = 1 is looked up in its form's base points with one set lookup;
+each slack is read off that form spec's own tail.  `cube_certificate_check`
 must return exactly the report, and every check, that this loop gives.
 """
 
@@ -42,14 +43,14 @@ def cube_checks_reference(scenario, t_tail=None):
     tau = scenario.witness_tail
     t_tail = tau if t_tail is None else rat(t_tail)
     eps_order = sorted(scenario.form_specs)
-    specs = [*scenario.generator_specs, scenario.shared_spec, scenario.base_spec,
+    specs = [*scenario.generator_specs, scenario.shared_spec, scenario.witness_spec,
              *(scenario.form_specs[eps] for eps in eps_order)]
     nums = [averages._base_nums(spec) for spec in specs]
     scale = lcm(*(den for _, den in nums))
     pts = [[v * (scale // den) for v in vs] for vs, den in nums]
     form_sets = [(set(p), sum(1 << j for j in range(m) if eps[j]))
                  for eps, p in zip(eps_order, pts[m + 2 :])]
-    slacks = [scenario.form_tail - (tau + sum(eps) * t_tail) for eps in eps_order]
+    slacks = [scenario.form_specs[eps].tail - (tau + sum(eps) * t_tail) for eps in eps_order]
     for x, members in cube_rows_reference(pts[: m + 1], set(pts[m + 1]), form_sets):
         for eps, slack, member in zip(eps_order, slacks, members):
             yield CubeCheck(Fraction(x, scale), eps, member, slack, member and slack >= 0)

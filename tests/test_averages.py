@@ -44,8 +44,9 @@ from divlab.digitsets import (
     cardinality,
     combine,
     digit_spec,
+    measure,
 )
-from divlab.intervals import EMPTY, IntervalUnion, normalize
+from divlab.intervals import EMPTY, IntervalUnion, InvariantError, normalize
 from divlab.scenarios import cube_family, furstenberg_family
 from cube_reference import cube_certificate_reference, cube_checks_reference
 from fresh_interpreter import run_script
@@ -941,12 +942,12 @@ def reference_cube_certificate_check(scenario, t_tail=None):
     m = scenario.dimension
     tau = scenario.witness_tail
     t_tail = tau if t_tail is None else F(t_tail)
-    form_tail = scenario.form_tail
     gen_pts = [base_points(g) for g in scenario.generator_specs]
     shared_pts = base_points(scenario.shared_spec)
-    lattice = set(base_points(scenario.base_spec))
+    lattice = set(base_points(scenario.witness_spec))
     form_base = {eps: set(base_points(spec)) for eps, spec in scenario.form_specs.items()}
-    slacks = {eps: form_tail - (tau + sum(eps) * t_tail) for eps in sorted(scenario.form_specs)}
+    slacks = {eps: spec.tail - (tau + sum(eps) * t_tail)
+              for eps, spec in sorted(scenario.form_specs.items())}
     checks = []
     all_pass = True
     for combo in itertools.product(*gen_pts, shared_pts):
@@ -1017,6 +1018,39 @@ def test_cube_certificate_mutated_form_alphabet_fails():
     assert missed and {c.eps for c in missed} == {eps}
     assert all(not c.passed for c in missed)
     assert cube_certificate_check(s).all_pass
+
+
+def test_cube_certificate_reads_each_forms_own_tail():
+    # (3,1): 16 combinations, 7 forms of tail 1/16, witness tail 1/64, so the
+    # reach at weight w is (1 + w)/64 and the top form fits exactly.  Every
+    # tail over 100 leaves each reach above its tail: 7 * 16 = 112 failures.
+    s = cube_family(3, 1)
+    shrunk = {eps: spec.with_tail(spec.tail / 100) for eps, spec in s.form_specs.items()}
+    rep = cube_certificate_check(dataclasses.replace(s, form_specs=shrunk))
+    assert (rep.checks_total, rep.checks_failed, rep.all_pass) == (112, 112, False)
+    # halving only (1,1,1)'s tail to 1/32 puts it below its reach 4/64; every
+    # other form keeps 1/16 >= its reach, so exactly its 16 checks fail
+    top = (1, 1, 1)
+    halved = {**s.form_specs, top: s.form_specs[top].with_tail(F(1, 32))}
+    rep = cube_certificate_check(dataclasses.replace(s, form_specs=halved))
+    assert rep.checks_failed == 16
+    assert {c.eps for c in rep.first_failures} == {top}
+    failed = [c for c in rep.checks if not c.passed]
+    assert len(failed) == 16 and {(c.eps, c.slack) for c in failed} == {(top, F(-1, 32))}
+
+
+def test_cube_certificate_reads_its_lattice_off_the_witness():
+    # (3,1)'s witness alphabet is {0, ..., 15}.  Moving digit 3 to 7/2 keeps
+    # 16 digits and the tail, so the measure stays 16/64 = 1/4, but every x
+    # with a digit 3 leaves the witness's base points
+    s = cube_family(3, 1)
+    spec = s.witness_spec
+    assert spec.alphabet == tuple(F(d) for d in range(16))
+    moved = digit_spec(spec.radix, spec.depth, [F(7, 2) if d == 3 else d for d in spec.alphabet],
+                       spec.tail)
+    assert measure(moved) == measure(spec) == F(1, 4)
+    with pytest.raises(InvariantError, match="base lattice"):
+        cube_certificate_check(dataclasses.replace(s, witness_spec=moved))
 
 
 @st.composite
@@ -1138,7 +1172,8 @@ def cube_tails(scen, seeded):
     seeded random tails around the witness tail."""
     m, tau = scen.dimension, scen.witness_tail
     rnd = random.Random(1000 * m + scen.depth)
-    top_only = (scen.form_tail - tau) / (m - F(1, 2))  # slack < 0 at weight m only
+    top = scen.form_specs[(1,) * m]
+    top_only = (top.tail - tau) / (m - F(1, 2))  # slack < 0 at weight m only
     return [None, 2 * tau, top_only,
             *(tau * F(rnd.randint(1, 9), rnd.randint(1, 4)) for _ in range(seeded))]
 

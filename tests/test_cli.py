@@ -71,6 +71,22 @@ def test_construct_round_trips(capsys):
     assert CubeScenario.from_json(data) == cube_family(3, 1)
 
 
+def test_cube_json_base_lattice_must_be_the_witness_lattice(capsys):
+    # construct-cubes writes the lattice twice, as base_lattice and as the
+    # witness with a tail; a scenario read back states it once, so an edited
+    # base_lattice alphabet is refused instead of being a second lattice
+    rc, data = run_json(capsys, "construct-cubes", "--m", "3", "--k", "1")
+    assert rc == 0
+    assert data["sets"]["base_lattice"] == {**data["sets"]["witness"], "tail": "0/1"}
+    lattice = data["sets"]["base_lattice"]
+    dropped = lattice["alphabet"][:-1]
+    moved = ["7/2" if a == "3/1" else a for a in lattice["alphabet"]]
+    for alphabet in (dropped, moved):
+        edited = {**data, "sets": {**data["sets"], "base_lattice": {**lattice, "alphabet": alphabet}}}
+        with pytest.raises(ValueError, match="base_lattice"):
+            CubeScenario.from_json(edited)
+
+
 def test_verify_claim(capsys):
     rc, data = run_json(capsys, "verify-claim", "--k", "1")
     assert rc == 0
@@ -372,6 +388,33 @@ def test_blowup_non_finite_logs_name_the_flags(capsys, kind, csv):
     rc, out, err = run(capsys, "blowup", *kind, "--p", "1e-310", "--kmax", "3", *csv)
     assert (rc, out) == (1, "")
     assert err == "divlab: error: blowup: result out of float range at --p 1e-310 --kmax 3\n"
+
+
+# per kind: the flags it reads with an explicit default value, and the flags
+# of the other kinds, each with the kind it applies to
+BLOWUP_KIND_FLAGS = {
+    "thm1": ((), (("--m", "5"), ("--mode", "bound"), ("--normalization", "normalized"))),
+    "cubes": (("--m", "3", "--mode", "exact"), (("--weighted",), ("--normalization", "normalized"))),
+    "h3": (("--normalization", "lebesgue"), (("--weighted",), ("--m", "5"), ("--mode", "bound"))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOWUP_KIND_FLAGS))
+def test_blowup_refuses_flags_of_another_kind(capsys, kind):
+    own, others = BLOWUP_KIND_FLAGS[kind]
+    series = ("blowup", "--kind", kind, "--p", "1.2", "--kmax", "2")
+    owner = {"--weighted": "thm1", "--m": "cubes", "--mode": "cubes", "--normalization": "h3"}
+    for flag in others:
+        rc, out, err = run(capsys, *series, *own, *flag)
+        assert (rc, out) == (1, ""), flag
+        assert err == f"divlab: error: blowup: {flag[0]} applies to --kind {owner[flag[0]]} only\n"
+    # all of them at once: the first is named
+    rc, out, err = run(capsys, *series, *own, *(arg for flag in others for arg in flag))
+    assert (rc, out) == (1, "") and f" {others[0][0]} applies to " in err
+    # a kind's own flags at their defaults print what the plain request prints
+    plain = ("--m", "3") if kind == "cubes" else ()
+    rc, out, err = run(capsys, *series, *own)
+    assert (rc, err) == (0, "") and run(capsys, *series, *plain) == (0, out, "")
 
 
 def test_h3_blowup_small_p_factor_underflow_exits_0(capsys):
@@ -716,6 +759,25 @@ def test_verify_cubes_proof_requests_digest(capsys):
     assert h.hexdigest() == "4c51c8d82def566c71b67ddc8f2dc5bafc412a361a781ac3d678ff819dd78b11"
 
 
+# Stdout, stderr and exit code of cube requests past m = 6, where each slack
+# is read for up to 511 forms, pinned by one sha256 frozen from the code that
+# computed one slack per weight from the closed-form tail 2^(-k(m+1)).
+LARGE_CUBE_REQUESTS = (
+    *(("verify-cubes", "--m", str(m), "--k", "1", *tamper)
+      for m in (7, 8, 9) for tamper in ((), ("--tamper",))),
+    ("verify-cubes", "--m", "5", "--k", "2"),
+    ("verify-cubes", "--m", "6", "--k", "2", "--tamper"),
+)
+
+
+def test_verify_cubes_large_dimension_requests_digest(capsys):
+    h = hashlib.sha256()
+    for argv in LARGE_CUBE_REQUESTS:
+        rc, out, err = run(capsys, *argv)
+        h.update(f"{' '.join(argv)}\0{rc}\0{out}\0{err}\0".encode())
+    assert h.hexdigest() == "2680a375739189bd0842aa8bf070eb9cf6542231236b66f21856256684299bb1"
+
+
 def test_verify_cubes_m4_k3_stdout_digest(capsys):
     # 491,520 checks, a size the requests above lack; frozen from the code
     # that looked up each form target in a set, one combination at a time
@@ -992,10 +1054,9 @@ def test_classify_refuses_oversized_circuit_searches(capsys):
 
 
 def test_classify_wide_rows_walk_on_their_pivot_columns(capsys):
-    # 16 independent rows of 1,000 entries: the walk visits all 65,519
-    # subsets, so it finishes within 1 s only by reducing over the 16 pivot
-    # columns, not all 1,001; the sha256 of stdout is frozen from the walk
-    # over every column
+    # 16 independent rows of 1,000 entries: one elimination over all 1,001
+    # columns finds 16 pivot columns, so no subset is walked; the sha256 of
+    # stdout is frozen from the walk over every column
     rnd = random.Random(1000)
     rows = ";".join(",".join(str(rnd.randint(-3, 3)) for _ in range(1000)) for _ in range(16))
     start = time.perf_counter()
@@ -1005,6 +1066,28 @@ def test_classify_wide_rows_walk_on_their_pivot_columns(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ac37ed7c694ea5afda4c2e2f2996f130b39820c47feeaf40fa9b53be79e7a108")
     assert elapsed < 1, elapsed
+
+
+def test_classify_independent_rows_walk_no_subset(capsys):
+    # 19 seeded rows of 18 entries: the 19 augmented rows are independent, so
+    # none of the 524,268 subsets under the cap can be dependent and the
+    # search stops after one elimination; the sha256 of stdout is frozen from
+    # the walk over every subset
+    rnd = random.Random(1900)
+    rows = ";".join(",".join(str(rnd.randint(-3, 3)) for _ in range(18)) for _ in range(19))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "classify", "--rows", rows)
+    elapsed = time.perf_counter() - start
+    assert (rc, err) == (0, "")
+    assert strict_json(out)["scenario"] == "independent"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f103698918e744a8bdb9453fce46ef5d4f46cb5d06ee9cd0ecf2b760ad4e886d")
+    assert elapsed < 0.5, elapsed
+    # one row more is past the subset cap, and the refusal still comes first
+    rnd = random.Random(2000)
+    rows = ";".join(",".join(str(rnd.randint(-3, 3)) for _ in range(19)) for _ in range(20))
+    assert run(capsys, "classify", "--rows", rows) == (1, "", (
+        "divlab: error: circuit search over 1,048,555 row subsets exceeds the cap of 1,000,000\n"))
 
 
 def test_h3_eval_refuses_before_materializing(capsys, monkeypatch):

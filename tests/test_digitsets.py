@@ -181,7 +181,7 @@ def test_measure_reads_the_gap_certificate(monkeypatch):
         scen = cube_family(m, k)
         certified.append(scen.witness_spec)
         specs += [*scen.generator_specs, scen.shared_spec, *scen.form_specs.values(),
-                  scen.base_spec]
+                  scen.witness_spec.with_tail(0)]
     rnd = random.Random(2468)
     specs += [rnd_spec(rnd, tail_den=rnd.choice([None, 2, 3])) for _ in range(150)]
     # the tail 2/100 exceeds the gap 1/100: [0, 2/100) and [1/100, 3/100) overlap

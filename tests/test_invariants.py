@@ -68,6 +68,35 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def test_package_has_no_dead_private_names():
+    # every module- or class-level _name must be read somewhere in the
+    # package: as a name, an attribute or an imported name
+    files = sorted(Path(divlab.__file__).parent.glob("*.py"))
+    defined, used = [], set()
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                defined += [(path.name, node.lineno, name) for name in names
+                            if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert len(defined) > 20
+    assert [f"{file}:{line}:{name}" for file, line, name in defined if name not in used] == []
+
+
 def test_interval_objects_are_built_only_in_intervals_module():
     # a union is its canonical pairs; Interval objects are only the
     # IntervalUnion.intervals view
@@ -161,7 +190,7 @@ def test_cube_decomposition_outside_lattice_raises(monkeypatch):
     base_nums = averages._base_nums
     monkeypatch.setattr(
         averages, "_base_nums",
-        lambda spec: ([], 1) if spec == scen.base_spec else base_nums(spec),
+        lambda spec: ([], 1) if spec == scen.witness_spec else base_nums(spec),
     )
     with pytest.raises(InvariantError, match="base lattice"):
         averages.cube_certificate_check(scen)
@@ -171,11 +200,11 @@ def test_cube_lattice_alphabet_missing_a_digit_raises():
     # the digit-level twin: with one lattice digit dropped the digitwise
     # proof fails, and the enumeration finds x off the lattice
     scen = cube_family(3, 1)
-    spec = scen.base_spec
+    spec = scen.witness_spec
     for i in (0, len(spec.digits) // 2, len(spec.digits) - 1):
         digits = spec.digits[:i] + spec.digits[i + 1 :]
         lattice = DigitSetSpec(spec.radix, spec.depth, digits, spec.den, spec.tail)
-        bad = dataclasses.replace(scen, base_spec=lattice)
+        bad = dataclasses.replace(scen, witness_spec=lattice)
         with pytest.raises(InvariantError, match="base lattice"):
             averages.cube_certificate_check(bad)
     assert averages.cube_certificate_check(scen).all_pass

@@ -102,14 +102,14 @@ def test_cube_structure_m3():
         (F(0), F(4)),
     ]
     assert s.shared_spec.alphabet == (F(-4), F(0))
-    assert s.form_tail == F(1, 16)
+    assert {spec.tail for spec in s.form_specs.values()} == {F(1, 16)}
     assert s.witness_tail == F(1, 64)
     cards = {"".join(map(str, e)): c for e, c in s.cardinalities().items()}
     assert cards == {
         "001": 8, "010": 6, "100": 6, "011": 2, "101": 2, "110": 2, "111": 2,
     }
     # base lattice: all 16 digit combinations are distinct
-    assert cardinality(s.base_spec) == 16
+    assert cardinality(s.witness_spec) == 16
 
 
 def test_cube_witness_measure():
