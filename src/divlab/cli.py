@@ -33,7 +33,7 @@ from .averages import (
     dependent_forms_lower_ratio,
 )
 from .digitsets import cardinality, measure
-from .hilbert import h3_evaluate, h3_ratio_series, h3_series_columns, h3_witness_evaluations
+from .hilbert import h3_evaluate, h3_series_columns, h3_witness_evaluations
 from .intervals import IntervalUnion, InvariantError, rat_str, real
 from .linforms import classify
 from .scenarios import (
@@ -82,6 +82,25 @@ def _int_at_most(limit: int, unit: str = ""):
         return value
 
     return parse
+
+
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer, the seeds numpy's generator takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {value}")
+    return value
+
+
+def _int_entry(flag: str, text: str) -> int:
+    """One entry of an integer list flag; a non-integer entry is named with its flag."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag}: entry {text!r} is not an integer") from None
 
 
 # the largest cube dimension whose threshold (2^(m-1) + 1)/(m + 1) is a finite float
@@ -328,16 +347,18 @@ def _cmd_verify_cubes(args) -> int:
     return 0 if verified else 2
 
 
-def _series_csv(series, h3_columns=None):
-    """CSV header and rows; refuses the non-finite floats strict JSON refuses."""
+def _series_csv(series):
+    """CSV header and rows (h3's with both factors of each value); refuses the
+    non-finite floats strict JSON refuses."""
     if not all(map(math.isfinite, series.values + series.step_ratios)):
         raise OverflowError("series leaves the float range")
     steps = [""] + [repr(real(r)) for r in series.step_ratios]
-    if h3_columns is not None:
+    if series.kind == "h3":
+        columns = h3_series_columns(series.p, len(series.indices), series.mode)
         header = ["index", "lower_norm_bound", "product_of_norms", "value",
                   "step_ratio", "verdict"]
         rows = [[k, repr(real(bound)), repr(real(norms)), repr(real(v)), step, series.verdict]
-                for (k, bound, norms), v, step in zip(h3_columns, series.values, steps)]
+                for (k, bound, norms), v, step in zip(columns, series.values, steps)]
         return header, rows
     header = ["index", "value", "step_ratio", "verdict"]
     rows = [[k, repr(real(v)), step, series.verdict]
@@ -352,19 +373,10 @@ def _cmd_blowup(args) -> int:
     for flag, value, kind in flags:
         if value is not None and args.kind != kind:
             raise ValueError(f"blowup: {flag} applies to --kind {kind} only")
-    columns = None
-    if args.kind == "h3":
-        normalization = args.normalization or "lebesgue"
-        series = h3_ratio_series(args.p, args.kmax, normalization=normalization)
-        if args.csv is not None:
-            columns = h3_series_columns(args.p, args.kmax, normalization=normalization)
-    else:
-        series = blowup_series(
-            args.kind, args.p, args.kmax,
-            m=args.m, weighted=args.weighted, mode=args.mode or "exact",
-        )
+    series = blowup_series(args.kind, args.p, args.kmax, m=args.m, weighted=args.weighted,
+                           mode=args.mode or args.normalization)
     if args.csv is not None:
-        header, rows = _series_csv(series, columns)
+        header, rows = _series_csv(series)
         _emit_csv(header, rows, args.csv or None)
     if args.csv is None or args.out:
         _emit_json(series.to_json(), args.out)
@@ -427,7 +439,7 @@ def _cmd_degenerate(args) -> int:
         return 0
     if args.r is None or args.b is None or args.p is None:
         raise ValueError("need either --p4prime or all of --r, --b, --p")
-    b = [int(v) for v in args.b.split(",")]
+    b = [_int_entry("--b", v) for v in args.b.split(",")]
     res = dependent_forms_lower_ratio(args.r, b, args.big_m, args.p, args.L)
     _emit_json(
         {
@@ -449,7 +461,7 @@ def _cmd_degenerate(args) -> int:
 
 def _cmd_classify(args) -> int:
     rows = [
-        [int(v) for v in row.replace(",", " ").split()]
+        [_int_entry("--rows", v) for v in row.replace(",", " ").split()]
         for row in args.rows.split(";")
         if row.strip()
     ]
@@ -601,7 +613,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", type=_rational, required=True, help="rational base point")
     p.add_argument("--eps", type=_rational, default="1", help="cube side (rational)")
     p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
 
     return parser
 

@@ -6,6 +6,8 @@ For x <= 0 and a second set contained in [0, inf), the integrand of
 
 vanishes for t <= 0 (x + 2t < 0 stays left of U2), so the integral runs over
 the positive support only, where it evaluates exactly to a sum of log ratios.
+The forced-constant h3 series is scenarios.blowup_series("h3", ...), which
+h3_ratio_series returns and whose two factors h3_series_columns writes out.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from typing import Tuple
 from .averages import form_time_set
 from .digitsets import base_points, cardinality
 from .intervals import IntervalUnion, RationalLike, _refuse_past, rat
-from .scenarios import (
-    BlowupSeries,
-    FurstenbergScenario,
-    check_series,
-    furstenberg_threshold,
-    ratio_verdict,
-    series_from_logs,
-)
+from .scenarios import BlowupSeries, FurstenbergScenario, _h3_log_terms, blowup_series
 
 
 # h3-eval refuses more witness base points than this (k=5 has 248,832)
@@ -116,59 +111,20 @@ def h3_witness_evaluations(scenario: FurstenbergScenario) -> Tuple[H3Evaluation,
     return tuple(out)
 
 
-def _h3_log_terms(p: float, kmax: int, normalization: str):
-    """Per-k (k, log lower_norm_bound, log product_of_norms) of the h3 series.
+def h3_ratio_series(p: float, kmax: int, normalization: str = "lebesgue") -> BlowupSeries:
+    """The forced-constant h3 series, scenarios.blowup_series("h3", ...).
 
-    lower_norm_bound = (1/8)^(3/p) / (8*12^k) and product_of_norms =
-    (m(U1) m(U2) m(U3))^(1/p); both logs stay finite at every k, where the
-    linear-space values would overflow or underflow.
+    normalization='normalized' halves the factor measures (ambient mass 1),
+    shifting every value by the constant 8^(1/p) and leaving all step ratios,
+    the threshold ln24/ln12 and the verdict unchanged.
     """
-    if normalization not in ("lebesgue", "normalized"):
-        raise ValueError("normalization must be 'lebesgue' or 'normalized'")
-    half = 2 if normalization == "lebesgue" else 4
-    return [
-        (
-            k,
-            -3 * math.log(8) / p - math.log(8 * 12**k),
-            -(math.log(half * 4**k) + math.log(half * 3**k) + math.log(half * 2**k)) / p,
-        )
-        for k in range(1, int(kmax) + 1)
-    ]
-
-
-def h3_ratio_series(
-    p: float, kmax: int, normalization: str = "lebesgue"
-) -> BlowupSeries:
-    """Forced-constant series: norm lower bound over the factor norm product.
-
-    value_k = (1/8)^(3/p) * (1/(8*12^k)) / (m(U1) m(U2) m(U3))^(1/p) with
-    plain Lebesgue factor measures 1/(2*4^k), 1/(2*3^k), 1/(2*2^k) by default;
-    normalization='normalized' halves the measures (ambient mass 1), shifting
-    every value by the constant 8^(1/p) and leaving all step ratios, the
-    threshold ln24/ln12 and the verdict unchanged.
-    """
-    check_series(p, kmax)
-    terms = _h3_log_terms(p, kmax, normalization)
-    values, ratios = series_from_logs([bound - norms for _, bound, norms in terms])
-    closed = math.exp(math.log(24) / p - math.log(12))
-    return BlowupSeries(
-        kind="h3",
-        p=float(p),
-        weighted=False,
-        mode=normalization,
-        indices=tuple(range(1, kmax + 1)),
-        values=values,
-        step_ratios=ratios,
-        closed_form_ratio=closed,
-        threshold=furstenberg_threshold(),
-        verdict=ratio_verdict(closed),
-    )
+    return blowup_series("h3", p, kmax, mode=normalization)
 
 
 def h3_series_columns(p: float, kmax: int, normalization: str = "lebesgue"):
     """Per-k (k, lower_norm_bound, product_of_norms) rows for CSV export.
 
-    The two factors of h3_ratio_series' value_k = bound / norms, as exp of
+    The two factors of the h3 series' value_k = bound / norms, as exp of
     the logs the series sums; either may underflow to 0.0.
     """
     return [

@@ -1,4 +1,5 @@
-"""Counterexample scenario constructions, exact measures, thresholds, blow-up series.
+"""Counterexample scenario constructions, exact measures, thresholds, and the
+blow-up series of all three kinds (thm1, cubes, h3), built by blowup_series.
 
 Two families:
 
@@ -389,13 +390,30 @@ def _cube_ratio_overflows(m: int, p: float) -> bool:
     return most < sys.float_info.max / 2 and least > math.log(sys.float_info.max)
 
 
+def _h3_log_terms(p: float, kmax: int, normalization: str):
+    """Per-k (k, log lower_norm_bound, log product_of_norms) of the h3 series.
+
+    lower_norm_bound = (1/8)^(3/p) / (8*12^k) and product_of_norms =
+    (m(U1) m(U2) m(U3))^(1/p); both logs stay finite at every k, where the
+    linear-space values would overflow or underflow.
+    """
+    if normalization not in ("lebesgue", "normalized"):
+        raise ValueError("normalization must be 'lebesgue' or 'normalized'")
+    half = 2 if normalization == "lebesgue" else 4
+    return [
+        (k, -3 * math.log(8) / p - math.log(8 * 12**k),
+         -(math.log(half * 4**k) + math.log(half * 3**k) + math.log(half * 2**k)) / p)
+        for k in range(1, int(kmax) + 1)
+    ]
+
+
 def blowup_series(
     kind: str,
     p: float,
     kmax: int,
     m: int | None = None,
     weighted: bool = False,
-    mode: str = "exact",
+    mode: str | None = None,
 ) -> BlowupSeries:
     """Blow-up series for one of the scenarios.
 
@@ -403,32 +421,35 @@ def blowup_series(
                   optionally weighted by k^-6; step ratio 24^(1/p)/12.
     kind 'cubes': value_k = [(m+1)*2^(k(m+1))]^(-m)
                   * prod_eps (2^(k(m+1)) / #A_eps)^(1/p), with exact per-eps
-                  cardinalities in mode 'exact' and the 2^((m-l+1)k) bounds
-                  (exact 2^k at weights m-1, m) in mode 'bound'.
+                  cardinalities in mode 'exact' (the default) and the
+                  2^((m-l+1)k) bounds (exact 2^k at weights m-1, m) in mode
+                  'bound'.
+    kind 'h3':    value_k = (1/8)^(3/p) / (8*12^k) / (m(U1) m(U2) m(U3))^(1/p),
+                  H3's norm lower bound over the factor norms, with Lebesgue
+                  measures in mode 'lebesgue' (the default) and halved ones
+                  in mode 'normalized'; step ratio 24^(1/p)/12, as for thm1.
 
+    m applies to 'cubes' only (and is required there), weighted to 'thm1'
+    only, and mode to 'cubes' and 'h3'; any other argument raises ValueError.
     Values are computed in log space to avoid overflow; per-step ratios come
     from series_from_logs.
     """
     check_series(p, kmax)
+    if kind not in ("thm1", "cubes", "h3"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    if m is not None and kind != "cubes":
+        raise ValueError("m applies to kind 'cubes' only")
+    if weighted and kind != "thm1":
+        raise ValueError("weighted variant applies to kind 'thm1' only")
+    if mode is not None and kind == "thm1":
+        raise ValueError("mode applies to kinds 'cubes' and 'h3' only")
     ks = tuple(range(1, kmax + 1))
     ln2 = math.log(2)
 
-    if kind == "thm1":
-        mode = ""
-        logs = [
-            (math.log(4 * 4**k) + math.log(4 * 3**k) + math.log(4 * 2**k)) / p
-            - math.log(32) - k * math.log(12)
-            for k in ks
-        ]
-        if weighted:
-            logs = [lv - 6 * math.log(k) for lv, k in zip(logs, ks)]
-        threshold = furstenberg_threshold()
-        closed = math.exp(math.log(24) / p - math.log(12))
-    elif kind == "cubes":
+    if kind == "cubes":
         if m is None:
             raise ValueError("kind 'cubes' requires m")
-        if weighted:
-            raise ValueError("weighted variant applies to kind 'thm1' only")
+        mode = "exact" if mode is None else mode
         if mode not in ("exact", "bound"):
             raise ValueError("mode must be 'exact' or 'bound'")
         _cube_check_count(m, 1)  # refuses an m the family cannot build
@@ -436,29 +457,37 @@ def blowup_series(
             raise OverflowError("the cube series' closed-form ratio is out of float range")
         scen1 = cube_family(m, 1)
         cards1 = scen1.cardinalities()
-        logs = []
         # sum over eps of log(2^(m+1) / count_at_depth_1); counts scale as c^k
         if mode == "exact":
-            log_prod1 = sum(
-                (m + 1) * ln2 - math.log(c) for c in cards1.values()
-            )
+            log_prod1 = sum((m + 1) * ln2 - math.log(c) for c in cards1.values())
         else:
             log_prod1 = 0.0
             for eps in cards1:
                 bexp = scen1.cardinality_bound(eps).bit_length() - 1
                 log_prod1 += ((m + 1) - bexp) * ln2
-        for k in ks:
-            logs.append(-m * (math.log(m + 1) + k * (m + 1) * ln2) + k * log_prod1 / p)
+        logs = [-m * (math.log(m + 1) + k * (m + 1) * ln2) + k * log_prod1 / p for k in ks]
         closed = math.exp(-m * (m + 1) * ln2 + log_prod1 / p)
         if mode == "bound":
             threshold = float(cube_threshold(m))
         else:
             # the p solving closed-form ratio == 1 with exact cardinalities
             threshold = log_prod1 / (m * (m + 1) * ln2)
-    elif kind == "h3":
-        raise ValueError("the h3 series is hilbert.h3_ratio_series")
     else:
-        raise ValueError(f"unknown series kind {kind!r}")
+        if kind == "thm1":
+            mode = ""
+            logs = [
+                (math.log(4 * 4**k) + math.log(4 * 3**k) + math.log(4 * 2**k)) / p
+                - math.log(32) - k * math.log(12)
+                for k in ks
+            ]
+            if weighted:
+                logs = [lv - 6 * math.log(k) for lv, k in zip(logs, ks)]
+        else:
+            mode = "lebesgue" if mode is None else mode
+            logs = [bound - norms for _, bound, norms in _h3_log_terms(p, kmax, mode)]
+        # both series step by 24^(1/p)/12, which crosses 1 at ln 24/ln 12
+        threshold = furstenberg_threshold()
+        closed = math.exp(math.log(24) / p - math.log(12))
 
     values, ratios = series_from_logs(logs)
     return BlowupSeries(

@@ -497,6 +497,22 @@ def test_classify_ragged_rows_exit_1(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,entry", [
+    (("classify", "--rows", "1,a;2,3"), "--rows: entry 'a'"),
+    (("classify", "--rows", "1.5,2;3,4"), "--rows: entry '1.5'"),
+    (("degenerate", "--r", "3", "--b", "1,x", "--p", "1.2"), "--b: entry 'x'"),
+])
+def test_non_integer_matrix_entries_name_flag_and_entry(capsys, argv, entry):
+    assert run(capsys, *argv) == (1, "", f"divlab: error: {entry} is not an integer\n")
+
+
+def test_mc_average_negative_seed_names_the_flag(capsys):
+    err = refusal(capsys, "mc-average", "--k", "1", "--x", "-2/3", "--seed", "-1")
+    assert err.endswith("error: argument --seed: need a non-negative integer, got -1\n")
+    rc, data = run_json(capsys, "mc-average", "--k", "1", "--x", "-2/3", "--seed", "0")
+    assert (rc, data["seed"]) == (0, 0)
+
+
 def test_find_nk_max_n_below_first_grid_exit_1(capsys):
     for k, smallest in ((1, 96), (2, 1152)):
         rc, out, err = run(capsys, "find-nk", "--k", str(k), "--level", "1/192",
@@ -685,6 +701,42 @@ def test_frozen_requests_digest(capsys):
         rc, out, err = run(capsys, *argv)
         h.update(f"{' '.join(argv)}\0{rc}\0{out}\0{err}\0".encode())
     assert h.hexdigest() == "ea5ebdb93b96f09dacd770224fbd7fb4617ea819f325af0b7988a9653eed42ba"
+
+
+# Stdout, stderr and exit code of a blow-up grid are pinned by one sha256,
+# frozen from the code that built the h3 series apart from thm1 and cubes:
+# every kind and mode at five p (the thm1/h3 threshold among them), two
+# lengths, JSON and CSV; the tiny p whose logs or closed form leave the float
+# range; and each flag with a kind it does not apply to.
+BLOWUP_VARIANTS = (
+    ("--kind", "thm1"), ("--kind", "thm1", "--weighted"),
+    *(("--kind", "cubes", "--m", str(m), "--mode", mode) for m in (3, 4, 5) for mode in ("exact", "bound")),
+    ("--kind", "cubes", "--m", "3"),
+    ("--kind", "h3", "--normalization", "lebesgue"), ("--kind", "h3", "--normalization", "normalized"),
+    ("--kind", "h3"),
+)
+BLOWUP_REQUESTS = (
+    *(("blowup", *v, "--p", p, "--kmax", k, *csv) for v in BLOWUP_VARIANTS
+      for p in ("1.05", "1.2", "1.2789429456511299", "2", "50") for k in ("2", "10")
+      for csv in ((), ("--csv",))),
+    *(("blowup", *v, "--p", p, "--kmax", "3", *csv) for v in BLOWUP_VARIANTS
+      for p in ("1e-310", "0.004") for csv in ((), ("--csv",))),
+    *(("blowup", "--kind", kind, "--p", "1.2", "--kmax", "2", *flag)
+      for kind in ("thm1", "cubes", "h3")
+      for flag in (("--m", "5"), ("--mode", "bound"), ("--normalization", "normalized"), ("--weighted",))),
+)
+
+
+def test_blowup_requests_digest(capsys):
+    start = time.perf_counter()
+    h = hashlib.sha256()
+    for argv in BLOWUP_REQUESTS:
+        rc, out, err = run(capsys, *argv)
+        h.update(f"{' '.join(argv)}\0{rc}\0{out}\0{err}\0".encode())
+    elapsed = time.perf_counter() - start
+    assert len(BLOWUP_REQUESTS) == 300
+    assert h.hexdigest() == "1daafa69fb68db372f0944e8c94d5d14fc8977e62fceb65a2a274fd98b84af77"
+    assert elapsed < 2, elapsed
 
 
 CUBE_REQUESTS = (
@@ -911,7 +963,8 @@ def test_cube_series_past_the_float_range_is_refused_before_building_forms(capsy
 
 
 # requests that never run an array kernel, with their exit codes: the last
-# one is a usage error (find-nk without --level and --target)
+# two are usage errors (find-nk without --level and --target, and a negative
+# Monte Carlo seed, refused before the sampler loads numpy)
 NUMPY_FREE_REQUESTS = (
     (("construct-thm1", "--k", "2"), 0),
     (("construct-cubes", "--m", "3", "--k", "2"), 0),
@@ -926,6 +979,7 @@ NUMPY_FREE_REQUESTS = (
     (("thresholds",), 0),
     (("--help",), 0),
     (("find-nk", "--k", "1"), 1),
+    (("mc-average", "--k", "1", "--x", "-2/3", "--seed", "-1"), 1),
 )
 
 # run requests one after another in one fresh interpreter and print, as JSON,
@@ -1053,7 +1107,7 @@ def test_classify_refuses_oversized_circuit_searches(capsys):
                    "the cap of 1,000,000\n")
 
 
-def test_classify_wide_rows_walk_on_their_pivot_columns(capsys):
+def test_classify_wide_independent_rows_stop_after_one_elimination(capsys):
     # 16 independent rows of 1,000 entries: one elimination over all 1,001
     # columns finds 16 pivot columns, so no subset is walked; the sha256 of
     # stdout is frozen from the walk over every column
@@ -1065,6 +1119,25 @@ def test_classify_wide_rows_walk_on_their_pivot_columns(capsys):
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ac37ed7c694ea5afda4c2e2f2996f130b39820c47feeaf40fa9b53be79e7a108")
+    assert elapsed < 1, elapsed
+
+
+def test_classify_wide_rows_walk_on_their_pivot_columns(capsys):
+    # the same 16 rows of 1,000 entries and a 17th, 2 r2 - 3 r5 + 2 r11
+    # (coefficients summing to 1): the walk over the pivot columns finds the
+    # one circuit; the sha256 of stdout is frozen
+    rnd = random.Random(1000)
+    rows = [[rnd.randint(-3, 3) for _ in range(1000)] for _ in range(16)]
+    rows.append([2 * a - 3 * b + 2 * c for a, b, c in zip(rows[2], rows[5], rows[11])])
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "classify", "--rows", ";".join(",".join(map(str, r)) for r in rows))
+    elapsed = time.perf_counter() - start
+    assert (rc, err) == (0, "")
+    data = strict_json(out)
+    assert (data["scenario"], data["r"], data["circuit_rows"]) == ("degenerate", 4, [2, 5, 11, 16])
+    assert data["dependence"] == [2, -3, 2, -1]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b8fed2e36fee07b04823009eff3f357ad858aa009e116eb1dacc6267174231a6")
     assert elapsed < 1, elapsed
 
 

@@ -113,6 +113,21 @@ def test_interval_objects_are_built_only_in_intervals_module():
     assert found == []
 
 
+def test_blowup_series_are_built_only_in_scenarios_module():
+    # scenarios.blowup_series builds every kind's series, h3 included
+    files = sorted(Path(divlab.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        if path.name != "scenarios.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "BlowupSeries" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(files) > 1
+    assert found == []
+
+
 def test_alphabet_view_is_read_only_in_digitsets_module():
     # a digit spec is its integer digits over one denominator; the Fraction
     # .alphabet view stays behind that one type

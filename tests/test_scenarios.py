@@ -9,6 +9,7 @@ import pytest
 
 from divlab import digitsets, scenarios
 from divlab.digitsets import MAX_ENUM, base_points, cardinality
+from divlab.hilbert import h3_ratio_series
 from divlab.scenarios import (
     MAX_KMAX,
     RATIO_TOL,
@@ -285,10 +286,39 @@ def test_series_validation():
         blowup_series("cubes", 1.2, 4, m=3, mode="nope")
     with pytest.raises(ValueError):
         blowup_series("h3", 1.2, 4, weighted=True)
-    with pytest.raises(ValueError, match="h3_ratio_series"):
-        blowup_series("h3", 1.2, 4)
+    assert blowup_series("h3", 1.2, 4) == h3_ratio_series(1.2, 4)
     with pytest.raises(ValueError):
         blowup_series("nope", 1.2, 4)
+
+
+def test_series_refuses_arguments_of_another_kind():
+    # an argument the kind does not read is refused, not dropped
+    foreign = {
+        "thm1": ({"m": 5, "mode": "bound"}, {"m": 5}, {"mode": "bound"}, {"mode": "lebesgue"}),
+        "cubes": ({"m": 3, "weighted": True},),
+        "h3": ({"m": 3}, {"weighted": True}),
+    }
+    for kind, cases in foreign.items():
+        for kwargs in cases:
+            with pytest.raises(ValueError, match="applies to"):
+                blowup_series(kind, 1.2, 2, **kwargs)
+    with pytest.raises(ValueError, match="normalization must be"):
+        blowup_series("h3", 1.2, 2, mode="exact")
+    # each kind applies its own default mode
+    assert blowup_series("thm1", 1.2, 2).mode == ""
+    assert blowup_series("cubes", 1.2, 2, m=3) == blowup_series("cubes", 1.2, 2, m=3, mode="exact")
+    assert blowup_series("h3", 1.2, 2).mode == "lebesgue"
+
+
+@pytest.mark.parametrize("normalization", ["lebesgue", "normalized"])
+def test_h3_series_is_the_blowup_series(normalization):
+    for p in (0.5, 1.2, furstenberg_threshold(), 2.0):
+        for kmax in (2, 10):
+            ser = blowup_series("h3", p, kmax, mode=normalization)
+            assert ser == h3_ratio_series(p, kmax, normalization=normalization)
+            assert (ser.kind, ser.mode, ser.weighted) == ("h3", normalization, False)
+            assert ser.closed_form_ratio == blowup_series("thm1", p, kmax).closed_form_ratio
+            assert ser.threshold == furstenberg_threshold()
 
 
 def test_series_json():
