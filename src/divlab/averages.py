@@ -541,54 +541,43 @@ class RiemannCertificate:
 
 
 def find_riemann_n(
-    k: int,
-    level: RationalLike,
-    target: RationalLike,
-    progression: Sequence[int] | None = None,
-    window=(-1, 0),
-    max_n: int = 10_000,
+    k: int, level: RationalLike, target: RationalLike, max_n: int = 10_000
 ) -> RiemannCertificate:
-    """Smallest N in the progression whose grid superlevel measure reaches target.
+    """Smallest N whose grid superlevel measure on [-1, 0] reaches target.
 
-    Uses the depth-k triple-average scenario on the given window; the default
-    progression is the multiples of 8*12^k up to max_n (grid aligned with the
-    set endpoints).  The returned certificate is exact; exhaustion raises
-    SearchExhaustedError and proves nothing.
+    Uses the depth-k triple-average scenario; N runs over the multiples of
+    8*12^k up to max_n (grid aligned with the set endpoints).  The returned
+    certificate is exact; exhaustion raises SearchExhaustedError and proves
+    nothing.
 
-    Before any factor is built, the work is estimated as the sum over the
-    progression of N * sum_i 2 * cardinality(spec_i): each step meets the
-    window with at most that many endpoints per grid point.  Like
-    check_sweep_candidates it is a worst case, read off the specs; past
-    MAX_GRID_CELLS the search raises ValueError naming it.  Each size is one
-    batched grid sweep (discrete_superlevel), so the exhaustive k=1 search
-    (level 1/96, target 99/100, the 100 sizes up to 9,600) takes about 0.2 s
-    in process on a 2-core host.
+    Before any factor is built, the work over the n sizes is estimated as
+    8*12^k * n(n+1) * sum_i cardinality(spec_i), that is the sum over N of
+    N * sum_i 2 * cardinality(spec_i): each step meets the window with at
+    most that many endpoints per grid point.  Like check_sweep_candidates it
+    is a worst case, read off the specs; past MAX_GRID_CELLS the search
+    raises ValueError naming it.  Each size is one batched grid sweep
+    (discrete_superlevel), so the exhaustive k=1 search (level 1/96, target
+    99/100, the 100 sizes up to 9,600) takes about 0.2 s in process on a
+    2-core host.
     """
     scen = furstenberg_family(k)
     level, target = rat(level), rat(target)
-    if progression is None:
-        base = 8 * 12**k
-        if max_n < base:
-            raise ValueError(f"max_n must be at least 8*12^{k} = {base} (got {max_n})")
-        progression = range(base, max_n + 1, base)
-        points = base * len(progression) * (len(progression) + 1) // 2
-    else:
-        progression = [int(n) for n in progression]
-        if not progression:
-            raise ValueError("empty progression")
-        points = sum(progression)
-    cells = points * 2 * sum(map(cardinality, scen.factor_specs))
+    base = 8 * 12**k
+    if max_n < base:
+        raise ValueError(f"max_n must be at least 8*12^{k} = {base} (got {max_n})")
+    sizes = range(base, max_n + 1, base)
+    cells = base * len(sizes) * (len(sizes) + 1) * sum(map(cardinality, scen.factor_specs))
     _refuse_past(cells, MAX_GRID_CELLS, "grid search over", "grid cells")
-    for n_steps in progression:
+    for n_steps in sizes:
         meas = discrete_superlevel(
-            scen.factors, scen.coefficients, n_steps, level, window, topology="line"
+            scen.factors, scen.coefficients, n_steps, level, (-1, 0), topology="line"
         ).superlevel_measure
         if meas >= target:
             return RiemannCertificate(
                 n_steps=n_steps, measure=meas, level=level, target=target
             )
     raise SearchExhaustedError(
-        f"no N up to {progression[-1]} reached superlevel measure {target} at level {level}"
+        f"no N up to {sizes[-1]} reached superlevel measure {target} at level {level}"
     )
 
 

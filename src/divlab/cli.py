@@ -268,31 +268,19 @@ def _cmd_verify_claim(args) -> int:
 
 
 def _cmd_find_nk(args) -> int:
+    head = {
+        "k": args.k,
+        "level": rat_str(args.level),
+        "target": rat_str(args.target),
+        "max_n": args.max_n,
+    }
     try:
         cert = find_riemann_n(args.k, args.level, args.target, max_n=args.max_n)
     except SearchExhaustedError as exc:
-        _emit_json(
-            {
-                "k": args.k,
-                "level": rat_str(args.level),
-                "target": rat_str(args.target),
-                "max_n": args.max_n,
-                "verified": False,
-                "error": str(exc),
-            },
-            args.out,
-        )
+        _emit_json({**head, "verified": False, "error": str(exc)}, args.out)
         return 2
     _emit_json(
-        {
-            "k": args.k,
-            "level": rat_str(cert.level),
-            "target": rat_str(cert.target),
-            "max_n": args.max_n,
-            "n_steps": cert.n_steps,
-            "measure": _rat_real(cert.measure),
-            "verified": True,
-        },
+        {**head, "n_steps": cert.n_steps, "measure": _rat_real(cert.measure), "verified": True},
         args.out,
     )
     return 0

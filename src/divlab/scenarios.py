@@ -420,8 +420,9 @@ def blowup_series(
     kind 'thm1':  value_k = ((4*4^k)(4*3^k)(4*2^k))^(1/p) / (32*12^k),
                   optionally weighted by k^-6; step ratio 24^(1/p)/12.
     kind 'cubes': value_k = [(m+1)*2^(k(m+1))]^(-m)
-                  * prod_eps (2^(k(m+1)) / #A_eps)^(1/p), with exact per-eps
-                  cardinalities in mode 'exact' (the default) and the
+                  * prod_eps (2^(k(m+1)) / #A_eps)^(1/p), with #A_eps the
+                  depth-1 alphabet sizes to the k-th power (digit-string
+                  counts) in mode 'exact' (the default) and the
                   2^((m-l+1)k) bounds (exact 2^k at weights m-1, m) in mode
                   'bound'.
     kind 'h3':    value_k = (1/8)^(3/p) / (8*12^k) / (m(U1) m(U2) m(U3))^(1/p),
@@ -456,13 +457,15 @@ def blowup_series(
         if _cube_ratio_overflows(m, p):
             raise OverflowError("the cube series' closed-form ratio is out of float range")
         scen1 = cube_family(m, 1)
-        cards1 = scen1.cardinalities()
-        # sum over eps of log(2^(m+1) / count_at_depth_1); counts scale as c^k
+        # sum over eps of log(2^(m+1) / alphabet size); the series raises the
+        # depth-1 alphabet sizes to the k-th power (digit-string counts)
         if mode == "exact":
-            log_prod1 = sum((m + 1) * ln2 - math.log(c) for c in cards1.values())
+            log_prod1 = sum(
+                (m + 1) * ln2 - math.log(len(s.digits)) for s in scen1.form_specs.values()
+            )
         else:
             log_prod1 = 0.0
-            for eps in cards1:
+            for eps in scen1.form_specs:
                 bexp = scen1.cardinality_bound(eps).bit_length() - 1
                 log_prod1 += ((m + 1) - bexp) * ln2
         logs = [-m * (math.log(m + 1) + k * (m + 1) * ln2) + k * log_prod1 / p for k in ks]
@@ -470,7 +473,7 @@ def blowup_series(
         if mode == "bound":
             threshold = float(cube_threshold(m))
         else:
-            # the p solving closed-form ratio == 1 with exact cardinalities
+            # the p solving closed-form ratio == 1 with those alphabet sizes
             threshold = log_prod1 / (m * (m + 1) * ln2)
     else:
         if kind == "thm1":

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from divlab import averages, hilbert, intervals, scenarios
+from divlab import averages, cli, hilbert, intervals, scenarios
 from divlab.averages import (
     MAX_CUBE_CHECKS,
     MAX_SWEEP_CANDIDATES,
@@ -627,6 +627,54 @@ def test_sweep_validation():
         sweep_superlevel([u], [1], F(1, 2), window=(0, 1), t_domain=(1, 0))
 
 
+def doubled_jumps(monkeypatch):
+    """Make every slope jump of the continuous sweep twice its size."""
+    meeting_jumps = averages._meeting_jumps
+
+    def doubled(*args):
+        at, jumps = meeting_jumps(*args)
+        return at, 2 * jumps
+
+    monkeypatch.setattr(averages, "_meeting_jumps", doubled)
+
+
+def test_sweep_with_corrupted_jumps_fails_its_end_check(monkeypatch):
+    # F at the last breakpoint is evaluated pointwise; doubled jumps reach
+    # another value there.  Dropping the jump at the first breakpoint would be
+    # no corruption: the slope sum skips the jumps at both window ends, since
+    # the first slope is read off F at the first two breakpoints
+    s = furstenberg_family(1)
+    doubled_jumps(monkeypatch)
+    with pytest.raises(InvariantError, match="^kinetic sweep disagrees with the pointwise integral$"):
+        sweep_superlevel(s.factors, s.coefficients, s.level, window=(-1, 0))
+
+
+def test_verify_claim_with_corrupted_jumps_exits_1(capsys, monkeypatch):
+    doubled_jumps(monkeypatch)
+    assert cli.main(["verify-claim", "--k", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("divlab: error: internal invariant failed: "
+                       "kinetic sweep disagrees with the pointwise integral\n")
+
+
+def test_sweep_with_a_corrupted_anchor_fails_its_first_slope(monkeypatch):
+    # one unit more of t-measure at the second breakpoint leaves F's first
+    # slope off the grid: the breakpoints between them would be missing
+    s = furstenberg_family(1)
+    calls = []
+
+    def second_anchor_grows(*args):
+        pairs = _time_pairs(*args)
+        calls.append(args)
+        return [*pairs, (0, 1)] if len(calls) == 2 else pairs
+
+    monkeypatch.setattr(averages, "_time_pairs", second_anchor_grows)
+    with pytest.raises(InvariantError, match="^sweep events missed a breakpoint of F$"):
+        sweep_superlevel(s.factors, s.coefficients, s.level, window=(-1, 0))
+    assert len(calls) == 3  # the anchors x0, x1 and the last breakpoint
+
+
 # --- discrete grid sweep -----------------------------------------------------
 
 
@@ -859,6 +907,8 @@ def test_discrete_validation():
         discrete_superlevel([u], [1], 4, F(1, 2), (0, 1), topology="torus")
     with pytest.raises(ValueError):
         discrete_superlevel([u], [1], 4, F(1, 2), (0, 1), topology="circle", circle_lo=1)
+    with pytest.raises(ValueError, match="^window must be nondegenerate$"):
+        discrete_superlevel([u], [1], 4, F(1, 2), (0, -1))
 
 
 # --- Riemann certificate search ----------------------------------------------
@@ -873,19 +923,9 @@ def test_find_riemann_n_frozen():
     assert res.superlevel_measure == cert.measure
 
 
-def test_find_riemann_n_rejects_degenerate_window():
-    with pytest.raises(ValueError, match="window"):
-        find_riemann_n(1, F(1, 192), F(1, 9), window=(0, -1))
-
-
 def test_find_riemann_n_exhaustion():
     with pytest.raises(SearchExhaustedError):
         find_riemann_n(1, F(1, 192), F(99, 100), max_n=300)
-
-
-def test_find_riemann_n_custom_progression():
-    cert = find_riemann_n(1, F(1, 192), F(1, 9), progression=[192, 384])
-    assert cert.n_steps == 192
 
 
 # --- cube certificate --------------------------------------------------------
@@ -1404,9 +1444,11 @@ def test_monte_carlo_eps_must_be_positive():
 
 def test_monte_carlo_validation():
     u = normalize([(0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need one coefficient row per set$"):
         monte_carlo_average([[1]], [u, u], 0, 1, 100, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ragged coefficient matrix$"):
+        monte_carlo_average([[1, 0], [1]], [u, u], 0, 1, 100, seed=1)
+    with pytest.raises(ValueError, match="^need at least 2 samples$"):
         monte_carlo_average([[1]], [u], 0, 1, 1, seed=1)
 
 

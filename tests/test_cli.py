@@ -579,6 +579,39 @@ def test_invariant_failure_exits_1_without_traceback(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, last_line", [
+    (("thresholds", "--m", "2"), "dimension must be >= 3"),
+    (("thresholds", "--r", "1"), "need r >= 2 monomials"),
+    (("degenerate", "--r", "3", "--b", "1,0", "--p", "1.2", "--M", "0"),
+     "need M >= 1, p > 0, L > 0"),
+    (("degenerate", "--p4prime", "0.3", "--M", "0"), "need M >= 1, p4' > 0, L > 0"),
+    (("degenerate", "--r", "2", "--b", "1", "--p", "1.2"), "need r >= 3"),
+    (("degenerate", "--r", "3", "--b", "1", "--p", "1.2"), "need r-1 coefficients"),
+    (("degenerate", "--r", "3", "--b", "1,1", "--p", "1.2"),
+     "coefficients must sum to 1 (dependent-form condition)"),
+    (("mc-average", "--k", "1", "--x", "-1/2", "--seed", "1", "--samples", "1"),
+     "need at least 2 samples"),
+    (("mc-average", "--k", "1", "--x", "-1/2", "--seed", "3.5"),
+     "divlab mc-average: error: argument --seed: need an integer, got '3.5'"),
+    (("find-nk", "--k", "1", "--level", "1/192", "--target", "1/9", "--max-n", "95"),
+     "max_n must be at least 8*12^1 = 96 (got 95)"),
+    (("classify", "--rows", " ; "), "need at least one row"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_precondition_refusals_name_their_condition(capsys, argv, last_line):
+    # an engine's refusal is stderr's one line; the parser's follows its usage
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    assert (rc, out.out) == (1, "")
+    if last_line.startswith("divlab "):
+        assert out.err.startswith("usage: divlab ") and "Traceback" not in out.err
+        assert out.err.splitlines()[-1] == last_line
+    else:
+        assert out.err == f"divlab: error: {last_line}\n"
+
+
 # --- seeded argument fuzz ----------------------------------------------------
 
 # cheap requests of every subcommand; find-nk carries a small --max-n so that

@@ -233,6 +233,18 @@ def test_piecewise_linear_evaluation():
         PiecewiseLinear((0, 1), (0, 1), 0, 1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PiecewiseLinear((), ()), "breakpoints and values must match and be nonempty"),
+    (lambda: PiecewiseLinear((0, 1), (0,)), "breakpoints and values must match and be nonempty"),
+    (lambda: StepFunction((0,), ()), "need n+1 boundaries for n cells"),
+    (lambda: normalize([(0, 1)]).affine(0, 1), "affine image requires a != 0"),
+])
+def test_degenerate_functions_and_maps_are_refused(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_piecewise_superlevel_against_sampling():
     rnd = random.Random(2718)
     for _ in range(200):

@@ -168,6 +168,11 @@ def test_extended_matrix_shape():
         extended_matrix([[1], [1, 2]])
 
 
+def test_classify_refuses_an_empty_matrix():
+    with pytest.raises(ValueError, match="^need at least one row$"):
+        classify([])
+
+
 def test_dependence_vector_annihilates():
     rnd = random.Random(31)
     hits = 0

@@ -175,6 +175,12 @@ def test_cube_threshold_identities():
         assert cube_threshold(m) == F(2 ** (m - 1) + 1, m + 1)
 
 
+def test_cube_thresholds_refuse_dimensions_below_3():
+    for threshold in (cube_threshold, cube_threshold_sum_form):
+        with pytest.raises(ValueError, match="^dimension must be >= 3$"):
+            threshold(2)
+
+
 def test_degenerate_threshold():
     assert degenerate_threshold(3) == F(3, 2)
     assert degenerate_threshold(4) == F(4, 3)
@@ -238,6 +244,16 @@ def test_cubes_series_closed_forms_m3():
     for ser in (bound, exact):
         for r in ser.step_ratios:
             assert abs(r - ser.closed_form_ratio) < 1e-12
+
+
+@pytest.mark.parametrize("m, k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (6, 2)])
+def test_exact_cube_series_counts_are_base_point_counts_here(m, k):
+    # mode 'exact' raises each depth-1 alphabet size to the k-th power, which
+    # counts digit strings; at these sizes no two strings of a form collide,
+    # so the powers are the forms' base-point counts (at m = 4 and 7 they are not)
+    forms1 = cube_family(m, 1).form_specs
+    powers = {eps: len(spec.digits) ** k for eps, spec in forms1.items()}
+    assert cube_family(m, k).cardinalities() == powers
 
 
 def series_or_overflow(*args, **kwargs):
