@@ -415,23 +415,22 @@ def _fold_pairs(pairs, shift, lo, hi):
     return _merge_sorted(out)
 
 
-def wrap_translate(u: IntervalUnion, shift: RationalLike, lo=-1, hi=1) -> IntervalUnion:
-    """Translate u by shift and fold into [lo, hi) (circle of circumference hi-lo)."""
-    lo, hi = _nondegenerate((lo, hi), "circle")
+def wrap_translate(u: IntervalUnion, shift: RationalLike) -> IntervalUnion:
+    """Translate u by shift and fold into the circle [-1, 1)."""
     shift = rat(shift)
-    L = lcm(u.den, common_denominator((shift, lo, hi)))
-    return _grid_union(_fold_pairs(_scaled(u, L), int(shift * L), int(lo * L), int(hi * L)), L)
+    L = lcm(u.den, shift.denominator)
+    return _grid_union(_fold_pairs(_scaled(u, L), int(shift * L), -L, L), L)
 
 
-def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
+def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=False):
     """(coords, counts, scale L) of the grid sum, counts[i] on [coords[i],
     coords[i+1]): int arrays, which the step function keeps for its cut.
 
     Every coordinate is an integer over one scale L that clears the window,
-    the set endpoints, the circle bounds and the grid step 1/N; they run from
-    w0 L to w1 L.  Step n meets the window with each family in its frame
-    x + c_i n L/N.  On a circle (lo, hi) each family is folded into [lo L, hi L)
-    once and repeated over the periods its frames reach: a periodic line set.
+    the set endpoints and the grid step 1/N; they run from w0 L to w1 L.
+    Step n meets the window with each family in its frame x + c_i n L/N.  On
+    the circle [-1, 1) each family is folded into [-L, L) once and repeated
+    over the periods its frames reach: a periodic line set.
 
     All steps run at once, in numpy blocks of _BLOCK steps.  The running
     x-pieces of a block's steps are three flat arrays (step, lo, hi), each
@@ -445,19 +444,17 @@ def _grid_cells(sets, coeffs, n_steps, w0, w1, circle=None):
     dtype object (Python ints) otherwise; both run the same code.
     """
     import numpy as np
-    bounds = (w0, w1, *circle) if circle else (w0, w1)
-    L = lcm(common_denominator(bounds), n_steps, *(u.den for u in sets))
+    L = lcm(common_denominator((w0, w1)), n_steps, *(u.den for u in sets))
     step = L // n_steps
     fams = [_scaled(u, L) for u in sets]
     win = (int(w0 * L), int(w1 * L))
     if circle:
-        lo, hi = int(circle[0] * L), int(circle[1] * L)
-        circ = hi - lo
+        circ = 2 * L
         for i, c in enumerate(coeffs):
-            folded = _fold_pairs(fams[i], 0, lo, hi)
+            folded = _fold_pairs(fams[i], 0, -L, L)
             s0, s1 = sorted((c * step, c * L))  # the frame shifts of steps 1 and N
             fams[i] = _merge_sorted((a + m * circ, b + m * circ) for m in range(
-                (win[0] + s0 - lo) // circ, (win[1] + s1 - lo) // circ + 1) for a, b in folded)
+                (win[0] + s0 + L) // circ, (win[1] + s1 + L) // circ + 1) for a, b in folded)
     # a coordinate moves by at most one frame shift |c| n L/N <= |c| L at a
     # time; past int64 the same arrays hold Python ints
     ends = [*win, *itertools.chain.from_iterable(itertools.chain.from_iterable(fams))]
@@ -497,17 +494,15 @@ def discrete_superlevel(
     level: RationalLike,
     window,
     topology: str = "line",
-    circle_lo: RationalLike = -1,
-    circle_hi: RationalLike = 1,
 ) -> SweepResult:
     """Exact superlevel set of the grid average
 
         G(x) = (1/N) * #{1 <= n <= N : x + c_i n/N in U_i for all i}
 
     over the window.  Topology 'line' evaluates indicators on the real line;
-    'circle' folds x + c_i n/N into [circle_lo, circle_hi) first and reads
-    each U_i as its image on that circle (an interval at least as long as
-    the circumference covers it), so G is periodic in x.  G is a step
+    'circle' folds x + c_i n/N into the construction's circle [-1, 1) first
+    and reads each U_i as its image on that circle (an interval at least as
+    long as the circumference covers it), so G is periodic in x.  G is a step
     function of x; both modes run one exact integer sweep (_grid_cells) that
     meets every grid step with the families in one batched numpy pass, with
     no Python loop over the steps n.
@@ -520,8 +515,7 @@ def discrete_superlevel(
     level = rat(level)
     if topology not in ("line", "circle"):
         raise ValueError("topology must be 'line' or 'circle'")
-    circle = _nondegenerate((circle_lo, circle_hi), "circle") if topology == "circle" else None
-    xs, counts, scale = _grid_cells(sets, coeffs, n_steps, w0, w1, circle)
+    xs, counts, scale = _grid_cells(sets, coeffs, n_steps, w0, w1, topology == "circle")
     g = StepFunction._of_arrays(xs, counts, scale, n_steps)
     sup = g.superlevel(level)
     return SweepResult(function=g, superlevel=sup, superlevel_measure=sup.measure())

@@ -564,7 +564,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--weighted", action="store_true",
                    help="k^-6 weighted variant (kind=thm1)")
     p.add_argument("--mode", choices=("exact", "bound"),
-                   help="cube cardinalities: exact counts (default) or proven bounds (kind=cubes)")
+                   help="cube cardinalities: digit-string counts (default) "
+                        "or proven bounds (kind=cubes)")
     p.add_argument("--normalization", choices=("lebesgue", "normalized"),
                    help="factor norms, lebesgue by default (kind=h3)")
     p.add_argument("--csv", nargs="?", const="", default=None, metavar="PATH",

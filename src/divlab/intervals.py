@@ -82,10 +82,10 @@ class Interval:
             raise ValueError(f"empty or inverted interval [{self.lo}, {self.hi})")
 
 
-def _pair_isect(a, b, i=0, j=0):
-    """Intersection of two sorted disjoint (lo, hi) pair lists (ints or
-    Fractions), walking a from index i and b from index j."""
+def _pair_isect(a, b):
+    """Intersection of two sorted disjoint (lo, hi) pair lists (ints or Fractions)."""
     out = []
+    i = j = 0
     la, lb = len(a), len(b)
     while i < la and j < lb:
         alo, ahi = a[i]
@@ -268,15 +268,9 @@ class IntervalUnion:
         return i >= 0 and y < self.nums[i][1]
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        if not self.nums or not other.nums:
-            return EMPTY
-        # on the common grid, each walk starts at the first piece ending after
-        # the other union starts; pieces of a meet touch only where an input's do
+        # on the common grid; pieces of a meet touch only where an input's do
         scale = lcm(self.den, other.den)
-        a, b = _scaled(self, scale), _scaled(other, scale)
-        i = bisect.bisect_right(a, b[0][0], key=itemgetter(1))
-        j = bisect.bisect_right(b, a[0][0], key=itemgetter(1))
-        return _grid_union(_pair_isect(a, b, i, j), scale)
+        return _grid_union(_pair_isect(_scaled(self, scale), _scaled(other, scale)), scale)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         scale = lcm(self.den, other.den)

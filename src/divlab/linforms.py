@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .intervals import InvariantError, _refuse_past, rat_str
 
-MAX_ROWS = 20  # circuit search cap on the number of rows
 # the circuit search refuses more candidate row subsets than this (20 x 10 has 910,575)
 MAX_CIRCUIT_SUBSETS = 1_000_000
 
@@ -159,13 +158,12 @@ def minimal_dependent_rows(
     dependence, so the walk runs on the pivot columns of the augmented rows;
     when there are n of them the rows are independent and nothing is walked.
 
-    Past MAX_ROWS rows, or past MAX_CIRCUIT_SUBSETS candidate subsets
-    (circuit_subsets), it raises ValueError before the walk.
+    Past MAX_CIRCUIT_SUBSETS candidate subsets (circuit_subsets) it raises
+    ValueError before the walk.  A walk always closes a circuit: n rows on
+    fewer than n pivot columns are dependent, so one has at most m + 2 rows.
     """
     rows = [list(map(int, row)) + [1] for row in matrix]
     n = len(rows)
-    if n > MAX_ROWS:
-        raise ValueError(f"circuit search capped at {MAX_ROWS} rows")
     if n == 0:
         return None
     subsets = circuit_subsets(n, len(rows[0]) - 1)
@@ -205,8 +203,6 @@ def minimal_dependent_rows(
                     walk((*prefix, k), reduced)
 
     walk((), [(j, [row[c] for c in cols]) for j, row in enumerate(rows)])
-    if best is None:
-        return None
     lam = dependence_vector([rows[i] for i in best])
     if lam is None:
         raise InvariantError(f"rank-deficient rows {best} have no dependence vector")
@@ -262,48 +258,35 @@ def classify(matrix: Sequence[Sequence[int]]) -> Classification:
     # subtracting extended_matrix's bottom row (0, ..., 0, 1) from every
     # augmented row leaves [[A, 0], [0, 1]]: the extended rank is rank A + 1
     rank_m = exact_rank(rows)
-    rank_e = rank_m + 1
     circuit = minimal_dependent_rows(rows)
-    if circuit is None:
-        return Classification(
-            matrix=tuple(rows),
-            rank_matrix=rank_m,
-            rank_extended=rank_e,
-            scenario="independent",
-            circuit=None,
-            t_part_rank=None,
-            exponent_bound=None,
-            basis_indices=None,
-            expansions=None,
-        )
-    # pivot columns of the circuit's t-parts, taken as columns, are the
-    # lexicographically first maximal independent subset
-    pivots, a = _bareiss([[rows[i][d] for i in circuit.indices] for d in range(len(rows[0]))])
-    basis = [circuit.indices[c] for c in pivots]
-    t_rank = len(basis)
-    r = circuit.size
-    if t_rank == r - 2:
-        scenario = "nondegenerate"
-        bound = None
-    elif t_rank == r - 1:
-        scenario = "degenerate"
-        bound = Fraction(r, r - 1)
-    else:
-        raise InvariantError(f"circuit t-part rank must be r-2 or r-1, got {t_rank} for r={r}")
-    # the kernel vector at each free column expresses that row over the basis
-    expansions = {}
-    for col, i in enumerate(circuit.indices):
-        if col not in pivots:
-            lam = _kernel(pivots, a, col, r)
-            expansions[i] = [Fraction(-lam[c], lam[col]) for c in pivots]
+    scenario, t_rank, bound, basis, expansions = "independent", None, None, None, None
+    if circuit is not None:
+        # pivot columns of the circuit's t-parts, taken as columns, are the
+        # lexicographically first maximal independent subset
+        pivots, a = _bareiss([[rows[i][d] for i in circuit.indices] for d in range(len(rows[0]))])
+        basis = tuple(circuit.indices[c] for c in pivots)
+        t_rank = len(basis)
+        r = circuit.size
+        if t_rank == r - 2:
+            scenario = "nondegenerate"
+        elif t_rank == r - 1:
+            scenario, bound = "degenerate", Fraction(r, r - 1)
+        else:
+            raise InvariantError(f"circuit t-part rank must be r-2 or r-1, got {t_rank} for r={r}")
+        # the kernel vector at each free column expresses that row over the basis
+        expansions = {}
+        for col, i in enumerate(circuit.indices):
+            if col not in pivots:
+                lam = _kernel(pivots, a, col, r)
+                expansions[i] = [Fraction(-lam[c], lam[col]) for c in pivots]
     return Classification(
         matrix=tuple(rows),
         rank_matrix=rank_m,
-        rank_extended=rank_e,
+        rank_extended=rank_m + 1,
         scenario=scenario,
         circuit=circuit,
         t_part_rank=t_rank,
         exponent_bound=bound,
-        basis_indices=tuple(basis),
+        basis_indices=basis,
         expansions=expansions,
     )

@@ -15,21 +15,20 @@ from divlab.averages import _fold_pairs
 from divlab.intervals import _merge_sorted, _pair_isect, _scaled, common_denominator
 
 
-def grid_cells_reference(sets, coeffs, n_steps, w0, w1, circle=None):
-    """(coords, counts, scale L) of the grid sum: counts[i] on [coords[i], coords[i+1])."""
-    bounds = (w0, w1, *circle) if circle else (w0, w1)
-    L = lcm(common_denominator(bounds), n_steps, *(u.den for u in sets))
+def grid_cells_reference(sets, coeffs, n_steps, w0, w1, circle=False):
+    """(coords, counts, scale L) of the grid sum: counts[i] on [coords[i], coords[i+1]),
+    on the circle [-1, 1) when circle is true."""
+    L = lcm(common_denominator((w0, w1)), n_steps, *(u.den for u in sets))
     step = L // n_steps
     fams = [_scaled(u, L) for u in sets]
     win = (int(w0 * L), int(w1 * L))
     if circle:
-        lo, hi = int(circle[0] * L), int(circle[1] * L)
-        circ = hi - lo
+        circ = 2 * L
         for i, c in enumerate(coeffs):
-            folded = _fold_pairs(fams[i], 0, lo, hi)
+            folded = _fold_pairs(fams[i], 0, -L, L)
             s0, s1 = sorted((c * step, c * L))  # the frame shifts of steps 1 and N
             fams[i] = _merge_sorted((a + m * circ, b + m * circ) for m in range(
-                (win[0] + s0 - lo) // circ, (win[1] + s1 - lo) // circ + 1) for a, b in folded)
+                (win[0] + s0 + L) // circ, (win[1] + s1 + L) // circ + 1) for a, b in folded)
     # coordinate -> change of the grid count there; the window ends are seeded
     jumps = defaultdict(int, {win[0]: 0, win[1]: 0})
     for n in range(1, n_steps + 1):

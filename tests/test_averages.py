@@ -722,52 +722,47 @@ def test_discrete_circle_topology_matches_brute():
         assert res.function(x) == F(cnt, n_steps)
 
 
-def on_circle(u, y, lo, hi):
-    """Whether y, folded into [lo, hi), lies in the image of u on that circle."""
-    circ = hi - lo
-    y = lo + (y - lo) % circ
+def on_circle(u, y):
+    """Whether y, folded into [-1, 1), lies in the image of u on that circle."""
+    y = (y + 1) % 2 - 1
     first, last = u.pairs[0][0], u.pairs[-1][1]
-    periods = range(math.floor((first - y) / circ), math.ceil((last - y) / circ) + 1)
-    return any(y + m * circ in u for m in periods)
+    periods = range(math.floor((first - y) / 2), math.ceil((last - y) / 2) + 1)
+    return any(y + 2 * m in u for m in periods)
 
 
-def brute_circle_count(sets, coeffs, n_steps, x, lo, hi):
+def brute_circle_count(sets, coeffs, n_steps, x):
     return sum(
         1
         for n in range(1, n_steps + 1)
-        if all(on_circle(u, x + c * F(n, n_steps), lo, hi) for u, c in zip(sets, coeffs))
+        if all(on_circle(u, x + c * F(n, n_steps)) for u, c in zip(sets, coeffs))
     )
 
 
 @st.composite
 def circle_instances(draw):
-    lo = draw(small_rationals)
-    circ = draw(lengths)
-    # lengths below, equal to and above the circumference
-    spans = st.one_of(lengths, st.just(circ), lengths.map(lambda q: q + circ))
+    # lengths below, equal to and above the circumference 2 of the circle [-1, 1)
+    spans = st.one_of(lengths, st.just(F(2)), lengths.map(lambda q: q + 2))
     sets = []
     for _ in range(draw(st.integers(1, 3))):
         lows = draw(st.lists(small_rationals, min_size=1, max_size=3))
         sets.append(normalize((a, a + draw(spans)) for a in lows))
     coeffs = draw(st.lists(coefficients, min_size=len(sets), max_size=len(sets)))
-    w0 = draw(st.one_of(st.just(lo), small_rationals))
-    return sets, coeffs, draw(st.integers(1, 12)), (w0, w0 + draw(spans)), (lo, lo + circ)
+    w0 = draw(st.one_of(st.just(F(-1)), small_rationals))
+    return sets, coeffs, draw(st.integers(1, 12)), (w0, w0 + draw(spans))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(circle_instances(), st.integers(0, 2**32 - 1))
 @example(  # a piece longer than the circle, a window past it, negative coefficients
     ([normalize([(F(-3), F(1, 2))]), normalize([(F(1, 3), F(3, 2)), (F(2), F(9, 4))])],
-     [-2, 3], 7, (F(-5, 2), F(3, 2)), (F(-1), F(1, 2))), 5)
+     [-2, 3], 7, (F(-5, 2), F(3, 2))), 5)
 @example(  # the window is the whole circle; a set reaching past the seam
     ([normalize([(F(1, 2), F(4, 3))]), normalize([(F(-1), F(-1, 3))])],
-     [1, -1], 12, (F(-1), F(1)), (F(-1), F(1))), 6)
+     [1, -1], 12, (F(-1), F(1))), 6)
 def test_discrete_circle_matches_brute_property(instance, seed):
-    sets, coeffs, n_steps, window, (lo, hi) = instance
+    sets, coeffs, n_steps, window = instance
     level = F(1, 3)
-    res = discrete_superlevel(
-        sets, coeffs, n_steps, level, window, topology="circle", circle_lo=lo, circle_hi=hi
-    )
+    res = discrete_superlevel(sets, coeffs, n_steps, level, window, topology="circle")
     g = res.function
     assert g.xs[0] == window[0] and g.xs[-1] == window[1]
     # the integer-grid cut agrees with the Fraction reference pass on the views
@@ -775,34 +770,30 @@ def test_discrete_circle_matches_brute_property(instance, seed):
     rnd = random.Random(seed)
     for i in rnd.sample(range(len(g.values)), min(8, len(g.values))):
         for x in (g.xs[i], (g.xs[i] + g.xs[i + 1]) / 2):
-            cnt = brute_circle_count(sets, coeffs, n_steps, x, lo, hi)
+            cnt = brute_circle_count(sets, coeffs, n_steps, x)
             assert g(x) == F(cnt, n_steps)
             assert (x in res.superlevel) == (cnt >= math.ceil(level * n_steps))
 
 
-def periodic_extension(u, lo, hi, first, last):
-    """u's image on the circle [lo, hi), repeated over periods first..last of the line."""
-    circ = hi - lo
-    arcs = wrap_translate(u, 0, lo, hi).pairs
-    return normalize((a + m * circ, b + m * circ) for m in range(first, last + 1) for a, b in arcs)
+def periodic_extension(u, first, last):
+    """u's image on the circle [-1, 1), repeated over periods first..last of the line."""
+    arcs = wrap_translate(u, 0).pairs
+    return normalize((a + 2 * m, b + 2 * m) for m in range(first, last + 1) for a, b in arcs)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(circle_instances())
-@example(  # a window over three periods; the second set reaches past the seam
+@example(  # a window over three periods; the first set reaches past the seam
     ([normalize([(F(1, 2), F(4, 3))]), normalize([(F(-2, 3), F(1, 3))])],
-     [1, -2], 6, (F(-3), F(3)), (F(-1), F(1))))
+     [1, -2], 6, (F(-3), F(3))))
 def test_discrete_circle_is_line_over_periodic_sets(instance):
-    sets, coeffs, n_steps, window, (lo, hi) = instance
-    circ = hi - lo
+    sets, coeffs, n_steps, window = instance
     reach = max(map(abs, coeffs))  # x + c n/N stays within reach of the window
-    first = math.floor((window[0] - reach - lo) / circ)
-    last = math.ceil((window[1] + reach - lo) / circ)
-    periodic = [periodic_extension(u, lo, hi, first, last) for u in sets]
+    first = math.floor((window[0] - reach + 1) / 2)
+    last = math.ceil((window[1] + reach + 1) / 2)
+    periodic = [periodic_extension(u, first, last) for u in sets]
     level = F(1, 3)
-    circle = discrete_superlevel(
-        sets, coeffs, n_steps, level, window, topology="circle", circle_lo=lo, circle_hi=hi
-    )
+    circle = discrete_superlevel(sets, coeffs, n_steps, level, window, topology="circle")
     line = discrete_superlevel(periodic, coeffs, n_steps, level, window)
     assert circle.function.xs == line.function.xs
     assert circle.function.values == line.function.values
@@ -836,28 +827,27 @@ def grid_cells(*args):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(circle_instances(), st.booleans())
 @example(  # an empty family, negative coefficients
-    ([normalize([(F(-1, 2), F(2, 3))]), EMPTY], [-3, 2], 9, (F(-1), F(1)), (F(-1), F(1))), True)
+    ([normalize([(F(-1, 2), F(2, 3))]), EMPTY], [-3, 2], 9, (F(-1), F(1))), True)
 @example(  # a window over several periods; a piece longer than the circle
     ([normalize([(F(-7, 2), F(1, 3))]), normalize([(F(1, 2), F(4, 3))])],
-     [2, -1], 12, (F(-3), F(4)), (F(-1), F(1, 2))), True)
+     [2, -1], 12, (F(-3), F(4))), True)
 @example(  # denominators past int64: the arrays hold Python ints
     ([normalize([(F(-1, 2**70), F(2**69 + 1, 2**70))]), normalize([(F(-2, 3), F(5, 3**41))])],
-     [1, -2], 11, (F(-1), F(1, 2**65)), (F(-1), F(1))), False)
+     [1, -2], 11, (F(-1), F(1, 2**65))), False)
 def test_grid_cells_matches_per_step_loop(instance, circle):
-    sets, coeffs, n_steps, (w0, w1), bounds = instance
-    bounds = bounds if circle else None
-    want = grid_cells_reference(sets, coeffs, n_steps, w0, w1, bounds)
-    assert grid_cells(sets, coeffs, n_steps, w0, w1, bounds) == want
+    sets, coeffs, n_steps, (w0, w1) = instance
+    want = grid_cells_reference(sets, coeffs, n_steps, w0, w1, circle)
+    assert grid_cells(sets, coeffs, n_steps, w0, w1, circle) == want
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(averages, "_BLOCK", 7)  # block seams fall inside the steps
-        assert grid_cells(sets, coeffs, n_steps, w0, w1, bounds) == want
+        assert grid_cells(sets, coeffs, n_steps, w0, w1, circle) == want
 
 
 @pytest.mark.slow
 def test_grid_cells_matches_per_step_loop_k3():
     s = furstenberg_family(3)
-    for bounds in (None, (F(-1), F(1))):
-        args = (s.factors, s.coefficients, 13_824, F(-1), F(0), bounds)
+    for circle in (False, True):
+        args = (s.factors, s.coefficients, 13_824, F(-1), F(0), circle)
         assert grid_cells(*args) == grid_cells_reference(*args)
 
 
@@ -885,7 +875,7 @@ def test_wrap_translate_preserves_measure_and_membership():
         if u.is_empty():
             continue
         shift = F(rnd.randint(-12, 12), rnd.randint(1, 6))
-        w = wrap_translate(u, shift, -1, 1)
+        w = wrap_translate(u, shift)
         assert w.measure() == min(u.measure(), F(2))
         for _ in range(10):
             x = F(rnd.randint(-16, 15), 16)  # inside the circle domain
@@ -893,10 +883,6 @@ def test_wrap_translate_preserves_measure_and_membership():
             if any(y == e for iv in w.intervals for e in (iv.lo, iv.hi)):
                 continue
             assert (y in w) == (x in u)
-    for u in (normalize([(0, 1)]), normalize([])):
-        for lo, hi in ((1, 1), (1, -1)):
-            with pytest.raises(ValueError, match="circle"):
-                wrap_translate(u, 0, lo, hi)
 
 
 def test_discrete_validation():
@@ -905,8 +891,6 @@ def test_discrete_validation():
         discrete_superlevel([u], [1], 0, F(1, 2), (0, 1))
     with pytest.raises(ValueError):
         discrete_superlevel([u], [1], 4, F(1, 2), (0, 1), topology="torus")
-    with pytest.raises(ValueError):
-        discrete_superlevel([u], [1], 4, F(1, 2), (0, 1), topology="circle", circle_lo=1)
     with pytest.raises(ValueError, match="^window must be nondegenerate$"):
         discrete_superlevel([u], [1], 4, F(1, 2), (0, -1))
 

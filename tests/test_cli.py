@@ -1138,6 +1138,14 @@ def test_classify_refuses_oversized_circuit_searches(capsys):
     assert rc == 1 and out == ""
     assert err == ("divlab: error: circuit search over 1,026,855 row subsets exceeds "
                    "the cap of 1,000,000\n")
+    # the subset estimate is the only cap: 40 generic rows of 3 entries
+    # (760,058 subsets) close a circuit of m + 2 = 5 rows, and 45 are refused
+    rnd = random.Random(4540)
+    rows = [",".join(str(rnd.randint(-10**9, 10**9)) for _ in range(3)) for _ in range(45)]
+    rc, data = run_json(capsys, "classify", "--rows", ";".join(rows[:40]))
+    assert (rc, data["r"]) == (0, 5)
+    assert run(capsys, "classify", "--rows", ";".join(rows)) == (1, "", (
+        "divlab: error: circuit search over 1,385,934 row subsets exceeds the cap of 1,000,000\n"))
 
 
 def test_classify_wide_independent_rows_stop_after_one_elimination(capsys):

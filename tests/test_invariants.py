@@ -166,6 +166,25 @@ def test_refusals_and_input_checks_are_spelled_once():
     assert found == wording
 
 
+def test_every_cap_is_an_estimate_or_a_parser_bound():
+    # each module-level MAX_* constant is passed to the one cap gate,
+    # intervals._refuse_past, or to the CLI's bounded-integer parser, so no
+    # cap refuses work in a wording or at a point of its own
+    gates = {"_refuse_past", "_int_at_most"}
+    caps, gated = set(), set()
+    for path in sorted(Path(divlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        caps.update(t.id for node in tree.body if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and gates & {getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)}:
+                args = [*node.args, *(k.value for k in node.keywords)]
+                gated.update(n.id for arg in args for n in ast.walk(arg) if isinstance(n, ast.Name))
+    assert len(caps) >= 10
+    assert sorted(caps - gated) == []
+
+
 def test_cli_never_reads_the_lazy_cube_checks():
     # verify-cubes prints the report's counts and first failures; reading
     # .checks would rebuild one CubeCheck per check

@@ -236,9 +236,18 @@ def test_minimal_dependent_rows_is_minimal_and_lex_first():
         assert all(c == 0 for c in combo)
 
 
-def test_size_cap():
-    with pytest.raises(ValueError):
-        minimal_dependent_rows([[1]] * 21)
+def test_empty_and_zero_column_matrices():
+    # no rows, no circuit; rows of no columns augment to (1), so any two are a
+    # circuit and one alone is independent
+    assert minimal_dependent_rows([]) is None
+    assert classify([[], []]).to_json() == {
+        "matrix": [[], []], "rank_matrix": 0, "rank_extended": 1, "scenario": "nondegenerate",
+        "r": 2, "circuit_rows": [0, 1], "dependence": [1, -1], "t_part_rank": 0,
+        "basis_rows": [], "expansions": {"0": [], "1": []},
+    }
+    assert classify([[]]).to_json() == {
+        "matrix": [[]], "rank_matrix": 0, "rank_extended": 1, "scenario": "independent",
+    }
 
 
 # --- classification -----------------------------------------------------------
@@ -359,6 +368,22 @@ def test_circuit_walk_on_wide_rows_matches_brute_force_search():
         assert dep == brute_force_dependent_rows(mat), mat
         sizes.add(None if dep is None else dep.size)
     assert {None, 2, 3, 4} <= sizes
+
+
+def test_circuit_walk_past_twenty_rows_matches_brute_force_search():
+    # only the subset estimate bounds the walk; generic large entries have no
+    # circuit below m + 2 rows, the size every walk is sure to close
+    rnd = random.Random(2140)
+    sizes = set()
+    for trial in range(24):
+        n, m = rnd.randint(21, 40), rnd.randint(0, 2)
+        bound = 10**12 if trial % 2 else 3
+        mat = [[rnd.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+        dep = minimal_dependent_rows(mat)
+        assert dep == brute_force_dependent_rows(mat), mat
+        assert dep.size == m + 2 or not trial % 2, mat
+        sizes.add(dep.size)
+    assert sizes == {2, 3, 4}
 
 
 @pytest.mark.parametrize("mat", [

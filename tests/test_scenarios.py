@@ -256,6 +256,28 @@ def test_exact_cube_series_counts_are_base_point_counts_here(m, k):
     assert cube_family(m, k).cardinalities() == powers
 
 
+def test_exact_cube_series_counts_digit_strings_where_forms_collide():
+    # a known gap, not a target: at (4, 2) two forms have fewer base points
+    # (248) than digit strings (16^2 = 256), and mode 'exact' reads the
+    # strings.  Counting base points from the digits (ROADMAP item 4) flips
+    # this test on purpose
+    m, k, p = 4, 2, 1.2
+    strings = {eps: len(spec.digits) ** k for eps, spec in cube_family(m, 1).form_specs.items()}
+    points = cube_family(m, k).cardinalities()
+    assert {eps for eps in points if points[eps] != strings[eps]} == {(0, 0, 1, 0), (0, 1, 0, 0)}
+    assert strings[0, 0, 1, 0] == strings[0, 1, 0, 0] == 256
+    assert points[0, 0, 1, 0] == points[0, 1, 0, 0] == 248
+
+    def value(counts):  # the series' k-th term over the given per-form counts
+        ln2 = math.log(2)
+        return math.exp(-m * (math.log(m + 1) + k * (m + 1) * ln2)
+                        + sum(k * (m + 1) * ln2 - math.log(c) for c in counts.values()) / p)
+
+    term = blowup_series("cubes", p, k, m=m, mode="exact").values[k - 1]
+    assert term == pytest.approx(value(strings), rel=1e-12)
+    assert term != pytest.approx(value(points), rel=1e-3)
+
+
 def series_or_overflow(*args, **kwargs):
     """The series' repr, which a nan step ratio compares equal in, or OverflowError."""
     try:
