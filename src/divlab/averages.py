@@ -164,52 +164,89 @@ def _crossing_blocks(fam_s, coeffs, dom, win):
     per-meeting arrays naming the meeting pair, row 0 being the t-domain and
     row i + 1 family i.  Endpoints e of family i and f of family j meet at
     tau = (f - e)/(c_j - c_i), x = e - c_i tau; e meets the domain ends
-    tau = t0, t1 at x = e - c_i tau.  The candidates of all pairs run as one
-    sequence cut into blocks of _BLOCK, so a block spans pairs and every
-    block but the last is full.
+    tau = t0, t1 at x = e - c_i tau.  A pair whose full product has at least
+    _BLOCK candidates, and which has a third family (the first family l
+    whose coefficient differs from both), only generates its meetings in
+    the closure of U_l: there x + c_l tau =
+    ((c_j - c_l) e + (c_l - c_i) f)/(c_j - c_i) is affine in f, so the
+    partners of e that land in one closed piece [a, b] of U_l are one index
+    range of sorted E_j, found by two searchsorted calls over a table of
+    bounds built for some rows of E_i at a time.  The candidates of all
+    pairs run as one sequence cut into blocks of _BLOCK, so a block spans
+    pairs and every block but the last is full.
     """
     import numpy as np
     ts = np.array(dom, dtype=fam_s[0].dtype)
 
-    def meetings(p, q, g):  # (x, tau) of the candidates g of pair (p, q)
-        fs, cj = fam_s[q - 1], coeffs[q - 1]
-        if p == 0:
-            return fs[g % len(fs)] - cj * ts[g // len(fs)], ts[g // len(fs)]
-        es, ci = fam_s[p - 1], coeffs[p - 1]
-        e = es[g // len(fs)]
-        tau = (fs[g % len(fs)] - e) // (cj - ci)
+    def meet(e, f, ci, cj):  # (x, tau) where endpoints e and f meet
+        tau = (f - e) // (cj - ci)
         return e - ci * tau, tau
 
+    def product(i, j):  # every candidate of pair (i, j), _BLOCK at a time
+        es, fs = fam_s[i], fam_s[j]
+        n = len(es) * len(fs)
+        for s in range(0, n, _BLOCK):
+            g = np.arange(s, min(s + _BLOCK, n))
+            yield meet(es[g // len(fs)], fs[g % len(fs)], coeffs[i], coeffs[j])
+
+    def pruned(i, j, l):  # the candidates of pair (i, j) in the closure of U_l
+        es, fs, (ci, cj, cl) = fam_s[i], fam_s[j], (coeffs[i], coeffs[j], coeffs[l])
+        d, a, b = cj - ci, cj - cl, cl - ci  # d y = a e + b f at the meeting
+        lo, hi = fam_s[l][0::2], fam_s[l][1::2]
+        if d * b < 0:  # f falls as y rises
+            lo, hi = hi, lo
+        if not len(lo):  # an empty U_l holds no meeting
+            return
+        rows = max(1, _BLOCK // len(lo))  # the bound table has about _BLOCK entries
+        for r in range(0, len(es), rows):
+            e = es[r : r + rows, None]
+            # the partners f = (d y - a e)/b of e with y in a piece, an exact
+            # division since every endpoint is a multiple of lcm|c_j - c_i|
+            first = np.searchsorted(fs, ((d * lo - a * e) // b).ravel())
+            stop = np.searchsorted(fs, ((d * hi - a * e) // b).ravel(), side="right")
+            n = stop - first
+            at = np.arange(n.sum()) + np.repeat(first - np.cumsum(n) + n, n)
+            yield meet(np.repeat(e.ravel(), n.reshape(len(e), -1).sum(axis=1)), fs[at], ci, cj)
+
     def block(parts):
-        cut = [meetings(p, q, g) for p, q, g in parts]
-        x, tau = np.concatenate([x for x, _ in cut]), np.concatenate([t for _, t in cut])
-        p = np.concatenate([np.full(len(g), p) for p, _, g in parts])
-        q = np.concatenate([np.full(len(g), q) for _, q, g in parts])
+        x, tau, p, q = zip(*parts)
+        sizes = [len(a) for a in x]
+        x, tau = np.concatenate(x), np.concatenate(tau)
+        p, q = np.repeat(p, sizes), np.repeat(q, sizes)
         keep = (tau >= dom[0]) & (tau <= dom[1]) & (x >= win[0]) & (x <= win[1])
         return x[keep], tau[keep], p[keep], q[keep]
 
-    runs = []  # (p, q, candidate count) of every pair that can meet
-    for i, es in enumerate(fam_s):
-        runs.append((0, i + 1, 2 * len(es)))
-        runs += [(i + 1, j + 1, len(es) * len(fam_s[j]))
-                 for j in range(i + 1, len(fam_s)) if coeffs[j] != coeffs[i]]
-    parts, room = [], _BLOCK
-    for p, q, n in runs:
-        s = 0
-        while s < n:
-            take = min(room, n - s)
-            parts.append((p, q, np.arange(s, s + take)))
-            s, room = s + take, room - take
-            if not room:
+    runs = []  # (p, q, candidate chunks) of every pair that can meet
+    for i, (es, ci) in enumerate(zip(fam_s, coeffs)):
+        # the endpoints of family i at the two t-domain ends, as one chunk
+        runs.append((0, i + 1, [((es - ci * ts[:, None]).ravel(), np.repeat(ts, len(es)))]))
+        for j in range(i + 1, len(fam_s)):
+            if coeffs[j] == ci:
+                continue
+            l = None
+            if len(es) * len(fam_s[j]) >= _BLOCK:  # below one block numpy call overhead dominates
+                l = next((l for l, c in enumerate(coeffs) if c not in (ci, coeffs[j])), None)
+            runs.append((i + 1, j + 1, product(i, j) if l is None else pruned(i, j, l)))
+    parts, held = [], 0
+    for p, q, chunks in runs:
+        for x, tau in chunks:
+            while held + len(x) >= _BLOCK:  # the chunk fills the block
+                take = _BLOCK - held
+                parts.append((x[:take], tau[:take], p, q))
                 yield block(parts)
-                parts, room = [], _BLOCK
+                parts, held, x, tau = [], 0, x[take:], tau[take:]
+            if len(x):
+                parts.append((x, tau, p, q))
+                held += len(x)
     if parts:
         yield block(parts)
 
 
 def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
-    """(index, jump) of the meetings counted by pair (p, q) whose slope jump
-    of F (units 1/C) is nonzero; p and q are per-meeting arrays.
+    """(live, index, jump): the indices of the live meetings, those in the
+    closure of every family, and the (index, jump) of the meetings counted by
+    pair (p, q) whose slope jump of F (units 1/C) is nonzero; p and q are
+    per-meeting arrays.
 
     Near the meeting point every family is inside, outside, or has its lower
     or upper t-endpoint there; endpoints move at vel = -C/c (the domain at 0).
@@ -226,7 +263,7 @@ def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
     hits, ks = [], []  # per family: an endpoint at y; the first endpoint index at or after y
     for es, c in zip(fam_s, coeffs):
         if not len(es):  # an empty family: F = 0 everywhere
-            return idx[:0], x[:0]
+            return idx[:0], idx[:0], x[:0]
         y = x + c * tau
         k = np.searchsorted(es, y)
         hit = np.take(es, k, mode="clip") == y
@@ -238,6 +275,7 @@ def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
         ks = [j[keep] for j in ks] + [k[keep]]
     # the canonical pair reads only which rows take part: the domain at its
     # ends, a family at a hit; the reductions then run on the counted meetings
+    live = idx
     part = np.array([(tau == dom[0]) | (tau == dom[1]), *hits])
     v = vel[:, None]
     first = part.argmax(axis=0)
@@ -260,7 +298,7 @@ def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
                      np.where(has_up, max_up, np.where(has_lo, -min_lo, 0)))
     jump = plus - minus
     nz = np.flatnonzero(jump)
-    return idx[nz], jump[nz]
+    return live, idx[nz], jump[nz]
 
 
 def sweep_superlevel(
@@ -277,40 +315,49 @@ def sweep_superlevel(
     Kinetic sweep: as x moves, the preimage (U_i - x)/c_i translates at
     velocity -1/c_i, so F is linear except where two endpoints from families
     with different coefficients meet, or an endpoint meets the t-domain
-    boundary.  Meetings outside the window or the t-domain are dropped; the
-    breakpoints are the remaining meeting abscissae plus the window ends.
+    boundary.  Meetings outside the window or the t-domain are dropped.  The
+    breakpoints are the window ends, every endpoint's meeting with a t-domain
+    end, and every pair meeting in the closure of every family: near a pair
+    meeting outside some family no t near its time counts, so F's slope does
+    not change there.  The set does not depend on which superset of the pair
+    meetings is generated; on the depth-k claim scenarios it has
+    3 * 12^k + 1 points, and a two-family sweep keeps every pair meeting.
 
     Every coordinate is an integer over one shared scale
     S = L0 * lcm|c_j - c_i| * lcm|c_i| (L0 clears all input denominators), on
-    which meeting abscissae and times are exact.  Candidates (every endpoint
-    pair of families with different coefficients, and every endpoint at
-    t0 and t1) run as one sequence over all pairs, generated and filtered in
-    numpy blocks of _BLOCK that span pairs: 1 / 1 / 11 / 225 blocks on the
-    depth-k claim scenarios (k = 1..4), which keep 175 / 3,045 / 57,949 /
-    1,166,577 meetings out of 268 / 4,420 / 86,764 / 1,836,484 candidates,
-    for 37 / 433 / 5,185 / 62,209 breakpoints.  The candidate count is known
-    from the endpoint counts before any event (check_sweep_candidates); past
-    MAX_SWEEP_CANDIDATES (k=6 has 912,610,660) the sweep raises ValueError.
-    Arrays are int64 when a magnitude bound computed from the inputs stays
-    below 2^62, and dtype object (Python ints) otherwise; both run the same
-    code.
+    which meeting abscissae and times are exact.  Candidates (endpoint pairs
+    of families with different coefficients, and every endpoint at t0 and
+    t1) run as one sequence over all pairs, generated and filtered in numpy
+    blocks of _BLOCK that span pairs; a pair with a full product of at least
+    _BLOCK generates only the meetings a third family can hold (see
+    _crossing_blocks).  On the depth-k claim scenarios that prunes pairs
+    (0, 2) and (1, 2) from k=3 on and pair (0, 1) from k=4 on; at k = 1..4
+    the sweep runs 1 / 1 / 3 / 22 blocks, which generate 268 / 4,420 /
+    18,508 / 172,420 candidates and keep 175 / 3,045 / 17,332 / 166,049
+    meetings, for 37 / 433 / 5,185 / 62,209 breakpoints.  The full
+    products' candidate count, 268 / 4,420 / 86,764 / 1,836,484, is known
+    from the endpoint counts before any event (check_sweep_candidates);
+    past MAX_SWEEP_CANDIDATES (k=6 has 912,610,660) the sweep raises
+    ValueError.  Arrays are int64 when a magnitude bound computed from the
+    inputs stays below 2^62, and dtype object (Python ints) otherwise; both
+    run the same code.
 
     Each meeting changes F's slope by a jump read off the families' local
     states there (see _meeting_jumps).  The kernel searches each family once
     and drops a meeting as soon as it lies outside some family, so only the
-    live ones reach the local reductions (13,823 of 57,949 at k=3, 165,887
-    of 1,166,577 at k=4), and of those only the ones their canonical pair
-    counts; it returns the (index, jump) of the nonzero jumps (6,910 and
-    82,942).  Every meeting's abscissa is a breakpoint: pending abscissae
-    merge into the sorted breakpoints after 32 blocks once they are at least
-    as many as the breakpoints so far, so memory follows the breakpoints
-    rather than the meetings, and the nonzero jumps, kept with their
-    abscissae, are summed onto the breakpoints at the end.  F at the first
-    two breakpoints and at the last one comes from one integer pointwise
-    evaluation on the sweep's own grid by _time_pairs, the time-set kernel
-    form_time_set also runs, as F * S * C: the first slope is an exact
-    divmod, cumulative sums of the jumps then give F at every breakpoint,
-    and the last value must equal the third evaluation.
+    live ones reach the local reductions (95 / 1,151 / 13,823 / 165,887),
+    and of those only the ones their canonical pair counts; it returns the
+    live meetings and the (index, jump) of the nonzero jumps (46 / 574 /
+    6,910 / 82,942).  The live and domain-end abscissae are pending
+    breakpoints, merged into the sorted breakpoints after 32 blocks once
+    they are at least as many as the breakpoints so far, so memory follows
+    the breakpoints rather than the meetings, and the nonzero jumps, kept
+    with their abscissae, are summed onto the breakpoints at the end.  F at
+    the first two breakpoints and at the last one comes from one integer
+    pointwise evaluation on the sweep's own grid by _time_pairs, the
+    time-set kernel form_time_set also runs, as F * S * C: the first slope
+    is an exact divmod, cumulative sums of the jumps then give F at every
+    breakpoint, and the last value must equal the third evaluation.
     The breakpoint and value arrays, put in lowest terms in numpy, become
     the function (breakpoints over S, values over S * C) and stay with it,
     so its superlevel method cuts them in one numpy pass
@@ -350,20 +397,23 @@ def sweep_superlevel(
     fam_s = [np.array(es, dtype=dtype) for es in fam]
     vel = np.array([0] + [-c_lcm // c for c in coeffs], dtype=dtype)
 
-    # breakpoints so far; pending meetings merge in after 32 blocks once they
+    # breakpoints so far; pending ones merge in after 32 blocks once they
     # are at least as many as the breakpoints, so memory follows the
     # breakpoints, not the meetings.  Only the nonzero slope jumps are kept,
     # with their abscissae, and summed onto the breakpoints at the end.
     xs_s, pending, held, nz = np.array(win, dtype=dtype), [], 0, []
     for x, tau, p, q in _crossing_blocks(fam_s, coeffs, dom, win):
-        at, jumps = _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom)
-        pending.append(x)
+        live, at, jumps = _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom)
+        kept = p == 0  # the domain-end meetings, and the live pair meetings
+        kept[live] = True
+        pending.append(x[kept])
         nz.append((x[at], jumps))
-        held += len(x)
+        held += len(pending[-1])
         if len(pending) >= 32 and held >= len(xs_s):
             xs_s = _distinct(np.concatenate([xs_s, *pending]))
             pending, held = [], 0
     xs_s = _distinct(np.concatenate([xs_s, *pending]))
+    del pending  # freed before the function and its cut are built
     slope_jumps = np.zeros(len(xs_s), dtype=dtype)
     for x, v in nz:
         np.add.at(slope_jumps, np.searchsorted(xs_s, x), v)

@@ -3,14 +3,16 @@
 Every meeting gets its local state in every family, from two searches per
 family, and the reductions run on all of them; a meeting outside some family,
 or not counted by its canonical pair, gets jump 0.  The sweep's kernel must
-return exactly the nonzero entries of this array, as (index, jump).
+return exactly the indices of the live meetings, those in the closure of
+every family, and the nonzero entries of the jump array, as (index, jump).
 """
 
 import numpy as np
 
 
 def full_state_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
-    """Slope jump of F (units 1/C) from each meeting counted by pair (p, q).
+    """(jump, live): the slope jump of F (units 1/C) from each meeting counted
+    by pair (p, q), and whether the meeting lies in the closure of every family.
 
     Near the meeting point every family is inside, outside, or has its lower
     or upper t-endpoint there; endpoints move at vel = -C/c (the domain at 0).
@@ -47,4 +49,4 @@ def full_state_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
     first = part.argmax(axis=0)
     second = (part & (v != vel[first])).argmax(axis=0)
     counted = (first == p) & (second == q) & ~outside
-    return np.where(counted, plus - minus, 0)
+    return np.where(counted, plus - minus, 0), ~outside

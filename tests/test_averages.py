@@ -1,5 +1,6 @@
 """Average engines: pointwise integrals, sweeps, certificates, estimators."""
 
+import bisect
 import dataclasses
 import functools
 import hashlib
@@ -24,6 +25,7 @@ from divlab.averages import (
     CubeCheck,
     SearchExhaustedError,
     _time_pairs,
+    check_sweep_candidates,
     cube_certificate_check,
     degenerate_lower_ratio,
     degenerate_pointwise_bound,
@@ -280,8 +282,37 @@ def per_pair_blocks(fam_s, coeffs, dom, win):
                 yield x, tau, np.full(len(x), i + 1), np.full(len(x), j + 1)
 
 
+def generated_meetings(fam_s, coeffs, dom, block):
+    """The (p, q, x, tau) candidates the sweep generates at _BLOCK = block,
+    before the window and t-domain cut, endpoint pair by endpoint pair: every
+    endpoint at both t-domain ends, and for two different coefficients every
+    endpoint pair, unless the full product |E_i||E_j| is at least block and
+    some family has a third coefficient; then only the pairs that meet in
+    the closure of U_l, for l the first such family."""
+    ends = [[int(e) for e in es] for es in fam_s]
+    out = [(0, i + 1, e - c * t, t) for i, (es, c) in enumerate(zip(ends, coeffs))
+           for t in dom for e in es]
+    for i, j in itertools.combinations(range(len(ends)), 2):
+        ci, cj = coeffs[i], coeffs[j]
+        if ci == cj:
+            continue
+        l = next((l for l, c in enumerate(coeffs) if c not in (ci, cj)), None)
+        prune = l is not None and len(ends[i]) * len(ends[j]) >= block
+        for e in ends[i]:
+            for f in ends[j]:
+                tau = (f - e) // (cj - ci)
+                x = e - ci * tau
+                if prune:  # is x + c_l tau in a closed piece of U_l?
+                    y = x + coeffs[l] * tau
+                    at = bisect.bisect_right(ends[l][0::2], y) - 1
+                    if at < 0 or y > ends[l][2 * at + 1]:
+                        continue
+                out.append((i + 1, j + 1, x, tau))
+    return out
+
+
 def test_sweep_packs_candidates_across_pairs(monkeypatch):
-    calls = []
+    calls, inputs = [], []
     meeting_jumps, packed_blocks, default = (
         averages._meeting_jumps, averages._crossing_blocks, averages._BLOCK)
 
@@ -297,18 +328,17 @@ def test_sweep_packs_candidates_across_pairs(monkeypatch):
 
     monkeypatch.setattr(averages, "_meeting_jumps", counting_jumps)
     # the frozen scenarios, then two with lockstep pairs (equal coefficients),
-    # which never meet and bring no candidates
+    # which never meet and bring no candidates, and no third family to prune by
     instances = [(k, (1, 2, 3)) for k in (1, 2, 3)] + [(1, (2, -1, 2)), (2, (1, 1, 3))]
     for k, coeffs in instances:
         s = furstenberg_family(k)
-        sizes = [2 * len(u.nums) for u in s.factors]
-        pairs = [(i, j) for i, j in itertools.combinations(range(3), 2) if coeffs[i] != coeffs[j]]
-        candidates = 2 * sum(sizes) + sum(sizes[i] * sizes[j] for i, j in pairs)
         for block in (default, 31):  # at 31, blocks span pairs and fold many times
-            packed = sweep(s, coeffs, packed_blocks, block)
+            packed = sweep(s, coeffs, lambda *a: inputs.append(a) or packed_blocks(*a), block)
+            fam_s, _, dom, _ = inputs.pop()
+            candidates = len(generated_meetings(fam_s, coeffs, dom, block))
             assert len(calls) == -(-candidates // block), (k, coeffs, block)
             if block == default and coeffs == s.coefficients:
-                assert len(calls) <= {1: 1, 2: 2, 3: -(-candidates // block) + 3 + len(pairs)}[k]
+                assert len(calls) == {1: 1, 2: 1, 3: 3}[k]
                 assert packed == claim_sweep(k)[1]
             unpacked = sweep(s, coeffs, per_pair_blocks, block)
             assert packed == unpacked, (k, coeffs, block)
@@ -329,11 +359,13 @@ def kernel_calls(monkeypatch, sweep):
 
 
 def check_kernel(args):
-    """The kernel's (index, jump) are the full-state reference's nonzero
-    entries; returns the reference's jumps."""
-    ref = full_state_jumps(*args)
-    at, jumps = averages._meeting_jumps(*args)
+    """The kernel's live meetings are the full-state reference's, and its
+    (index, jump) the reference's nonzero entries; returns the reference's
+    jumps."""
+    ref, live = full_state_jumps(*args)
+    got, at, jumps = averages._meeting_jumps(*args)
     nz = np.flatnonzero(ref)
+    assert np.array_equal(got, np.flatnonzero(live))
     assert np.array_equal(at, nz) and np.array_equal(jumps, ref[nz])
     assert jumps.dtype == args[0].dtype
     return ref
@@ -345,7 +377,7 @@ def test_meeting_kernel_matches_full_state_reference(monkeypatch):
         s = furstenberg_family(k)
         calls = kernel_calls(monkeypatch, lambda: sweep_superlevel(
             s.factors, s.coefficients, s.level, window=(-1, 0)))
-        assert len(calls) == {1: 1, 2: 1, 3: 11}[k]
+        assert len(calls) == {1: 1, 2: 1, 3: 3}[k]
         for args in calls:
             check_kernel(args)
     # random instances on a coarse grid, with negative coefficients and a
@@ -396,6 +428,125 @@ def test_meeting_kernel_on_per_pair_blocks(monkeypatch):
             for x, _, p, q in pair_blocks)
         for x, tau, p, q in pair_blocks:
             check_kernel((x, tau, p, q, fam_s, cs, vel, dom))
+
+
+def oracle_instances():
+    """Seeded (sets, coeffs, t_domain, window) of 2 to 4 families with
+    negative and equal coefficients, empty families and t-domains off
+    [0, 1], then two depth-2 claim factors with other coefficients and the
+    dtype-object instance."""
+    rnd = random.Random(1999)
+    for _ in range(200):
+        nsets = rnd.randint(2, 4)
+        sets = [EMPTY if rnd.random() < 0.05 else rnd_union(rnd, span=6, den=4, max_pieces=6)
+                for _ in range(nsets)]
+        coeffs = [rnd.choice([-3, -2, -1, 1, 2, 3]) for _ in range(nsets)]
+        if rnd.random() < 0.2:
+            coeffs[rnd.randrange(1, nsets)] = coeffs[0]
+        t0 = F(rnd.randint(-6, 6), rnd.randint(1, 3))
+        w0 = F(rnd.randint(-16, 8), rnd.randint(1, 2))
+        yield sets, coeffs, (t0, t0 + F(rnd.randint(1, 6), rnd.randint(1, 3))), (w0, w0 + 8)
+    s = furstenberg_family(2)
+    for coeffs in ((-1, 2, 3), (3, 1, -2)):
+        yield s.factors, coeffs, (F(-1, 3), F(5, 4)), (F(-1), F(0))
+    sets, coeffs, t_domain = huge_denominator_instance()
+    yield sets, coeffs, t_domain, (F(-2), F(2))
+
+
+def test_pruned_sweep_equals_the_full_product_sweep(monkeypatch):
+    # the breakpoints do not depend on which candidates a pair generates: the
+    # sweep equals, field by field, the one fed every candidate pair by pair,
+    # at every block size, and F is the pointwise integral at every
+    # breakpoint and cell midpoint.  With a window and t-domain that hold
+    # every meeting, the blocks carry exactly the candidates of
+    # generated_meetings
+    calls, inputs, kernel, blocks = [], [], averages._meeting_jumps, averages._crossing_blocks
+
+    def counting(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    def sweep(blocks, block, sets, coeffs, t_domain, window):
+        with monkeypatch.context() as m:
+            m.setattr(averages, "_crossing_blocks", blocks)
+            m.setattr(averages, "_BLOCK", block)
+            m.setattr(averages, "_meeting_jumps", counting)
+            calls.clear()
+            res = sweep_superlevel(sets, coeffs, F(1, 8), window=window, t_domain=t_domain)
+        return res, sum(map(len, calls))
+
+    seen = dict.fromkeys(("pruned", "negative", "equal", "empty", "object"), 0)
+    cases = 0
+    for sets, coeffs, t_domain, window in oracle_instances():
+        want = None
+        for block in (7, 31, averages._BLOCK):
+            res, fed = sweep(lambda *a: inputs.append(a) or blocks(*a), block,
+                             sets, coeffs, t_domain, window)
+            ref, full = sweep(per_pair_blocks, block, sets, coeffs, t_domain, window)
+            # pair meetings have |tau| <= 2M and |x| <= M + 2M max|c|, for M the
+            # largest |endpoint|; the domain ends +-(2M + 1) meet inside +-wide
+            fam_s, cs, _, _ = inputs.pop()
+            big = max((abs(int(e)) for es in fam_s for e in es), default=0)
+            dom = (-2 * big - 1, 2 * big + 1)
+            wide = big + max(map(abs, cs)) * dom[1]
+            with monkeypatch.context() as m:
+                m.setattr(averages, "_BLOCK", block)
+                made = [(int(p), int(q), int(x), int(tau))
+                        for cut in blocks(fam_s, cs, dom, (-wide, wide)) for x, tau, p, q in zip(*cut)]
+            assert sorted(made) == sorted(generated_meetings(fam_s, cs, dom, block))
+            f, g = res.function, ref.function
+            assert (f.x_nums, f.y_nums, f.x_den, f.y_den) == (g.x_nums, g.y_nums, g.x_den, g.y_den)
+            assert (res.superlevel, res.superlevel_measure) == (ref.superlevel, ref.superlevel_measure)
+            assert want in (None, res)
+            want, cases = res, cases + 1
+            if fed < full:
+                seen["pruned"] += 1
+                seen["negative"] += min(coeffs) < 0
+                seen["equal"] += len(set(coeffs)) < len(coeffs)
+                seen["empty"] += EMPTY in sets
+                seen["object"] += calls[0].dtype == object
+        xs = want.function.xs
+        for x in xs + tuple((a + b) / 2 for a, b in zip(xs, xs[1:])):
+            assert want.function(x) == multilinear_integral(sets, coeffs, x, t_domain)
+    assert cases == 3 * 203 and all(seen.values()), seen
+
+
+def test_sweep_breakpoints_are_the_window_ends_and_the_held_meetings():
+    # in Fractions: the window ends, every endpoint meeting a t-domain end
+    # inside the window, and every pair meeting in the window and t-domain
+    # that lies in the closure of every family; with two families that is
+    # every meeting
+    rnd = random.Random(4242)
+    for _ in range(150):
+        nsets = rnd.randint(1, 4)
+        sets = [rnd_union(rnd, span=6, den=4, max_pieces=4) for _ in range(nsets)]
+        coeffs = [rnd.choice([-3, -2, -1, 1, 2, 3]) for _ in range(nsets)]
+        t0 = F(rnd.randint(-6, 6), rnd.randint(1, 3))
+        (t0, t1), (w0, w1) = (t0, t0 + F(rnd.randint(1, 6), 2)), (F(-4), F(4))
+        res = sweep_superlevel(sets, coeffs, F(1, 8), window=(w0, w1), t_domain=(t0, t1))
+        ends = [[e for pair in u.pairs for e in pair] for u in sets]
+        want = {w0, w1} | {e - c * t for es, c in zip(ends, coeffs) for e in es for t in (t0, t1)}
+        for (ei, ci), (ej, cj) in itertools.combinations(zip(ends, coeffs), 2):
+            for e, f in itertools.product(ei, ej) if ci != cj else ():
+                tau = (f - e) / (cj - ci)
+                x = e - ci * tau
+                if t0 <= tau <= t1 and all(any(a <= x + c * tau <= b for a, b in u.pairs)
+                                           for u, c in zip(sets, coeffs)):
+                    want.add(x)
+        assert res.function.xs == tuple(sorted(x for x in want if w0 <= x <= w1))
+
+
+def test_sweep_kernel_input_is_pinned_and_bounded(monkeypatch):
+    # the meetings that reach the kernel on the depth-k claim sweeps; a pair
+    # generates only what its third family can hold, never more than the
+    # candidate estimate that gates the sweep
+    for k, want in {1: 175, 2: 3045, 3: 17332, 4: 166049}.items():
+        s = furstenberg_family(k)
+        calls = kernel_calls(monkeypatch, lambda: sweep_superlevel(
+            s.factors, s.coefficients, s.level, window=(-1, 0)))
+        fed = sum(len(args[0]) for args in calls)
+        assert fed == want, (k, fed)
+        assert fed <= check_sweep_candidates([2 * len(u.nums) for u in s.factors], s.coefficients)
 
 
 def test_time_pairs_is_the_scaled_pointwise_time_set():
@@ -493,17 +644,17 @@ def test_time_set_needs_no_whole_union_algebra(monkeypatch):
 
 @pytest.mark.parametrize("i", range(3))
 def test_sweep_with_an_empty_factor(i):
-    # an empty union makes F = 0; its family brings no meeting, so the
-    # breakpoints are those of the other two families alone
+    # an empty union makes F = 0, and no pair meeting lies in its closure, so
+    # the breakpoints are the window ends and the other families' endpoints
+    # meeting the t-domain ends inside the window
     s = furstenberg_family(1)
     sets, coeffs = list(s.factors), list(s.coefficients)
     sets[i] = EMPTY
     res = sweep_superlevel(sets, coeffs, s.level, window=(-1, 0))
-    rest = sweep_superlevel(sets[:i] + sets[i + 1:], coeffs[:i] + coeffs[i + 1:], s.level,
-                            window=(-1, 0))
     f = res.function
-    assert len(f.x_nums) == (25, 37, 25)[i]
-    assert (f.x_nums, f.x_den) == (rest.function.x_nums, rest.function.x_den)
+    meets = {e - c * t for u, c in zip(sets, coeffs) for pair in u.pairs for e in pair for t in (0, 1)}
+    assert f.xs == tuple(sorted({F(-1), F(0)} | {x for x in meets if -1 <= x <= 0}))
+    assert len(f.x_nums) == (2, 7, 7)[i]
     assert set(f.y_nums) == {0}
     assert res.superlevel == EMPTY and res.superlevel_measure == 0
 
@@ -632,8 +783,8 @@ def doubled_jumps(monkeypatch):
     meeting_jumps = averages._meeting_jumps
 
     def doubled(*args):
-        at, jumps = meeting_jumps(*args)
-        return at, 2 * jumps
+        live, at, jumps = meeting_jumps(*args)
+        return live, at, 2 * jumps
 
     monkeypatch.setattr(averages, "_meeting_jumps", doubled)
 
