@@ -34,7 +34,7 @@ from .intervals import (
     common_denominator,
     rat,
 )
-from .scenarios import CubeScenario, furstenberg_family
+from .scenarios import CubeScenario, _cube_terms, furstenberg_family
 
 
 class SearchExhaustedError(RuntimeError):
@@ -730,30 +730,26 @@ def _cube_rows(scenario: CubeScenario, eps_order, proved: bool):
     return scale, rows()
 
 
-def _cube_digitwise_proof(scenario: CubeScenario, eps_order) -> bool:
+def _cube_digitwise_proof(scenario: CubeScenario) -> bool:
     """Whether one digit position proves every membership of the cube
-    certificate at every depth.  The form target of eps with zero set Z is
-    sum_{j in Z} b_j - (|Z| - 1) b, and x is sum_j b_j - (m - 1) b; at every
-    digit position these are the same integer combination of the generator
-    digits g_j and the shared digit s.  So when all specs share radix and
-    depth, every sum_{j in Z} g_j - (|Z| - 1) s lies in the eps form's
-    alphabet and every sum_j g_j - (m - 1) s in the witness's, each target
-    and each x is a sum of in-alphabet digits, a base point.  2 * 3^m digit
-    sums (digitsets._digit_sums), each tested on one common denominator."""
-    m = scenario.dimension
-    gens, shared = scenario.generator_specs, scenario.shared_spec
-    specs = [*gens, shared, scenario.witness_spec, *scenario.form_specs.values()]
+    certificate at every depth.  The form target of eps, and x at eps = 0,
+    is the combination _cube_terms(eps) of the base points b_j and b, and at
+    every digit position the same combination of the digits g_j and s.  So
+    when all specs share radix and depth and every digit sum of
+    _cube_terms(eps) lies in the eps form's alphabet (the witness's at
+    eps = 0), each target and each x is a sum of in-alphabet digits, a base
+    point: 2 * 3^m digit sums (digitsets._digit_sums) on one denominator."""
+    gens, shared, witness = scenario.generator_specs, scenario.shared_spec, scenario.witness_spec
+    specs = [*gens, shared, witness, *scenario.form_specs.values()]
     if len({(s.radix, s.depth) for s in specs}) > 1:
         return False
 
-    def covered(zero, spec):
-        den, _, sums = _digit_sums([*((1, gens[j]) for j in zero), (1 - len(zero), shared)])
+    def covered(eps, spec):
+        den, _, sums = _digit_sums(_cube_terms(gens, shared, eps))
         return {v * spec.den for v in sums} <= {d * den for d in spec.digits}
 
-    return covered(range(m), scenario.witness_spec) and all(
-        covered([j for j in range(m) if not eps[j]], scenario.form_specs[eps])
-        for eps in eps_order
-    )
+    targets = [((0,) * scenario.dimension, witness), *scenario.form_specs.items()]
+    return all(covered(eps, spec) for eps, spec in targets)
 
 
 def cube_certificate_check(
@@ -801,7 +797,7 @@ def cube_certificate_check(
     slacks = [scenario.form_specs[eps].tail - reach[sum(eps)] for eps in eps_order]
     forms = [(eps, slack, slack >= 0) for eps, slack in zip(eps_order, slacks)]
 
-    proved = _cube_digitwise_proof(scenario, eps_order)
+    proved = _cube_digitwise_proof(scenario)
     rows = functools.partial(_cube_rows, scenario, eps_order, proved)
     # under the proof each combination fails exactly at the forms of negative slack
     failing = sum(not ok for _, _, ok in forms)
@@ -903,7 +899,8 @@ def _centered_box_ratio(
 
     integral = int_{-L}^{L} bound(x)^q dx = 2*cb^q*((ML+1)^(1-a) - 1)/(M(1-a))
     with a = (r-1)q (logarithmic at a = 1); ratio = (integral*M/2)^(1/q).
-    The ratio grows without bound in L exactly when a < 1.
+    The ratio grows without bound in L when a <= 1: as a power of ML + 1
+    below 1, and at a = 1 only logarithmically, as 2*cb^q*ln(ML+1)/M.
     """
     a = (r - 1) * q
     u = big_m * big_l + 1.0
@@ -934,7 +931,8 @@ def degenerate_lower_ratio(big_m: int, p4prime: float, big_l) -> Tuple[float, fl
     The centered-box closed form at c_b = 4, r = 3 and exponent q = p4':
     integral = 2*4^{p4'} * ((ML+1)^{1-2p4'} - 1) / (M(1-2p4'))
     (logarithmic at p4' = 1/2); ratio = (integral)^{1/p4'} / (2/M)^{1/p4'}.
-    Grows without bound in L exactly when p4' < 1/2.
+    Grows without bound in L when p4' <= 1/2, at the threshold p4' = 1/2
+    itself only logarithmically.
     """
     big_m = int(big_m)
     p = float(p4prime)
@@ -966,8 +964,10 @@ def dependent_forms_lower_ratio(
     x + sum b_i t_i with integer b_i summing to 1.
 
     The centered-box closed form with c_b = (2/sum|b_i|)^(r-1) and exponent
-    q = p/r; the ratio grows without bound in L exactly when (r-1)q < 1,
-    i.e. p < r/(r-1) (the predicted divergence range).
+    q = p/r.  grows reports the strict predicted divergence range
+    p < r/(r-1), decided exactly on the float p.  The ratio also grows
+    without bound at the threshold p = r/(r-1) itself, where (r-1)q = 1,
+    but only logarithmically: integral = 2*c_b^q*ln(ML+1)/M.
     """
     r = int(r)
     b = [int(v) for v in b]
@@ -986,5 +986,5 @@ def dependent_forms_lower_ratio(
     ratio, integral = _centered_box_ratio(cb, p / r, r, big_m, big_l)
     thr = Fraction(r, r - 1)
     return DependentFormsBound(
-        ratio=ratio, integral=integral, threshold=thr, grows=p < float(thr)
+        ratio=ratio, integral=integral, threshold=thr, grows=Fraction(p) < thr
     )

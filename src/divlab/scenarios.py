@@ -16,6 +16,7 @@ Two families:
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -139,10 +140,17 @@ def furstenberg_family(k: int) -> FurstenbergScenario:
 
 
 def _eps_vectors(m: int):
-    out = []
-    for mask in range(1, 2**m):
-        out.append(tuple((mask >> (m - 1 - j)) & 1 for j in range(m)))
-    return sorted(out)
+    """The nonzero eps in {0,1}^m, sorted."""
+    return list(itertools.product((0, 1), repeat=m))[1:]
+
+
+def _cube_terms(gens, shared, eps):
+    """The terms of A_eps = sum_{j in Z(eps)} G_j - (|Z(eps)| - 1) S, Z(eps)
+    the zero positions of eps: the one statement of the constraint algebra.
+    The S term stays when its coefficient is 0, and eps = 0 gives the witness
+    lattice sum_j G_j - (m - 1) S."""
+    zero = [j for j, e in enumerate(eps) if not e]
+    return [*((1, gens[j]) for j in zero), (1 - len(zero), shared)]
 
 
 def eps_key(eps) -> str:
@@ -233,8 +241,9 @@ def _cube_check_count(m: int, k: int) -> int:
         raise ValueError("dimension must be >= 3 (m = 2 has no dependent forms)")
     if k < 1:
         raise ValueError("depth must be >= 1")
-    # combine enumerates 2^(|Z(eps)|+1) digit combinations per form, 2*3^m in all;
-    # 3^64 is past any cap, and 3^m itself would not finish for huge m
+    # combine enumerates 2^(|Z(eps)|+1) digit tuples per eps (the witness is
+    # eps = 0), 2*3^m in all; 3^64 is past any cap, and 3^m itself would not
+    # finish for huge m
     if 2 * 3 ** min(m, 64) > MAX_ENUM:
         raise ValueError(
             f"dimension m = {m} needs about 2*3^{m} digit combinations, above the cap {MAX_ENUM}"
@@ -243,27 +252,22 @@ def _cube_check_count(m: int, k: int) -> int:
 
 
 def cube_family(m: int, k: int) -> CubeScenario:
+    """The cube scenario at dimension m and depth k: every form set and the
+    witness are combined from the generator and shared specs by _cube_terms,
+    the forms with tail 2^(-k(m+1)), the witness (eps = 0) with tail
+    1/((m + 1) 2^(k(m+1)))."""
     _cube_check_count(m, k)  # refuses an m or k the family cannot build
     rho = 2 ** (m + 1)
-    form_tail = Fraction(1, rho**k)
-    witness_tail = Fraction(1, (m + 1) * rho**k)
+    tail = Fraction(1, rho**k)
     gens = tuple(digit_spec(rho, k, [0, 2**j], 0) for j in range(m))
     shared = digit_spec(rho, k, [0, Fraction(-(2**m), m - 1)], 0)
-    form_specs = {}
-    for eps in _eps_vectors(m):
-        zero = [j for j in range(m) if eps[j] == 0]
-        terms = [(1, gens[j]) for j in zero]
-        c = -(len(zero) - 1)
-        if c != 0:
-            terms.append((c, shared))
-        form_specs[eps] = combine(terms, form_tail)
     return CubeScenario(
         dimension=m,
         depth=k,
         generator_specs=gens,
         shared_spec=shared,
-        form_specs=form_specs,
-        witness_spec=combine([(1, g) for g in gens] + [(-(m - 1), shared)], witness_tail),
+        form_specs={eps: combine(_cube_terms(gens, shared, eps), tail) for eps in _eps_vectors(m)},
+        witness_spec=combine(_cube_terms(gens, shared, (0,) * m), tail / (m + 1)),
     )
 
 

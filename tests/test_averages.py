@@ -50,7 +50,7 @@ from divlab.digitsets import (
 )
 from divlab.intervals import EMPTY, IntervalUnion, InvariantError, normalize
 from divlab.scenarios import cube_family, furstenberg_family
-from cube_reference import cube_certificate_reference, cube_checks_reference
+from cube_reference import cube_certificate_reference, cube_checks_reference, cube_rows_reference
 from fresh_interpreter import run_script
 from grid_reference import grid_cells_reference
 from meeting_reference import full_state_jumps
@@ -1254,7 +1254,7 @@ def test_cube_certificate_matches_per_combination_loop(instance, wide):
     # points on a scale past int64
     scen, t_tail = instance
     # a mutated alphabet misses some digit sum, so the enumeration decides
-    assert not averages._cube_digitwise_proof(scen, sorted(scen.form_specs))
+    assert not averages._cube_digitwise_proof(scen)
     with pytest.MonkeyPatch.context() as mp:
         if wide:
             base_nums = averages._base_nums
@@ -1288,7 +1288,7 @@ print(proved.all_pass, bad.all_pass, n, "numpy" in sys.modules)
 def on_the_enumeration_path(monkeypatch):
     """Fail the digitwise proof, so the certificate enumerates base points
     through averages._base_nums and a fake there decides the report."""
-    monkeypatch.setattr(averages, "_cube_digitwise_proof", lambda scenario, eps_order: False)
+    monkeypatch.setattr(averages, "_cube_digitwise_proof", lambda scenario: False)
 
 
 def test_cube_certificate_empty_form_set_misses_every_target(monkeypatch):
@@ -1358,7 +1358,7 @@ def test_cube_certificate_matches_the_loop_on_both_paths(m, k, seeded):
     # the digitwise proof's closed-form report and the enumeration's agree
     # with the per-combination loop, every check included
     scen = cube_family(m, k)
-    assert averages._cube_digitwise_proof(scen, sorted(scen.form_specs))
+    assert averages._cube_digitwise_proof(scen)
     for t_tail in cube_tails(scen, seeded):
         rep = cube_certificate_check(scen, t_tail)
         ref = cube_certificate_reference(scen, t_tail)
@@ -1391,7 +1391,7 @@ def test_cube_certificate_fallback_at_the_largest_sizes(m, k):
     spec = scen.form_specs[eps]
     mutated = digit_spec(spec.radix, spec.depth, spec.alphabet[:-1], spec.tail)
     bad = dataclasses.replace(scen, form_specs={**scen.form_specs, eps: mutated})
-    assert not averages._cube_digitwise_proof(bad, sorted(bad.form_specs))
+    assert not averages._cube_digitwise_proof(bad)
     start = time.perf_counter()
     rep = cube_certificate_check(bad)
     elapsed = time.perf_counter() - start
@@ -1399,6 +1399,36 @@ def test_cube_certificate_fallback_at_the_largest_sizes(m, k):
     assert (rep.checks_total, rep.checks_failed) == (ref.checks_total, ref.checks_failed)
     assert rep == ref and not rep.all_pass
     assert elapsed < 5, elapsed
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_cube_targets_follow_the_cube_terms(monkeypatch, m):
+    # per seeded combination (b_1, ..., b_m, b) of integers, the mask
+    # recurrence of _cube_rows and of the reference loop gives each form
+    # target the value of scenarios._cube_terms(eps), and x that of eps = 0
+    rnd = random.Random(m)
+    eps_order = scenarios._eps_vectors(m)
+    masks = [sum(1 << j for j in range(m) if eps[j]) for eps in eps_order]
+    scen = dataclasses.replace(
+        cube_family(3, 1), dimension=m, generator_specs=tuple(("g", j) for j in range(m)),
+        shared_spec="s", witness_spec="x", form_specs={eps: eps for eps in eps_order})
+    for _ in range(20):
+        combo = [rnd.randint(-10**6, 10**6) for _ in range(m + 1)]
+
+        def value(eps):
+            return sum(c * v for c, v in scenarios._cube_terms(combo[:m], combo[m], eps))
+
+        x = value((0,) * m)
+        assert x == sum(combo) - m * combo[m]
+        targets = [value(eps) for eps in eps_order]
+        points = {**{("g", j): combo[j] for j in range(m)}, "s": combo[m], "x": x,
+                  **dict(zip(eps_order, targets))}
+        monkeypatch.setattr(averages, "_base_nums", lambda spec: ([points[spec]], 1))
+        _, rows = averages._cube_rows(scen, eps_order, False)
+        assert list(rows) == [(x, [True] * len(eps_order))]
+        forms = [({t}, mask) for t, mask in zip(targets, masks)]
+        points_ref = [[v] for v in combo]
+        assert list(cube_rows_reference(points_ref, {x}, forms)) == [(x, [True] * len(forms))]
 
 
 def test_cube_certificate_builds_no_form_or_lattice_point(monkeypatch):
@@ -1425,7 +1455,7 @@ def test_cube_certificate_enumerates_specs_of_another_depth():
     spec = scen.form_specs[eps]
     deeper = DigitSetSpec(spec.radix, 2, spec.digits, spec.den, spec.tail)
     bad = dataclasses.replace(scen, form_specs={**scen.form_specs, eps: deeper})
-    assert not averages._cube_digitwise_proof(bad, sorted(bad.form_specs))
+    assert not averages._cube_digitwise_proof(bad)
     rep = cube_certificate_check(bad)
     assert_matches_reference(rep, cube_certificate_reference(bad))
     assert rep.all_pass  # 0 is a digit, so the deeper form holds every depth-1 point
@@ -1677,6 +1707,18 @@ def test_dependent_forms_generalizes_squares():
     rs = [dependent_forms_lower_ratio(4, [1, 1, -1], 50, 1.1, 10.0**e).ratio
           for e in (2, 3, 4)]
     assert rs[0] < rs[1] < rs[2]
+
+
+def test_dependent_forms_grows_is_decided_exactly():
+    # the float nearest r/(r-1) and its two neighbours: grows compares the
+    # float itself with the threshold, exactly
+    for r in range(3, 11):
+        thr = F(r, r - 1)
+        near = float(r / (r - 1))
+        for p in (math.nextafter(near, 0), near, math.nextafter(near, 2)):
+            res = dependent_forms_lower_ratio(r, [1] + [0] * (r - 2), 100, p, 100.0)
+            assert res.threshold == thr
+            assert res.grows == (F(p) < thr), (r, p)
 
 
 def test_dependent_forms_pointwise_bound():

@@ -263,6 +263,12 @@ def test_degenerate_families(capsys):
     assert data["family"] == "dependent-forms"
     assert data["threshold"] == "3/2" and data["grows"] is True
 
+    # 1.3333333333333333 is the float nearest 4/3 and lies below it
+    rc, data = run_json(capsys, "degenerate", "--r", "4", "--b", "1,1,-1",
+                        "--p", "1.3333333333333333")
+    assert rc == 0
+    assert data["threshold"] == "4/3" and data["grows"] is True
+
     rc, out, err = run(capsys, "degenerate", "--p4prime", "0.4",
                        "--r", "3", "--b", "2,-1", "--p", "1.2")
     assert rc == 1 and "exclusive" in err
@@ -789,6 +795,22 @@ def test_digit_spec_requests_digest(capsys):
         rc, out, err = run(capsys, *argv)
         h.update(f"{' '.join(argv)}\0{rc}\0{out}\0{err}\0".encode())
     assert h.hexdigest() == "f9fdba9889bdcee53619b6e325864a600685bcb0df3d4e1c419e03a3178e31bf"
+
+
+# Stdout, stderr and exit code of the form alphabets past m = 5, pinned by one
+# sha256 frozen from the code that dropped the S term of the m forms with
+# |Z(eps)| = 1, whose coefficient is 0.
+LARGE_CUBE_CONSTRUCTIONS = tuple(
+    ("construct-cubes", "--m", str(m), "--k", str(k)) for m, k in ((6, 1), (7, 1), (8, 1), (6, 2))
+)
+
+
+def test_large_cube_construction_digest(capsys):
+    h = hashlib.sha256()
+    for argv in LARGE_CUBE_CONSTRUCTIONS:
+        rc, out, err = run(capsys, *argv)
+        h.update(f"{' '.join(argv)}\0{rc}\0{out}\0{err}\0".encode())
+    assert h.hexdigest() == "7d949b6f2a4e7e483a85a51f437a17c6903f99c43a5f8f78c2ce2ea158448a71"
 
 
 def test_verify_claim_k4_digest(capsys):

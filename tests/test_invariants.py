@@ -220,7 +220,7 @@ def test_cube_decomposition_outside_lattice_raises(monkeypatch):
     # the enumeration reads every base point through the integer seam
     # _base_nums; an empty lattice forces every decomposition off it
     scen = cube_family(3, 1)
-    monkeypatch.setattr(averages, "_cube_digitwise_proof", lambda scenario, eps_order: False)
+    monkeypatch.setattr(averages, "_cube_digitwise_proof", lambda scenario: False)
     base_nums = averages._base_nums
     monkeypatch.setattr(
         averages, "_base_nums",

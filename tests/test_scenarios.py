@@ -151,6 +151,25 @@ def test_cube_family_refuses_oversized_dimension_before_building(monkeypatch):
             cube_family(m, 1)
 
 
+def test_cube_family_enumerates_what_its_guard_counts(monkeypatch):
+    # _cube_check_count refuses an m whose 2*3^m digit tuples pass MAX_ENUM:
+    # combine enumerates exactly that many, 2^(|Z(eps)|+1) per eps with the
+    # witness at eps = 0
+    seen = []
+    digit_sums = digitsets._digit_sums
+
+    def spy(terms):
+        seen.append(math.prod(len(spec.digits) for _, spec in terms))
+        return digit_sums(terms)
+
+    monkeypatch.setattr(digitsets, "_digit_sums", spy)
+    for m in range(3, 9):
+        seen.clear()
+        cube_family(m, 1)
+        assert sum(seen) == 2 * 3**m
+        assert len(seen) == 2**m
+
+
 def test_cube_json_round_trip():
     for m, k in ((3, 2), (4, 1)):
         s = cube_family(m, k)
