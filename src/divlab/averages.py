@@ -358,12 +358,14 @@ def sweep_superlevel(
     time-set kernel form_time_set also runs, as F * S * C: the first slope
     is an exact divmod, cumulative sums of the jumps then give F at every
     breakpoint, and the last value must equal the third evaluation.
-    The breakpoint and value arrays, put in lowest terms in numpy, become
-    the function (breakpoints over S, values over S * C) and stay with it,
-    so its superlevel method cuts them in one numpy pass
-    (intervals._superlevel) and no breakpoint goes from tuple back to array;
-    every level crossing is an integer on the grid refined by the lcm of
-    the crossings' reduced denominators.
+    The function holds the breakpoint and value arrays, put in lowest terms
+    and checked in numpy (breakpoints over S, values over S * C).  Its
+    superlevel method cuts them in one numpy pass (intervals._superlevel),
+    every level crossing an integer on the grid refined by the lcm of the
+    crossings' reduced denominators, and the union holds the cut's arrays of
+    piece ends.  Its measure, containment test and JSON read those arrays,
+    so no breakpoint or piece becomes a tuple unless a caller reads the
+    x_nums, y_nums or nums views.
     """
     import numpy as np
     sets, coeffs = _matched(sets, coefficients)
@@ -432,7 +434,7 @@ def sweep_superlevel(
     if int(ys[-1]) != yn:
         raise InvariantError("kinetic sweep disagrees with the pointwise integral")
     f = PiecewiseLinear._of_arrays(xs_s, ys, scale, scale * c_lcm)
-    del xs_s, slope_jumps, slopes, ys  # f keeps the reduced arrays for its cut
+    del xs_s, slope_jumps, slopes, ys  # f holds the reduced arrays
     sup = f.superlevel(level)
     return SweepResult(function=f, superlevel=sup, superlevel_measure=sup.measure())
 
@@ -925,29 +927,33 @@ def degenerate_pointwise_bound(big_m: int, x: float) -> float:
     return dependent_forms_pointwise_bound(3, (1, 0), big_m, x)
 
 
-def degenerate_lower_ratio(big_m: int, p4prime: float, big_l) -> Tuple[float, float]:
-    """(ratio, integral) for the truncated degenerate-squares quasi-norm ratio.
-
-    The centered-box closed form at c_b = 4, r = 3 and exponent q = p4':
-    integral = 2*4^{p4'} * ((ML+1)^{1-2p4'} - 1) / (M(1-2p4'))
-    (logarithmic at p4' = 1/2); ratio = (integral)^{1/p4'} / (2/M)^{1/p4'}.
-    Grows without bound in L when p4' <= 1/2, at the threshold p4' = 1/2
-    itself only logarithmically.
-    """
-    big_m = int(big_m)
-    p = float(p4prime)
-    big_l = float(big_l)
-    if big_m < 1 or p <= 0 or big_l <= 0:
-        raise ValueError("need M >= 1, p4' > 0, L > 0")
-    return _centered_box_ratio(4.0, p, 3, big_m, big_l)
-
-
 @dataclass(frozen=True)
 class DependentFormsBound:
     ratio: float
     integral: float
     threshold: Fraction
     grows: bool
+
+
+def degenerate_lower_ratio(big_m: int, p4prime: float, big_l) -> DependentFormsBound:
+    """The truncated degenerate-squares quasi-norm ratio, its integral, the
+    threshold 1/2 and whether p4' lies below it.
+
+    The centered-box closed form at c_b = 4, r = 3 and exponent q = p4':
+    integral = 2*4^{p4'} * ((ML+1)^{1-2p4'} - 1) / (M(1-2p4'))
+    (logarithmic at p4' = 1/2); ratio = (integral)^{1/p4'} / (2/M)^{1/p4'}.
+    grows reports the strict range p4' < 1/2, decided exactly on the float
+    p4'; the ratio also grows without bound at the threshold itself, but
+    only logarithmically.
+    """
+    big_m = int(big_m)
+    p = float(p4prime)
+    big_l = float(big_l)
+    if big_m < 1 or p <= 0 or big_l <= 0:
+        raise ValueError("need M >= 1, p4' > 0, L > 0")
+    ratio, integral = _centered_box_ratio(4.0, p, 3, big_m, big_l)
+    thr = Fraction(1, 2)
+    return DependentFormsBound(ratio=ratio, integral=integral, threshold=thr, grows=Fraction(p) < thr)
 
 
 def dependent_forms_pointwise_bound(r: int, b: Sequence[int], big_m: int, x: float) -> float:

@@ -132,17 +132,6 @@ class _Rows:
         self.rows = rows
 
 
-def _pairs_text(pairs, indent: int) -> str:
-    """IntervalUnion.to_json pairs exactly as json.dumps(indent=2) writes them
-    at this indent; their "n/d" text needs no escaping."""
-    if not pairs:
-        return "[]"
-    outer, inner = "\n" + " " * (indent + 2), "\n" + " " * (indent + 4)
-    return (f'[{outer}[{inner}"'
-            + f'"{outer}],{outer}[{inner}"'.join(map(f'",{inner}"'.join, pairs))
-            + f'"{outer}]\n{" " * indent}]')
-
-
 def _rows_text(rows, default) -> str:
     """Flat dicts exactly as json.dumps(indent=2) writes their list at indent
     0.  json's C encoder writes them compactly with the indented item
@@ -154,28 +143,27 @@ def _rows_text(rows, default) -> str:
     return "[\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
 
 
-def _fill(text, slot, blocks, render) -> str:
-    """text with its i-th written slot replaced by render(blocks[i], indent of its line)."""
-    if not blocks:
-        return text
+def _fill(text, slot, blocks, render):
+    """text's pieces, its i-th written slot replaced by the pieces of text
+    render(blocks[i], indent of its line) yields."""
     parts = text.split(json.dumps(slot))
-    out = [parts[0]]
-    for block, part in zip(blocks, parts[1:]):
-        line = out[-1][out[-1].rfind("\n") + 1:]
-        out += (render(block, len(line) - len(line.lstrip(" "))), part)
-    return "".join(out)
+    yield parts[0]
+    for before, block, part in zip(parts, blocks, parts[1:]):
+        line = before[before.rfind("\n") + 1:]
+        yield from render(block, len(line) - len(line.lstrip(" ")))
+        yield part
 
 
 def _emit_json(data, path: str | None) -> None:
-    """Indented JSON; an IntervalUnion value is written as its to_json pairs
-    by one join and a _Rows list by one compact encoder call, since json's
-    indented encoder is pure Python and such values hold most of a deep
-    certificate's output."""
+    """Indented JSON; an IntervalUnion value is written by its json_chunks,
+    straight from its ends, and a _Rows list by one compact encoder call,
+    since json's indented encoder is pure Python and such values hold most
+    of a deep certificate's output."""
     unions, rows = [], []
 
     def slot(obj):
         if isinstance(obj, IntervalUnion):
-            unions.append(obj.to_json())
+            unions.append(obj)
             return _SLOT
         if isinstance(obj, _Rows):
             rows.append(_rows_text(obj.rows, slot))
@@ -185,12 +173,14 @@ def _emit_json(data, path: str | None) -> None:
     text = json.dumps(data, indent=2, allow_nan=False, default=slot) + "\n"
     # every slot is a dict value: its block opens on the key's line and closes
     # at that line's indent; rows go first, so their unions take their indent
-    text = _fill(text, _ROWS_SLOT, rows, lambda t, indent: t.replace("\n", "\n" + " " * indent))
-    text = _fill(text, _SLOT, unions, _pairs_text)
+    if rows:
+        text = "".join(_fill(text, _ROWS_SLOT, rows, lambda t, indent: (t.replace("\n", "\n" + " " * indent),)))
+    pieces = _fill(text, _SLOT, unions, IntervalUnion.json_chunks) if unions else (text,)
     if path:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_csv(header, rows, path: str | None) -> None:
@@ -241,7 +231,7 @@ def _cmd_verify_claim(args) -> int:
     # keep what the JSON needs, so the sweep function, the factors and the
     # witness are freed before rendering
     superlevel, sup_measure = res.superlevel, res.superlevel_measure
-    breakpoints = len(res.function.x_nums)
+    breakpoints = len(res.function)
     del res
     witness_in = scen.witness.clip(-1, 0).issubset(superlevel)
     level = scen.level
@@ -410,17 +400,17 @@ def _cmd_degenerate(args) -> int:
     if args.p4prime is not None:
         if args.r is not None or args.b is not None or args.p is not None:
             raise ValueError("--p4prime (squares) and --r/--b/--p are exclusive")
-        ratio, integral = degenerate_lower_ratio(args.big_m, args.p4prime, args.L)
+        res = degenerate_lower_ratio(args.big_m, args.p4prime, args.L)
         _emit_json(
             {
                 "family": "squares",
                 "M": args.big_m,
                 "p4prime": real(args.p4prime),
                 "L": real(args.L),
-                "integral": real(integral),
-                "ratio": real(ratio),
-                "threshold_p4prime": "1/2",
-                "grows": args.p4prime < 0.5,
+                "integral": real(res.integral),
+                "ratio": real(res.ratio),
+                "threshold_p4prime": rat_str(res.threshold),
+                "grows": res.grows,
             },
             args.out,
         )

@@ -19,7 +19,7 @@ program that never cuts a function or tests containment never loads it.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain
 from fractions import Fraction
@@ -181,7 +181,7 @@ def _int_array(values):
 
 
 def _set_lowest_terms(obj, nums, den):
-    """Put a frozen dataclass's int fields nums over den in lowest terms, den > 0."""
+    """Put a frozen object's int fields nums over den in lowest terms, den > 0."""
     n, d = getattr(obj, nums), getattr(obj, den)
     if d <= 0:
         raise ValueError("denominators must be positive")
@@ -210,21 +210,19 @@ def _fraction_grid(pairs):
 
 def _array_union(lo, hi, scale) -> "IntervalUnion":
     """The union of canonical pieces given as int arrays of their ends on the
-    grid 1/scale, put in lowest terms in numpy."""
+    grid 1/scale, put in lowest terms in numpy.  A nonempty one is an
+    _ArrayUnion that keeps the arrays, int64 while every end and the
+    denominator are below 2^62 and dtype object otherwise."""
     import numpy as np
     g = gcd(scale, int(np.gcd.reduce(lo)), int(np.gcd.reduce(hi)))
     if g > 1:
         lo, hi = lo // g, hi // g
-    return IntervalUnion(tuple(zip(lo.tolist(), hi.tolist())), scale // g)
-
-
-def _ends(u, f, dtype):
-    """(lo, hi) arrays of u's piece ends scaled by f, on the grid 1/(f u.den)."""
-    import numpy as np
-    flat = np.fromiter(chain.from_iterable(u.nums), dtype=dtype, count=2 * len(u.nums))
-    if f > 1:
-        flat *= f
-    return flat[0::2], flat[1::2]
+    if not len(lo):
+        return EMPTY
+    den = scale // g
+    if lo.dtype != object and max(-int(lo[0]), int(hi[-1]), den) >= 2**62:
+        lo, hi = lo.astype(object), hi.astype(object)
+    return _ArrayUnion._holding(_arrays=(lo, hi), den=den)
 
 
 def _scaled(u, scale):
@@ -233,18 +231,68 @@ def _scaled(u, scale):
     return u.nums if f == 1 else tuple((lo * f, hi * f) for lo, hi in u.nums)
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
+class _Frozen:
+    """An immutable value: its attributes are set once, with
+    object.__setattr__, and the views cached_property builds on first use.
+    `==`, hash and repr read the _fields; two values compare when one's
+    class derives from the other's."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _holding(cls, **fields):
+        """An instance holding these attributes, its constructor bypassed."""
+        obj = cls.__new__(cls)
+        obj._set(**fields)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)) or isinstance(self, type(other)):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+# pieces per template call of IntervalUnion.json_chunks: bounds the flat
+# list of ends a deep union renders at once
+_CHUNK = 4096
+
+
+class IntervalUnion(_Frozen):
     """Canonical finite union of half-open intervals [lo/den, hi/den), held as
     its pieces' (lo, hi) int pairs over one positive denominator.
 
     The pairs must be canonical (a tuple, sorted, disjoint, non-touching,
     lo < hi) and den in lowest terms with them (den 1 when empty); build
-    unions with `normalize` unless the input is already known canonical.
+    unions with `normalize` unless the input is already known canonical.  A
+    union cut from a function is an _ArrayUnion, which holds int arrays of
+    its pieces' ends instead.
     """
 
-    nums: Tuple[Tuple[int, int], ...] = ()
-    den: int = 1
+    _fields = ("nums", "den")
+
+    def __init__(self, nums: Tuple[Tuple[int, int], ...] = (), den: int = 1):
+        # set directly: unions are built in the engines' inner loops
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @property
     def pairs(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
@@ -259,6 +307,18 @@ class IntervalUnion:
 
     def measure(self) -> Fraction:
         return Fraction(sum(hi - lo for lo, hi in self.nums), self.den)
+
+    def _span(self):
+        """(first lo, last hi) of a nonempty union, as ints."""
+        return self.nums[0][0], self.nums[-1][1]
+
+    def _scaled_arrays(self, f, dtype):
+        """(lo, hi) arrays of the piece ends scaled by f, on the grid 1/(f den)."""
+        import numpy as np
+        flat = np.fromiter(chain.from_iterable(self.nums), dtype=dtype, count=2 * len(self.nums))
+        if f > 1:
+            flat *= f
+        return flat[0::2], flat[1::2]
 
     def __contains__(self, x) -> bool:
         # integer endpoints: x*den lies in [lo, hi) iff its floor does
@@ -280,17 +340,19 @@ class IntervalUnion:
         """Exact containment, in one pass on the common grid: each piece of
         self must lie inside the piece of other that starts at or before it,
         found by searchsorted (canonical pieces never touch, so no piece of
-        self needs two).  The arrays are int64 below 2^62, dtype object above."""
-        if not self.nums or not other.nums:
-            return not self.nums
+        self needs two).  The arrays are int64 below 2^62, dtype object
+        above; a side that holds arrays is read from them."""
+        if self.is_empty() or other.is_empty():
+            return self.is_empty()
         scale = lcm(self.den, other.den)
         fa, fb = scale // self.den, scale // other.den
-        if self.nums[0][0] * fa < other.nums[0][0] * fb:
+        (a_first, a_last), (b_first, b_last) = self._span(), other._span()
+        if a_first * fa < b_first * fb:
             return False  # so every piece of self has a piece of other at or before it
         import numpy as np
-        reach = max(max(-u.nums[0][0], u.nums[-1][1]) * f for u, f in ((self, fa), (other, fb)))
+        reach = max(max(-a_first, a_last) * fa, max(-b_first, b_last) * fb)
         dtype = np.int64 if reach < 2**62 else object
-        (a_lo, a_hi), (b_lo, b_hi) = _ends(self, fa, dtype), _ends(other, fb, dtype)
+        (a_lo, a_hi), (b_lo, b_hi) = self._scaled_arrays(fa, dtype), other._scaled_arrays(fb, dtype)
         return bool((a_hi <= b_hi[np.searchsorted(b_lo, a_lo, side="right") - 1]).all())
 
     def affine(self, a: RationalLike, b: RationalLike) -> "IntervalUnion":
@@ -330,18 +392,76 @@ class IntervalUnion:
         pairs[-1] = (pairs[-1][0], min(pairs[-1][1], hi))
         return _grid_union(pairs, scale)
 
+    def _lowest_ends(self):
+        """Chunks of at most _CHUNK pieces, each the flat list [lo num, lo den,
+        hi num, hi den, ...] of its pieces' ends in lowest terms, reduced by
+        math.gcd, so a union built from tuples never loads numpy."""
+        den, nums = self.den, self.nums
+        for start in range(0, len(nums), _CHUNK):
+            flat = []
+            for lo, hi in nums[start:start + _CHUNK]:
+                g, h = gcd(lo, den), gcd(hi, den)
+                flat += (lo // g, den // g, hi // h, den // h)
+            yield flat
+
     def to_json(self):
-        den = self.den
+        return [[f"{a}/{b}", f"{c}/{d}"]
+                for flat in self._lowest_ends() for a, b, c, d in zip(*[iter(flat)] * 4)]
 
-        def text(n):  # rat_str(n/den) with one gcd
-            g = gcd(n, den)
-            return f"{n // g}/{den // g}"
-
-        return [[text(lo), text(hi)] for lo, hi in self.nums]
+    def json_chunks(self, indent: int):
+        """to_json() as json.dumps(indent=2) writes it at this indent, in
+        pieces of text: one %-template call per chunk of _CHUNK pieces.  The
+        "n/d" text needs no escaping."""
+        outer, inner = "\n" + " " * (indent + 2), "\n" + " " * (indent + 4)
+        piece, sep = f'[{inner}"%d/%d",{inner}"%d/%d"{outer}]', "," + outer
+        head, size = "[" + outer, 0
+        for flat in self._lowest_ends():
+            if len(flat) != 4 * size:
+                size = len(flat) // 4
+                template = sep.join([piece] * size)
+            yield head + template % tuple(flat)
+            head = sep
+        yield "\n" + " " * indent + "]" if size else "[]"
 
     @staticmethod
     def from_json(data) -> "IntervalUnion":
         return normalize((rat(lo), rat(hi)) for lo, hi in data)
+
+
+class _ArrayUnion(IntervalUnion):
+    """A nonempty union cut from a function (`_array_union`): it holds int
+    arrays (lo, hi) of its pieces' ends, and `nums` is a view built on first
+    use.  Its measure, containment test and JSON read the arrays."""
+
+    @cached_property
+    def nums(self) -> Tuple[Tuple[int, int], ...]:
+        lo, hi = self._arrays
+        return tuple(zip(lo.tolist(), hi.tolist()))
+
+    def is_empty(self) -> bool:
+        return False
+
+    def measure(self) -> Fraction:
+        lo, hi = self._arrays
+        return Fraction(int((hi - lo).sum()), self.den)
+
+    def _span(self):
+        lo, hi = self._arrays
+        return int(lo[0]), int(hi[-1])
+
+    def _scaled_arrays(self, f, dtype):
+        lo, hi = (a.astype(dtype, copy=False) for a in self._arrays)
+        return (lo * f, hi * f) if f > 1 else (lo, hi)
+
+    def _lowest_ends(self):
+        """The chunks of IntervalUnion._lowest_ends, reduced by np.gcd."""
+        import numpy as np
+        (lo, hi), den = self._arrays, self.den
+        for start in range(0, len(lo), _CHUNK):
+            ends = np.array((lo[start:start + _CHUNK], hi[start:start + _CHUNK]))
+            g = np.gcd(ends, den)
+            # (num or den, lo or hi, piece) read piece by piece
+            yield np.array((ends // g, den // g)).transpose(2, 1, 0).ravel().tolist()
 
 
 EMPTY = IntervalUnion()
@@ -363,40 +483,60 @@ def normalize(pairs: Iterable[Tuple[RationalLike, RationalLike]]) -> IntervalUni
     return _grid_union(*_fraction_grid(_merge_sorted(items)))
 
 
-@dataclass(frozen=True)
-class _GridFunction:
+_INCREASING = "breakpoints must be strictly increasing"
+
+
+class _GridFunction(_Frozen):
     """A function held on integer grids: breakpoints x_nums[i]/x_den and
     values y_nums[i]/y_den, each over one positive denominator in lowest
-    terms, so `==` is structural.  `.xs` is a Fraction view built on first use.
+    terms, so `==` is structural.  A function built from tuples holds them
+    and makes its int arrays on first use; one built by `_of_arrays` (a
+    sweep's) holds the arrays, and x_nums and y_nums are tuple views built on
+    first use, as `.xs` is a Fraction view.  `len(f)` is the breakpoint
+    count, read without a view.
     """
 
-    x_nums: Tuple[int, ...]
-    y_nums: Tuple[int, ...]
-    x_den: int = 1
-    y_den: int = 1
+    _fields = ("x_nums", "y_nums", "x_den", "y_den")
 
-    def __post_init__(self):
+    def __init__(self, x_nums: Tuple[int, ...], y_nums: Tuple[int, ...], x_den: int = 1, y_den: int = 1):
+        self._check_shape(len(x_nums), len(y_nums))
+        self._set(x_nums=x_nums, y_nums=y_nums, x_den=x_den, y_den=y_den)
         _set_lowest_terms(self, "x_nums", "x_den")
         _set_lowest_terms(self, "y_nums", "y_den")
         if not all(map(lt, self.x_nums, self.x_nums[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise ValueError(_INCREASING)
 
     @classmethod
     def _of_arrays(cls, xs, ys, x_den=1, y_den=1):
         """The function of the int arrays xs/x_den and ys/y_den (int64 or
-        object), each put in lowest terms in numpy; the cut reads the reduced
-        arrays, so they never go through a tuple and back."""
+        object), each put in lowest terms and checked in numpy; it holds the
+        reduced arrays, which the cut reads."""
         import numpy as np
+        cls._check_shape(len(xs), len(ys))
+        if x_den <= 0 or y_den <= 0:
+            raise ValueError("denominators must be positive")
+        if not (xs[1:] > xs[:-1]).all():
+            raise ValueError(_INCREASING)
         gx, gy = gcd(x_den, int(np.gcd.reduce(xs))), gcd(y_den, int(np.gcd.reduce(ys)))
         xs, ys = (xs // gx if gx > 1 else xs), (ys // gy if gy > 1 else ys)
-        f = cls(tuple(xs.tolist()), tuple(ys.tolist()), x_den // gx, y_den // gy)
-        f.__dict__["_arrays"] = xs, ys
-        return f
+        return cls._holding(_arrays=(xs, ys), x_den=x_den // gx, y_den=y_den // gy)
+
+    @cached_property
+    def x_nums(self) -> Tuple[int, ...]:
+        return tuple(self._arrays[0].tolist())
+
+    @cached_property
+    def y_nums(self) -> Tuple[int, ...]:
+        return tuple(self._arrays[1].tolist())
 
     @cached_property
     def _arrays(self):
         """x_nums and y_nums as int arrays, int64 or object past int64."""
         return _int_array(self.x_nums), _int_array(self.y_nums)
+
+    def __len__(self) -> int:
+        held = vars(self)
+        return len(held["x_nums"] if "x_nums" in held else self._arrays[0])
 
     @cached_property
     def xs(self) -> Tuple[Fraction, ...]:
@@ -418,10 +558,10 @@ class PiecewiseLinear(_GridFunction):
     is a Fraction view built on first use.
     """
 
-    def __post_init__(self):
-        if len(self.x_nums) != len(self.y_nums) or not self.x_nums:
+    @staticmethod
+    def _check_shape(n_x, n_y):
+        if n_x != n_y or not n_x:
             raise ValueError("breakpoints and values must match and be nonempty")
-        super().__post_init__()
 
     @cached_property
     def ys(self) -> Tuple[Fraction, ...]:
@@ -455,10 +595,10 @@ class StepFunction(_GridFunction):
     view built on first use.
     """
 
-    def __post_init__(self):
-        if len(self.x_nums) != len(self.y_nums) + 1 or len(self.x_nums) < 2:
+    @staticmethod
+    def _check_shape(n_x, n_y):
+        if n_x != n_y + 1 or n_x < 2:
             raise ValueError("need n+1 boundaries for n cells")
-        super().__post_init__()
 
     @cached_property
     def values(self) -> Tuple[Fraction, ...]:

@@ -183,7 +183,7 @@ def test_criterion_7_degenerate_squares():
         M = rnd.randint(1, 1000)
         p4 = rnd.uniform(0.2, 1.5)
         L = 10 ** rnd.uniform(1, 4)
-        _, integral = degenerate_lower_ratio(M, p4, L)
+        integral = degenerate_lower_ratio(M, p4, L).integral
 
         def f(x):
             return min(4.0, 4.0 / (M * abs(x) + 1) ** 2) ** p4
@@ -196,11 +196,11 @@ def test_criterion_7_degenerate_squares():
             )
         assert abs(integral - val) <= 1e-9 * abs(val) + 10 * err
 
-    grow = [degenerate_lower_ratio(100, 0.4, 10.0**e)[0] for e in (2, 3, 4)]
+    grow = [degenerate_lower_ratio(100, 0.4, 10.0**e).ratio for e in (2, 3, 4)]
     assert grow[0] < grow[1] < grow[2]
     assert grow[2] / grow[0] >= 5.0
 
-    sat = [degenerate_lower_ratio(100, 0.6, 10.0**e)[0] for e in range(2, 7)]
+    sat = [degenerate_lower_ratio(100, 0.6, 10.0**e).ratio for e in range(2, 7)]
     inc = [b - a for a, b in zip(sat, sat[1:])]
     factors = [b / a for a, b in zip(inc, inc[1:])]
     assert all(b < a for a, b in zip(inc, inc[1:]))

@@ -1626,7 +1626,7 @@ def test_degenerate_closed_form_matches_quadrature():
         big_m = rnd.randint(1, 1000)
         p = rnd.uniform(0.2, 1.5)
         big_l = 10 ** rnd.uniform(1, 4)
-        _, integral = degenerate_lower_ratio(big_m, p, big_l)
+        integral = degenerate_lower_ratio(big_m, p, big_l).integral
         with warnings.catch_warnings():
             # tolerance is deliberately past roundoff; the returned error
             # estimate guards the comparison below
@@ -1657,20 +1657,21 @@ def test_degenerate_matches_former_squares_formulas_bitwise():
 
     for p in (0.1, 0.2, 0.4, 0.45, 0.5, 0.7, 1.1):
         for big_m, big_l in ((100, 100.0), (37, 123.0), (1, 0.5), (1000, 1e4)):
-            assert degenerate_lower_ratio(big_m, p, big_l) == old_ratio(big_m, p, big_l)
+            res = degenerate_lower_ratio(big_m, p, big_l)
+            assert (res.ratio, res.integral) == old_ratio(big_m, p, big_l)
         for x in (0.0, 0.013, -0.7, 3.0, -250.5):
             assert degenerate_pointwise_bound(37, x) == min(4.0, 4.0 / (37 * abs(x) + 1.0) ** 2)
-    assert degenerate_lower_ratio(37, 0.45, 123)[0] == 1240.2851576270982
+    assert degenerate_lower_ratio(37, 0.45, 123).ratio == 1240.2851576270982
 
 
 def test_degenerate_growth_below_half():
-    ratios = [degenerate_lower_ratio(100, 0.4, L)[0] for L in (1e2, 1e3, 1e4)]
+    ratios = [degenerate_lower_ratio(100, 0.4, L).ratio for L in (1e2, 1e3, 1e4)]
     assert ratios[0] < ratios[1] < ratios[2]
     assert ratios[2] / ratios[0] >= 5.0
 
 
 def test_degenerate_saturation_above_half():
-    ratios = [degenerate_lower_ratio(100, 0.6, 10.0**e)[0] for e in range(2, 7)]
+    ratios = [degenerate_lower_ratio(100, 0.6, 10.0**e).ratio for e in range(2, 7)]
     incs = [b - a for a, b in zip(ratios, ratios[1:])]
     assert all(b < a for a, b in zip(incs, incs[1:]))
     # increments shrink geometrically with factor -> 10^(1-2p') = 10^-0.2
@@ -1679,7 +1680,7 @@ def test_degenerate_saturation_above_half():
 
 
 def test_degenerate_log_case():
-    ratio, integral = degenerate_lower_ratio(10, 0.5, 1000.0)
+    integral = degenerate_lower_ratio(10, 0.5, 1000.0).integral
     num, _ = quad(
         lambda x: degenerate_pointwise_bound(10, x) ** 0.5,
         -1000, 1000, points=[0.0], limit=400, epsabs=0.0, epsrel=1e-12,
@@ -1719,6 +1720,15 @@ def test_dependent_forms_grows_is_decided_exactly():
             res = dependent_forms_lower_ratio(r, [1] + [0] * (r - 2), 100, p, 100.0)
             assert res.threshold == thr
             assert res.grows == (F(p) < thr), (r, p)
+
+
+def test_squares_grows_is_decided_exactly():
+    # 1/2 and its two float neighbours: grows holds strictly below the
+    # threshold, and the record carries the threshold with it
+    below, above = math.nextafter(0.5, 0), math.nextafter(0.5, 1)
+    for p, grows in ((below, True), (0.5, False), (above, False)):
+        res = degenerate_lower_ratio(100, p, 100.0)
+        assert (res.threshold, res.grows) == (F(1, 2), grows), p
 
 
 def test_dependent_forms_pointwise_bound():

@@ -14,10 +14,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from divlab import averages, digitsets, hilbert, linforms, scenarios
+from divlab import averages, cli, digitsets, hilbert, intervals, linforms, scenarios
 from divlab.cli import MAX_DEPTH, MAX_THRESHOLD_M, _emit_json, _Rows, main
 from divlab.digitsets import DigitSetSpec, cardinality
-from divlab.intervals import EMPTY, IntervalUnion, normalize, real
+from divlab.intervals import EMPTY, IntervalUnion, _array_union, _grid_union, normalize, rat_str, real
 from divlab.scenarios import (
     CubeScenario,
     FurstenbergScenario,
@@ -256,6 +256,10 @@ def test_degenerate_families(capsys):
     rc, data = run_json(capsys, "degenerate", "--p4prime", "0.4")
     assert rc == 0
     assert data["family"] == "squares" and data["grows"] is True
+    # the squares threshold and its two float neighbours
+    for p4, grows in ((math.nextafter(0.5, 0), True), (0.5, False), (math.nextafter(0.5, 1), False)):
+        rc, data = run_json(capsys, "degenerate", "--p4prime", repr(p4))
+        assert (rc, data["threshold_p4prime"], data["grows"]) == (0, "1/2", grows)
 
     rc, data = run_json(capsys, "degenerate", "--r", "3", "--b", "2,-1",
                         "--p", "1.2")
@@ -1132,6 +1136,80 @@ def test_unions_are_written_as_json_writes_their_pairs(tmp_path):
     assert (tmp_path / "out.json").read_text() == json.dumps(data, indent=2) + "\n"
     with pytest.raises(TypeError, match="not JSON serializable"):
         _emit_json({"x": object()}, str(tmp_path / "bad.json"))
+
+
+def seeded_unions(rnd):
+    """(pairs, den, union from tuples, union from arrays) of canonical
+    unions: empty, one-piece and many-piece (one past the default chunk),
+    with negative ends, on int64 arrays and on dtype object arrays, ends
+    and denominators past 2^62 included."""
+    import numpy as np
+    for n in [0, 1, 1, 2, 3, 5, 9, 13] * 6 + [4097]:
+        size = rnd.choice((40 * n + 40, 2**40, 2**70))
+        den = rnd.choice((1, 6, 7 * 2**40, 2**66 + 1))
+        ends = set()
+        while len(ends) < 2 * n:
+            ends.add(rnd.randint(-size, size))
+        ends = sorted(ends)
+        pairs = list(zip(ends[0::2], ends[1::2]))
+        dtype = np.int64 if size < 2**62 and rnd.random() < 0.7 else object
+        arrays = _array_union(np.array(ends[0::2], dtype=dtype), np.array(ends[1::2], dtype=dtype), den)
+        yield pairs, den, _grid_union(pairs, den), arrays
+
+
+def plain(data):
+    """data with each union as its to_json pairs and each _Rows as its list."""
+    if isinstance(data, IntervalUnion):
+        return data.to_json()
+    if isinstance(data, _Rows):
+        return plain(data.rows)
+    if isinstance(data, dict):
+        return {key: plain(value) for key, value in data.items()}
+    return [plain(value) for value in data] if isinstance(data, list) else data
+
+
+@pytest.mark.parametrize("chunk", [3, intervals._CHUNK])
+def test_union_writer_matches_json_on_seeded_unions(capsys, monkeypatch, chunk):
+    # the union writer at indents 0, 2 and 4 and inside _Rows, against
+    # json.dumps(indent=2) of to_json, and to_json against Fractions; a union
+    # built from arrays is written without building its pairs
+    monkeypatch.setattr(intervals, "_CHUNK", chunk)
+    seen = Counter()
+    for pairs, den, tuples, arrays in seeded_unions(random.Random(8191)):
+        want = [[rat_str(F(lo, den)), rat_str(F(hi, den))] for lo, hi in pairs]
+        for u in (tuples, arrays):
+            assert u.to_json() == want
+            for data in (u, {"k": 1, "a": u}, {"a": {"b": u, "c": 2}},
+                         {"rows": _Rows([{"x": "1/2", "support": u}, {"support": EMPTY, "n": 1}])},
+                         {"k": {"rows": _Rows([{"support": u}])}, "b": u}):
+                _emit_json(data, None)
+                assert capsys.readouterr().out == json.dumps(plain(data), indent=2) + "\n"
+        if pairs:
+            assert "nums" not in vars(arrays)
+            seen[str(arrays._arrays[0].dtype), max(map(abs, (pairs[0][0], pairs[-1][1], den))) >= 2**62] += 1
+        assert arrays == tuples and arrays.measure() == tuples.measure()
+        seen[len(pairs) > chunk] += 1
+    assert set(seen) >= {("int64", False), ("object", False), ("object", True), True, False}
+
+
+def test_verify_claim_builds_no_tuple_view(capsys, monkeypatch):
+    # from the cut to stdout verify-claim reads the sweep's int arrays: the
+    # function's x_nums/y_nums and the superlevel's nums are never built
+    built, results = [], []
+    for cls, name in ((intervals._GridFunction, "x_nums"), (intervals._GridFunction, "y_nums"),
+                      (intervals._ArrayUnion, "nums")):
+        prop = vars(cls)[name]
+        monkeypatch.setattr(prop, "func", lambda obj, func=prop.func, name=name: built.append(name) or func(obj))
+    sweep = averages.sweep_superlevel
+    monkeypatch.setattr(cli, "sweep_superlevel", lambda *a, **kw: results.append(sweep(*a, **kw)) or results[-1])
+    rc, data = run_json(capsys, "verify-claim", "--k", "3")
+    assert (rc, data["breakpoints"], data["verified"]) == (0, 5185, True)
+    (res,) = results
+    assert built == []
+    assert not {"x_nums", "y_nums"} & vars(res.function).keys() and "nums" not in vars(res.superlevel)
+    # the spies see a view that is built
+    assert len(res.function.x_nums) == 5185 and res.superlevel.nums
+    assert built == ["x_nums", "nums"]
 
 
 def test_rows_are_written_as_json_writes_them(tmp_path):

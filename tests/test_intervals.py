@@ -245,6 +245,46 @@ def test_degenerate_functions_and_maps_are_refused(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("kind, xs, ys", [
+    (PiecewiseLinear, [0, 2, 2, 5], [0, 1, 2, 3]),
+    (PiecewiseLinear, [0, 3, 1], [0, 1, 2]),
+    (StepFunction, [-4, -4, 1], [1, 2]),
+    (StepFunction, [-4, 1, 0, 6], [1, 2, 3]),
+], ids=["linear-repeated", "linear-decreasing", "step-repeated", "step-decreasing"])
+@pytest.mark.parametrize("dtype, unit", [(np.int64, 1), (object, 1), (object, 2**70)],
+                         ids=["int64", "object", "object-past-2^62"])
+def test_array_built_functions_refuse_what_tuples_refuse(kind, xs, ys, dtype, unit):
+    # _of_arrays checks the breakpoints in numpy and raises the tuple
+    # constructor's error
+    xs = [x * unit for x in xs]
+    with pytest.raises(ValueError) as tuples:
+        kind(tuple(xs), tuple(ys), 3, 7)
+    with pytest.raises(ValueError) as arrays:
+        kind._of_arrays(np.array(xs, dtype=dtype), np.array(ys, dtype=dtype), 3, 7)
+    assert str(arrays.value) == str(tuples.value) == "breakpoints must be strictly increasing"
+
+
+@pytest.mark.parametrize("dtype, unit", [(np.int64, 1), (object, 1), (object, 2**70)],
+                         ids=["int64", "object", "object-past-2^62"])
+def test_array_built_function_equals_its_tuple_twin(dtype, unit):
+    # an array-built function holds its arrays, builds its tuple views only on
+    # first use, and equals its tuple-built twin before and after
+    xs, ys = [-6 * unit, 0, 4 * unit, 10 * unit], [2, 8, -4, 0]
+    for kind, values in ((PiecewiseLinear, ys), (StepFunction, ys[:-1])):
+        twin = kind(tuple(xs), tuple(values), 4, 6)
+        f = kind._of_arrays(np.array(xs, dtype=dtype), np.array(values, dtype=dtype), 4, 6)
+        assert not {"x_nums", "y_nums"} & vars(f).keys()
+        assert len(f) == len(twin) == 4
+        assert f.superlevel(F(1, 3)) == twin.superlevel(F(1, 3))
+        assert not {"x_nums", "y_nums"} & vars(f).keys()
+        assert f == twin and twin == f and hash(f) == hash(twin)
+        assert (f.x_nums, f.y_nums, f.x_den, f.y_den) == (twin.x_nums, twin.y_nums, twin.x_den, twin.y_den)
+        assert f == twin and f.xs == twin.xs and f(F(1, 2)) == twin(F(1, 2))
+        assert f != kind._of_arrays(np.array(xs, dtype=dtype), np.array(values, dtype=dtype), 4, 5)
+    with pytest.raises(AttributeError):
+        twin.x_den = 1
+
+
 def test_piecewise_superlevel_against_sampling():
     rnd = random.Random(2718)
     for _ in range(200):
