@@ -34,7 +34,7 @@ from .intervals import (
     common_denominator,
     rat,
 )
-from .scenarios import CubeScenario, _cube_terms, furstenberg_family
+from .scenarios import CubeScenario, _cube_terms, degenerate_threshold, furstenberg_family
 
 
 class SearchExhaustedError(RuntimeError):
@@ -935,6 +935,22 @@ class DependentFormsBound:
     grows: bool
 
 
+_SQUARES_THRESHOLD = Fraction(1, 2)
+
+
+def _dependent_forms_bound(r, sigma, per, threshold, name, big_m, p, big_l) -> DependentFormsBound:
+    """Both bounds' record: M, p (spelt name when refused) and L checked, the
+    centered-box ratio of c_b = (2/sigma)^(r-1) at q = p/per, and grows, the
+    strict range p < threshold decided exactly on the float p in integers."""
+    big_m, p, big_l = int(big_m), float(p), float(big_l)
+    if big_m < 1 or p <= 0 or big_l <= 0:
+        raise ValueError(f"need M >= 1, {name} > 0, L > 0")
+    ratio, integral = _centered_box_ratio((2.0 / sigma) ** (r - 1), p / per, r, big_m, big_l)
+    n, d = p.as_integer_ratio()
+    grows = n * threshold.denominator < threshold.numerator * d
+    return DependentFormsBound(ratio, integral, threshold, grows)
+
+
 def degenerate_lower_ratio(big_m: int, p4prime: float, big_l) -> DependentFormsBound:
     """The truncated degenerate-squares quasi-norm ratio, its integral, the
     threshold 1/2 and whether p4' lies below it.
@@ -942,18 +958,10 @@ def degenerate_lower_ratio(big_m: int, p4prime: float, big_l) -> DependentFormsB
     The centered-box closed form at c_b = 4, r = 3 and exponent q = p4':
     integral = 2*4^{p4'} * ((ML+1)^{1-2p4'} - 1) / (M(1-2p4'))
     (logarithmic at p4' = 1/2); ratio = (integral)^{1/p4'} / (2/M)^{1/p4'}.
-    grows reports the strict range p4' < 1/2, decided exactly on the float
-    p4'; the ratio also grows without bound at the threshold itself, but
-    only logarithmically.
+    The ratio also grows without bound at the threshold itself, but only
+    logarithmically.
     """
-    big_m = int(big_m)
-    p = float(p4prime)
-    big_l = float(big_l)
-    if big_m < 1 or p <= 0 or big_l <= 0:
-        raise ValueError("need M >= 1, p4' > 0, L > 0")
-    ratio, integral = _centered_box_ratio(4.0, p, 3, big_m, big_l)
-    thr = Fraction(1, 2)
-    return DependentFormsBound(ratio=ratio, integral=integral, threshold=thr, grows=Fraction(p) < thr)
+    return _dependent_forms_bound(3, 1, 1, _SQUARES_THRESHOLD, "p4'", big_m, p4prime, big_l)
 
 
 def dependent_forms_pointwise_bound(r: int, b: Sequence[int], big_m: int, x: float) -> float:
@@ -970,10 +978,10 @@ def dependent_forms_lower_ratio(
     x + sum b_i t_i with integer b_i summing to 1.
 
     The centered-box closed form with c_b = (2/sum|b_i|)^(r-1) and exponent
-    q = p/r.  grows reports the strict predicted divergence range
-    p < r/(r-1), decided exactly on the float p.  The ratio also grows
-    without bound at the threshold p = r/(r-1) itself, where (r-1)q = 1,
-    but only logarithmically: integral = 2*c_b^q*ln(ML+1)/M.
+    q = p/r; grows reports the strict predicted divergence range p < r/(r-1),
+    the threshold from scenarios.degenerate_threshold.  The ratio also grows
+    without bound at p = r/(r-1) itself, where (r-1)q = 1, but only
+    logarithmically: integral = 2*c_b^q*ln(ML+1)/M.
     """
     r = int(r)
     b = [int(v) for v in b]
@@ -983,14 +991,4 @@ def dependent_forms_lower_ratio(
         raise ValueError("need r-1 coefficients")
     if sum(b) != 1:
         raise ValueError("coefficients must sum to 1 (dependent-form condition)")
-    big_m = int(big_m)
-    p = float(p)
-    big_l = float(big_l)
-    if big_m < 1 or p <= 0 or big_l <= 0:
-        raise ValueError("need M >= 1, p > 0, L > 0")
-    cb = (2.0 / sum(abs(v) for v in b)) ** (r - 1)
-    ratio, integral = _centered_box_ratio(cb, p / r, r, big_m, big_l)
-    thr = Fraction(r, r - 1)
-    return DependentFormsBound(
-        ratio=ratio, integral=integral, threshold=thr, grows=Fraction(p) < thr
-    )
+    return _dependent_forms_bound(r, sum(map(abs, b)), r, degenerate_threshold(r), "p", big_m, p, big_l)

@@ -401,35 +401,22 @@ def _cmd_degenerate(args) -> int:
         if args.r is not None or args.b is not None or args.p is not None:
             raise ValueError("--p4prime (squares) and --r/--b/--p are exclusive")
         res = degenerate_lower_ratio(args.big_m, args.p4prime, args.L)
-        _emit_json(
-            {
-                "family": "squares",
-                "M": args.big_m,
-                "p4prime": real(args.p4prime),
-                "L": real(args.L),
-                "integral": real(res.integral),
-                "ratio": real(res.ratio),
-                "threshold_p4prime": rat_str(res.threshold),
-                "grows": res.grows,
-            },
-            args.out,
-        )
-        return 0
-    if args.r is None or args.b is None or args.p is None:
-        raise ValueError("need either --p4prime or all of --r, --b, --p")
-    b = [_int_entry("--b", v) for v in args.b.split(",")]
-    res = dependent_forms_lower_ratio(args.r, b, args.big_m, args.p, args.L)
+        head = {"family": "squares", "M": args.big_m, "p4prime": real(args.p4prime)}
+        threshold = "threshold_p4prime"
+    else:
+        if args.r is None or args.b is None or args.p is None:
+            raise ValueError("need either --p4prime or all of --r, --b, --p")
+        b = [_int_entry("--b", v) for v in args.b.split(",")]
+        res = dependent_forms_lower_ratio(args.r, b, args.big_m, args.p, args.L)
+        head = {"family": "dependent-forms", "r": args.r, "b": b, "M": args.big_m, "p": real(args.p)}
+        threshold = "threshold"
     _emit_json(
         {
-            "family": "dependent-forms",
-            "r": args.r,
-            "b": b,
-            "M": args.big_m,
-            "p": real(args.p),
+            **head,
             "L": real(args.L),
             "integral": real(res.integral),
             "ratio": real(res.ratio),
-            "threshold": rat_str(res.threshold),
+            threshold: rat_str(res.threshold),
             "grows": res.grows,
         },
         args.out,

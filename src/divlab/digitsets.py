@@ -23,7 +23,6 @@ from .intervals import (
     IntervalUnion,
     RationalLike,
     _grid_union,
-    _set_lowest_terms,
     _merge_sorted,
     _refuse_past,
     common_denominator,
@@ -56,8 +55,11 @@ class DigitSetSpec:
             raise ValueError("depth must be >= 1")
         if not self.digits:
             raise ValueError("alphabet must be nonempty")
-        object.__setattr__(self, "digits", sorted(set(self.digits)))
-        _set_lowest_terms(self, "digits", "den")
+        if self.den <= 0:
+            raise ValueError("denominators must be positive")
+        g = gcd(self.den, *self.digits)
+        object.__setattr__(self, "digits", tuple(sorted({d // g for d in self.digits})))
+        object.__setattr__(self, "den", self.den // g)
         tail = rat(self.tail)
         if tail < 0:
             raise ValueError("tail must be >= 0")

@@ -12,8 +12,9 @@ the piecewise-linear and step functions, are integers over one denominator;
 measures, function values and the `.pairs`, `.xs`, `.ys` and `.values` views
 are Fractions.
 
-numpy is imported inside the functions that build or read an array, so a
-program that never cuts a function or tests containment never loads it.
+numpy is imported inside the functions that build or read an array, and
+every grid function holds arrays, so a program that builds no function and
+tests no containment never loads it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 from itertools import chain
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, lt
+from operator import index, itemgetter
 from typing import Iterable, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -172,22 +173,14 @@ def _superlevel(xs, left, right, level):
 
 
 def _int_array(values):
-    """Ints as an int64 array, or dtype object (Python ints) past int64."""
+    """Ints as an int64 array, or dtype object (Python ints) past int64;
+    TypeError on a non-integer, which numpy would truncate."""
     import numpy as np
+    values = [index(v) for v in values]
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
-
-
-def _set_lowest_terms(obj, nums, den):
-    """Put a frozen object's int fields nums over den in lowest terms, den > 0."""
-    n, d = getattr(obj, nums), getattr(obj, den)
-    if d <= 0:
-        raise ValueError("denominators must be positive")
-    g = gcd(d, *n)
-    object.__setattr__(obj, nums, tuple([v // g for v in n]) if g > 1 else tuple(n))
-    object.__setattr__(obj, den, d // g)
 
 
 def _grid_union(pairs, scale) -> "IntervalUnion":
@@ -489,37 +482,38 @@ _INCREASING = "breakpoints must be strictly increasing"
 class _GridFunction(_Frozen):
     """A function held on integer grids: breakpoints x_nums[i]/x_den and
     values y_nums[i]/y_den, each over one positive denominator in lowest
-    terms, so `==` is structural.  A function built from tuples holds them
-    and makes its int arrays on first use; one built by `_of_arrays` (a
-    sweep's) holds the arrays, and x_nums and y_nums are tuple views built on
-    first use, as `.xs` is a Fraction view.  `len(f)` is the breakpoint
-    count, read without a view.
+    terms, so `==` is structural.  Every function holds int arrays of its
+    numerators, int64 or object past int64, which the cut reads: the
+    constructor converts its ints with _int_array, and `_of_arrays` (a
+    sweep's) takes arrays as they are.  x_nums and y_nums are tuple views
+    built on first use, as `.xs` is a Fraction view.
     """
 
     _fields = ("x_nums", "y_nums", "x_den", "y_den")
 
     def __init__(self, x_nums: Tuple[int, ...], y_nums: Tuple[int, ...], x_den: int = 1, y_den: int = 1):
-        self._check_shape(len(x_nums), len(y_nums))
-        self._set(x_nums=x_nums, y_nums=y_nums, x_den=x_den, y_den=y_den)
-        _set_lowest_terms(self, "x_nums", "x_den")
-        _set_lowest_terms(self, "y_nums", "y_den")
-        if not all(map(lt, self.x_nums, self.x_nums[1:])):
-            raise ValueError(_INCREASING)
+        self._hold(_int_array(x_nums), _int_array(y_nums), x_den, y_den)
 
     @classmethod
     def _of_arrays(cls, xs, ys, x_den=1, y_den=1):
         """The function of the int arrays xs/x_den and ys/y_den (int64 or
-        object), each put in lowest terms and checked in numpy; it holds the
-        reduced arrays, which the cut reads."""
+        object), taken as they are: the sweeps' path."""
+        f = cls.__new__(cls)
+        f._hold(xs, ys, x_den, y_den)
+        return f
+
+    def _hold(self, xs, ys, x_den, y_den):
+        """Check the int arrays in numpy, put each over its denominator in
+        lowest terms and hold them."""
         import numpy as np
-        cls._check_shape(len(xs), len(ys))
+        self._check_shape(len(xs), len(ys))
         if x_den <= 0 or y_den <= 0:
             raise ValueError("denominators must be positive")
         if not (xs[1:] > xs[:-1]).all():
             raise ValueError(_INCREASING)
         gx, gy = gcd(x_den, int(np.gcd.reduce(xs))), gcd(y_den, int(np.gcd.reduce(ys)))
         xs, ys = (xs // gx if gx > 1 else xs), (ys // gy if gy > 1 else ys)
-        return cls._holding(_arrays=(xs, ys), x_den=x_den // gx, y_den=y_den // gy)
+        self._set(_arrays=(xs, ys), x_den=x_den // gx, y_den=y_den // gy)
 
     @cached_property
     def x_nums(self) -> Tuple[int, ...]:
@@ -529,14 +523,8 @@ class _GridFunction(_Frozen):
     def y_nums(self) -> Tuple[int, ...]:
         return tuple(self._arrays[1].tolist())
 
-    @cached_property
-    def _arrays(self):
-        """x_nums and y_nums as int arrays, int64 or object past int64."""
-        return _int_array(self.x_nums), _int_array(self.y_nums)
-
     def __len__(self) -> int:
-        held = vars(self)
-        return len(held["x_nums"] if "x_nums" in held else self._arrays[0])
+        return len(self._arrays[0])
 
     @cached_property
     def xs(self) -> Tuple[Fraction, ...]:

@@ -18,6 +18,7 @@ from operator import index
 from typing import List, Optional, Sequence, Tuple
 
 from .intervals import InvariantError, _refuse_past, rat_str
+from .scenarios import degenerate_threshold
 
 # the circuit search refuses more candidate row subsets than this (20 x 10 has 910,575)
 MAX_CIRCUIT_SUBSETS = 1_000_000
@@ -144,16 +145,18 @@ def minimal_dependent_rows(
 
     One depth-first walk over the independent row subsets in lexicographic
     order.  A node is an independent prefix; it holds every later row reduced
-    against the prefix, fraction-free in ints divided by their gcd, with the
-    pivot columns dropped.  Taking row k as the next row reduces each row
-    after k against k's residual once; a residual that vanishes (gcd 0) closes
-    a dependent set of the prefix, k and that row.  Every proper subset of a
-    smallest dependent set is independent, so the walk reaches its prefix,
-    and the first circuit found at a size is the lexicographically first of
-    that size: nodes of one depth come in lexicographic order, and each node
-    scans its later rows in increasing order.  Only a strictly smaller circuit
-    replaces the best one, and a branch is pruned once its circuits could not
-    be smaller.  The dependence comes from dependence_vector on the found rows.
+    against the prefix by _bareiss' step, with the pivot columns dropped.
+    Taking row k as the next row reduces each row after k against k's
+    residual once: cross-multiplied by the two pivots and divided exactly by
+    the pivot of the prefix's last row, so every entry is a minor of the
+    augmented rows.  A residual that vanishes closes a dependent set of the
+    prefix, k and that row.  Every proper subset of a smallest dependent set
+    is independent, so the walk reaches its prefix, and the first circuit
+    found at a size is the lexicographically first of that size: nodes of one
+    depth come in lexicographic order, and each node scans its later rows in
+    increasing order.  Only a strictly smaller circuit replaces the best one,
+    and a branch is pruned once its circuits could not be smaller.  The
+    dependence comes from dependence_vector on the found rows.
     Restricting the rows to a basis of their column space keeps every row
     dependence, so the walk runs on the pivot columns of the augmented rows;
     when there are n of them the rows are independent and nothing is walked.
@@ -173,9 +176,10 @@ def minimal_dependent_rows(
         return None  # n independent rows: no subset is dependent
     best_size, best = len(rows[0]) + 2, None
 
-    def walk(prefix, later):
+    def walk(prefix, later, prev):
         # later: (j, residual of row j against the prefix) for every j after
-        # the prefix, each residual nonzero
+        # the prefix, each residual nonzero; prev: the pivot of the prefix's
+        # last row, 1 at the root
         nonlocal best_size, best
         size = len(prefix) + 2  # of a circuit closed by taking the next row
         for a, (k, piv) in enumerate(later):
@@ -186,23 +190,17 @@ def minimal_dependent_rows(
             reduced = []
             for j, v in later[a + 1:]:
                 f = v[c]
-                if f:
-                    w = [p * x - f * y for x, y in zip(v, piv)]
-                    g = gcd(*w)
-                    if not g:
-                        best_size, best = size, (*prefix, k, j)
-                        break
-                    if g > 1:
-                        w = [x // g for x in w]
-                    del w[c]
-                else:
-                    w = v[:c] + v[c + 1:]
+                w = [(p * x - f * y) // prev for x, y in zip(v, piv)]
+                if not any(w):
+                    best_size, best = size, (*prefix, k, j)
+                    break
+                del w[c]
                 reduced.append((j, w))
             else:
                 if reduced and size + 1 < best_size:
-                    walk((*prefix, k), reduced)
+                    walk((*prefix, k), reduced, p)
 
-    walk((), [(j, [row[c] for c in cols]) for j, row in enumerate(rows)])
+    walk((), [(j, [row[c] for c in cols]) for j, row in enumerate(rows)], 1)
     lam = dependence_vector([rows[i] for i in best])
     if lam is None:
         raise InvariantError(f"rank-deficient rows {best} have no dependence vector")
@@ -270,7 +268,7 @@ def classify(matrix: Sequence[Sequence[int]]) -> Classification:
         if t_rank == r - 2:
             scenario = "nondegenerate"
         elif t_rank == r - 1:
-            scenario, bound = "degenerate", Fraction(r, r - 1)
+            scenario, bound = "degenerate", degenerate_threshold(r)
         else:
             raise InvariantError(f"circuit t-part rank must be r-2 or r-1, got {t_rank} for r={r}")
         # the kernel vector at each free column expresses that row over the basis

@@ -285,6 +285,24 @@ def test_array_built_function_equals_its_tuple_twin(dtype, unit):
         twin.x_den = 1
 
 
+@pytest.mark.parametrize("unit", [1, 2**70], ids=["int64", "object"])
+def test_constructor_and_array_twin_hold_the_same_attributes(unit):
+    # one constructor path: a function built from ints holds the arrays and
+    # denominators that its _of_arrays twin holds, and neither builds its
+    # tuple views before they are read
+    xs, ys = [-6 * unit, 0, 4 * unit, 10 * unit], [2, 8, -4, 0]
+    for kind, values in ((PiecewiseLinear, ys), (StepFunction, ys[:-1])):
+        built = kind(tuple(xs), tuple(values), 4, 6)
+        twin = kind._of_arrays(np.array(xs, dtype=built._arrays[0].dtype), np.array(values), 4, 6)
+        assert vars(built).keys() == vars(twin).keys() == {"_arrays", "x_den", "y_den"}
+        for a, b in zip(built._arrays, twin._arrays):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert (built.x_den, built.y_den) == (twin.x_den, twin.y_den) == (2 if unit == 1 else 1, 3)
+        assert built.x_nums == twin.x_nums and "x_nums" in vars(built).keys() & vars(twin).keys()
+    with pytest.raises(TypeError):
+        PiecewiseLinear((0, 1.5), (0, 1))
+
+
 def test_piecewise_superlevel_against_sampling():
     rnd = random.Random(2718)
     for _ in range(200):

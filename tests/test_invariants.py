@@ -128,6 +128,23 @@ def test_blowup_series_are_built_only_in_scenarios_module():
     assert found == []
 
 
+def test_degenerate_threshold_is_built_only_in_scenarios_module():
+    # r/(r-1) has one definition, scenarios.degenerate_threshold, which
+    # classify and dependent_forms_lower_ratio call
+    files = sorted(Path(divlab.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        if path.name != "scenarios.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and [ast.unparse(arg) for arg in node.args] == ["r", "r - 1"]
+    ]
+    assert len(files) > 1
+    assert found == []
+
+
 def test_alphabet_view_is_read_only_in_digitsets_module():
     # a digit spec is its integer digits over one denominator; the Fraction
     # .alphabet view stays behind that one type

@@ -370,6 +370,30 @@ def test_circuit_walk_on_wide_rows_matches_brute_force_search():
     assert {None, 2, 3, 4} <= sizes
 
 
+def test_circuit_walk_on_planted_deep_circuits_matches_brute_force_search():
+    # entries up to 10^6 and one planted affine dependency of 3 to 6 rows,
+    # below the m + 2 rows every set reaches: the walk goes down to prefixes
+    # of up to 4 rows, divides by pivots of many digits on each level and
+    # backtracks over prefixes that close nothing, so a wrong pivot that does
+    # not divide a residual exactly misses the planted circuit or closes a
+    # false one
+    rnd = random.Random(6061)
+    sizes = set()
+    for _ in range(60):
+        m = rnd.randint(3, 6)
+        s = rnd.randint(3, min(6, m + 1))
+        mat = [[rnd.randint(-10**6, 10**6) for _ in range(m)] for _ in range(rnd.randint(6, 14) - 1)]
+        picked = rnd.sample(mat, s - 1)
+        coeffs = [rnd.choice([-3, -2, -1, 1, 2, 3]) for _ in picked[1:]]
+        coeffs.insert(0, 1 - sum(coeffs))
+        mat.append([sum(c * row[d] for c, row in zip(coeffs, picked)) for d in range(m)])
+        rnd.shuffle(mat)
+        dep = minimal_dependent_rows(mat)
+        assert dep == brute_force_dependent_rows(mat), mat
+        sizes.add(dep.size)
+    assert {3, 4, 5, 6} <= sizes
+
+
 def test_circuit_walk_past_twenty_rows_matches_brute_force_search():
     # only the subset estimate bounds the walk; generic large entries have no
     # circuit below m + 2 rows, the size every walk is sure to close
