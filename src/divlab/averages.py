@@ -49,7 +49,7 @@ class SearchExhaustedError(RuntimeError):
 def _matched(sets, coefficients):
     """(sets, coefficients) as lists, the coefficients ints; ValueError
     unless there is one coefficient per set and at least one set."""
-    sets, coeffs = list(sets), [int(c) for c in coefficients]
+    sets, coeffs = list(sets), [operator.index(c) for c in coefficients]
     if len(sets) != len(coeffs) or not sets:
         raise ValueError("need matching nonempty sets and coefficients")
     return sets, coeffs
@@ -559,7 +559,7 @@ def discrete_superlevel(
     meets every grid step with the families in one batched numpy pass, with
     no Python loop over the steps n.
     """
-    n_steps = int(n_steps)
+    n_steps = operator.index(n_steps)
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
     sets, coeffs = _matched(sets, coefficients)
@@ -858,13 +858,13 @@ def monte_carlo_average(
     deterministic function of (seed, samples).
     """
     import numpy as np
-    matrix = [list(map(int, row)) for row in matrix]
+    matrix = [list(map(operator.index, row)) for row in matrix]
     if len(matrix) != len(sets) or not matrix:
         raise ValueError("need one coefficient row per set")
     mdim = len(matrix[0])
     if any(len(row) != mdim for row in matrix):
         raise ValueError("ragged coefficient matrix")
-    samples = int(samples)
+    samples, seed = operator.index(samples), operator.index(seed)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     _refuse_past(samples, MAX_MC_SAMPLES, "Monte Carlo estimate of", "samples")
@@ -885,7 +885,7 @@ def monte_carlo_average(
     ok[inside] = True
     est = float(ok.mean())
     stderr = float(ok.std(ddof=1) / math.sqrt(samples))
-    return MCEstimate(estimate=est, stderr=stderr, samples=samples, seed=int(seed))
+    return MCEstimate(estimate=est, stderr=stderr, samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +942,7 @@ def _dependent_forms_bound(r, sigma, per, threshold, name, big_m, p, big_l) -> D
     """Both bounds' record: M, p (spelt name when refused) and L checked, the
     centered-box ratio of c_b = (2/sigma)^(r-1) at q = p/per, and grows, the
     strict range p < threshold decided exactly on the float p in integers."""
-    big_m, p, big_l = int(big_m), float(p), float(big_l)
+    big_m, p, big_l = operator.index(big_m), float(p), float(big_l)
     if big_m < 1 or p <= 0 or big_l <= 0:
         raise ValueError(f"need M >= 1, {name} > 0, L > 0")
     ratio, integral = _centered_box_ratio((2.0 / sigma) ** (r - 1), p / per, r, big_m, big_l)
@@ -966,7 +966,7 @@ def degenerate_lower_ratio(big_m: int, p4prime: float, big_l) -> DependentFormsB
 
 def dependent_forms_pointwise_bound(r: int, b: Sequence[int], big_m: int, x: float) -> float:
     """min(2^(r-1), c_b/(M|x|+1)^(r-1)) with c_b = (2/sum|b_i|)^(r-1)."""
-    sigma = sum(abs(int(v)) for v in b)
+    r, sigma = operator.index(r), sum(abs(operator.index(v)) for v in b)
     cb = (2.0 / sigma) ** (r - 1)
     return min(2.0 ** (r - 1), cb / (big_m * abs(x) + 1.0) ** (r - 1))
 
@@ -983,8 +983,8 @@ def dependent_forms_lower_ratio(
     without bound at p = r/(r-1) itself, where (r-1)q = 1, but only
     logarithmically: integral = 2*c_b^q*ln(ML+1)/M.
     """
-    r = int(r)
-    b = [int(v) for v in b]
+    r = operator.index(r)
+    b = [operator.index(v) for v in b]
     if r < 3:
         raise ValueError("need r >= 3")
     if len(b) != r - 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import sub
+from operator import index, sub
 from typing import Sequence, Tuple
 
 from .intervals import (
@@ -49,9 +49,9 @@ class DigitSetSpec:
     tail: Fraction
 
     def __post_init__(self):
-        if self.radix < 2:
+        if index(self.radix) < 2:
             raise ValueError("radix must be >= 2")
-        if self.depth < 1:
+        if index(self.depth) < 1:
             raise ValueError("depth must be >= 1")
         if not self.digits:
             raise ValueError("alphabet must be nonempty")
@@ -89,7 +89,7 @@ def digit_spec(radix, depth, alphabet, tail) -> DigitSetSpec:
     alphabet = {rat(a) for a in alphabet}
     den = common_denominator(alphabet)
     digits = [a.numerator * (den // a.denominator) for a in alphabet]
-    return DigitSetSpec(int(radix), int(depth), digits, den, tail)
+    return DigitSetSpec(index(radix), index(depth), digits, den, tail)
 
 
 def _base_nums(spec: DigitSetSpec):

@@ -26,15 +26,12 @@ MAX_CIRCUIT_SUBSETS = 1_000_000
 
 def extended_matrix(matrix: Sequence[Sequence[int]]) -> List[List[int]]:
     """Rows augmented with a trailing 1, plus the bottom row (0,...,0,1)."""
-    rows = [list(map(int, row)) for row in matrix]
+    rows = [[index(v) for v in row] + [1] for row in matrix]  # TypeError on non-integers
     if not rows:
         raise ValueError("need at least one row")
-    m = len(rows[0])
-    if any(len(r) != m for r in rows):
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    out = [r + [1] for r in rows]
-    out.append([0] * m + [1])
-    return out
+    return rows + [[0] * (len(rows[0]) - 1) + [1]]
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
@@ -133,78 +130,17 @@ def circuit_subsets(n: int, columns: int) -> int:
     """Candidate row subsets of the circuit search over n rows of `columns`
     entries: sum_s C(n, s) for 2 <= s <= min(n, columns + 2), since any
     columns + 2 augmented rows are dependent.  It bounds the row reductions of
-    minimal_dependent_rows' walk, one per subset: the prefix, k and the row."""
+    classify's walk, one per subset: the prefix, k and the row."""
     return sum(comb(n, s) for s in range(2, min(n, columns + 2) + 1))
 
 
 def minimal_dependent_rows(
     matrix: Sequence[Sequence[int]],
 ) -> Optional[DependentRows]:
-    """Smallest dependent subset of the augmented rows; lexicographically first
-    among ties.  Any m+2 augmented rows are dependent, which caps the search.
-
-    One depth-first walk over the independent row subsets in lexicographic
-    order.  A node is an independent prefix; it holds every later row reduced
-    against the prefix by _bareiss' step, with the pivot columns dropped.
-    Taking row k as the next row reduces each row after k against k's
-    residual once: cross-multiplied by the two pivots and divided exactly by
-    the pivot of the prefix's last row, so every entry is a minor of the
-    augmented rows.  A residual that vanishes closes a dependent set of the
-    prefix, k and that row.  Every proper subset of a smallest dependent set
-    is independent, so the walk reaches its prefix, and the first circuit
-    found at a size is the lexicographically first of that size: nodes of one
-    depth come in lexicographic order, and each node scans its later rows in
-    increasing order.  Only a strictly smaller circuit replaces the best one,
-    and a branch is pruned once its circuits could not be smaller.  The
-    dependence comes from dependence_vector on the found rows.
-    Restricting the rows to a basis of their column space keeps every row
-    dependence, so the walk runs on the pivot columns of the augmented rows;
-    when there are n of them the rows are independent and nothing is walked.
-
-    Past MAX_CIRCUIT_SUBSETS candidate subsets (circuit_subsets) it raises
-    ValueError before the walk.  A walk always closes a circuit: n rows on
-    fewer than n pivot columns are dependent, so one has at most m + 2 rows.
-    """
-    rows = [list(map(int, row)) + [1] for row in matrix]
-    n = len(rows)
-    if n == 0:
-        return None
-    subsets = circuit_subsets(n, len(rows[0]) - 1)
-    _refuse_past(subsets, MAX_CIRCUIT_SUBSETS, "circuit search over", "row subsets")
-    cols = _bareiss(rows)[0]
-    if len(cols) == n:
-        return None  # n independent rows: no subset is dependent
-    best_size, best = len(rows[0]) + 2, None
-
-    def walk(prefix, later, prev):
-        # later: (j, residual of row j against the prefix) for every j after
-        # the prefix, each residual nonzero; prev: the pivot of the prefix's
-        # last row, 1 at the root
-        nonlocal best_size, best
-        size = len(prefix) + 2  # of a circuit closed by taking the next row
-        for a, (k, piv) in enumerate(later):
-            if size >= best_size:
-                return
-            c = next(i for i, x in enumerate(piv) if x)
-            p = piv[c]
-            reduced = []
-            for j, v in later[a + 1:]:
-                f = v[c]
-                w = [(p * x - f * y) // prev for x, y in zip(v, piv)]
-                if not any(w):
-                    best_size, best = size, (*prefix, k, j)
-                    break
-                del w[c]
-                reduced.append((j, w))
-            else:
-                if reduced and size + 1 < best_size:
-                    walk((*prefix, k), reduced, p)
-
-    walk((), [(j, [row[c] for c in cols]) for j, row in enumerate(rows)], 1)
-    lam = dependence_vector([rows[i] for i in best])
-    if lam is None:
-        raise InvariantError(f"rank-deficient rows {best} have no dependence vector")
-    return DependentRows(size=best_size, indices=best, dependence=lam)
+    """Smallest dependent subset of the augmented rows, lexicographically first
+    among ties, with its dependence: classify's circuit, None for no rows."""
+    rows = list(matrix)
+    return classify(rows).circuit if rows else None
 
 
 @dataclass(frozen=True)
@@ -246,39 +182,99 @@ def classify(matrix: Sequence[Sequence[int]]) -> Classification:
     augmented rows), nondegenerate (circuit t-part rank r-2) or degenerate
     (t-part rank r-1, predicted divergence for p < r/(r-1)).
 
-    For a circuit, a change of variables is reported: the lexicographically
-    first maximal independent t-part subset becomes the new variables, and
-    every remaining circuit row's t-part is expanded over it exactly.
+    The circuit is the smallest dependent subset of the augmented rows,
+    lexicographically first among ties; any m+2 augmented rows are dependent,
+    which caps the search.  Past MAX_CIRCUIT_SUBSETS candidate subsets
+    (circuit_subsets) it raises ValueError before any elimination.
+    Restricting the rows to a basis of their column space keeps every row
+    dependence, so the walk runs on the pivot columns of the augmented rows
+    [A | 1]; _bareiss takes them greedily from the left, so those before
+    column m are A's and their number is the rank.  When there are n of them
+    the rows are independent and nothing is walked.
+
+    One depth-first walk over the independent row subsets in lexicographic
+    order.  A node is an independent prefix; it holds every later row reduced
+    against the prefix by _bareiss' step, with the pivot columns dropped.
+    Taking row k as the next row reduces each row after k against k's
+    residual once: cross-multiplied by the two pivots and divided exactly by
+    the pivot of the prefix's last row, so every entry is a minor of the
+    augmented rows.  A residual that vanishes closes a dependent set of the
+    prefix, k and that row.  Every proper subset of a smallest dependent set
+    is independent, so the walk reaches its prefix, and the first circuit
+    found at a size is the lexicographically first of that size: nodes of one
+    depth come in lexicographic order, and each node scans its later rows in
+    increasing order.  Only a strictly smaller circuit replaces the best one,
+    and a branch is pruned once its circuits could not be smaller.  A walk
+    always closes a circuit: n rows on fewer than n pivot columns are
+    dependent, so one has at most m + 2 rows.
+
+    One elimination of the circuit's t-parts, taken as columns, gives the
+    rest.  Its pivot columns are the lexicographically first maximal
+    independent subset, which becomes the new variables; the kernel vector at
+    each free column expands that row over them exactly.  A circuit's
+    augmented rows have a one-dimensional kernel, so its t-parts have one or
+    two free columns: the dependence is the kernel vector at the one, or the
+    combination sum(k2) k1 - sum(k1) k2 of the two kernel vectors, whose
+    entries sum to 0 as well, made primitive with the first nonzero entry
+    positive.
     """
-    rows = [tuple(map(int, row)) for row in matrix]
-    if not rows:
-        raise ValueError("need at least one row")
+    aug = extended_matrix(matrix)[:-1]
+    n, m = len(aug), len(aug[0]) - 1
+    _refuse_past(circuit_subsets(n, m), MAX_CIRCUIT_SUBSETS, "circuit search over", "row subsets")
+    cols = _bareiss(aug)[0]
     # subtracting extended_matrix's bottom row (0, ..., 0, 1) from every
     # augmented row leaves [[A, 0], [0, 1]]: the extended rank is rank A + 1
-    rank_m = exact_rank(rows)
-    circuit = minimal_dependent_rows(rows)
-    scenario, t_rank, bound, basis, expansions = "independent", None, None, None, None
-    if circuit is not None:
-        # pivot columns of the circuit's t-parts, taken as columns, are the
-        # lexicographically first maximal independent subset
-        pivots, a = _bareiss([[rows[i][d] for i in circuit.indices] for d in range(len(rows[0]))])
-        basis = tuple(circuit.indices[c] for c in pivots)
+    rank_m = sum(c < m for c in cols)
+    circuit, t_rank, bound, basis, expansions = None, None, None, None, None
+    scenario = "independent"
+    if len(cols) < n:
+        best_size, best = m + 3, None
+
+        def walk(prefix, later, prev):
+            # later: (j, residual of row j against the prefix) for every j after
+            # the prefix, each residual nonzero; prev: the pivot of the prefix's
+            # last row, 1 at the root
+            nonlocal best_size, best
+            size = len(prefix) + 2  # of a circuit closed by taking the next row
+            for a, (k, piv) in enumerate(later):
+                if size >= best_size:
+                    return
+                c = next(i for i, x in enumerate(piv) if x)
+                p = piv[c]
+                reduced = []
+                for j, v in later[a + 1:]:
+                    f = v[c]
+                    w = [(p * x - f * y) // prev for x, y in zip(v, piv)]
+                    if not any(w):
+                        best_size, best = size, (*prefix, k, j)
+                        break
+                    del w[c]
+                    reduced.append((j, w))
+                else:
+                    if reduced and size + 1 < best_size:
+                        walk((*prefix, k), reduced, p)
+
+        walk((), [(j, [row[c] for c in cols]) for j, row in enumerate(aug)], 1)
+        r = best_size
+        pivots, a = _bareiss([[aug[i][d] for i in best] for d in range(m)])
+        basis = tuple(best[c] for c in pivots)
         t_rank = len(basis)
-        r = circuit.size
         if t_rank == r - 2:
             scenario = "nondegenerate"
         elif t_rank == r - 1:
             scenario, bound = "degenerate", degenerate_threshold(r)
         else:
             raise InvariantError(f"circuit t-part rank must be r-2 or r-1, got {t_rank} for r={r}")
-        # the kernel vector at each free column expresses that row over the basis
-        expansions = {}
-        for col, i in enumerate(circuit.indices):
-            if col not in pivots:
-                lam = _kernel(pivots, a, col, r)
-                expansions[i] = [Fraction(-lam[c], lam[col]) for c in pivots]
+        kernel = {col: _kernel(pivots, a, col, r) for col in range(r) if col not in pivots}
+        expansions = {best[col]: [Fraction(-lam[c], lam[col]) for c in pivots] for col, lam in kernel.items()}
+        k1, *k2 = kernel.values()
+        lam = [sum(k2[0]) * x - sum(k1) * y for x, y in zip(k1, k2[0])] if k2 else k1
+        if sum(lam) or not any(lam):
+            raise InvariantError(f"circuit rows {best} have no dependence vector: {lam} must be nonzero and sum to 0")
+        g = gcd(*lam) * (1 if next(v for v in lam if v) > 0 else -1)
+        circuit = DependentRows(size=r, indices=best, dependence=tuple(v // g for v in lam))
     return Classification(
-        matrix=tuple(rows),
+        matrix=tuple(tuple(row[:m]) for row in aug),
         rank_matrix=rank_m,
         rank_extended=rank_m + 1,
         scenario=scenario,

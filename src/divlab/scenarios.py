@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from operator import index
 from typing import Dict, Mapping, Tuple
 
 from .digitsets import (
@@ -100,8 +101,8 @@ class FurstenbergScenario:
     def from_json(data) -> "FurstenbergScenario":
         sets = data["sets"]
         return FurstenbergScenario(
-            depth=int(data["k"]),
-            coefficients=tuple(int(c) for c in data["coefficients"]),
+            depth=index(data["k"]),
+            coefficients=tuple(index(c) for c in data["coefficients"]),
             factor_specs=tuple(
                 DigitSetSpec.from_json(sets[f"factor_{i}"]) for i in (1, 2, 3)
             ),
@@ -211,7 +212,7 @@ class CubeScenario:
 
     @staticmethod
     def from_json(data) -> "CubeScenario":
-        m, k = int(data["m"]), int(data["k"])
+        m, k = index(data["m"]), index(data["k"])
         sets = data["sets"]
         form_specs = {}
         for eps in _eps_vectors(m):
@@ -407,7 +408,7 @@ def _h3_log_terms(p: float, kmax: int, normalization: str):
     return [
         (k, -3 * math.log(8) / p - math.log(8 * 12**k),
          -(math.log(half * 4**k) + math.log(half * 3**k) + math.log(half * 2**k)) / p)
-        for k in range(1, int(kmax) + 1)
+        for k in range(1, kmax + 1)
     ]
 
 

@@ -49,7 +49,7 @@ from divlab.digitsets import (
     measure,
 )
 from divlab.intervals import EMPTY, IntervalUnion, InvariantError, normalize
-from divlab.scenarios import cube_family, furstenberg_family
+from divlab.scenarios import CubeScenario, FurstenbergScenario, cube_family, furstenberg_family
 from cube_reference import cube_certificate_reference, cube_checks_reference, cube_rows_reference
 from fresh_interpreter import run_script
 from grid_reference import grid_cells_reference
@@ -1743,3 +1743,43 @@ def test_dependent_forms_validation():
         dependent_forms_lower_ratio(3, [1, 1], 10, 1.2, 100)  # sums to 2
     with pytest.raises(ValueError):
         dependent_forms_lower_ratio(3, [2, -1, 0], 10, 1.2, 100)
+
+
+_U = normalize([(0, 1)])
+_EPS = F(1, 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: form_time_set([_U, _U], [1.5, 2], 0),
+    lambda: sweep_superlevel([_U, _U], [1.9, 2], F(1, 2), (0, 1)),
+    lambda: discrete_superlevel([_U, _U], [1, 2], 4.9, F(1, 2), (0, 1)),
+    lambda: monte_carlo_average([[1.5], [2]], [_U, _U], 0, _EPS, 100, 1),
+    lambda: monte_carlo_average([[1], [2]], [_U, _U], 0, _EPS, 100.5, 1),
+    lambda: monte_carlo_average([[1], [2]], [_U, _U], 0, _EPS, 100, 1.5),
+    lambda: degenerate_lower_ratio(100.5, 0.4, 100.0),
+    lambda: dependent_forms_lower_ratio(3, [1, 0], 100.5, 1.2, 100.0),
+    lambda: dependent_forms_lower_ratio(3.5, [1, 0], 50, 1.1, 1000.0),
+    lambda: dependent_forms_lower_ratio(3, [1.5, -0.5], 50, 1.1, 1000.0),
+    lambda: dependent_forms_pointwise_bound(3.5, [1, 0], 10, 0.5),
+    lambda: dependent_forms_pointwise_bound(3, [1.5, -0.5], 10, 0.5),
+    lambda: digit_spec(12.5, 2, [0, 1], 0),
+    lambda: digit_spec(12, 2.5, [0, 1], 0),
+    lambda: DigitSetSpec(12.5, 2, (0, 1), 1, 0),
+    lambda: DigitSetSpec(12, 2.5, (0, 1), 1, 0),
+    lambda: FurstenbergScenario.from_json({**furstenberg_family(1).to_json(), "k": 1.5}),
+    lambda: FurstenbergScenario.from_json({**furstenberg_family(1).to_json(), "coefficients": [1, 2, 3.5]}),
+    lambda: CubeScenario.from_json({**cube_family(3, 1).to_json(), "k": 1.5}),
+    lambda: CubeScenario.from_json({**cube_family(3, 1).to_json(), "m": 3.5}),
+    lambda: hilbert.h3_series_columns(1.5, 3.5),
+], ids=[
+    "form_time_set coefficient", "sweep_superlevel coefficient", "discrete_superlevel n_steps",
+    "monte_carlo_average row", "monte_carlo_average samples", "monte_carlo_average seed",
+    "squares M", "dependent forms M", "dependent forms r", "dependent forms b",
+    "pointwise bound r", "pointwise bound b", "digit_spec radix", "digit_spec depth",
+    "DigitSetSpec radix", "DigitSetSpec depth", "Furstenberg k", "Furstenberg coefficient",
+    "cube k", "cube m", "h3 columns kmax",
+])
+def test_integer_arguments_refuse_floats(call):
+    # int() would truncate each of these and answer for another request
+    with pytest.raises(TypeError):
+        call()

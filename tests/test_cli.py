@@ -14,7 +14,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from divlab import averages, cli, digitsets, hilbert, intervals, linforms, scenarios
+from circuit_reference import spoil_circuit_elimination
+from divlab import averages, cli, digitsets, hilbert, intervals, scenarios
 from divlab.cli import MAX_DEPTH, MAX_THRESHOLD_M, _emit_json, _Rows, main
 from divlab.digitsets import DigitSetSpec, cardinality
 from divlab.intervals import EMPTY, IntervalUnion, _array_union, _grid_union, normalize, rat_str, real
@@ -582,7 +583,7 @@ def test_h3_eval_near_zero_exits_0(capsys):
 
 
 def test_invariant_failure_exits_1_without_traceback(capsys, monkeypatch):
-    monkeypatch.setattr(linforms, "dependence_vector", lambda rows: None)
+    spoil_circuit_elimination(monkeypatch, [[1, 0, 0], [0, 1, 0]])  # no dependence vector
     rc, out, err = run(capsys, "classify", "--rows", "2,0;0,2;1,1")
     assert rc == 1 and out == ""
     assert err.startswith("divlab: error: internal invariant failed:")

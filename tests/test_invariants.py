@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import divlab
+from circuit_reference import spoil_circuit_elimination
 from divlab import averages, cli, hilbert, linforms
 from divlab.digitsets import DigitSetSpec
 from divlab.intervals import InvariantError
@@ -220,17 +221,18 @@ def test_invariant_error_is_a_runtime_error():
 
 
 def test_missing_dependence_vector_raises(monkeypatch):
-    monkeypatch.setattr(linforms, "dependence_vector", lambda rows: None)
+    # a t-part kernel vector whose entries do not sum to 0 annihilates no
+    # augmented rows: (0, 0, 1) here, for the circuit of all three rows
+    spoil_circuit_elimination(monkeypatch, [[1, 0, 0], [0, 1, 0]])
     with pytest.raises(InvariantError, match="no dependence vector"):
-        linforms.minimal_dependent_rows([[2, 0], [0, 2], [1, 1]])
+        linforms.classify([[2, 0], [0, 2], [1, 1]])
 
 
 def test_circuit_with_full_t_rank_raises(monkeypatch):
-    # an independent pair passed off as a circuit has t-part rank r, not r-1 or r-2
-    fake = linforms.DependentRows(size=2, indices=(0, 1), dependence=(1, -1))
-    monkeypatch.setattr(linforms, "minimal_dependent_rows", lambda rows: fake)
+    # independent t-parts passed off as the circuit's have t-part rank r, not r-1 or r-2
+    spoil_circuit_elimination(monkeypatch, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(InvariantError, match="t-part rank"):
-        linforms.classify([[1, 0], [0, 1]])
+        linforms.classify([[2, 0], [0, 2], [1, 1]])
 
 
 def test_cube_decomposition_outside_lattice_raises(monkeypatch):

@@ -4,8 +4,10 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction as F
-from math import gcd, lcm
+from functools import cache
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -343,6 +345,8 @@ def test_circuit_walk_matches_brute_force_search():
         dep = minimal_dependent_rows(mat)
         assert dep == brute_force_dependent_rows(mat), mat
         sizes.add(None if dep is None else dep.size)
+        c = classify(mat)
+        assert c.rank_matrix == exact_rank(mat) and c.circuit == dep, mat
         # classify's extended rank: [[A, 1], [0, 1]] reduces to [[A, 0], [0, 1]]
         assert exact_rank(extended_matrix(mat)) == exact_rank(mat) + 1, mat
     assert None in sizes and {2, 3, 4, 5, 6, 7} <= sizes
@@ -370,15 +374,12 @@ def test_circuit_walk_on_wide_rows_matches_brute_force_search():
     assert {None, 2, 3, 4} <= sizes
 
 
-def test_circuit_walk_on_planted_deep_circuits_matches_brute_force_search():
+def planted_deep_circuits():
     # entries up to 10^6 and one planted affine dependency of 3 to 6 rows,
     # below the m + 2 rows every set reaches: the walk goes down to prefixes
     # of up to 4 rows, divides by pivots of many digits on each level and
-    # backtracks over prefixes that close nothing, so a wrong pivot that does
-    # not divide a residual exactly misses the planted circuit or closes a
-    # false one
+    # backtracks over prefixes that close nothing
     rnd = random.Random(6061)
-    sizes = set()
     for _ in range(60):
         m = rnd.randint(3, 6)
         s = rnd.randint(3, min(6, m + 1))
@@ -388,10 +389,72 @@ def test_circuit_walk_on_planted_deep_circuits_matches_brute_force_search():
         coeffs.insert(0, 1 - sum(coeffs))
         mat.append([sum(c * row[d] for c, row in zip(coeffs, picked)) for d in range(m)])
         rnd.shuffle(mat)
+        yield mat
+
+
+def test_circuit_walk_on_planted_deep_circuits_matches_brute_force_search():
+    # a wrong pivot that does not divide a residual exactly misses the
+    # planted circuit or closes a false one
+    sizes = set()
+    for mat in planted_deep_circuits():
         dep = minimal_dependent_rows(mat)
         assert dep == brute_force_dependent_rows(mat), mat
         sizes.add(dep.size)
     assert {3, 4, 5, 6} <= sizes
+
+
+def walk_residuals(mat):
+    """(prefix, k, j, residual) for every residual classify's walk computes,
+    read off each walk frame when its residual w is first seen."""
+    seen, last = [], {}
+
+    def in_walk(frame, event, arg):
+        w = frame.f_locals.get("w") if event == "line" else None
+        if w is not None and w is not last.get(frame):
+            last[frame] = w  # held, so a later residual cannot reuse its id
+            seen.append((frame.f_locals["prefix"], frame.f_locals["k"], frame.f_locals["j"], list(w)))
+        return in_walk
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_walk if frame.f_code.co_name == "walk" else None)
+    try:
+        classify(mat)
+    finally:
+        sys.settrace(old)
+    return seen
+
+
+def test_circuit_walk_residuals_are_minors_of_the_augmented_rows():
+    # the residual of row j against the rows s = prefix + (k,) is, at each
+    # column e not a pivot of the prefix, the minor on rows s, j and columns
+    # the pivots of s, e: by Fraction elimination, the product of the pivots
+    # of s times j's reduced entry at e.  A walk that divides by a factor of
+    # the right pivot (the grandparent's, or 1) divides exactly and closes
+    # the same circuits, with residuals grown by the earlier pivots
+    checked = 0
+    for mat in planted_deep_circuits():
+        aug = [row + [1] for row in mat]
+        cols = oracle_rref(aug, len(aug[0]))[0]
+
+        @cache
+        def reduced(s, j):  # row j on cols, reduced against the rows s in order
+            if not s:
+                return tuple(F(aug[j][c]) for c in cols)
+            v, u = reduced(s[:-1], j), reduced(s[:-1], s[-1])
+            c = pivot(s[:-1], s[-1])
+            return tuple(x - v[c] / u[c] * y for x, y in zip(v, u))
+
+        def pivot(s, k):
+            return next(i for i, x in enumerate(reduced(s, k)) if x)
+
+        for prefix, k, j, w in walk_residuals(mat):
+            s = (*prefix, k)
+            scale = prod(reduced(s[:i], s[i])[pivot(s[:i], s[i])] for i in range(len(s)))
+            dropped = {pivot(prefix[:i], prefix[i]) for i in range(len(prefix))}
+            want = [scale * x for e, x in enumerate(reduced(s, j)) if e not in dropped]
+            assert w == want, (mat, prefix, k, j)
+            checked += 1
+    assert checked > 20_000
 
 
 def test_circuit_walk_past_twenty_rows_matches_brute_force_search():
@@ -444,3 +507,30 @@ def test_ragged_matrices_are_refused(mat):
         exact_rank(mat)
     with pytest.raises(ValueError, match="ragged matrix"):
         classify(mat)
+
+
+def test_classify_eliminates_twice_when_dependent_and_once_when_independent(monkeypatch):
+    # the walk's elimination of the augmented rows gives the rank, and one
+    # elimination of the circuit's t-parts the basis, expansions and dependence
+    calls, real = [], linforms._bareiss
+    monkeypatch.setattr(linforms, "_bareiss", lambda rows: calls.append(rows) or real(rows))
+    for name in ("exact_rank", "dependence_vector", "minimal_dependent_rows"):
+        monkeypatch.setattr(linforms, name, lambda *args, name=name: pytest.fail(f"classify called {name}"))
+    for mat, scenario, eliminations in [
+        ([[2, 0], [0, 2], [1, 1]], "degenerate", 2),
+        ([[1], [2], [3]], "nondegenerate", 2),
+        ([[1, 0], [0, 1], [1, 1]], "independent", 1),
+    ]:
+        calls.clear()
+        assert classify(mat).scenario == scenario
+        assert len(calls) == eliminations, mat
+
+
+def test_float_entries_are_refused_not_truncated():
+    # int() would read 1.5 as 1 and 2.9 as 2, and answer for another matrix
+    with pytest.raises(TypeError):
+        classify([[1.5, 0], [0, 1], [1, 1]])
+    with pytest.raises(TypeError):
+        minimal_dependent_rows([[2.9], [2], [1]])
+    with pytest.raises(TypeError):
+        extended_matrix([[1, 0], [0, 1.0]])
