@@ -154,7 +154,7 @@ def _distinct(a):
     import numpy.ma on first use)."""
     import numpy as np
     a.sort()
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+    return a[np.concatenate(([True], a[1:] != a[:-1]))[: len(a)]]
 
 
 def _crossing_blocks(fam_s, coeffs, dom, win):
@@ -242,48 +242,26 @@ def _crossing_blocks(fam_s, coeffs, dom, win):
         yield block(parts)
 
 
-def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
-    """(live, index, jump): the indices of the live meetings, those in the
-    closure of every family, and the (index, jump) of the meetings counted by
-    pair (p, q) whose slope jump of F (units 1/C) is nonzero; p and q are
-    per-meeting arrays.
+@functools.lru_cache(maxsize=64)
+def _state_table(coeffs, dtype):  # _meeting_jumps' memo: [sorted codes, pair, jump]
+    return []
 
-    Near the meeting point every family is inside, outside, or has its lower
-    or upper t-endpoint there; endpoints move at vel = -C/c (the domain at 0).
-    One search per family finds the first endpoint at or after the point, and
-    an equality test there tells a hit.  A meeting outside some family has
-    F = 0 on both sides, so it is dropped before the local reductions.  On
-    the live ones the local intersection [max lowers, min uppers] gives F's
-    slope just right (plus) and left (minus) of x.  A meeting shared by
-    several pairs is counted only by its canonical pair: the first
-    participant and the first later one with a different velocity.
-    """
+
+def _state_jumps(states, coeffs, vel):
+    """(first, second, jump) per column of local states, row 0 the t-domain
+    and row i + 1 family i: 0 none, 1 t0 or an even-index endpoint, 2 t1 or
+    an odd-index one.  A 1 is a lower t-endpoint and a 2 an upper one,
+    swapped in a family with c < 0; endpoints move at vel = -C/c (the domain
+    at 0).  The local intersection [max lowers, min uppers] gives F's slope
+    just right (plus) and left (minus) of the point, jump = plus - minus
+    (units 1/C).  A meeting counts only for its canonical pair (first,
+    second): the first participant and the first later one with a different
+    velocity."""
     import numpy as np
-    idx = np.arange(len(x))
-    hits, ks = [], []  # per family: an endpoint at y; the first endpoint index at or after y
-    for es, c in zip(fam_s, coeffs):
-        if not len(es):  # an empty family: F = 0 everywhere
-            return idx[:0], idx[:0], x[:0]
-        y = x + c * tau
-        k = np.searchsorted(es, y)
-        hit = np.take(es, k, mode="clip") == y
-        # keep the meetings inside or on this family (a hit, or past an odd
-        # number of endpoints); the next family searches only those
-        keep = np.flatnonzero(hit | (k & 1).astype(bool))
-        idx, x, tau = idx[keep], x[keep], tau[keep]
-        hits = [h[keep] for h in hits] + [hit[keep]]
-        ks = [j[keep] for j in ks] + [k[keep]]
-    # the canonical pair reads only which rows take part: the domain at its
-    # ends, a family at a hit; the reductions then run on the counted meetings
-    live = idx
-    part = np.array([(tau == dom[0]) | (tau == dom[1]), *hits])
-    v = vel[:, None]
+    part, v = states != 0, vel[:, None]
     first = part.argmax(axis=0)
     second = (part & (v != vel[first])).argmax(axis=0)
-    own = np.flatnonzero((first == p[idx]) & (second == q[idx]))
-    idx, tau, part = idx[own], tau[own], part[:, own]
-    # a hit at an even index is a lower t-endpoint when c > 0, an upper one when c < 0
-    lower = part & np.array([tau == dom[0], *(((k[own] & 1) == 0) == (c > 0) for k, c in zip(ks, coeffs))])
+    lower = part & ((states == 1) == np.array([True, *(c > 0 for c in coeffs)])[:, None])
     upper = part & ~lower
     big = int(np.abs(vel).max()) + 1
     has_lo, has_up = lower.any(axis=0), upper.any(axis=0)
@@ -296,9 +274,47 @@ def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
                     np.where(has_up, min_up, np.where(has_lo, -max_lo, 0)))
     minus = np.where(both, -np.maximum(min_lo - max_up, 0),
                      np.where(has_up, max_up, np.where(has_lo, -min_lo, 0)))
-    jump = plus - minus
-    nz = np.flatnonzero(jump)
-    return live, idx[nz], jump[nz]
+    return first, second, plus - minus
+
+
+def _meeting_jumps(x, tau, p, q, fam_s, coeffs, vel, dom):
+    """(live, index, jump): the indices of the live meetings, those in the
+    closure of every family, and the (index, jump) of the meetings counted by
+    pair (p, q) whose slope jump of F (units 1/C) is nonzero; p and q are
+    per-meeting arrays.
+
+    One pass searches each family once; a hit or an odd index at the first
+    endpoint at or after the point keeps a meeting live, and each meeting
+    gets the state code sum_r s_r 3^r (s_r as in _state_jumps; int64 while
+    3^rows < 2^62, Python ints beyond).  Pair and jump depend on the code
+    alone, so _state_jumps runs only on codes new to the memo of these
+    coefficients and dtype.
+    """
+    import numpy as np
+    if not all(map(len, fam_s)):  # an empty family: F = 0 everywhere
+        return np.arange(0), np.arange(0), x[:0]
+    rows = len(fam_s) + 1
+    pw = np.array([3**r for r in range(rows)], dtype=np.int64 if 3**rows < 2**62 else object)
+    code = ((tau == dom[0]) + 2 * (tau == dom[1])).astype(pw.dtype)
+    inside = np.ones(len(x), dtype=bool)
+    for r, (es, c) in enumerate(zip(fam_s, coeffs), 1):
+        k = np.searchsorted(es, y := x + c * tau)
+        odd, hit = (k & 1).astype(bool), np.take(es, k, mode="clip") == y
+        inside &= hit | odd
+        code += hit * (1 + odd) * pw[r : r + 1]
+    live = np.flatnonzero(inside)
+    code = code[live]
+    table = _state_table(tuple(coeffs), vel.dtype)
+    at = np.searchsorted(table[0], code) if table else None
+    if not table or (np.take(table[0], at, mode="clip") != code).any():
+        # code 0 (no participant) keeps the table nonempty
+        codes = _distinct(np.concatenate((pw[:1] * 0, *table[:1], code)))
+        first, second, jump = _state_jumps((codes // pw[:, None] % 3).astype(np.int8), coeffs, vel)
+        table[:] = [codes, np.where(jump != 0, first * rows + second, -1), jump]  # -1: no jump to count
+        at = np.searchsorted(codes, code)
+    _, pair, jump = table
+    own = np.flatnonzero(pair[at] == p[live] * rows + q[live])
+    return live, live[own], jump[at[own]]
 
 
 def sweep_superlevel(
@@ -343,29 +359,30 @@ def sweep_superlevel(
     run the same code.
 
     Each meeting changes F's slope by a jump read off the families' local
-    states there (see _meeting_jumps).  The kernel searches each family once
-    and drops a meeting as soon as it lies outside some family, so only the
-    live ones reach the local reductions (95 / 1,151 / 13,823 / 165,887),
-    and of those only the ones their canonical pair counts; it returns the
-    live meetings and the (index, jump) of the nonzero jumps (46 / 574 /
-    6,910 / 82,942).  The live and domain-end abscissae are pending
-    breakpoints, merged into the sorted breakpoints after 32 blocks once
-    they are at least as many as the breakpoints so far, so memory follows
-    the breakpoints rather than the meetings, and the nonzero jumps, kept
-    with their abscissae, are summed onto the breakpoints at the end.  F at
-    the first two breakpoints and at the last one comes from one integer
-    pointwise evaluation on the sweep's own grid by _time_pairs, the
-    time-set kernel form_time_set also runs, as F * S * C: the first slope
-    is an exact divmod, cumulative sums of the jumps then give F at every
-    breakpoint, and the last value must equal the third evaluation.
-    The function holds the breakpoint and value arrays, put in lowest terms
-    and checked in numpy (breakpoints over S, values over S * C).  Its
-    superlevel method cuts them in one numpy pass (intervals._superlevel),
-    every level crossing an integer on the grid refined by the lcm of the
-    crossings' reduced denominators, and the union holds the cut's arrays of
-    piece ends.  Its measure, containment test and JSON read those arrays,
-    so no breakpoint or piece becomes a tuple unless a caller reads the
-    x_nums, y_nums or nums views.
+    states there (see _meeting_jumps).  The kernel searches every family
+    once per meeting in one pass, marks the live ones, those in the closure
+    of every family (95 / 1,151 / 13,823 / 165,887), and gives each a state
+    code; pair and jump come from a memo of codes per coefficient tuple,
+    which the claim scenarios fill with 5 codes at k=1 and never again.  It
+    returns the live meetings and the (index, jump) of the nonzero jumps
+    their canonical pair counts (46 / 574 / 6,910 / 82,942).  The live and
+    domain-end abscissae are pending breakpoints, merged into the sorted
+    breakpoints after 32 blocks once they are at least as many as the
+    breakpoints so far, so memory follows the breakpoints rather than the
+    meetings, and the nonzero jumps, kept with their abscissae, are summed
+    onto the breakpoints at the end.  F at the first two breakpoints and at
+    the last one comes from one integer pointwise evaluation on the sweep's
+    own grid by _time_pairs, the time-set kernel form_time_set also runs, as
+    F * S * C: the first slope is an exact divmod, cumulative sums of the
+    jumps then give F at every breakpoint, and the last value must equal the
+    third evaluation.  The function holds the breakpoint and value arrays,
+    put in lowest terms and checked in numpy (breakpoints over S, values
+    over S * C).  Its superlevel method cuts them in one numpy pass
+    (intervals._superlevel), every level crossing an integer on the grid
+    refined by the lcm of the crossings' reduced denominators, and the union
+    holds the cut's arrays of piece ends.  Its measure, containment test and
+    JSON read those arrays, so no breakpoint or piece becomes a tuple unless
+    a caller reads the x_nums, y_nums or nums views.
     """
     import numpy as np
     sets, coeffs = _matched(sets, coefficients)

@@ -20,7 +20,7 @@ from typing import Tuple
 from .averages import form_time_set
 from .digitsets import base_points, cardinality
 from .intervals import IntervalUnion, RationalLike, _refuse_past, rat
-from .scenarios import BlowupSeries, FurstenbergScenario, _h3_log_terms, blowup_series
+from .scenarios import BlowupSeries, FurstenbergScenario, _h3_log_terms, blowup_series, check_series
 
 
 # h3-eval refuses more witness base points than this (k=5 has 248,832)
@@ -125,8 +125,10 @@ def h3_series_columns(p: float, kmax: int, normalization: str = "lebesgue"):
     """Per-k (k, lower_norm_bound, product_of_norms) rows for CSV export.
 
     The two factors of the h3 series' value_k = bound / norms, as exp of
-    the logs the series sums; either may underflow to 0.0.
+    the logs the series sums; either may underflow to 0.0.  The series'
+    own check_series refuses p <= 0, kmax < 2 and kmax past MAX_KMAX.
     """
+    check_series(p, kmax)
     return [
         (k, math.exp(log_bound), math.exp(log_norms))
         for k, log_bound, log_norms in _h3_log_terms(p, kmax, normalization)

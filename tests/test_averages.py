@@ -430,6 +430,80 @@ def test_meeting_kernel_on_per_pair_blocks(monkeypatch):
             check_kernel((x, tau, p, q, fam_s, cs, vel, dom))
 
 
+def test_distinct_on_empty_arrays():
+    for dtype in (np.int64, object):
+        out = averages._distinct(np.array([], dtype=dtype))
+        assert out.dtype == dtype and out.size == 0
+    assert averages._distinct(np.array([3, 1, 3, 2])).tolist() == [1, 2, 3]
+
+
+def state_jump_calls(monkeypatch):
+    """A list that gets the number of state columns of every _state_jumps
+    call made while the patch holds."""
+    calls, reduce = [], averages._state_jumps
+
+    def spy(states, *args):
+        calls.append(states.shape[1])
+        return reduce(states, *args)
+
+    monkeypatch.setattr(averages, "_state_jumps", spy)
+    return calls
+
+
+def test_state_table_is_filled_once_per_coefficients_and_dtype(monkeypatch):
+    averages._state_table.cache_clear()
+    calls = state_jump_calls(monkeypatch)
+    s = furstenberg_family(2)
+    first = sweep_superlevel(s.factors, s.coefficients, s.level, window=(-1, 0))
+    assert calls
+    calls.clear()
+    assert sweep_superlevel(s.factors, s.coefficients, s.level, window=(-1, 0)) == first
+    assert calls == [] and averages._state_table.cache_info().currsize == 1
+    # the dtype-object instance and an int64 one with its coefficients
+    sets, coeffs, t_domain = huge_denominator_instance()
+    sweep_superlevel(sets, coeffs, F(1, 10), window=(-2, 2), t_domain=t_domain)
+    sweep_superlevel(s.factors, coeffs, s.level, window=(-1, 0))
+    assert averages._state_table.cache_info().currsize == 3
+    tables = [averages._state_table(tuple(coeffs), np.dtype(d)) for d in (np.int64, object)]
+    assert [t[-1].dtype for t in tables] == [np.int64, object]
+    assert all(len(t[0]) > 1 for t in tables)
+
+
+def test_state_table_cache_stays_within_its_bound():
+    averages._state_table.cache_clear()
+    bound = averages._state_table.cache_info().maxsize
+    u, v = normalize([(0, 1), (2, 3)]), normalize([(F(1, 2), 4)])
+
+    def sweep(c):
+        return sweep_superlevel([u, v], [1, c], F(1, 4), window=(-4, 4))
+
+    want = sweep(2)
+    for c in range(3, bound + 13):
+        sweep(c)
+        assert averages._state_table.cache_info().currsize <= bound
+    assert averages._state_table.cache_info().currsize == bound
+    assert sweep(2) == want  # its table was dropped and is filled again
+
+
+def test_sweep_of_forty_families_with_codes_past_int64(monkeypatch):
+    # 41 rows, so state codes reach 3^40 > 2^63 and are Python ints, while
+    # the sweep's own arrays stay int64
+    rnd = random.Random(4042)
+    sets = [normalize([(F(-rnd.randint(0, 4), 4), F(rnd.randint(6, 10), 4))]) for _ in range(40)]
+    coeffs = [rnd.choice([-2, -1, 1, 2, 3]) for _ in range(40)]
+    out = []
+    calls = kernel_calls(monkeypatch, lambda: out.append(
+        sweep_superlevel(sets, coeffs, F(1, 8), window=(-3, 3))))
+    assert calls and all(args[0].dtype == np.int64 for args in calls)
+    for args in calls:
+        check_kernel(args)
+    codes = averages._state_table(tuple(coeffs), np.dtype(np.int64))[0]
+    assert codes.dtype == object and max(codes) >= 3**40
+    xs = out[0].function.xs
+    for x in [*xs, *((a + b) / 2 for a, b in zip(xs, xs[1:]))]:
+        assert out[0].function(x) == multilinear_integral(sets, coeffs, x, (0, 1))
+
+
 def oracle_instances():
     """Seeded (sets, coeffs, t_domain, window) of 2 to 4 families with
     negative and equal coefficients, empty families and t-domains off

@@ -820,11 +820,17 @@ def test_large_cube_construction_digest(capsys):
 
 def test_verify_claim_k4_digest(capsys):
     # stdout (1.2 MB) and exit code of the depth-4 claim, frozen from the code
-    # that built every breakpoint of F as a Fraction
+    # that built every breakpoint of F as a Fraction; then the stdout alone,
+    # as the k=5 pin reads it, frozen from the meeting kernel that searched
+    # each family only for the meetings inside the families before it.  k=4
+    # runs 22 kernel blocks and is the first depth that prunes pair (0, 1)
     rc, out, err = run(capsys, "verify-claim", "--k", "4")
     assert (rc, err) == (0, "")
     assert hashlib.sha256(f"{rc}\0{out}".encode()).hexdigest() == (
         "1b894b72e64b657687ce87b445b1f759f997608f9d6ed6dc19c3e48bb2e904d5"
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "44112add815f35ccd9e3d0ad66ca06a455af4205beb9069e0955dc5f45a5aa16"
     )
 
 

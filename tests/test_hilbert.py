@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from divlab import averages
+from divlab import averages, hilbert
 from divlab.averages import form_time_set
 from divlab.digitsets import base_points
 from divlab.hilbert import (
@@ -186,3 +186,19 @@ def test_series_validation():
         h3_ratio_series(1.2, 4, normalization="plain")
     with pytest.raises(ValueError):
         h3_series_columns(1.2, 4, normalization="plain")
+
+
+def test_series_columns_refuse_what_the_series_refuses(monkeypatch):
+    # the series' own check runs before any row: a kmax of 10^9 would build
+    # 10^9 rows, so building one fails the test instead
+    def no_rows(*args):
+        raise AssertionError("rows built before the series check")
+
+    monkeypatch.setattr(hilbert, "_h3_log_terms", no_rows)
+    with pytest.raises(ValueError, match=f"kmax {10**9} is above the cap of {MAX_KMAX} terms"):
+        h3_series_columns(1.2, 10**9)
+    with pytest.raises(ValueError, match="need kmax >= 2"):
+        h3_series_columns(1.2, 1)
+    for p in (0, -1.5):
+        with pytest.raises(ValueError, match="p must be positive"):
+            h3_series_columns(p, 4)
