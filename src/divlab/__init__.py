@@ -7,146 +7,21 @@ against closed-form thresholds, and classifies integer linear-forms matrices
 into divergence scenarios.
 """
 
-from .intervals import (
-    EMPTY,
-    Interval,
-    IntervalUnion,
-    InvariantError,
-    PiecewiseLinear,
-    StepFunction,
-    common_denominator,
-    normalize,
-    rat,
-    rat_str,
-    real,
-)
-from .digitsets import (
-    DigitSetSpec,
-    NoCarryError,
-    base_points,
-    cardinality,
-    combine,
-    digit_spec,
-    is_collision_free,
-    materialize,
-    measure,
-)
-from .scenarios import (
-    BlowupSeries,
-    CubeScenario,
-    FurstenbergScenario,
-    RATIO_TOL,
-    blowup_series,
-    cube_family,
-    cube_threshold,
-    cube_threshold_sum_form,
-    degenerate_threshold,
-    furstenberg_family,
-    furstenberg_threshold,
-    furstenberg_threshold_log_form,
-)
-from .averages import (
-    CubeCertificateReport,
-    DependentFormsBound,
-    MCEstimate,
-    RiemannCertificate,
-    SearchExhaustedError,
-    SweepResult,
-    cube_certificate_check,
-    degenerate_lower_ratio,
-    degenerate_pointwise_bound,
-    dependent_forms_lower_ratio,
-    dependent_forms_pointwise_bound,
-    discrete_superlevel,
-    find_riemann_n,
-    form_time_set,
-    monte_carlo_average,
-    multilinear_integral,
-    sweep_superlevel,
-    wrap_translate,
-)
-from .hilbert import (
-    H3Evaluation,
-    PositivityError,
-    h3_evaluate,
-    h3_ratio_series,
-    h3_support,
-    h3_witness_evaluations,
-)
-from .linforms import (
-    Classification,
-    DependentRows,
-    classify,
-    dependence_vector,
-    exact_rank,
-    extended_matrix,
-    minimal_dependent_rows,
-)
+from . import averages, digitsets, hilbert, intervals, linforms, scenarios
+from .intervals import *
+from .digitsets import *
+from .scenarios import *
+from .averages import *
+from .hilbert import *
+from .linforms import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EMPTY",
-    "Interval",
-    "IntervalUnion",
-    "InvariantError",
-    "PiecewiseLinear",
-    "StepFunction",
-    "common_denominator",
-    "normalize",
-    "rat",
-    "rat_str",
-    "real",
-    "DigitSetSpec",
-    "NoCarryError",
-    "base_points",
-    "cardinality",
-    "combine",
-    "digit_spec",
-    "is_collision_free",
-    "materialize",
-    "measure",
-    "BlowupSeries",
-    "CubeScenario",
-    "FurstenbergScenario",
-    "RATIO_TOL",
-    "blowup_series",
-    "cube_family",
-    "cube_threshold",
-    "cube_threshold_sum_form",
-    "degenerate_threshold",
-    "furstenberg_family",
-    "furstenberg_threshold",
-    "furstenberg_threshold_log_form",
-    "CubeCertificateReport",
-    "DependentFormsBound",
-    "MCEstimate",
-    "RiemannCertificate",
-    "SearchExhaustedError",
-    "SweepResult",
-    "cube_certificate_check",
-    "degenerate_lower_ratio",
-    "degenerate_pointwise_bound",
-    "dependent_forms_lower_ratio",
-    "dependent_forms_pointwise_bound",
-    "discrete_superlevel",
-    "find_riemann_n",
-    "form_time_set",
-    "monte_carlo_average",
-    "multilinear_integral",
-    "sweep_superlevel",
-    "wrap_translate",
-    "H3Evaluation",
-    "PositivityError",
-    "h3_evaluate",
-    "h3_ratio_series",
-    "h3_support",
-    "h3_witness_evaluations",
-    "Classification",
-    "DependentRows",
-    "classify",
-    "dependence_vector",
-    "exact_rank",
-    "extended_matrix",
-    "minimal_dependent_rows",
-]
+__all__ = (
+    intervals.__all__
+    + digitsets.__all__
+    + scenarios.__all__
+    + averages.__all__
+    + hilbert.__all__
+    + linforms.__all__
+)

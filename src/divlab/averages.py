@@ -9,6 +9,26 @@ estimator), so no cube certificate loads it.
 
 from __future__ import annotations
 
+__all__ = [
+    "CubeCertificateReport",
+    "DependentFormsBound",
+    "MCEstimate",
+    "RiemannCertificate",
+    "SearchExhaustedError",
+    "SweepResult",
+    "cube_certificate_check",
+    "degenerate_lower_ratio",
+    "dependent_forms_lower_ratio",
+    "dependent_forms_pointwise_bound",
+    "discrete_superlevel",
+    "find_riemann_n",
+    "form_time_set",
+    "monte_carlo_average",
+    "multilinear_integral",
+    "sweep_superlevel",
+    "wrap_translate",
+]
+
 import functools
 import itertools
 import math
@@ -933,17 +953,6 @@ def _centered_box_ratio(
     return ratio, integral
 
 
-def degenerate_pointwise_bound(big_m: int, x: float) -> float:
-    """Certified pointwise lower bound min(4, 4/(M|x|+1)^2) for the squares average.
-
-    Centered-box argument: both s and t range over an interval of length 1/M
-    centered at -x/2, and the third constraint x+s+t in [-1/M, 1/M] is then
-    automatic; normalizing at scale (M|x|+1)/(2M) gives the bound.  This is
-    the r = 3, b = (1, 0) case of dependent_forms_pointwise_bound.
-    """
-    return dependent_forms_pointwise_bound(3, (1, 0), big_m, x)
-
-
 @dataclass(frozen=True)
 class DependentFormsBound:
     ratio: float
@@ -982,7 +991,8 @@ def degenerate_lower_ratio(big_m: int, p4prime: float, big_l) -> DependentFormsB
 
 
 def dependent_forms_pointwise_bound(r: int, b: Sequence[int], big_m: int, x: float) -> float:
-    """min(2^(r-1), c_b/(M|x|+1)^(r-1)) with c_b = (2/sum|b_i|)^(r-1)."""
+    """min(2^(r-1), c_b/(M|x|+1)^(r-1)) with c_b = (2/sum|b_i|)^(r-1); at r = 3,
+    b = (1, 0) the squares average's certified bound min(4, 4/(M|x|+1)^2)."""
     r, sigma = operator.index(r), sum(abs(operator.index(v)) for v in b)
     cb = (2.0 / sigma) ** (r - 1)
     return min(2.0 ** (r - 1), cb / (big_m * abs(x) + 1.0) ** (r - 1))

@@ -461,8 +461,12 @@ def _cmd_mc_average(args) -> int:
         samples=args.samples, seed=args.seed,
     )
     exact = multilinear_integral(scen.factors, scen.coefficients, args.x, (0, args.eps)) / args.eps
-    z = 0.0 if est.stderr == 0 else (est.estimate - float(exact)) / est.stderr
-    agrees = abs(est.estimate - float(exact)) <= 4 * est.stderr or est.stderr == 0
+    gap = est.estimate - float(exact)
+    # every sample hit or every one missed: band by the exact mean's binomial
+    # stderr, which is 0 only at exact 0 or 1, where the estimate equals it
+    stderr = est.stderr or math.sqrt(float(exact) * (1 - float(exact)) / est.samples)
+    z = 0.0 if stderr == 0 else gap / stderr
+    agrees = abs(gap) <= 4 * stderr
     _emit_json(
         {
             "k": args.k,

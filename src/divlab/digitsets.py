@@ -10,6 +10,18 @@ distinct digit strings give distinct base points is always computed, never assum
 
 from __future__ import annotations
 
+__all__ = [
+    "DigitSetSpec",
+    "NoCarryError",
+    "base_points",
+    "cardinality",
+    "combine",
+    "digit_spec",
+    "is_collision_free",
+    "materialize",
+    "measure",
+]
+
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction

@@ -12,6 +12,15 @@ h3_ratio_series returns and whose two factors h3_series_columns writes out.
 
 from __future__ import annotations
 
+__all__ = [
+    "H3Evaluation",
+    "PositivityError",
+    "h3_evaluate",
+    "h3_ratio_series",
+    "h3_support",
+    "h3_witness_evaluations",
+]
+
 import math
 from dataclasses import dataclass
 from fractions import Fraction

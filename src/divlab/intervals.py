@@ -19,6 +19,20 @@ tests no containment never loads it.
 
 from __future__ import annotations
 
+__all__ = [
+    "EMPTY",
+    "Interval",
+    "IntervalUnion",
+    "InvariantError",
+    "PiecewiseLinear",
+    "StepFunction",
+    "common_denominator",
+    "normalize",
+    "rat",
+    "rat_str",
+    "real",
+]
+
 import bisect
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
@@ -359,9 +373,6 @@ class IntervalUnion(_Frozen):
         if a > 0:
             return _grid_union([(mul * lo + add, mul * hi + add) for lo, hi in self.nums], scale)
         return _grid_union([(mul * hi + add, mul * lo + add) for lo, hi in self.nums[::-1]], scale)
-
-    def translate(self, shift: RationalLike) -> "IntervalUnion":
-        return self.affine(1, shift)
 
     def clip(self, lo: RationalLike, hi: RationalLike) -> "IntervalUnion":
         """self & [lo, hi): a bisect slice of the pieces that reach into

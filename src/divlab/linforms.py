@@ -11,6 +11,16 @@ degenerate one with predicted exponent bound p < r/(r-1).
 
 from __future__ import annotations
 
+__all__ = [
+    "Classification",
+    "DependentRows",
+    "classify",
+    "dependence_vector",
+    "exact_rank",
+    "extended_matrix",
+    "minimal_dependent_rows",
+]
+
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd

@@ -16,13 +16,26 @@ Two families:
 
 from __future__ import annotations
 
+__all__ = [
+    "BlowupSeries",
+    "CubeScenario",
+    "FurstenbergScenario",
+    "RATIO_TOL",
+    "blowup_series",
+    "cube_family",
+    "cube_threshold",
+    "degenerate_threshold",
+    "furstenberg_family",
+    "furstenberg_threshold",
+    "furstenberg_threshold_log_form",
+]
+
 import itertools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 from operator import index
 from typing import Dict, Mapping, Tuple
 
@@ -292,14 +305,6 @@ def cube_threshold(m: int) -> Fraction:
     if m < 3:
         raise ValueError("dimension must be >= 3")
     return Fraction(2 ** (m - 1) + 1, m + 1)
-
-
-def cube_threshold_sum_form(m: int) -> Fraction:
-    """1 + sum_{l=1}^{m-2} l*C(m,l) / (m(m+1)), exactly equal to cube_threshold(m)."""
-    if m < 3:
-        raise ValueError("dimension must be >= 3")
-    s = sum(l * comb(m, l) for l in range(1, m - 1))
-    return 1 + Fraction(s, m * (m + 1))
 
 
 def degenerate_threshold(r: int) -> Fraction:

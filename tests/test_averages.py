@@ -28,7 +28,6 @@ from divlab.averages import (
     check_sweep_candidates,
     cube_certificate_check,
     degenerate_lower_ratio,
-    degenerate_pointwise_bound,
     dependent_forms_lower_ratio,
     dependent_forms_pointwise_bound,
     discrete_superlevel,
@@ -1706,16 +1705,16 @@ def test_degenerate_closed_form_matches_quadrature():
             # estimate guards the comparison below
             warnings.simplefilter("ignore", IntegrationWarning)
             num, err = quad(
-                lambda x: degenerate_pointwise_bound(big_m, x) ** p,
+                lambda x: dependent_forms_pointwise_bound(3, (1, 0), big_m, x) ** p,
                 -big_l, big_l, points=[0.0], limit=400, epsabs=0.0, epsrel=1e-12,
             )
         assert abs(num - integral) <= 1e-9 * abs(integral) + 10 * err
 
 
 def test_degenerate_pointwise_bound_shape():
-    assert degenerate_pointwise_bound(100, 0.0) == 4.0
-    assert degenerate_pointwise_bound(100, 1.0) == 4.0 / 101**2
-    assert degenerate_pointwise_bound(100, -1.0) == 4.0 / 101**2
+    assert dependent_forms_pointwise_bound(3, (1, 0), 100, 0.0) == 4.0
+    assert dependent_forms_pointwise_bound(3, (1, 0), 100, 1.0) == 4.0 / 101**2
+    assert dependent_forms_pointwise_bound(3, (1, 0), 100, -1.0) == 4.0 / 101**2
 
 
 def test_degenerate_matches_former_squares_formulas_bitwise():
@@ -1734,7 +1733,8 @@ def test_degenerate_matches_former_squares_formulas_bitwise():
             res = degenerate_lower_ratio(big_m, p, big_l)
             assert (res.ratio, res.integral) == old_ratio(big_m, p, big_l)
         for x in (0.0, 0.013, -0.7, 3.0, -250.5):
-            assert degenerate_pointwise_bound(37, x) == min(4.0, 4.0 / (37 * abs(x) + 1.0) ** 2)
+            assert (dependent_forms_pointwise_bound(3, (1, 0), 37, x)
+                    == min(4.0, 4.0 / (37 * abs(x) + 1.0) ** 2))
     assert degenerate_lower_ratio(37, 0.45, 123).ratio == 1240.2851576270982
 
 
@@ -1756,7 +1756,7 @@ def test_degenerate_saturation_above_half():
 def test_degenerate_log_case():
     integral = degenerate_lower_ratio(10, 0.5, 1000.0).integral
     num, _ = quad(
-        lambda x: degenerate_pointwise_bound(10, x) ** 0.5,
+        lambda x: dependent_forms_pointwise_bound(3, (1, 0), 10, x) ** 0.5,
         -1000, 1000, points=[0.0], limit=400, epsabs=0.0, epsrel=1e-12,
     )
     assert abs(num - integral) <= 1e-9 * abs(integral)

@@ -305,6 +305,21 @@ def test_mc_average_deterministic(capsys):
     assert out2 == out1
 
 
+@pytest.mark.parametrize("eps, seed, exact, rc_want",
+                         [("5/18", "488", "1/20", 2), ("1/36", "2", "1/2", 0)])
+def test_mc_average_with_zero_sample_stderr_bands_by_the_exact_mean(
+        capsys, eps, seed, exact, rc_want):
+    # both samples hit, so the sample stderr is 0; z and the 4-sigma band come
+    # from the exact mean's binomial stderr sqrt(e(1 - e)/n) instead
+    rc, data = run_json(capsys, "mc-average", "--k", "1", "--x", "0", "--eps", eps,
+                        "--seed", seed, "--samples", "2")
+    e = float(F(exact))
+    assert (data["estimate"], data["stderr"], data["exact"]["exact"]) == (1.0, 0.0, exact)
+    assert data["z_score"] == real((1.0 - e) / math.sqrt(e * (1 - e) / 2))
+    assert data["within_4_sigma"] is (rc_want == 0)
+    assert rc == rc_want
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in (
         [],

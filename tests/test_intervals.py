@@ -177,7 +177,6 @@ def test_affine_translate_clip():
             if any(y == e for iv in img.intervals for e in (iv.lo, iv.hi)):
                 continue
             assert (y in img) == (x in u)
-        assert u.translate(b) == u.affine(F(1), b)
         lo, hi = sorted((rnd_fraction(rnd), rnd_fraction(rnd)))
         if lo < hi:
             assert u.clip(lo, hi) == u.intersect(normalize([(lo, hi)]))
@@ -650,7 +649,7 @@ def test_union_ops_match_fraction_reference():
         t = rnd_mixed(rnd)
         img = a.affine(s, t)
         assert img.pairs == reference_affine(ra, s, t)
-        assert a.translate(t).pairs == reference_affine(ra, F(1), t)
+        assert a.affine(1, t).pairs == reference_affine(ra, F(1), t)
         lo, hi = rnd_mixed(rnd), rnd_mixed(rnd)
         cut = a.clip(lo, hi)
         assert cut.pairs == reference_clip(ra, lo, hi)
@@ -695,7 +694,7 @@ def test_clip_trims_pieces_straddling_its_ends():
         w = furstenberg_family(k).witness
         tail = F(1, 8 * 12**k)
         for shift in (-tail / 2, F(-1, 12**k) - tail / 2):
-            moved = w.translate(shift)
+            moved = w.affine(1, shift)
             assert moved.clip(-1, 0).pairs == reference_clip(moved.pairs, F(-1), F(0))
             assert_canonical(moved.clip(-1, 0))
 

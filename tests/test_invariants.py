@@ -10,7 +10,7 @@ import pytest
 
 import divlab
 from circuit_reference import spoil_circuit_elimination
-from divlab import averages, cli, hilbert, linforms
+from divlab import averages, cli, digitsets, hilbert, intervals, linforms, scenarios
 from divlab.digitsets import DigitSetSpec
 from divlab.intervals import InvariantError
 from divlab.scenarios import cube_family, furstenberg_family
@@ -96,6 +96,52 @@ def test_package_has_no_dead_private_names():
                 used.update(alias.name for alias in node.names)
     assert len(defined) > 20
     assert [f"{file}:{line}:{name}" for file, line, name in defined if name not in used] == []
+
+
+PUBLIC_NAMES = sorted("""
+    EMPTY Interval IntervalUnion InvariantError PiecewiseLinear StepFunction
+    common_denominator normalize rat rat_str real
+    DigitSetSpec NoCarryError base_points cardinality combine digit_spec
+    is_collision_free materialize measure
+    BlowupSeries CubeScenario FurstenbergScenario RATIO_TOL blowup_series
+    cube_family cube_threshold degenerate_threshold furstenberg_family
+    furstenberg_threshold furstenberg_threshold_log_form
+    CubeCertificateReport DependentFormsBound MCEstimate RiemannCertificate
+    SearchExhaustedError SweepResult cube_certificate_check degenerate_lower_ratio
+    dependent_forms_lower_ratio dependent_forms_pointwise_bound discrete_superlevel
+    find_riemann_n form_time_set monte_carlo_average multilinear_integral
+    sweep_superlevel wrap_translate
+    H3Evaluation PositivityError h3_evaluate h3_ratio_series h3_support
+    h3_witness_evaluations
+    Classification DependentRows classify dependence_vector exact_rank
+    extended_matrix minimal_dependent_rows
+""".split())
+
+
+def test_public_surface_is_declared_once_per_module():
+    # each library module lists its own public names in __all__, and the
+    # package re-exports exactly their union
+    modules = (intervals, digitsets, scenarios, averages, hilbert, linforms)
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 61
+    assert sorted(divlab.__all__) == PUBLIC_NAMES
+    for module in modules:
+        tree = ast.parse(Path(module.__file__).read_text())
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        assert set(module.__all__) <= defined, module.__name__
+        assert all(getattr(divlab, name) is getattr(module, name) for name in module.__all__)
+    namespace = {}
+    exec("from divlab import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+    # the restatements of a general call are gone
+    for owner, name in ((divlab, "cube_threshold_sum_form"), (scenarios, "cube_threshold_sum_form"),
+                        (divlab, "degenerate_pointwise_bound"), (averages, "degenerate_pointwise_bound"),
+                        (intervals.IntervalUnion, "translate")):
+        assert not hasattr(owner, name), name
 
 
 def test_interval_objects_are_built_only_in_intervals_module():
@@ -310,7 +356,7 @@ def test_bench_tracer_binds_every_traced_name(capsys):
         hilbert.h3_evaluate(Fraction(-2, 3), *furstenberg_family(1).factors)
         # the time-set engine maps no whole union, so affine is called here
         u = furstenberg_family(1).factors[0]
-        assert u.affine(-1, 0).translate(Fraction(1, 2)).measure() == u.measure()
+        assert u.affine(-1, 0).affine(1, Fraction(1, 2)).measure() == u.measure()
     finally:
         tracer.uninstall()
     capsys.readouterr()

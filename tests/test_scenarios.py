@@ -19,7 +19,6 @@ from divlab.scenarios import (
     blowup_series,
     cube_family,
     cube_threshold,
-    cube_threshold_sum_form,
     degenerate_threshold,
     furstenberg_family,
     furstenberg_threshold,
@@ -190,14 +189,14 @@ def test_furstenberg_threshold_identity():
 def test_cube_threshold_identities():
     assert cube_threshold(3) == F(5, 4)
     for m in range(3, 11):
-        assert cube_threshold(m) == cube_threshold_sum_form(m)
+        sum_form = 1 + F(sum(l * math.comb(m, l) for l in range(1, m - 1)), m * (m + 1))
+        assert cube_threshold(m) == sum_form
         assert cube_threshold(m) == F(2 ** (m - 1) + 1, m + 1)
 
 
 def test_cube_thresholds_refuse_dimensions_below_3():
-    for threshold in (cube_threshold, cube_threshold_sum_form):
-        with pytest.raises(ValueError, match="^dimension must be >= 3$"):
-            threshold(2)
+    with pytest.raises(ValueError, match="^dimension must be >= 3$"):
+        cube_threshold(2)
 
 
 def test_degenerate_threshold():
